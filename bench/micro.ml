@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks for the primitive operations underlying
-   the experiments: row codec, slotted-page insert, B+tree insert and
-   lookup, SPT construction, snapshot page fetch, Qq parsing and
-   rewriting.  One Test.make per primitive, all in one executable. *)
+   the experiments: row codec (full and projected decode), slotted-page
+   insert, B+tree insert and lookup, SPT construction, snapshot page
+   fetch, Qq parsing and rewriting.  One Test.make per primitive, all in
+   one executable. *)
 
 open Bechamel
 open Toolkit
@@ -18,6 +19,13 @@ let test_encode =
 
 let test_decode =
   Test.make ~name:"record.decode_row" (Staged.stage (fun () -> ignore (R.decode_row encoded)))
+
+(* The scan path: one column of the row, decoded in place. *)
+let test_decode_cols =
+  let b = Bytes.of_string encoded and len = String.length encoded in
+  let first_col = R.decode_cols [| true |] in
+  Test.make ~name:"record.decode_cols (1 of 5 columns)"
+    (Staged.stage (fun () -> ignore (first_col b ~off:0 ~len)))
 
 let test_page_insert =
   let page = Storage.Page.create Storage.Page.Heap_page in
@@ -89,7 +97,8 @@ let test_snapshot_read =
         fun () ->
           let retro, heap = Lazy.force retro_fixture in
           let n = ref 0 in
-          Storage.Heap.iter (Retro.read_ctx retro (Lazy.force spt)) heap ~f:(fun _ _ -> incr n)))
+          Storage.Heap.iter_spans (Retro.read_ctx retro (Lazy.force spt)) heap
+            ~f:(fun _ _ _ _ -> incr n)))
 
 let test_parse =
   Test.make ~name:"sql.parse (Qq_agg)"
@@ -103,7 +112,7 @@ let test_rewrite =
               "SELECT DISTINCT l_userid, current_snapshot() AS sid FROM LoggedIn" ~sid:42)))
 
 let tests =
-  [ test_encode; test_decode; test_page_insert; test_btree_lookup; test_btree_insert;
+  [ test_encode; test_decode; test_decode_cols; test_page_insert; test_btree_lookup; test_btree_insert;
     test_spt_build; test_snapshot_read; test_parse; test_rewrite ]
 
 (* --- EXPLAIN ANALYZE smoke (bench --analyze) ---------------------------- *)

@@ -292,8 +292,10 @@ let probe (rs : run_state) read key =
   | None -> ( match rs.single_rid with Some rid -> [ rid ] | None -> [])
 
 let fetch (rs : run_state) read rid =
-  match Storage.Heap.get read (meta_heap rs) rid with
-  | Some data -> R.decode_row data
+  match
+    Storage.Heap.get_span read (meta_heap rs) rid ~f:(fun p off len -> R.decode_bytes p ~off ~len)
+  with
+  | Some row -> row
   | None -> error "%s: dangling result rid %d" (mech_name rs.kind) rid
 
 (* Update a result row in place, repairing the index entry if the row

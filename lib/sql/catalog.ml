@@ -74,7 +74,8 @@ let decode_row rid (row : R.row) t =
    transaction view, or a Retro snapshot. *)
 let load (read : Storage.Pager.read) : t =
   let t = { tables = Hashtbl.create 16; indexes = Hashtbl.create 16 } in
-  Storage.Heap.iter read (heap ()) ~f:(fun rid data -> decode_row rid (R.decode_row data) t);
+  Storage.Heap.iter_spans read (heap ()) ~f:(fun rid p off len ->
+      decode_row rid (R.decode_bytes p ~off ~len) t);
   t
 
 let find_table t name = Option.map fst (Hashtbl.find_opt t.tables (key name))

@@ -98,9 +98,9 @@ let create_index db ~name ~table ~columns ~if_not_exists =
         Catalog.add_index txn idx;
         (* populate from existing rows *)
         let read = Storage.Txn.read_ctx txn in
-        Storage.Heap.iter read (Storage.Heap.open_existing tbl.Catalog.theap)
-          ~f:(fun rid data ->
-            let row = R.decode_row data in
+        Storage.Heap.iter_spans read (Storage.Heap.open_existing tbl.Catalog.theap)
+          ~f:(fun rid p off len ->
+            let row = R.decode_bytes p ~off ~len in
             Storage.Btree.insert txn bt (Exec.index_key tbl idx row) rid));
     Db.schema_changed db
 

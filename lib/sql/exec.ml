@@ -88,11 +88,21 @@ let attributed env (tbl : Catalog.table) f =
     | Some sid -> fun () -> Obs.Scope.with_snapshot sid f
     | None -> f)
 
-let scan_heap env tbl ~f =
+(* Rows are decoded straight from the page bytes by [decode]: the full
+   row ([R.decode_bytes]) or just a query's columns ([R.decode_cols]). *)
+type decoder = Bytes.t -> off:int -> len:int -> R.row
+
+let scan_heap env tbl ~(decode : decoder) ~f =
+  (* rows are counted locally and added once, also when a consumer
+     stops the scan early (LIMIT) by raising *)
+  let rows = ref 0 in
   attributed env tbl (fun () ->
-      Storage.Heap.iter env.read (heap_of env tbl) ~f:(fun rid data ->
-          Obs.Scope.incr c_rows_scanned;
-          f rid (R.decode_row data)))
+      Fun.protect
+        ~finally:(fun () -> Obs.Scope.add c_rows_scanned !rows)
+        (fun () ->
+          Storage.Heap.iter_spans env.read (heap_of env tbl) ~f:(fun rid p off len ->
+              incr rows;
+              f rid (decode p ~off ~len))))
 
 let is_virtual (tbl : Catalog.table) = tbl.theap < 0
 
@@ -101,20 +111,19 @@ let is_virtual (tbl : Catalog.table) = tbl.theap < 0
    accepts them); real tables stream from the heap.  Virtual tables
    also never have indexes, so every index-based access path passes
    them by without a check. *)
-let scan_rows env (tbl : Catalog.table) ~f =
+let scan_rows env (tbl : Catalog.table) ~decode ~f =
   if is_virtual tbl then
     List.iter
       (fun row ->
         Obs.Scope.incr c_rows_scanned;
         f (-1) row)
       (Systables.rows env.db tbl)
-  else scan_heap env tbl ~f
+  else scan_heap env tbl ~decode ~f
 
-let fetch_row env (tbl : Catalog.table) rid =
+let fetch_row env (tbl : Catalog.table) ~(decode : decoder) rid =
   attributed env tbl (fun () ->
-      match Storage.Heap.get env.read (heap_of env tbl) rid with
-      | Some data -> Some (R.decode_row data)
-      | None -> None)
+      Storage.Heap.get_span env.read (heap_of env tbl) rid ~f:(fun p off len ->
+          decode p ~off ~len))
 
 let col_pos (tbl : Catalog.table) name =
   let n = String.lowercase_ascii name in
@@ -149,9 +158,7 @@ let index_scan env (tbl : Catalog.table) (idx : Catalog.index) bounds ~f =
      entries ([v],rid) fall below it, and Lt uses ([v],min_int)
      symmetrically. *)
   attributed env tbl (fun () ->
-      match !hi with
-      | Some hi -> Storage.Btree.range env.read bt ~lo:!lo ~hi ~f:(fun _k rid -> f rid; true)
-      | None -> Storage.Btree.iter_from env.read bt ~lo:!lo ~f:(fun _k rid -> f rid; true))
+      Storage.Btree.range env.read bt ~lo:!lo ~hi:!hi ~f:(fun rid -> f rid; true))
 
 (* Evaluate the bound expressions of an index search (parameters are
    already bound; values may come from constant function calls). *)
@@ -186,17 +193,15 @@ let acc_step fnctx acc row =
     | Some e -> Expr.eval fnctx ~row ~aggs:[||] e
   in
   let proceed =
-    match acc.a_distinct with
-    | None -> v <> R.Null || acc.spec.agg_arg = None
-    | Some tbl ->
-      if v = R.Null then false
+    match v, acc.a_distinct with
+    | R.Null, _ -> false
+    | _, None -> true
+    | _, Some tbl ->
+      let k = R.encode_row [| v |] in
+      if Hashtbl.mem tbl k then false
       else begin
-        let k = R.encode_row [| v |] in
-        if Hashtbl.mem tbl k then false
-        else begin
-          Hashtbl.add tbl k ();
-          true
-        end
+        Hashtbl.add tbl k ();
+        true
       end
   in
   if proceed then begin
@@ -214,9 +219,10 @@ let acc_step fnctx acc row =
         acc.a_real <- true;
         acc.a_sum_f <- acc.a_sum_f +. f
       | None -> ()));
-    match acc.spec.agg_fn with
-    | "min" -> if acc.a_mm = R.Null || R.compare_value v acc.a_mm < 0 then acc.a_mm <- v
-    | "max" -> if acc.a_mm = R.Null || R.compare_value v acc.a_mm > 0 then acc.a_mm <- v
+    match acc.spec.agg_fn, acc.a_mm with
+    | ("min" | "max"), R.Null -> acc.a_mm <- v
+    | "min", mm -> if R.compare_value v mm < 0 then acc.a_mm <- v
+    | "max", mm -> if R.compare_value v mm > 0 then acc.a_mm <- v
     | _ -> ()
   end
 
@@ -395,7 +401,26 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
      (fresh copy of the core; the cached plan stays pristine). *)
   let c = Plan.map_core (expand_sub env) c in
   let feval row e = Expr.eval fnctx ~row ~aggs:[||] e in
-  let pass filters row = List.for_all (fun r -> Expr.truth (feval row r) = Some true) filters in
+  (* Hash key of [exprs] over a row: their values, encoded.  One value
+     buffer per key function, refilled per row (the encoding copies). *)
+  let key_fn exprs =
+    let exprs = Array.of_list exprs in
+    let vals = Array.make (Array.length exprs) R.Null in
+    fun row ->
+      for i = 0 to Array.length exprs - 1 do
+        vals.(i) <- feval row exprs.(i)
+      done;
+      R.encode_row vals
+  in
+  (* per-row paths allocate no closures *)
+  let rec pass filters row =
+    match filters with
+    | [] -> true
+    | r :: rest -> (
+      match Expr.truth (feval row r) with
+      | Some true -> pass rest row
+      | Some false | None -> false)
+  in
   let instr = env.analyze in
   (* Instrumentation wrappers.  All three are decided at pipeline
      construction time: with [analyze] off they return their argument
@@ -450,29 +475,32 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
     | Plan.From_none -> fun f -> f [||]
     | Plan.From_scan { first; joins; residual } ->
       let t0 = first.Plan.sc_src.Plan.s_tbl in
+      let decode0, join_decoders =
+        match List.map R.decode_cols (Plan.projections c) with
+        | d :: ds -> (d, ds)
+        | [] -> (R.decode_bytes, [])
+      in
       let emit0 f =
         match first.Plan.sc_access with
         | Plan.Index_search { ix; bounds } ->
           index_scan env t0 ix (eval_bounds fnctx bounds) ~f:(fun rid ->
-              match fetch_row env t0 rid with
+              match fetch_row env t0 ~decode:decode0 rid with
               | Some row -> if pass first.Plan.sc_filters row then f row
               | None -> ())
         | Plan.Seq_scan ->
-          scan_rows env t0 ~f:(fun _rid row -> if pass first.Plan.sc_filters row then f row)
+          scan_rows env t0 ~decode:decode0 ~f:(fun _rid row ->
+              if pass first.Plan.sc_filters row then f row)
       in
       let emit0 = stage first.Plan.sc_op emit0 in
-      let add_join emit (js : Plan.join_step) =
+      let add_join emit ((js : Plan.join_step), decode) =
         let t = js.Plan.j_src.Plan.s_tbl in
+        let scan_rows env t ~f = scan_rows env t ~decode ~f in
         match js.Plan.j_plan with
         | Plan.Left_hash { equi; inner_filters; residual } ->
           let n_inner = Array.length t.Catalog.tcols in
           let nulls = Array.make n_inner R.Null in
-          let right_key_of row =
-            R.encode_row (Array.of_list (List.map (fun (_, rb) -> feval row rb) equi))
-          in
-          let left_key_of row =
-            R.encode_row (Array.of_list (List.map (fun (la, _) -> feval row la) equi))
-          in
+          let right_key_of = key_fn (List.map snd equi) in
+          let left_key_of = key_fn (List.map fst equi) in
           (* materialize the (filtered) inner side, hashed when equi keys
              exist — the automatic-index analogue, timed as index build *)
           let tbl_hash : (string, R.row list ref) Hashtbl.t = Hashtbl.create 256 in
@@ -523,19 +551,14 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
             emit (fun lrow ->
                 let kv = Array.of_list (List.map (fun e -> feval lrow e) left_keys) in
                 Storage.Btree.lookup env.read bt kv ~f:(fun rid ->
-                    match fetch_row env t rid with
+                    match fetch_row env t ~decode rid with
                     | Some rrow -> if pass filters rrow then f (Array.append lrow rrow)
                     | None -> ()))
         | Plan.Hash_join { equi; filters } ->
           (* automatic ephemeral index over the inner table (SQLite's
              covering-index analogue); built once per execution. *)
-          let left_keys = List.map fst equi and right_keys = List.map snd equi in
-          let right_key_of row =
-            R.encode_row (Array.of_list (List.map (feval row) right_keys))
-          in
-          let left_key_of row =
-            R.encode_row (Array.of_list (List.map (feval row) left_keys))
-          in
+          let right_key_of = key_fn (List.map snd equi) in
+          let left_key_of = key_fn (List.map fst equi) in
           let tbl_hash : (string, R.row list ref) Hashtbl.t = Hashtbl.create 1024 in
           let build () =
             scan_rows env t ~f:(fun _rid row ->
@@ -554,7 +577,9 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
                 | None -> ())
       in
       let emit =
-        List.fold_left (fun emit js -> stage js.Plan.j_op (add_join emit js)) emit0 joins
+        List.fold_left2
+          (fun emit js decode -> stage js.Plan.j_op (add_join emit (js, decode)))
+          emit0 joins join_decoders
       in
       let filtered f = emit (fun row -> if pass residual row then f row) in
       if residual = [] then filtered else stage c.Plan.c_filter_op filtered
@@ -578,39 +603,66 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
       | v -> error "OFFSET requires an integer, got %s" (R.value_to_string v))
   in
   (* Produce (out_row, sort_key) pairs. *)
+  let out_arr = Array.of_list out_exprs in
   let produce (push : R.row -> R.row -> unit) =
     let eval_out row aggs =
-      let out = Array.of_list (List.map (fun e -> Expr.eval fnctx ~row ~aggs e) out_exprs) in
+      let out = Array.make (Array.length out_arr) R.Null in
+      for i = 0 to Array.length out_arr - 1 do
+        out.(i) <- Expr.eval fnctx ~row ~aggs out_arr.(i)
+      done;
       let key =
-        Array.of_list
-          (List.map
-             (fun (k, _) ->
-               match k with
-               | Plan.Out_col i -> out.(i)
-               | Plan.Key_expr e -> Expr.eval fnctx ~row ~aggs e)
-             order_resolved)
+        match order_resolved with
+        | [] -> [||]
+        | keys ->
+          Array.of_list
+            (List.map
+               (fun (k, _) ->
+                 match k with
+                 | Plan.Out_col i -> out.(i)
+                 | Plan.Key_expr e -> Expr.eval fnctx ~row ~aggs e)
+               keys)
       in
       (out, key)
     in
     if c.Plan.c_has_agg then begin
-      let groups : (string, R.row * agg_acc array) Hashtbl.t = Hashtbl.create 64 in
+      (* groups in reverse first-seen order: (representative row, accumulators) *)
       let order = ref [] in
-      emit (fun row ->
-          let gkey =
-            R.encode_row (Array.of_list (List.map (fun e -> feval row e) c.Plan.c_group))
-          in
-          let _, accs =
-            match Hashtbl.find_opt groups gkey with
-            | Some ga -> ga
+      let new_group row =
+        let g = (row, Array.of_list (List.map new_acc c.Plan.c_aggs)) in
+        order := g :: !order;
+        g
+      in
+      let group_of =
+        if c.Plan.c_group = [] then begin
+          (* one group: no key to encode or hash per row *)
+          let only = ref None in
+          fun row ->
+            match !only with
+            | Some g -> g
             | None ->
-              let accs = Array.of_list (List.map new_acc c.Plan.c_aggs) in
-              Hashtbl.add groups gkey (row, accs);
-              order := gkey :: !order;
-              (row, accs)
-          in
-          Array.iter (fun acc -> acc_step fnctx acc row) accs);
-      let emit_group gkey =
-        let repr, accs = Hashtbl.find groups gkey in
+              let g = new_group row in
+              only := Some g;
+              g
+        end
+        else begin
+          let groups : (string, R.row * agg_acc array) Hashtbl.t = Hashtbl.create 64 in
+          let key_of = key_fn c.Plan.c_group in
+          fun row ->
+            let gkey = key_of row in
+            match Hashtbl.find_opt groups gkey with
+            | Some g -> g
+            | None ->
+              let g = new_group row in
+              Hashtbl.add groups gkey g;
+              g
+        end
+      in
+      emit (fun row ->
+          let _, accs = group_of row in
+          for i = 0 to Array.length accs - 1 do
+            acc_step fnctx accs.(i) row
+          done);
+      let emit_group (repr, accs) =
         let aggs = Array.map acc_final accs in
         let keep =
           match c.Plan.c_having with
@@ -622,7 +674,7 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
           push out key
         end
       in
-      if Hashtbl.length groups = 0 && c.Plan.c_group = [] then begin
+      if !order = [] && c.Plan.c_group = [] then begin
         (* aggregate over an empty input: one row *)
         let accs = Array.of_list (List.map new_acc c.Plan.c_aggs) in
         let aggs = Array.map acc_final accs in
@@ -765,13 +817,16 @@ let matching_rows env (tbl : Catalog.table) (where : expr option) =
       sc.Plan.sc_filters
   in
   let out = ref [] in
+  (* DML rewrites and re-indexes whole rows: decode every column *)
+  let decode = R.decode_bytes in
   (match sc.Plan.sc_access with
   | Plan.Index_search { ix; bounds } ->
     index_scan env tbl ix (eval_bounds fnctx bounds) ~f:(fun rid ->
-        match fetch_row env tbl rid with
+        match fetch_row env tbl ~decode rid with
         | Some row -> if keep row then out := (rid, row) :: !out
         | None -> ())
-  | Plan.Seq_scan -> scan_heap env tbl ~f:(fun rid row -> if keep row then out := (rid, row) :: !out));
+  | Plan.Seq_scan ->
+    scan_heap env tbl ~decode ~f:(fun rid row -> if keep row then out := (rid, row) :: !out));
   List.rev !out
 
 let delete_rows env txn (tbl : Catalog.table) rows =

@@ -27,7 +27,7 @@ let truth (v : R.value) : bool option =
     | Some f -> Some (f <> 0.)
     | None -> Some false)
 
-let of_bool b = R.Int (if b then 1 else 0)
+let of_bool b = if b then R.Int 1 else R.Int 0 (* static constants: no allocation *)
 let of_truth = function None -> R.Null | Some b -> of_bool b
 
 let to_number (v : R.value) : float option =

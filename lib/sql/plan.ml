@@ -208,6 +208,66 @@ let rec map_exprs f (p : t) : t =
     p_climit = Option.map f p.p_climit;
     p_coffset = Option.map f p.p_coffset }
 
+(* --- column projection ------------------------------------------------
+
+   The stored columns of each FROM source that a core reads: one mask
+   per source, the driving table first, then the joined tables in FROM
+   order.  Scans decode only these columns and leave the rest of each
+   row NULL, so a query reading one column of a wide table builds one
+   value per row.  Computed on the core as executed, after subquery
+   expansion; subqueries are uncorrelated, so no outer column hides
+   inside one.  A mask ends at its source's last needed column, which
+   is where decoding stops. *)
+let projections (c : core) : bool array list =
+  match c.c_from with
+  | From_none -> []
+  | From_scan { first; joins; residual } ->
+    let sources = first.sc_src :: List.map (fun js -> js.j_src) joins in
+    let width =
+      List.fold_left (fun acc s -> acc + Array.length s.s_tbl.Catalog.tcols) 0 sources
+    in
+    let used = Array.make width false in
+    let mark offset e =
+      ignore
+        (Expr.map
+           (function
+             | Colidx i as e ->
+               used.(offset + i) <- true;
+               e
+             | e -> e)
+           e)
+    in
+    let combined = mark 0 and local (s : source) = mark s.s_offset in
+    List.iter (local first.sc_src) first.sc_filters;
+    List.iter
+      (fun js ->
+        let local = local js.j_src in
+        let equi = List.iter (fun (l, r) -> combined l; local r) in
+        match js.j_plan with
+        | Nested_loop { filters } -> List.iter local filters
+        | Hash_join { equi = eq; filters } | Index_probe { equi = eq; filters; _ } ->
+          equi eq;
+          List.iter local filters
+        | Left_hash { equi = eq; inner_filters; residual } ->
+          equi eq;
+          List.iter local inner_filters;
+          List.iter combined residual)
+      joins;
+    List.iter combined residual;
+    List.iter combined c.c_out;
+    List.iter (fun a -> Option.iter combined a.agg_arg) c.c_aggs;
+    List.iter combined c.c_group;
+    Option.iter combined c.c_having;
+    List.iter (function Key_expr e, _ -> combined e | Out_col _, _ -> ()) c.c_order;
+    List.map
+      (fun s ->
+        let last = ref 0 in
+        Array.iteri
+          (fun i _ -> if used.(s.s_offset + i) then last := i + 1)
+          s.s_tbl.Catalog.tcols;
+        Array.sub used s.s_offset !last)
+      sources
+
 (* --- parameter binding ----------------------------------------------- *)
 
 (* Substitute [Param i] with the i-th binding, everywhere including

@@ -28,23 +28,17 @@ let root t = t.root
 
 let encode_entry e = Record.encode_row (Array.append e.key [| Record.Int e.aux |])
 
-let decode_entry s =
-  let r = Record.decode_row s in
+(* The entry stored in [len] bytes at [off] of node page [p]. *)
+let entry_at (p : Page.t) off len =
+  let r = Record.decode_bytes p ~off ~len in
   let n = Array.length r in
   let aux = match r.(n - 1) with Record.Int i -> i | _ -> invalid_arg "Btree: bad entry" in
   { key = Array.sub r 0 (n - 1); aux }
 
-(* Composite comparison: (key, rid).  [rid_a]/[rid_b] disambiguate
-   duplicate keys; use min_int/max_int to form range endpoints. *)
-let compare_composite (ka, ra) (kb, rb) =
-  let c = Record.compare_row ka kb in
-  if c <> 0 then c else compare ra rb
-
 let load (p : Page.t) : entry array =
   let out = ref [] in
-  Page.iter p ~f:(fun _ data -> out := decode_entry data :: !out);
-  let arr = Array.of_list (List.rev !out) in
-  arr
+  Page.iter_spans p ~f:(fun _ off len -> out := entry_at p off len :: !out);
+  Array.of_list (List.rev !out)
 
 (* Rewrite a node page with [entries] in order; slot order is then key
    order, so lookups can binary-search over slots. *)
@@ -81,35 +75,49 @@ let sep_composite (e : entry) =
 
 let make_sep (key, rid) child = { key = Array.append key [| Record.Int rid |]; aux = child }
 
-(* Node pages are always kept dense and sorted (in-place edits shift the
-   slot directory; splits rewrite whole nodes), so searches can binary-
-   search over slots, decoding only the probed entries. *)
+(* --- search on encoded entries -------------------------------------------
 
-let slot_entry (p : Page.t) i = decode_entry (Page.get_exn p i)
+   Node pages are always kept dense and sorted (in-place edits shift the
+   slot directory; splits rewrite whole nodes), so searches binary-
+   search over slots.  A probe compares the search composite with the
+   entry's bytes in the page and reads rids and child ids from the
+   entry's tail, so nothing is copied or decoded on the way down.  Every
+   entry ends in INTEGER values (9 encoded bytes each): a leaf entry is
+   [key..., rid], an interior one [key..., separator rid, child]. *)
 
-(* First slot whose composite is >= c. *)
+(* The INTEGER [k] values from the end of slot [i]'s entry. *)
+let int_from_end (p : Page.t) i k = Record.int_at p (Page.slot_off p i + Page.slot_len p i - (9 * k))
+
+(* Leaf rid or interior child id of slot [i]. *)
+let slot_aux p i = int_from_end p i 1
+
+(* Composite comparison of slot [i] with [(key, rid)]: leaves carry one
+   trailing INTEGER after the key, interior separators two. *)
+let compare_slot (p : Page.t) i ~trailing (key, rid) =
+  let off = Page.slot_off p i in
+  let nkey = Record.arity p ~off - trailing in
+  let c = Record.compare_prefix p ~off ~len:(Page.slot_len p i) nkey key in
+  if c <> 0 then c else Int.compare (int_from_end p i trailing) rid
+
+(* Leaf: first slot whose composite is >= c. *)
 let lower_bound_page (p : Page.t) c =
-  let n = Page.nslots p in
   let rec bs lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      let e = slot_entry p mid in
-      if compare_composite (e.key, e.aux) c < 0 then bs (mid + 1) hi else bs lo mid
+      if compare_slot p mid ~trailing:1 c < 0 then bs (mid + 1) hi else bs lo mid
   in
-  bs 0 n
+  bs 0 (Page.nslots p)
 
 (* Interior routing: last separator <= c (-1 = leftmost child). *)
 let route_on_page (p : Page.t) c =
-  let n = Page.nslots p in
   let rec bs lo hi =
     if lo >= hi then lo - 1
     else
       let mid = (lo + hi) / 2 in
-      if compare_composite (sep_composite (slot_entry p mid)) c <= 0 then bs (mid + 1) hi
-      else bs lo mid
+      if compare_slot p mid ~trailing:2 c <= 0 then bs (mid + 1) hi else bs lo mid
   in
-  bs 0 n
+  bs 0 (Page.nslots p)
 
 let array_insert arr i x =
   let n = Array.length arr in
@@ -158,7 +166,7 @@ let rec ins txn pid c =
     end
   | Page.Btree_interior ->
     let i = route_on_page p c in
-    let child = if i < 0 then Page.aux p else (decode_entry (Page.get_exn p i)).aux in
+    let child = if i < 0 then Page.aux p else slot_aux p i in
     (match ins txn child c with
     | None -> None
     | Some (sep, right_pid) ->
@@ -199,70 +207,49 @@ let rec leaf_for read pid c =
   | Page.Btree_leaf -> pid
   | Page.Btree_interior ->
     let i = route_on_page p c in
-    let child = if i < 0 then Page.aux p else (slot_entry p i).aux in
-    leaf_for read child c
+    leaf_for read (if i < 0 then Page.aux p else slot_aux p i) c
   | Page.Free | Page.Heap_page | Page.Meta -> invalid_arg "Btree.leaf_for: not an index page"
 
-(* Visit entries with composite in [lo, hi]; [f] returns false to stop. *)
-let range (read : Pager.read) t ~lo ~hi ~f =
-  let exception Stop in
-  let start = leaf_for read t.root lo in
-  try
-    let rec walk pid ~first =
-      let p = read pid in
-      let n = Page.nslots p in
-      let from = if first then lower_bound_page p lo else 0 in
-      for i = from to n - 1 do
-        let e = slot_entry p i in
-        let c = (e.key, e.aux) in
-        if compare_composite c hi > 0 then raise Stop
-        else if compare_composite c lo >= 0 then if not (f e.key e.aux) then raise Stop
-      done;
+(* Visit leaf slots in key order from the first composite >= [lo];
+   [f page slot] returns false to stop. *)
+let walk_from (read : Pager.read) t lo ~f =
+  let rec walk pid ~first =
+    let p = read pid in
+    let n = Page.nslots p in
+    let rec slots i = i >= n || (f p i && slots (i + 1)) in
+    if slots (if first then lower_bound_page p lo else 0) then begin
       let next = Page.next p in
       if next >= 0 then walk next ~first:false
-    in
-    walk start ~first:true
-  with Stop -> ()
+    end
+  in
+  walk (leaf_for read t.root lo) ~first:true
+
+(* Rids of the entries with composite in [lo, hi] ([hi = None]: to the
+   end); [f] returns false to stop.  Every entry reached is >= [lo],
+   since the walk starts at [lo]'s lower bound. *)
+let range read t ~lo ~hi ~f =
+  walk_from read t lo ~f:(fun p i ->
+      (match hi with Some hi -> compare_slot p i ~trailing:1 hi <= 0 | None -> true)
+      && f (slot_aux p i))
 
 let min_composite = ([| |], min_int)
 
-(* Iteration with a lower bound only (no upper bound exists for rows in
-   general: they compare by length last). *)
-let iter_from (read : Pager.read) t ~lo ~f =
-  let exception Stop in
-  let start = leaf_for read t.root lo in
-  try
-    let rec walk pid ~first =
-      let p = read pid in
-      let n = Page.nslots p in
-      let from = if first then lower_bound_page p lo else 0 in
-      for i = from to n - 1 do
-        let e = slot_entry p i in
-        if not (f e.key e.aux) then raise Stop
-      done;
-      let next = Page.next p in
-      if next >= 0 then walk next ~first:false
-    in
-    walk start ~first:true
-  with Stop -> ()
-
-let iter_all read t ~f = iter_from read t ~lo:min_composite ~f:(fun k r -> f k r; true)
+let iter_all read t ~f =
+  walk_from read t min_composite ~f:(fun p i ->
+      let e = entry_at p (Page.slot_off p i) (Page.slot_len p i) in
+      f e.key e.aux;
+      true)
 
 (* Entries whose key columns equal [key] exactly. *)
 let lookup read t key ~f =
-  range read t ~lo:(key, min_int) ~hi:(key, max_int) ~f:(fun _ rid -> f rid; true)
+  range read t ~lo:(key, min_int) ~hi:(Some (key, max_int)) ~f:(fun rid -> f rid; true)
 
 let delete txn t key rid =
   let c = (key, rid) in
   let pid = leaf_for (Txn.read_ctx txn) t.root c in
   let p = Txn.read txn pid in
   let i = lower_bound_page p c in
-  if
-    i < Page.nslots p
-    &&
-    let e = slot_entry p i in
-    compare_composite (e.key, e.aux) c = 0
-  then begin
+  if i < Page.nslots p && compare_slot p i ~trailing:1 c = 0 then begin
     let w = Txn.write txn pid in
     Page.remove_at w i;
     true
@@ -284,7 +271,7 @@ let page_count read t =
     | Page.Btree_leaf -> ()
     | Page.Btree_interior ->
       go (Page.aux p);
-      Page.iter p ~f:(fun _ data -> go (decode_entry data).aux)
+      for i = 0 to Page.nslots p - 1 do go (slot_aux p i) done
     | Page.Free | Page.Heap_page | Page.Meta -> ()
   in
   go t.root;
@@ -297,7 +284,7 @@ let drop txn t =
     (match Page.kind p with
     | Page.Btree_interior ->
       go (Page.aux p);
-      Page.iter p ~f:(fun _ data -> go (decode_entry data).aux)
+      for i = 0 to Page.nslots p - 1 do go (slot_aux p i) done
     | Page.Btree_leaf | Page.Free | Page.Heap_page | Page.Meta -> ());
     Txn.free txn pid
   in

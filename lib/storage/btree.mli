@@ -24,22 +24,17 @@ val delete : Txn.t -> t -> Record.row -> int -> bool
 (** Visit every rid whose key columns equal [key]. *)
 val lookup : Pager.read -> t -> Record.row -> f:(int -> unit) -> unit
 
-(** Visit entries with composite (key, rid) in [lo, hi] (inclusive);
+(** Visit the rids of entries with composite (key, rid) in [lo, hi]
+    (inclusive; [hi = None] runs to the end of the index) in key order;
     [f] returns [false] to stop.  Use [(k, min_int)]/[(k, max_int)] to
-    form bounds around a key. *)
+    form bounds around a key.  Searches compare composites against the
+    encoded entries in the node pages, without decoding them. *)
 val range :
-  Pager.read -> t -> lo:Record.row * int -> hi:Record.row * int ->
-  f:(Record.row -> int -> bool) -> unit
-
-(** Ordered iteration from a lower bound to the end. *)
-val iter_from :
-  Pager.read -> t -> lo:Record.row * int -> f:(Record.row -> int -> bool) -> unit
+  Pager.read -> t -> lo:Record.row * int -> hi:(Record.row * int) option ->
+  f:(int -> bool) -> unit
 
 (** Full ordered iteration. *)
 val iter_all : Pager.read -> t -> f:(Record.row -> int -> unit) -> unit
-
-(** The smallest possible composite, for unbounded scans. *)
-val min_composite : Record.row * int
 
 val count : Pager.read -> t -> int
 

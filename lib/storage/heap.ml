@@ -123,9 +123,13 @@ let insert txn t (data : string) =
         rid_of ~pid:fresh ~slot
       | None -> invalid_arg "Heap.insert: record larger than a page"))
 
-let get (read : Pager.read) _t rid =
+let get_span (read : Pager.read) _t rid ~f =
   let pid = pid_of_rid rid and slot = slot_of_rid rid in
-  Page.get (read pid) slot
+  let p = read pid in
+  if slot >= Page.nslots p || not (Page.live p slot) then None
+  else Some (f p (Page.slot_off p slot) (Page.slot_len p slot))
+
+let get read t rid = get_span read t rid ~f:(fun p off len -> Bytes.sub_string p off len)
 
 let delete txn t rid =
   let pid = pid_of_rid rid and slot = slot_of_rid rid in
@@ -148,14 +152,16 @@ let update txn t rid data =
     `Moved (insert txn t data)
   end
 
-let iter (read : Pager.read) t ~f =
+let iter_spans (read : Pager.read) t ~f =
   let rec go pid =
     let p = read pid in
-    Page.iter p ~f:(fun slot data -> f (rid_of ~pid ~slot) data);
+    Page.iter_spans p ~f:(fun slot off len -> f (rid_of ~pid ~slot) p off len);
     let next = Page.next p in
     if next >= 0 then go next
   in
   go t.first_page
+
+let iter read t ~f = iter_spans read t ~f:(fun rid p off len -> f rid (Bytes.sub_string p off len))
 
 (* Iteration with early exit: [f] returns [false] to stop. *)
 let iter_while (read : Pager.read) t ~f =

@@ -34,6 +34,10 @@ val insert : Txn.t -> t -> string -> int
     or Retro snapshot). *)
 val get : Pager.read -> t -> int -> string option
 
+(** Copy-free {!get}: [f page offset length] on the row's bytes inside
+    its page; [None] when the rid's slot is dead. *)
+val get_span : Pager.read -> t -> int -> f:(Page.t -> int -> int -> 'a) -> 'a option
+
 (** Delete by rid; returns whether the row existed. *)
 val delete : Txn.t -> t -> int -> bool
 
@@ -43,6 +47,10 @@ val update : Txn.t -> t -> int -> string -> [ `Same | `Moved of int ]
 
 (** Visit every live row in chain order. *)
 val iter : Pager.read -> t -> f:(int -> string -> unit) -> unit
+
+(** Copy-free {!iter}: [f rid page offset length], the row being the
+    page's own bytes (see {!Page.iter_spans}).  Scans decode from here. *)
+val iter_spans : Pager.read -> t -> f:(int -> Page.t -> int -> int -> unit) -> unit
 
 (** Like {!iter} but [f] returns [false] to stop early. *)
 val iter_while : Pager.read -> t -> f:(int -> string -> bool) -> unit

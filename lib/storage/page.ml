@@ -194,10 +194,15 @@ let update p i data =
     end
     else false
 
-let iter p ~f =
+(* Live slots as (slot, offset, length) spans of the page itself: the
+   copy-free form scans decode from. *)
+let iter_spans p ~f =
   for i = 0 to nslots p - 1 do
-    if live p i then f i (get_exn p i)
+    let off = slot_off p i in
+    if off <> 0 then f i off (slot_len p i)
   done
+
+let iter p ~f = iter_spans p ~f:(fun i off len -> f i (Bytes.sub_string p off len))
 
 (* Ordered insertion: create a gap at slot [i] by shifting the slot
    directory, keeping slot order equal to key order.  Used by B+tree

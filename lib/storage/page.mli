@@ -81,6 +81,16 @@ val compact : t -> unit
 (** Visit live slots in slot order. *)
 val iter : t -> f:(int -> string -> unit) -> unit
 
+(** Visit live slots in slot order as [f slot offset length], where the
+    record is the page's own bytes [offset, offset + length): nothing is
+    copied.  The span is valid only while the page is unchanged. *)
+val iter_spans : t -> f:(int -> int -> int -> unit) -> unit
+
+(** Record offset of slot [i] (0 = dead) and its length. *)
+val slot_off : t -> int -> int
+
+val slot_len : t -> int -> int
+
 (** {1 Ordered slot operations (B+tree nodes)} *)
 
 (** Open a gap at slot [i] by shifting the directory, keeping slot order

@@ -62,73 +62,10 @@ and tag_int = 1
 and tag_real = 2
 and tag_text = 3
 
-let put_u16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff))
-
-let put_i64_raw buf (v : int64) =
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-  done
-
-let put_i64 buf v = put_i64_raw buf (Int64.of_int v)
-
-let encode_value buf = function
-  | Null -> Buffer.add_char buf (Char.chr tag_null)
-  | Int i ->
-    Buffer.add_char buf (Char.chr tag_int);
-    put_i64 buf i
-  | Real f ->
-    Buffer.add_char buf (Char.chr tag_real);
-    put_i64_raw buf (Int64.bits_of_float f)
-  | Text s ->
-    Buffer.add_char buf (Char.chr tag_text);
-    put_u16 buf (String.length s);
-    Buffer.add_string buf s
-
-let encode_row (r : row) : string =
-  let buf = Buffer.create 64 in
-  put_u16 buf (Array.length r);
-  Array.iter (encode_value buf) r;
-  Buffer.contents buf
-
-let get_u16 s pos =
-  let v = Char.code s.[!pos] lor (Char.code s.[!pos + 1] lsl 8) in
-  pos := !pos + 2;
-  v
-
-let get_i64_raw s pos =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (Char.code s.[!pos + i])) (8 * i))
-  done;
-  pos := !pos + 8;
-  !v
-
-let get_i64 s pos = Int64.to_int (get_i64_raw s pos)
-
-let decode_value s pos =
-  let tag = Char.code s.[!pos] in
-  incr pos;
-  if tag = tag_null then Null
-  else if tag = tag_int then Int (get_i64 s pos)
-  else if tag = tag_real then Real (Int64.float_of_bits (get_i64_raw s pos))
-  else if tag = tag_text then begin
-    let len = get_u16 s pos in
-    let v = Text (String.sub s !pos len) in
-    pos := !pos + len;
-    v
-  end
-  else invalid_arg (Printf.sprintf "Record.decode_value: bad tag %d" tag)
-
-let decode_row (s : string) : row =
-  let pos = ref 0 in
-  let n = get_u16 s pos in
-  Array.init n (fun _ -> decode_value s pos)
-
-(* Approximate in-memory footprint of a row in bytes; used by the
-   memory-cost experiments (Fig 11, Sec. 5.3). *)
+(* Encoded size of a row: the arity header plus, per value, a tag and
+   its payload (8 bytes for numbers, a u16 length and the bytes for
+   text).  Also the approximate in-memory footprint the memory-cost
+   experiments use (Fig 11, Sec. 5.3). *)
 let row_size (r : row) =
   Array.fold_left
     (fun acc v ->
@@ -139,3 +76,159 @@ let row_size (r : row) =
         | Real _ -> 9
         | Text s -> 3 + String.length s)
     2 r
+
+(* Write [v] at [pos]; returns the offset just past it. *)
+let put_value b pos = function
+  | Null ->
+    Bytes.set_uint8 b pos tag_null;
+    pos + 1
+  | Int i ->
+    Bytes.set_uint8 b pos tag_int;
+    Bytes.set_int64_le b (pos + 1) (Int64.of_int i);
+    pos + 9
+  | Real f ->
+    Bytes.set_uint8 b pos tag_real;
+    Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float f);
+    pos + 9
+  | Text s ->
+    let len = String.length s in
+    Bytes.set_uint8 b pos tag_text;
+    Bytes.set_uint16_le b (pos + 1) (len land 0xffff);
+    Bytes.blit_string s 0 b (pos + 3) len;
+    pos + 3 + len
+
+let encode_row (r : row) : string =
+  let b = Bytes.create (row_size r) in
+  Bytes.set_uint16_le b 0 (Array.length r land 0xffff);
+  let pos = ref 2 in
+  for i = 0 to Array.length r - 1 do
+    pos := put_value b !pos r.(i)
+  done;
+  Bytes.unsafe_to_string b
+
+(* Decoding reads straight out of the bytes a record lives in (usually
+   a page), so a scan never copies a slot before decoding it.  Values
+   are self-delimiting, so a projected decode steps over the columns a
+   query never reads by their tags and lengths without building them.
+   Every step is checked against the record's end, so a corrupt length
+   fails as it did on a copied slot instead of reading a neighbouring
+   record. *)
+
+let bad_tag tag = invalid_arg (Printf.sprintf "Record.decode_value: bad tag %d" tag)
+let past_end () = invalid_arg "Record.decode: value runs past the record"
+
+(* End offset of the record [off, off + len) of [b], once checked to
+   lie inside [b] and to hold at least the arity header. *)
+let record_stop b ~off ~len =
+  let stop = off + len in
+  if off < 0 || stop > Bytes.length b then invalid_arg "Record.decode: record outside its buffer";
+  if off + 2 > stop then past_end ();
+  stop
+
+let get_int b pos = Int64.to_int (Bytes.get_int64_le b pos)
+let get_real b pos = Int64.float_of_bits (Bytes.get_int64_le b pos)
+
+(* One-byte texts (status and flag columns) are shared, not allocated:
+   values are immutable, so sharing is invisible. *)
+let one_byte = Array.init 256 (fun c -> Text (String.make 1 (Char.chr c)))
+
+let text_at b pos len =
+  if len = 1 then Array.unsafe_get one_byte (Char.code (Bytes.get b pos))
+  else Text (Bytes.sub_string b pos len)
+
+(* Offset just past the value encoded at [pos]. *)
+let value_end b pos stop =
+  if pos >= stop then past_end ();
+  let tag = Bytes.get_uint8 b pos in
+  let e =
+    if tag = tag_null then pos + 1
+    else if tag = tag_int || tag = tag_real then pos + 9
+    else if tag = tag_text then
+      if pos + 3 > stop then past_end () else pos + 3 + Bytes.get_uint16_le b (pos + 1)
+    else bad_tag tag
+  in
+  if e > stop then past_end ();
+  e
+
+let arity b ~off = Bytes.get_uint16_le b off
+
+let int_at b pos =
+  let tag = Bytes.get_uint8 b pos in
+  if tag <> tag_int then invalid_arg (Printf.sprintf "Record.int_at: tag %d is not INTEGER" tag);
+  get_int b (pos + 1)
+
+(* The value encoded in [pos, e), its extent checked by [value_end]. *)
+let value_at b pos e =
+  let tag = Bytes.get_uint8 b pos in
+  if tag = tag_int then Int (get_int b (pos + 1))
+  else if tag = tag_real then Real (get_real b (pos + 1))
+  else if tag = tag_text then text_at b (pos + 3) (e - pos - 3)
+  else Null
+
+(* Decode columns [0, upto) of the record into [row] (pre-filled with
+   [Null]), building column [i] only when [all] or [cols.(i)]. *)
+let decode_into row ~all cols b ~off ~stop ~upto =
+  let pos = ref (off + 2) in
+  for i = 0 to upto - 1 do
+    let p = !pos in
+    let e = value_end b p stop in
+    if all || Array.unsafe_get cols i then row.(i) <- value_at b p e;
+    pos := e
+  done
+
+let decode_cols (cols : bool array) b ~off ~len : row =
+  let stop = record_stop b ~off ~len in
+  let n = arity b ~off in
+  let row = Array.make n Null in
+  decode_into row ~all:false cols b ~off ~stop ~upto:(min n (Array.length cols));
+  row
+
+let decode_bytes b ~off ~len : row =
+  let stop = record_stop b ~off ~len in
+  let n = arity b ~off in
+  let row = Array.make n Null in
+  decode_into row ~all:true [||] b ~off ~stop ~upto:n;
+  row
+
+let decode_row (s : string) : row =
+  decode_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+
+(* --- comparison against encoded values --------------------------------- *)
+
+(* Byte-wise, shorter first on a common prefix (String.compare), of the
+   [len] bytes at [pos] against [s]; from index [i] on.  The search
+   loops here are top-level functions, so a probe allocates nothing. *)
+let rec compare_text b pos len s i =
+  if i = len || i = String.length s then Int.compare len (String.length s)
+  else
+    let c = Char.compare (Bytes.unsafe_get b (pos + i)) (String.unsafe_get s i) in
+    if c <> 0 then c else compare_text b pos len s (i + 1)
+
+(* [compare_value] of the value encoded at [pos] with [v], without
+   building the former. *)
+let compare_encoded b pos v =
+  (* tags 0..3 are tag_null, tag_int, tag_real, tag_text *)
+  match Bytes.get_uint8 b pos, v with
+  | 0, Null -> 0
+  | 0, (Int _ | Real _ | Text _) -> -1
+  | 1, Int y -> Int.compare (get_int b (pos + 1)) y
+  | 1, Real y -> Float.compare (float_of_int (get_int b (pos + 1))) y
+  | 2, Real y -> Float.compare (get_real b (pos + 1)) y
+  | 2, Int y -> Float.compare (get_real b (pos + 1)) (float_of_int y)
+  | (1 | 2), Null -> 1
+  | (1 | 2), Text _ -> -1
+  | 3, Text s -> compare_text b (pos + 3) (Bytes.get_uint16_le b (pos + 1)) s 0
+  | 3, (Null | Int _ | Real _) -> 1
+  | tag, _ -> bad_tag tag
+
+let rec compare_values b stop (r : row) i m pos =
+  if i = m then 0
+  else
+    let next = value_end b pos stop in
+    let c = compare_encoded b pos r.(i) in
+    if c <> 0 then c else compare_values b stop r (i + 1) m next
+
+let compare_prefix b ~off ~len n (r : row) =
+  let stop = record_stop b ~off ~len in
+  let c = compare_values b stop r 0 (min n (Array.length r)) (off + 2) in
+  if c <> 0 then c else Int.compare n (Array.length r)

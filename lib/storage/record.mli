@@ -38,6 +38,32 @@ val encode_row : row -> string
     @raise Invalid_argument on corrupt input. *)
 val decode_row : string -> row
 
-(** Approximate in-memory footprint in bytes (within a few bytes of the
-    encoded size); used by the memory-cost experiments. *)
+(** {1 Decoding in place}
+
+    A record is [len] bytes at offset [off] of a buffer (a page, in
+    practice); nothing is copied out before decoding.  Every decoder
+    checks each value against the record's end.
+    @raise Invalid_argument on corrupt input. *)
+
+(** Number of values in the record at [off]. *)
+val arity : Bytes.t -> off:int -> int
+
+(** Full decode of the record at [off]. *)
+val decode_bytes : Bytes.t -> off:int -> len:int -> row
+
+(** Projected decode: a row of the record's full arity in which only
+    the columns [i] with [cols.(i)] are decoded; the others (and every
+    column at or past [Array.length cols]) are [Null], skipped over by
+    their tags and lengths without being built. *)
+val decode_cols : bool array -> Bytes.t -> off:int -> len:int -> row
+
+(** The INTEGER value encoded at byte [pos]. *)
+val int_at : Bytes.t -> int -> int
+
+(** [compare_row] of the record's first [n] values against [r], read
+    from the encoded bytes without decoding them. *)
+val compare_prefix : Bytes.t -> off:int -> len:int -> int -> row -> int
+
+(** Encoded size in bytes (the length {!encode_row} returns); the
+    memory-cost experiments also use it as a row's footprint. *)
 val row_size : row -> int

@@ -36,11 +36,17 @@ let delete_by_key db ~table ~keycol keys =
   let kpos = Sq.Exec.col_pos tbl keycol in
   let keyset = Hashtbl.create (Array.length keys) in
   Array.iter (fun k -> Hashtbl.replace keyset k ()) keys;
+  let victim = function R.Int k -> Hashtbl.mem keyset k | _ -> false in
+  (* decode the key column of every row, and the whole row (which
+     index maintenance needs) only for victims *)
+  let key_only = R.decode_cols (Array.init (kpos + 1) (fun i -> i = kpos)) in
+  let decode p ~off ~len =
+    let row = key_only p ~off ~len in
+    if victim row.(kpos) then R.decode_bytes p ~off ~len else row
+  in
   let victims = ref [] in
-  Sq.Exec.scan_heap env tbl ~f:(fun rid row ->
-      match row.(kpos) with
-      | R.Int k when Hashtbl.mem keyset k -> victims := (rid, row) :: !victims
-      | _ -> ());
+  Sq.Exec.scan_heap env tbl ~decode ~f:(fun rid row ->
+      if victim row.(kpos) then victims := (rid, row) :: !victims);
   Sq.Db.with_write_txn db (fun txn -> Sq.Exec.delete_rows env txn tbl !victims)
 
 (* RF2: delete the [count] oldest live orders and their lineitems. *)

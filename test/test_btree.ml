@@ -57,8 +57,8 @@ let basic =
             T.with_txn pager (fun txn ->
                 for i = 1 to 100 do B.insert txn t (k i) i done);
             let out = ref [] in
-            B.range (P.read pager) t ~lo:(k 10, min_int) ~hi:(k 13, max_int)
-              ~f:(fun _ rid -> out := rid :: !out; true);
+            B.range (P.read pager) t ~lo:(k 10, min_int) ~hi:(Some (k 13, max_int))
+              ~f:(fun rid -> out := rid :: !out; true);
             Alcotest.(check (list int)) "range" [ 10; 11; 12; 13 ] (List.rev !out)));
     Alcotest.test_case "text keys order correctly across splits" `Quick (fun () ->
         with_tree (fun pager t ->
@@ -133,6 +133,58 @@ let prop_model =
           in
           expected = actual))
 
+(* Searches compare keys on their encoded bytes: with keys of every
+   storage class, one or two columns, and enough entries to split
+   (long texts), iteration order and every lookup must match a model
+   ordered by [Record.compare_row]. *)
+let gen_key =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (1, return R.Null);
+        (3, map (fun i -> R.Int i) (int_range (-20) 20));
+        (2, map (fun i -> R.Real (float_of_int i /. 4.)) (int_range (-80) 80));
+        (3, map (fun s -> R.Text s) (string_size ~gen:(char_range 'a' 'c') (int_bound 30))) ]
+  in
+  map Array.of_list (list_size (int_range 1 2) value)
+
+let arb_keys =
+  QCheck.make
+    ~print:(fun l -> Printf.sprintf "<%d keys>" (List.length l))
+    QCheck.Gen.(list_size (int_range 50 400) gen_key)
+
+let prop_mixed_keys =
+  QCheck.Test.make ~name:"mixed-class keys: order and lookups match the model" ~count:40
+    arb_keys (fun keys ->
+      with_tree (fun pager t ->
+          let entries = List.mapi (fun rid key -> (key, rid)) keys in
+          T.with_txn pager (fun txn -> List.iter (fun (key, rid) -> B.insert txn t key rid) entries);
+          let cmp (ka, ra) (kb, rb) =
+            let c = R.compare_row ka kb in
+            if c <> 0 then c else compare ra rb
+          in
+          let expected = List.sort cmp entries in
+          let ordered =
+            List.length expected = List.length (collect_all pager t)
+            && List.for_all2 (fun a b -> cmp a b = 0) expected (collect_all pager t)
+          in
+          let lookups_ok =
+            List.for_all
+              (fun (key, _) ->
+                let hits = ref [] in
+                B.lookup (P.read pager) t key ~f:(fun rid -> hits := rid :: !hits);
+                let want =
+                  List.filter_map
+                    (fun (k, rid) -> if R.compare_row k key = 0 then Some rid else None)
+                    expected
+                in
+                List.rev !hits = want)
+              entries
+          in
+          ordered && lookups_ok))
+
 let () =
   Alcotest.run "btree"
-    [ ("basic", basic); ("properties", [ QCheck_alcotest.to_alcotest prop_model ]) ]
+    [ ("basic", basic);
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_model; QCheck_alcotest.to_alcotest prop_mixed_keys ] ) ]

@@ -223,9 +223,98 @@ let session_tests =
                 exec b sql;
                 Alcotest.(check bool) "b plans its own copy" true (get c_built - b0 >= 1)))) ]
 
+(* --- column projection ---------------------------------------------------- *)
+
+let plan_of db sql =
+  match Sqldb.Parser.parse_one sql with
+  | Sqldb.Ast.Select sel ->
+    Sqldb.Planner.plan ~cat:(Sqldb.Db.catalog db) ~fnctx:(Sqldb.Db.fn_ctx db) sel
+  | _ -> Alcotest.fail "not a SELECT"
+
+let masks db sql = Sqldb.Plan.projections (plan_of db sql).Sqldb.Plan.p_core
+
+let wide_db () =
+  let db = E.create ~snapshots:false () in
+  exec db "CREATE TABLE w (a INTEGER, b TEXT, c TEXT, d REAL, e TEXT)";
+  exec db "CREATE TABLE u (a INTEGER, f TEXT)";
+  exec db "BEGIN";
+  for i = 1 to 3000 do
+    exec db
+      (Printf.sprintf "INSERT INTO w VALUES (%d, 'name-%d', '%s', %d.5, 'a comment of some length %d')"
+         i i (if i mod 3 = 0 then "O" else "F") i i)
+  done;
+  for i = 1 to 30 do
+    exec db (Printf.sprintf "INSERT INTO u VALUES (%d, 'u%d')" (i * 7) i)
+  done;
+  exec db "COMMIT";
+  db
+
+let mask = Alcotest.(list (array bool))
+
+let projection_tests =
+  [ Alcotest.test_case "a scan decodes only the columns the query reads" `Quick (fun () ->
+        let db = wide_db () in
+        Alcotest.check mask "filter column" [ [| false; false; true |] ]
+          (masks db "SELECT COUNT(*) FROM w WHERE c = 'O'");
+        Alcotest.check mask "no column" [ [||] ] (masks db "SELECT COUNT(*) FROM w");
+        Alcotest.check mask "every column" [ Array.make 5 true ] (masks db "SELECT * FROM w");
+        Alcotest.check mask "group, aggregate, order"
+          [ [| true; false; false; true |] ]
+          (masks db "SELECT a % 3, AVG(d) FROM w GROUP BY a % 3 ORDER BY 1");
+        Alcotest.check mask "join: each side its own columns"
+          [ [| true; true |]; [| true; true |] ]
+          (masks db "SELECT w.b, u.f FROM w, u WHERE w.a = u.a");
+        Alcotest.check mask "group and having columns need not be selected"
+          [ [| false; false; true; true |] ]
+          (masks db "SELECT COUNT(*) FROM w GROUP BY c HAVING MAX(d) > 0"));
+    Alcotest.test_case "projected scans return the same answers" `Quick (fun () ->
+        let db = wide_db () in
+        let int sql = E.int_scalar db sql in
+        Alcotest.(check int) "count" 1000 (int "SELECT COUNT(*) FROM w WHERE c = 'O'");
+        Alcotest.(check int) "join" 30 (int "SELECT COUNT(*) FROM w, u WHERE w.a = u.a");
+        Alcotest.(check int) "left join keeps unmatched" 3000
+          (int "SELECT COUNT(*) FROM w LEFT JOIN u ON w.a = u.a");
+        Alcotest.(check int) "subquery column" 10
+          (int "SELECT COUNT(*) FROM w WHERE a IN (SELECT a FROM u WHERE a < 75)");
+        (* every expression position that reads a column the output does not *)
+        let ints sql =
+          List.map (function [| R.Int i |] -> i | _ -> -1) (E.exec db sql).E.rows
+        in
+        Alcotest.(check (list int)) "group by only" [ 1000; 2000 ]
+          (List.sort compare (ints "SELECT COUNT(*) FROM w GROUP BY c"));
+        Alcotest.(check (list int)) "having only" [ 1000 ]
+          (ints "SELECT COUNT(*) FROM w GROUP BY c HAVING MIN(a) = 3");
+        Alcotest.(check (list int)) "order by only" [ 3000 ]
+          (ints "SELECT a FROM w ORDER BY d DESC LIMIT 1");
+        Alcotest.(check (list int)) "aggregate argument" [ 4501500 ] (ints "SELECT SUM(a) FROM w");
+        Alcotest.(check (list int)) "join filter on the inner side" [ 20 ]
+          (ints "SELECT COUNT(*) FROM u, w WHERE u.a = w.a AND w.c = 'F'");
+        Alcotest.(check (list int)) "left join residual" [ 3 ]
+          (ints "SELECT COUNT(*) FROM u LEFT JOIN w ON u.a = w.a WHERE w.e LIKE '%comment%7'");
+        Alcotest.(check (list string)) "row values" [ "name-21|O|u3" ]
+          (List.map
+             (fun r -> String.concat "|" (Array.to_list (Array.map R.value_to_string r)))
+             (E.exec db "SELECT w.b, w.c, u.f FROM w, u WHERE w.a = u.a AND u.a = 21").E.rows));
+    Alcotest.test_case "a one-column scan allocates a fraction of a full one" `Quick (fun () ->
+        (* the allocation gate: minor words per scanned row, which do not
+           vary between runs of the same build *)
+        let db = wide_db () in
+        let words sql =
+          exec db sql;
+          let w0 = Gc.minor_words () in
+          exec db sql;
+          (Gc.minor_words () -. w0) /. 3000.
+        in
+        let one = words "SELECT COUNT(*) FROM w WHERE c = 'O'" in
+        let all = words "SELECT COUNT(*) FROM w WHERE c || b || e || d || a <> ''" in
+        Alcotest.(check bool) (Printf.sprintf "one column: %.1f words/row" one) true (one < 12.);
+        Alcotest.(check bool) (Printf.sprintf "five columns: %.1f words/row" all) true
+          (all > 3. *. one)) ]
+
 let () =
   Alcotest.run "plan"
     [ ("prepared", prepared_tests);
       ("cache", cache_tests);
       ("rql", rql_tests);
-      ("sessions", session_tests) ]
+      ("sessions", session_tests);
+      ("columns", projection_tests) ]

@@ -49,6 +49,73 @@ let comparison_cases =
         Alcotest.(check string) "integral real" "2.0" (R.value_to_string (R.Real 2.));
         Alcotest.(check string) "text" "x" (R.value_to_string (R.Text "x"))) ]
 
+(* --- decoding in place ---------------------------------------------------- *)
+
+(* [row] encoded at offset 7 of a larger buffer, between junk bytes. *)
+let embedded row =
+  let e = R.encode_row row in
+  let b = Bytes.make (String.length e + 20) '\xff' in
+  Bytes.blit_string e 0 b 7 (String.length e);
+  (b, 7, String.length e)
+
+let wide_row =
+  [| R.Int 1; R.Text "Customer#000000042"; R.Text "O"; R.Real 4900.25; R.Null;
+     R.Text "1995-03-15"; R.Int (-7); R.Text ""; R.Text "a longer comment field" |]
+
+(* Minor words one call of [f] allocates, averaged over many calls. *)
+let words_per_call f =
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do ignore (Sys.opaque_identity (f ())) done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let in_place_cases =
+  [ Alcotest.test_case "decode_bytes reads a record inside a larger buffer" `Quick (fun () ->
+        let b, off, len = embedded wide_row in
+        Alcotest.(check int) "arity" (Array.length wide_row) (R.arity b ~off);
+        Alcotest.(check bool) "row" true (R.compare_row wide_row (R.decode_bytes b ~off ~len) = 0));
+    Alcotest.test_case "decode_cols builds only the masked columns" `Quick (fun () ->
+        let b, off, len = embedded wide_row in
+        let got = R.decode_cols [| false; false; true; false; false; true |] b ~off ~len in
+        Alcotest.(check int) "full arity" 9 (Array.length got);
+        Array.iteri
+          (fun i v ->
+            let want = if i = 2 || i = 5 then wide_row.(i) else R.Null in
+            Alcotest.check value (Printf.sprintf "col %d" i) want v)
+          got);
+    Alcotest.test_case "a length past the record's end raises" `Quick (fun () ->
+        (* the text claims 40 bytes; the record holds 3 and the buffer
+           goes on: decoding must not read the neighbouring bytes *)
+        let e = Bytes.of_string (R.encode_row [| R.Int 5; R.Text "abc" |]) in
+        Bytes.set_uint16_le e 12 40;
+        let b = Bytes.make 100 'z' in
+        Bytes.blit e 0 b 0 (Bytes.length e);
+        let len = Bytes.length e in
+        let raises f =
+          match f () with _ -> false | exception Invalid_argument _ -> true
+        in
+        Alcotest.(check bool) "full" true (raises (fun () -> R.decode_bytes b ~off:0 ~len));
+        Alcotest.(check bool) "skipped column" true
+          (raises (fun () -> R.decode_cols [| true; false; false |] b ~off:0 ~len));
+        Alcotest.(check bool) "record outside buffer" true
+          (raises (fun () -> R.decode_bytes b ~off:90 ~len:20)));
+    Alcotest.test_case "projected decode allocates the row and its columns only" `Quick
+      (fun () ->
+        let b, off, len = embedded wide_row in
+        let one = R.decode_cols [| true |] in
+        let flag = R.decode_cols [| false; false; true |] in
+        let full = words_per_call (fun () -> R.decode_bytes b ~off ~len) in
+        let int_col = words_per_call (fun () -> one b ~off ~len) in
+        let flag_col = words_per_call (fun () -> flag b ~off ~len) in
+        (* a 9-value row is 10 words; an INTEGER 2 more; a one-byte text
+           is shared, so it costs nothing *)
+        Alcotest.(check bool) (Printf.sprintf "int column: %.1f words" int_col) true
+          (int_col <= 12.5);
+        Alcotest.(check bool) (Printf.sprintf "flag column: %.1f words" flag_col) true
+          (flag_col <= 10.5);
+        Alcotest.(check bool) (Printf.sprintf "full decode: %.1f words" full) true
+          (full > 3. *. int_col)) ]
+
 (* --- qcheck ------------------------------------------------------------- *)
 
 let gen_value =
@@ -83,11 +150,47 @@ let prop_row_size_bounds =
       let approx = R.row_size row and actual = String.length (R.encode_row row) in
       abs (approx - actual) <= 2 + Array.length row)
 
+let arb_row_mask =
+  QCheck.pair arb_row (QCheck.make QCheck.Gen.(map Array.of_list (list_size (int_bound 14) bool)))
+
+let prop_decode_cols =
+  QCheck.Test.make ~name:"decode_cols = decode_row on the mask, NULL elsewhere" ~count:500
+    arb_row_mask (fun (row, mask) ->
+      let b, off, len = embedded row in
+      let got = R.decode_cols mask b ~off ~len in
+      Array.length got = Array.length row
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun i v ->
+                let want = if i < Array.length mask && mask.(i) then row.(i) else R.Null in
+                R.compare_value want v = 0)
+              got))
+
+let prop_compare_prefix =
+  QCheck.Test.make ~name:"compare_prefix on encoded bytes = compare_row" ~count:500
+    (QCheck.triple arb_row arb_row QCheck.small_nat) (fun (a, b, k) ->
+      let n = if Array.length a = 0 then 0 else k mod (Array.length a + 1) in
+      (* also compare against a shared prefix, so ties past the first
+         column occur, and against [a] with its texts cut short, so one
+         text is a proper prefix of the other *)
+      let cut = function R.Text s -> R.Text (String.sub s 0 (String.length s / 2)) | v -> v in
+      let b =
+        match k mod 3 with
+        | 0 -> b
+        | 1 -> Array.append (Array.sub a 0 (n / 2)) b
+        | _ -> Array.map cut (Array.sub a 0 n)
+      in
+      let buf, off, len = embedded a in
+      compare (R.compare_prefix buf ~off ~len n b) 0
+      = compare (R.compare_row (Array.sub a 0 n) b) 0)
+
 let () =
   Alcotest.run "record"
     [ ("roundtrip", roundtrip_cases);
       ("comparison", comparison_cases);
+      ("in-place", in_place_cases);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_compare_reflexive; prop_compare_antisym; prop_row_size_bounds ]
+          [ prop_roundtrip; prop_compare_reflexive; prop_compare_antisym; prop_row_size_bounds;
+            prop_decode_cols; prop_compare_prefix ]
       ) ]

@@ -32,6 +32,10 @@ let get (c : config) : fixture =
       ignore
         (Sqldb.Engine.exec ctx.Rql.data "CREATE INDEX idx_l_partkey ON lineitem (l_partkey)");
     ignore (Tpch.Workload.run ctx st ~uw:c.uw ~snapshots:c.snapshots);
+    (* The figures reproduce the paper's loop, which evaluates Qq afresh
+       on every snapshot; experiments that show the delta-driven loop
+       switch it on for their own runs. *)
+    ignore (Sqldb.Engine.exec ctx.Rql.data "PRAGMA incremental=off");
     Printf.printf " %.1fs (pagelog %.1f MB)\n%!"
       (Unix.gettimeofday () -. t0)
       (float_of_int (Retro.pagelog_size_bytes (Sqldb.Db.retro_exn ctx.Rql.data)) /. 1e6);

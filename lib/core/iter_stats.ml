@@ -22,6 +22,10 @@ type iteration = {
   udf_rows : int;              (* Qq rows processed by the loop body *)
   udf_inserts : int;           (* result-table inserts *)
   udf_updates : int;           (* result-table updates *)
+  eval : string;               (* how Qq ran: "plain" (ordinary executor),
+                                  "full" or "delta" (incremental evaluator) *)
+  pages_evaluated : int;       (* heap pages the incremental evaluator read *)
+  pages_reused : int;          (* heap pages whose kept rows carried over *)
 }
 
 let iteration_total it =
@@ -50,7 +54,9 @@ let pp_iteration ppf it =
     it.io_s it.pagelog_reads it.spt_build_s it.spt_entries it.index_build_s it.query_eval_s
     it.udf_s (iteration_total it);
   if it.udf_rows > 0 then
-    Fmt.pf ppf " rows=%d ins=%d upd=%d" it.udf_rows it.udf_inserts it.udf_updates
+    Fmt.pf ppf " rows=%d ins=%d upd=%d" it.udf_rows it.udf_inserts it.udf_updates;
+  if it.eval <> "plain" then
+    Fmt.pf ppf " %s(evaluated=%d reused=%d)" it.eval it.pages_evaluated it.pages_reused
 
 let pp_run ppf run =
   Fmt.pf ppf "@[<v>%s over %d snapshots: total=%.4fs result_rows=%d result_bytes=%d@,%a@]"
@@ -102,6 +108,9 @@ let json_of_iteration (it : iteration) : Obs.Json.t =
       ("udf_rows", Obs.Json.Int it.udf_rows);
       ("udf_inserts", Obs.Json.Int it.udf_inserts);
       ("udf_updates", Obs.Json.Int it.udf_updates);
+      ("eval", Obs.Json.Str it.eval);
+      ("pages_evaluated", Obs.Json.Int it.pages_evaluated);
+      ("pages_reused", Obs.Json.Int it.pages_reused);
       ("total_s", Obs.Json.Float (iteration_total it)) ]
 
 let json_of_breakdown (b : breakdown) : Obs.Json.t =
@@ -158,7 +167,9 @@ let emit_trace ~start_s (run : run) =
             ~attrs:
               [ ("snap_id", Obs.Trace.Int it.snap_id);
                 ("cold", Obs.Trace.Bool it.cold);
-                ("pagelog_reads", Obs.Trace.Int it.pagelog_reads) ]
+                ("pagelog_reads", Obs.Trace.Int it.pagelog_reads);
+                ("eval", Obs.Trace.Str it.eval);
+                ("pages_evaluated", Obs.Trace.Int it.pages_evaluated) ]
             ~ts_us:!cursor ~dur_us:it_us ()
         in
         let sub = ref !cursor in

@@ -68,6 +68,9 @@ type run_state = {
   data : Sq.Db.t;
   meta : Sq.Db.t;
   rs_analyze : bool; (* per-operator instrumentation for this run *)
+  (* Delta-driven Qq evaluation across the loop's snapshots; None runs
+     every iteration on the ordinary executor. *)
+  incr : Sq.Incr.t option;
   mutable prepared : prep_state;
   (* Qq result hoisted out of the snapshot loop: when the optimizer
      classified the prepared plan as snapshot-invariant, the first
@@ -431,6 +434,9 @@ type run_report = {
   rr_qq : string;
   rr_iterations : int;
   rr_ops : Sq.Plan.op_actual list; (* accumulated across all iterations *)
+  rr_evals : (int * string * int) list;
+      (* per iteration: snapshot, "plain" | "full" | "delta", heap pages
+         the incremental evaluator read *)
 }
 
 (* lint: allow — written by [run_mechanism] on the driving domain only;
@@ -443,7 +449,16 @@ let run_report_to_json (r : run_report) =
     [ ("mechanism", Obs.Json.Str r.rr_mechanism);
       ("qq", Obs.Json.Str r.rr_qq);
       ("iterations", Obs.Json.Int r.rr_iterations);
-      ("ops", Obs.Json.List (List.map Sq.Plan.op_actual_to_json r.rr_ops)) ]
+      ("ops", Obs.Json.List (List.map Sq.Plan.op_actual_to_json r.rr_ops));
+      ("evals",
+       Obs.Json.List
+         (List.map
+            (fun (sid, mode, pages) ->
+              Obs.Json.Obj
+                [ ("snap_id", Obs.Json.Int sid);
+                  ("eval", Obs.Json.Str mode);
+                  ("pages_evaluated", Obs.Json.Int pages) ])
+            r.rr_evals)) ]
 
 (* The prepared Qq's cached plan, when present and fresh. *)
 let qq_plan (rs : run_state) = Sq.Engine.cached_plan rs.data ~key:(qq_key rs)
@@ -480,7 +495,7 @@ let emit_op_counters (rs : run_state) =
 
 (* --- the loop body ----------------------------------------------------- *)
 
-let make_run ?(analyze = false) ~kind ~data ~meta ~qq ~table () =
+let make_run ?(analyze = false) ?(incremental = true) ~kind ~data ~meta ~qq ~table () =
   (match kind with
   | Agg_table [] -> error "AggregateDataInTable requires at least one (column, function) pair"
   | _ -> ());
@@ -497,6 +512,7 @@ let make_run ?(analyze = false) ~kind ~data ~meta ~qq ~table () =
     data;
     meta;
     rs_analyze = analyze;
+    incr = (if incremental && data.Sq.Db.incremental then Some (Sq.Incr.create ()) else None);
     prepared = Prep_pending;
     invariant_rows = None;
     t_start = now ();
@@ -584,7 +600,7 @@ let step_body ?eval (rs : run_state) ~sid ~cold =
       | None -> (
         let header, run =
           match qq_prepared rs with
-          | Some p -> Sq.Engine.prepared_stream ~params:[| R.Int sid |] p
+          | Some p -> Sq.Engine.prepared_stream ~params:[| R.Int sid |] ?incr:rs.incr p
           | None -> stream_select rs.data (Rewrite.rewrite rs.qq ~sid)
         in
         if qq_invariant rs then begin
@@ -624,6 +640,14 @@ let step_body ?eval (rs : run_state) ~sid ~cold =
   let sd = Storage.Stats.diff (Storage.Stats.copy Storage.Stats.global) stats0 in
   let ed = Sq.Exec_stats.diff (Sq.Exec_stats.copy Sq.Exec_stats.global) exec0 in
   let io_s = Storage.Stats.Cost_model.io_seconds sd in
+  (* How this iteration's Qq ran: the incremental evaluator reports its
+     last evaluation, which is this iteration's unless a worker
+     evaluated it; a plan it cannot run leaves no report (plain). *)
+  let eval_mode, pages_evaluated, pages_reused =
+    match eval, Option.bind rs.incr Sq.Incr.last with
+    | None, Some r -> (Sq.Incr.mode_to_string r.Sq.Incr.mode, r.Sq.Incr.evaluated, r.Sq.Incr.reused)
+    | _ -> ("plain", 0, 0)
+  in
   let other = ed.Sq.Exec_stats.spt_build_s +. ed.Sq.Exec_stats.index_build_s +. !udf_s in
   let it =
     match eval with
@@ -642,7 +666,10 @@ let step_body ?eval (rs : run_state) ~sid ~cold =
         udf_s = !udf_s;
         udf_rows = rs.cur_rows;
         udf_inserts = rs.cur_inserts;
-        udf_updates = rs.cur_updates }
+        udf_updates = rs.cur_updates;
+        eval = eval_mode;
+        pages_evaluated;
+        pages_reused }
     | Some ev ->
       (* Worker-measured evaluation, main-measured application.  SPT
          build and index-build time happen on the worker inside
@@ -662,13 +689,18 @@ let step_body ?eval (rs : run_state) ~sid ~cold =
         udf_s = !udf_s;
         udf_rows = rs.cur_rows;
         udf_inserts = rs.cur_inserts;
-        udf_updates = rs.cur_updates }
+        udf_updates = rs.cur_updates;
+        eval = eval_mode;
+        pages_evaluated;
+        pages_reused }
   in
   Obs.Trace.set_attrs
     [ ("cold", Obs.Trace.Bool it.Iter_stats.cold);
       ("pagelog_reads", Obs.Trace.Int it.Iter_stats.pagelog_reads);
       ("udf_rows", Obs.Trace.Int it.Iter_stats.udf_rows);
-      ("modeled_io_s", Obs.Trace.Float it.Iter_stats.io_s) ];
+      ("modeled_io_s", Obs.Trace.Float it.Iter_stats.io_s);
+      ("eval", Obs.Trace.Str it.Iter_stats.eval);
+      ("pages_evaluated", Obs.Trace.Int it.Iter_stats.pages_evaluated) ];
   rs.iterations <- it :: rs.iterations;
   if rs.rs_analyze then emit_op_counters rs
 
@@ -773,7 +805,12 @@ let finish (rs : run_state) : Iter_stats.run =
         { rr_mechanism = mech_name rs.kind;
           rr_qq = rs.qq;
           rr_iterations = List.length run.Iter_stats.iterations;
-          rr_ops = (match qq_plan rs with Some p -> Sq.Plan.actuals p | None -> []) };
+          rr_ops = (match qq_plan rs with Some p -> Sq.Plan.actuals p | None -> []);
+          rr_evals =
+            List.map
+              (fun (it : Iter_stats.iteration) ->
+                (it.Iter_stats.snap_id, it.Iter_stats.eval, it.Iter_stats.pages_evaluated))
+              run.Iter_stats.iterations };
   run
 
 (* --- snapshot management ---------------------------------------------- *)
@@ -965,7 +1002,11 @@ let parallel_loop (rs : run_state) ~domains ~sids =
 let run_mechanism ?(all_cold = false) ?(analyze = false) ?(domains = 1) ctx kind ~qs ~qq ~table =
   (* make_run first: its Qq gate must fire before the Qs executes (a
      bad Qq spends zero page reads, not even SnapIds ones). *)
-  let rs = make_run ~analyze ~kind ~data:ctx.data ~meta:ctx.meta ~qq ~table () in
+  (* The all-cold baseline evaluates every snapshot from scratch by
+     definition, and the parallel loop's workers evaluate snapshots
+     independently: both run the ordinary executor. *)
+  let incremental = (not all_cold) && domains <= 1 in
+  let rs = make_run ~analyze ~incremental ~kind ~data:ctx.data ~meta:ctx.meta ~qq ~table () in
   let sids = snapshot_set ctx qs in
   if sids = [] then error "%s: Qs returned no snapshots" (mech_name kind);
   (match Sq.Db.(ctx.data.retro) with

@@ -187,6 +187,25 @@ let build_spt t snap_id =
           locked_rt t (fun () -> Hashtbl.replace t.spt_cache snap_id (len, spt));
         spt)
 
+(* The pages whose images may differ between snapshots [a] and [b]
+   (either order): every page with a Maplog entry between the two
+   declarations' boundaries — exactly the pages whose SPT entries
+   differ, since SPT(s) maps a page to its first entry at or after s's
+   boundary.  A page outside the set reads the same bytes in both
+   snapshots.  Pages allocated after the older declaration appear only
+   if they were also archived in between; callers treat a page the
+   older snapshot did not have as changed.  Both snapshots must be live;
+   cost is one pass over the entries in between. *)
+let changed_pages t a b =
+  let lo = min a b and hi = max a b in
+  let p0 = (Maplog.boundary t.maplog lo).Maplog.pos in
+  let p1 = (Maplog.boundary t.maplog hi).Maplog.pos in
+  let set = Hashtbl.create (max 16 (p1 - p0)) in
+  for i = p0 to p1 - 1 do
+    Hashtbl.replace set (Maplog.entry t.maplog i).Maplog.pid ()
+  done;
+  set
+
 (* Enable/disable sharing built SPTs across sessions (declared
    snapshots are immutable, so a cached SPT is valid until the maplog
    grows).  Off by default: caching would hide the per-iteration SPT

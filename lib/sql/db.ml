@@ -77,6 +77,10 @@ and t = {
   (* Plan-IR optimizer gate (PRAGMA optimize=off flips it).  Cached
      plans are optimized, so toggling also resets [plan_cache]. *)
   mutable optimize : bool;
+  (* Delta-driven RQL iterations over this handle's snapshots (PRAGMA
+     incremental=off runs every iteration on the ordinary executor, the
+     naive loop the incremental one is checked against). *)
+  mutable incremental : bool;
   (* The metric scope charged for work done through this handle; the
      engine activates it around every statement.  Defaults to the root
      scope (process-wide accounting, exactly the pre-scope behavior);
@@ -111,6 +115,7 @@ let make_session core =
       slow_query_s = None;
       last_analysis = None;
       optimize = true;
+      incremental = true;
       scope = Obs.Scope.root }
   in
   core.c_sessions <- { si_id = id; si_handle = db } :: core.c_sessions;

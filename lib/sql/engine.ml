@@ -238,7 +238,7 @@ let plan_for db ?key (env : Exec.env) (sel : select) : Plan.t =
    environment is resolved first — binding the AS OF expression alone —
    so the same compiled plan executes against the current state or any
    snapshot. *)
-let run_select db ?key ?(params = [||]) (sel : select) :
+let run_select db ?key ?(params = [||]) ?incr (sel : select) :
     string array * ((R.row -> unit) -> unit) =
   let env =
     match sel.as_of with
@@ -246,7 +246,13 @@ let run_select db ?key ?(params = [||]) (sel : select) :
     | Some e -> Exec.env_of_as_of db (Plan.bind_expr params e)
   in
   let plan = plan_for db ?key env sel in
-  Exec.stream_plan env (Plan.bind params plan)
+  match incr with
+  | Some inc when env.Exec.as_of <> None && Incr.eligible inc plan ->
+    Incr.eval inc env ~cached:plan (Plan.bind params plan)
+  | Some inc ->
+    Incr.note_plain inc;
+    Exec.stream_plan env (Plan.bind params plan)
+  | None -> Exec.stream_plan env (Plan.bind params plan)
 
 let collect (columns, run) =
   let rows = ref [] in
@@ -627,6 +633,19 @@ let run_stmt_core db ?key (s : stmt) : result =
       { empty_result with
         columns = [| "optimize" |];
         rows = [ [| R.Text (if on then "on" else "off") |] ] }
+    | "incremental" ->
+      { empty_result with
+        columns = [| "incremental" |];
+        rows = [ [| R.Text (if db.Db.incremental then "on" else "off") |] ] }
+    | ("incremental=on" | "incremental=1" | "incremental=true" | "incremental=off"
+      | "incremental=0" | "incremental=false") as kv ->
+      let on =
+        match kv with "incremental=on" | "incremental=1" | "incremental=true" -> true | _ -> false
+      in
+      db.Db.incremental <- on;
+      { empty_result with
+        columns = [| "incremental" |];
+        rows = [ [| R.Text (if on then "on" else "off") |] ] }
     | "checkpoint_threshold" ->
       { empty_result with
         columns = [| "checkpoint_threshold" |];
@@ -816,14 +835,17 @@ let prepared_locked (p : prepared) g =
 
 (* Stream a prepared statement's rows (no statement accounting).  Both
    planning and the returned runner activate the handle's scope — the
-   runner is invoked later, outside this call. *)
-let prepared_stream ?(params = [||]) (p : prepared) :
+   runner is invoked later, outside this call.  With [incr], a
+   delta-safe AS OF statement runs through that incremental evaluator
+   (the RQL snapshot loop passes one per run); {!Incr.last} then tells
+   what the evaluation reused. *)
+let prepared_stream ?(params = [||]) ?incr (p : prepared) :
     string array * ((R.row -> unit) -> unit) =
   wrap_errors (fun () ->
       let header, run =
         Obs.Scope.with_scope p.pr_db.Db.scope (fun () ->
             prepared_locked p (fun () ->
-                run_select p.pr_db ~key:p.pr_key ~params p.pr_sel))
+                run_select p.pr_db ~key:p.pr_key ~params ?incr p.pr_sel))
       in
       ( header,
         fun f ->

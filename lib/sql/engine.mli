@@ -75,9 +75,12 @@ val prepare_select : db -> key:string -> Ast.select -> prepared
 val exec_prepared : ?params:Storage.Record.value array -> prepared -> result
 
 (** Streaming variant of {!exec_prepared}: returns the header and a
-    row-push runner (no per-statement accounting). *)
+    row-push runner (no per-statement accounting).  With [incr], a
+    delta-safe AS OF statement is evaluated incrementally from that
+    evaluator's previous snapshot ({!Incr}); other statements run the
+    ordinary executor and reset it. *)
 val prepared_stream :
-  ?params:Storage.Record.value array -> prepared ->
+  ?params:Storage.Record.value array -> ?incr:Incr.t -> prepared ->
   string array * ((Storage.Record.row -> unit) -> unit)
 
 (** Parse a single statement (timed into [sql.parse_latency]) without

@@ -238,6 +238,243 @@ let acc_final acc =
   | "min" | "max" -> acc.a_mm
   | fn -> error "unknown aggregate function %s" fn
 
+(* --- grouping ---------------------------------------------------------- *)
+
+(* Hash key of [exprs] over a row: their values, encoded.  One value
+   buffer per key function, refilled per row (the encoding copies). *)
+let key_fn fnctx exprs =
+  let exprs = Array.of_list exprs in
+  let vals = Array.make (Array.length exprs) R.Null in
+  fun row ->
+    for i = 0 to Array.length exprs - 1 do
+      vals.(i) <- Expr.eval fnctx ~row ~aggs:[||] exprs.(i)
+    done;
+    R.encode_row vals
+
+(* The aggregation state of one core: its groups in first-seen order,
+   each with its encoded key, its representative row (the first row
+   seen: output expressions over non-grouped columns read it) and its
+   accumulators.  Without GROUP BY there is one group, keyed "", and no
+   per-row key is built or hashed. *)
+type group = { g_key : string; g_repr : R.row; g_accs : agg_acc array }
+
+type groups = {
+  gs_aggs : agg array;
+  gs_key : (R.row -> string) option; (* None: no GROUP BY *)
+  gs_tbl : (string, group) Hashtbl.t;
+  mutable gs_rev : group list; (* first-seen order, reversed *)
+}
+
+let new_groups fnctx (c : Plan.core) =
+  let key, size = match c.Plan.c_group with [] -> (None, 1) | es -> (Some (key_fn fnctx es), 64) in
+  { gs_aggs = Array.of_list c.Plan.c_aggs; gs_key = key; gs_tbl = Hashtbl.create size; gs_rev = [] }
+
+let find_group gs key =
+  match gs.gs_key, gs.gs_rev with
+  | None, g :: _ -> Some g
+  | None, [] -> None
+  | Some _, _ -> Hashtbl.find_opt gs.gs_tbl key
+
+let add_group gs key repr accs =
+  let g = { g_key = key; g_repr = repr; g_accs = accs } in
+  gs.gs_rev <- g :: gs.gs_rev;
+  (match gs.gs_key with Some _ -> Hashtbl.add gs.gs_tbl key g | None -> ());
+  g
+
+(* Feed one (filtered) input row, whose group key is [key], to its
+   group. *)
+let group_step_keyed fnctx gs key row =
+  let g =
+    match find_group gs key with
+    | Some g -> g
+    | None -> add_group gs key row (Array.map new_acc gs.gs_aggs)
+  in
+  for i = 0 to Array.length g.g_accs - 1 do
+    acc_step fnctx g.g_accs.(i) row
+  done
+
+let group_step fnctx gs row =
+  group_step_keyed fnctx gs (match gs.gs_key with None -> "" | Some k -> k row) row
+
+(* --- core output --------------------------------------------------------- *)
+
+let rec passes fnctx filters row =
+  match filters with
+  | [] -> true
+  | r :: rest -> (
+    match Expr.truth (Expr.eval fnctx ~row ~aggs:[||] r) with
+    | Some true -> passes fnctx rest row
+    | Some false | None -> false)
+
+(* One output row and its ORDER BY key, from an input row (or a group's
+   representative) and the aggregate values.  [outs] is the core's
+   output expressions as an array. *)
+let eval_out fnctx (c : Plan.core) outs row aggs =
+  let out = Array.make (Array.length outs) R.Null in
+  for i = 0 to Array.length outs - 1 do
+    out.(i) <- Expr.eval fnctx ~row ~aggs outs.(i)
+  done;
+  let key =
+    match c.Plan.c_order with
+    | [] -> [||]
+    | keys ->
+      Array.of_list
+        (List.map
+           (fun (k, _) ->
+             match k with
+             | Plan.Out_col i -> out.(i)
+             | Plan.Key_expr e -> Expr.eval fnctx ~row ~aggs e)
+           keys)
+  in
+  (out, key)
+
+(* Push the output rows of [groups] (post-HAVING), in list order.  An
+   aggregate without GROUP BY over no input still yields its one row. *)
+let emit_group_list fnctx (c : Plan.core) (groups : group list) push =
+  let outs = Array.of_list c.Plan.c_out in
+  let emit_one repr aggs =
+    let keep =
+      match c.Plan.c_having with
+      | None -> true
+      | Some h -> Expr.truth (Expr.eval fnctx ~row:repr ~aggs h) = Some true
+    in
+    if keep then begin
+      let out, key = eval_out fnctx c outs repr aggs in
+      push out key
+    end
+  in
+  match groups with
+  | [] when c.Plan.c_group = [] ->
+    emit_one [||] (Array.of_list (List.map (fun a -> acc_final (new_acc a)) c.Plan.c_aggs))
+  | groups -> List.iter (fun g -> emit_one g.g_repr (Array.map acc_final g.g_accs)) groups
+
+(* The tail of a core's pipeline: [produce] pushes (output row, sort key)
+   pairs — per input row, or per group when aggregating — and this adds
+   DISTINCT, ORDER BY, LIMIT/OFFSET and the instrumentation of the
+   aggregate, sort and output operators. *)
+let finish_core env (c : Plan.core) (produce : (R.row -> R.row -> unit) -> unit) :
+    string array * ((R.row -> unit) -> unit) =
+  let fnctx = Db.fn_ctx env.db in
+  let instr = env.analyze in
+  let order_resolved = c.Plan.c_order in
+  let limit =
+    Option.map
+      (fun e ->
+        match Expr.eval_const fnctx e with
+        | R.Int n -> n
+        | v -> error "LIMIT requires an integer, got %s" (R.value_to_string v))
+      c.Plan.c_limit
+  in
+  let offset =
+    match c.Plan.c_offset with
+    | None -> 0
+    | Some e -> (
+      match Expr.eval_const fnctx e with
+      | R.Int n -> n
+      | v -> error "OFFSET requires an integer, got %s" (R.value_to_string v))
+  in
+  (* When aggregating, record the groups produced (post-HAVING) and the
+     cost of the blocking aggregation stage. *)
+  let produce =
+    if not (instr && c.Plan.c_has_agg) then produce
+    else
+      fun push ->
+        let sl = c.Plan.c_agg_op.Plan.op_slot in
+        sl.Plan.o_loops <- sl.Plan.o_loops + 1;
+        let t0 = Exec_stats.now () and p0 = pages_now () in
+        produce (fun out key ->
+            sl.Plan.o_rows <- sl.Plan.o_rows + 1;
+            push out key);
+        sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (Exec_stats.now () -. t0);
+        sl.Plan.o_pages <- sl.Plan.o_pages + (pages_now () - p0)
+  in
+  let run f =
+    let need_sort = order_resolved <> [] in
+    let need_distinct = c.Plan.c_distinct in
+    if need_sort || need_distinct then begin
+      let t_sort = if instr then Exec_stats.now () else 0. in
+      let rows = ref [] in
+      let seen = Hashtbl.create 64 in
+      produce (fun out key ->
+          if need_distinct then begin
+            let k = R.encode_row out in
+            if not (Hashtbl.mem seen k) then begin
+              Hashtbl.add seen k ();
+              rows := (out, key) :: !rows
+            end
+          end
+          else rows := (out, key) :: !rows);
+      let rows = Array.of_list (List.rev !rows) in
+      if need_sort then begin
+        let cmp (_, ka) (_, kb) =
+          let rec go i =
+            if i >= Array.length ka then 0
+            else
+              let _, desc = List.nth order_resolved i in
+              let c = R.compare_value ka.(i) kb.(i) in
+              if c <> 0 then if desc then -c else c else go (i + 1)
+          in
+          go 0
+        in
+        Array.stable_sort cmp rows
+      end;
+      if instr then begin
+        (* rows held by the sort/distinct buffer, inclusive time up to
+           and including the sort itself *)
+        let sl = c.Plan.c_sort_op.Plan.op_slot in
+        sl.Plan.o_loops <- sl.Plan.o_loops + 1;
+        sl.Plan.o_rows <- sl.Plan.o_rows + Array.length rows;
+        sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (Exec_stats.now () -. t_sort)
+      end;
+      let n = Array.length rows in
+      let stop = match limit with Some l -> min n (offset + l) | None -> n in
+      for i = offset to stop - 1 do
+        f (fst rows.(i))
+      done
+    end
+    else begin
+      (* streaming with early stop on LIMIT *)
+      let exception Stop in
+      let count = ref 0 in
+      let emitted = ref 0 in
+      (try
+         produce (fun out _ ->
+             incr count;
+             if !count > offset then begin
+               (match limit with
+               | Some l when !emitted >= l -> raise Stop
+               | _ -> ());
+               incr emitted;
+               f out
+             end)
+       with Stop -> ())
+    end
+  in
+  (* Final output operator: rows delivered to the consumer (post
+     LIMIT/OFFSET), timed inclusively of the whole core. *)
+  let run =
+    if not instr then run
+    else
+      fun f ->
+        let sl = c.Plan.c_out_op.Plan.op_slot in
+        sl.Plan.o_loops <- sl.Plan.o_loops + 1;
+        let t0 = Exec_stats.now () and p0 = pages_now () in
+        run (fun row ->
+            sl.Plan.o_rows <- sl.Plan.o_rows + 1;
+            f row);
+        sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (Exec_stats.now () -. t0);
+        sl.Plan.o_pages <- sl.Plan.o_pages + (pages_now () - p0)
+  in
+  (c.Plan.c_header, run)
+
+(* Count the rows a statement returns. *)
+let counted (header, run) =
+  ( header,
+    fun f ->
+      run (fun row ->
+          Obs.Scope.incr c_rows_returned;
+          f row) )
+
 (* --- subquery expansion and plan evaluation ----------------------------- *)
 
 (* The environment a nested select runs in: its own AS OF if it has one,
@@ -298,14 +535,7 @@ and select_all env sel : string array * R.row list =
 (* Execute a compiled plan against [env].  Parameters must have been
    bound with Plan.bind. *)
 and stream_plan env (p : Plan.t) : string array * ((R.row -> unit) -> unit) =
-  let header, run =
-    if p.Plan.p_members = [] then stream_core env p.Plan.p_core else stream_compound env p
-  in
-  ( header,
-    fun f ->
-      run (fun row ->
-          Obs.Scope.incr c_rows_returned;
-          f row) )
+  counted (if p.Plan.p_members = [] then stream_core env p.Plan.p_core else stream_compound env p)
 
 (* UNION / UNION ALL, left-associative as in SQLite: each non-ALL member
    deduplicates everything accumulated so far.  A member with its own
@@ -401,26 +631,9 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
      (fresh copy of the core; the cached plan stays pristine). *)
   let c = Plan.map_core (expand_sub env) c in
   let feval row e = Expr.eval fnctx ~row ~aggs:[||] e in
-  (* Hash key of [exprs] over a row: their values, encoded.  One value
-     buffer per key function, refilled per row (the encoding copies). *)
-  let key_fn exprs =
-    let exprs = Array.of_list exprs in
-    let vals = Array.make (Array.length exprs) R.Null in
-    fun row ->
-      for i = 0 to Array.length exprs - 1 do
-        vals.(i) <- feval row exprs.(i)
-      done;
-      R.encode_row vals
-  in
+  let key_fn = key_fn fnctx in
   (* per-row paths allocate no closures *)
-  let rec pass filters row =
-    match filters with
-    | [] -> true
-    | r :: rest -> (
-      match Expr.truth (feval row r) with
-      | Some true -> pass rest row
-      | Some false | None -> false)
-  in
+  let pass = passes fnctx in
   let instr = env.analyze in
   (* Instrumentation wrappers.  All three are decided at pipeline
      construction time: with [analyze] off they return their argument
@@ -584,210 +797,20 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
       let filtered f = emit (fun row -> if pass residual row then f row) in
       if residual = [] then filtered else stage c.Plan.c_filter_op filtered
   in
-  let out_exprs = c.Plan.c_out in
-  let order_resolved = c.Plan.c_order in
-  let limit =
-    Option.map
-      (fun e ->
-        match Expr.eval_const fnctx e with
-        | R.Int n -> n
-        | v -> error "LIMIT requires an integer, got %s" (R.value_to_string v))
-      c.Plan.c_limit
-  in
-  let offset =
-    match c.Plan.c_offset with
-    | None -> 0
-    | Some e -> (
-      match Expr.eval_const fnctx e with
-      | R.Int n -> n
-      | v -> error "OFFSET requires an integer, got %s" (R.value_to_string v))
-  in
-  (* Produce (out_row, sort_key) pairs. *)
-  let out_arr = Array.of_list out_exprs in
-  let produce (push : R.row -> R.row -> unit) =
-    let eval_out row aggs =
-      let out = Array.make (Array.length out_arr) R.Null in
-      for i = 0 to Array.length out_arr - 1 do
-        out.(i) <- Expr.eval fnctx ~row ~aggs out_arr.(i)
-      done;
-      let key =
-        match order_resolved with
-        | [] -> [||]
-        | keys ->
-          Array.of_list
-            (List.map
-               (fun (k, _) ->
-                 match k with
-                 | Plan.Out_col i -> out.(i)
-                 | Plan.Key_expr e -> Expr.eval fnctx ~row ~aggs e)
-               keys)
-      in
-      (out, key)
-    in
+  let produce push =
     if c.Plan.c_has_agg then begin
-      (* groups in reverse first-seen order: (representative row, accumulators) *)
-      let order = ref [] in
-      let new_group row =
-        let g = (row, Array.of_list (List.map new_acc c.Plan.c_aggs)) in
-        order := g :: !order;
-        g
-      in
-      let group_of =
-        if c.Plan.c_group = [] then begin
-          (* one group: no key to encode or hash per row *)
-          let only = ref None in
-          fun row ->
-            match !only with
-            | Some g -> g
-            | None ->
-              let g = new_group row in
-              only := Some g;
-              g
-        end
-        else begin
-          let groups : (string, R.row * agg_acc array) Hashtbl.t = Hashtbl.create 64 in
-          let key_of = key_fn c.Plan.c_group in
-          fun row ->
-            let gkey = key_of row in
-            match Hashtbl.find_opt groups gkey with
-            | Some g -> g
-            | None ->
-              let g = new_group row in
-              Hashtbl.add groups gkey g;
-              g
-        end
-      in
-      emit (fun row ->
-          let _, accs = group_of row in
-          for i = 0 to Array.length accs - 1 do
-            acc_step fnctx accs.(i) row
-          done);
-      let emit_group (repr, accs) =
-        let aggs = Array.map acc_final accs in
-        let keep =
-          match c.Plan.c_having with
-          | None -> true
-          | Some h -> Expr.truth (Expr.eval fnctx ~row:repr ~aggs h) = Some true
-        in
-        if keep then begin
-          let out, key = eval_out repr aggs in
-          push out key
-        end
-      in
-      if !order = [] && c.Plan.c_group = [] then begin
-        (* aggregate over an empty input: one row *)
-        let accs = Array.of_list (List.map new_acc c.Plan.c_aggs) in
-        let aggs = Array.map acc_final accs in
-        let keep =
-          match c.Plan.c_having with
-          | None -> true
-          | Some h -> Expr.truth (Expr.eval fnctx ~row:[||] ~aggs h) = Some true
-        in
-        if keep then begin
-          let out, key = eval_out [||] aggs in
-          push out key
-        end
-      end
-      else List.iter emit_group (List.rev !order)
-    end
-    else
-      emit (fun row ->
-          let out, key = eval_out row [||] in
-          push out key)
-  in
-  (* When aggregating, record the groups produced (post-HAVING) and the
-     cost of the blocking aggregation stage. *)
-  let produce =
-    if not (instr && c.Plan.c_has_agg) then produce
-    else
-      fun push ->
-        let sl = c.Plan.c_agg_op.Plan.op_slot in
-        sl.Plan.o_loops <- sl.Plan.o_loops + 1;
-        let t0 = Exec_stats.now () and p0 = pages_now () in
-        produce (fun out key ->
-            sl.Plan.o_rows <- sl.Plan.o_rows + 1;
-            push out key);
-        sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (Exec_stats.now () -. t0);
-        sl.Plan.o_pages <- sl.Plan.o_pages + (pages_now () - p0)
-  in
-  let run f =
-    let need_sort = order_resolved <> [] in
-    let need_distinct = c.Plan.c_distinct in
-    if need_sort || need_distinct then begin
-      let t_sort = if instr then Exec_stats.now () else 0. in
-      let rows = ref [] in
-      let seen = Hashtbl.create 64 in
-      produce (fun out key ->
-          if need_distinct then begin
-            let k = R.encode_row out in
-            if not (Hashtbl.mem seen k) then begin
-              Hashtbl.add seen k ();
-              rows := (out, key) :: !rows
-            end
-          end
-          else rows := (out, key) :: !rows);
-      let rows = Array.of_list (List.rev !rows) in
-      if need_sort then begin
-        let cmp (_, ka) (_, kb) =
-          let rec go i =
-            if i >= Array.length ka then 0
-            else
-              let _, desc = List.nth order_resolved i in
-              let c = R.compare_value ka.(i) kb.(i) in
-              if c <> 0 then if desc then -c else c else go (i + 1)
-          in
-          go 0
-        in
-        Array.stable_sort cmp rows
-      end;
-      if instr then begin
-        (* rows held by the sort/distinct buffer, inclusive time up to
-           and including the sort itself *)
-        let sl = c.Plan.c_sort_op.Plan.op_slot in
-        sl.Plan.o_loops <- sl.Plan.o_loops + 1;
-        sl.Plan.o_rows <- sl.Plan.o_rows + Array.length rows;
-        sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (Exec_stats.now () -. t_sort)
-      end;
-      let n = Array.length rows in
-      let stop = match limit with Some l -> min n (offset + l) | None -> n in
-      for i = offset to stop - 1 do
-        f (fst rows.(i))
-      done
+      let gs = new_groups fnctx c in
+      emit (fun row -> group_step fnctx gs row);
+      emit_group_list fnctx c (List.rev gs.gs_rev) push
     end
     else begin
-      (* streaming with early stop on LIMIT *)
-      let exception Stop in
-      let count = ref 0 in
-      let emitted = ref 0 in
-      (try
-         produce (fun out _ ->
-             incr count;
-             if !count > offset then begin
-               (match limit with
-               | Some l when !emitted >= l -> raise Stop
-               | _ -> ());
-               incr emitted;
-               f out
-             end)
-       with Stop -> ())
+      let outs = Array.of_list c.Plan.c_out in
+      emit (fun row ->
+          let out, key = eval_out fnctx c outs row [||] in
+          push out key)
     end
   in
-  (* Final output operator: rows delivered to the consumer (post
-     LIMIT/OFFSET), timed inclusively of the whole core. *)
-  let run =
-    if not instr then run
-    else
-      fun f ->
-        let sl = c.Plan.c_out_op.Plan.op_slot in
-        sl.Plan.o_loops <- sl.Plan.o_loops + 1;
-        let t0 = Exec_stats.now () and p0 = pages_now () in
-        run (fun row ->
-            sl.Plan.o_rows <- sl.Plan.o_rows + 1;
-            f row);
-        sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (Exec_stats.now () -. t0);
-        sl.Plan.o_pages <- sl.Plan.o_pages + (pages_now () - p0)
-  in
-  (c.Plan.c_header, run)
+  finish_core env c produce
 
 (* --- DML ------------------------------------------------------------------ *)
 

@@ -25,10 +25,11 @@
       subqueries, only pure builtins — is marked [oi_invariant] so the
       RQL loop evaluates it once per run instead of once per snapshot.
 
-   4. A delta-safety verdict ([oi_delta_safe] + reason), the static
-      gate ROADMAP item 4's incremental evaluation consumes: aggregates
-      must come from the monoid registry (no DISTINCT), no LIMIT /
-      OFFSET / DISTINCT / UNION, no subqueries, no UDF calls.
+   4. A delta-safety verdict ([oi_delta_safe] + reason), the gate of
+      the RQL loop's incremental evaluation ([Incr]): aggregates (none
+      DISTINCT) over one sequential heap scan, no join, no LIMIT /
+      OFFSET / DISTINCT / UNION, no subqueries, no UDF calls, no
+      parameter outside the AS OF.
 
    Warnings use stable W2xx codes through [Diag]:
      W201  always-false predicate; plan collapsed to an empty scan
@@ -455,29 +456,44 @@ let is_invariant ~pure_fn (p : Plan.t) : bool =
   | () -> true
   | exception Unsafe _ -> false
 
-(* The static delta-safety gate for incremental RQL evaluation
-   (ROADMAP item 4): the verdict plus the first disqualifying reason. *)
+(* The delta-safety gate of incremental RQL evaluation ([Incr]): the
+   verdict plus the first disqualifying reason.  A safe plan is one
+   heap scan feeding filters and aggregates, whose result for a
+   snapshot depends only on that snapshot's heap pages — so what one
+   snapshot's evaluation kept of a page stays valid for every page the
+   next snapshot did not change.  [Incr] runs exactly the plans this
+   accepts. *)
 let delta_verdict ~pure_fn (p : Plan.t) : bool * string =
   match
     if p.Plan.p_members <> [] then raise (Unsafe "compound (UNION)");
     let c = p.Plan.p_core in
     if not c.Plan.c_has_agg then raise (Unsafe "no aggregate to update incrementally");
+    (match c.Plan.c_from with
+    | Plan.From_none -> raise (Unsafe "no table")
+    | Plan.From_scan { joins = _ :: _; _ } -> raise (Unsafe "join")
+    | Plan.From_scan { first = { Plan.sc_access = Plan.Index_search _; _ }; _ } ->
+      raise (Unsafe "index search (rows arrive in index order)")
+    | Plan.From_scan { first; _ } ->
+      if first.Plan.sc_src.Plan.s_tbl.Catalog.theap < 0 then raise (Unsafe "system table"));
     if c.Plan.c_limit <> None || c.Plan.c_offset <> None || p.Plan.p_climit <> None
        || p.Plan.p_coffset <> None
     then raise (Unsafe "LIMIT/OFFSET");
     if c.Plan.c_distinct then raise (Unsafe "DISTINCT");
+    (* Every aggregate the executor has can be kept per page and
+       recombined exactly — except over DISTINCT values, which one page
+       cannot know are distinct overall. *)
     List.iter
       (fun (a : agg) ->
-        if a.agg_distinct then raise (Unsafe ("DISTINCT aggregate " ^ a.agg_fn));
-        match Monoid.of_string a.agg_fn with
-        | _ -> ()
-        | exception Monoid.Not_supported _ ->
-          raise (Unsafe ("non-monoid aggregate " ^ a.agg_fn)))
+        if a.agg_distinct then raise (Unsafe ("DISTINCT aggregate " ^ a.agg_fn)))
       c.Plan.c_aggs;
-    scan_plan_exprs
+    (* The AS OF expression is the snapshot binding itself; anywhere
+       else a parameter (current_snapshot() in a Qq) makes every row's
+       contribution snapshot-dependent. *)
+    scan_plan_exprs ~as_of:false
       (function
         | Subquery _ | In_select _ | Exists _ -> raise (Unsafe "subquery")
         | Call (n, _) when not (pure_fn n) -> raise (Unsafe ("calls UDF " ^ n))
+        | Param _ -> raise (Unsafe "reads current_snapshot()")
         | _ -> ())
       p
   with

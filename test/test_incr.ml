@@ -1,0 +1,273 @@
+(* Delta-driven RQL iterations (lib/sql/incr.ml) and what they rest on.
+
+   The oracle is the naive loop: the same mechanism with PRAGMA
+   incremental=off, which evaluates every snapshot's Qq on the ordinary
+   executor.  Each incremental run must leave a byte-identical result
+   table (rows in heap order) across the UW7.5-UW60 histories, after a
+   vacuum, and for snapshot sets that skip or run backwards.  Below
+   that: the archive's changed-page set is exactly the pages whose SPT
+   entries differ. *)
+
+module R = Storage.Record
+module E = Sqldb.Engine
+module IS = Rql.Iter_stats
+
+(* --- histories ------------------------------------------------------------ *)
+
+let history ?(snapshots = 6) uw =
+  let ctx, _st, sids = Tpch.Workload.build_history ~sf:0.002 ~uw ~snapshots () in
+  (ctx, sids)
+
+let retro ctx = Sqldb.Db.retro_exn ctx.Rql.data
+
+let changed_pages_tests =
+  [ Alcotest.test_case "changed pages are exactly the SPT differences" `Quick (fun () ->
+        let ctx, sids = history ~snapshots:5 Tpch.Workload.uw30 in
+        let rt = retro ctx in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                let sa = Retro.build_spt rt a and sb = Retro.build_spt rt b in
+                let changed = Retro.changed_pages rt a b in
+                for pid = 0 to min sa.Retro.Spt.db_pages sb.Retro.Spt.db_pages - 1 do
+                  Alcotest.(check bool)
+                    (Printf.sprintf "page %d between %d and %d" pid a b)
+                    (Retro.Spt.find sa pid <> Retro.Spt.find sb pid)
+                    (Hashtbl.mem changed pid)
+                done)
+              sids)
+          sids) ]
+
+(* --- incremental vs naive loop --------------------------------------------- *)
+
+(* The result table, byte for byte, in heap order. *)
+let table_bytes ctx table =
+  List.map R.encode_row (E.query ctx.Rql.meta (Printf.sprintf "SELECT * FROM %s" table))
+
+let set_incremental ctx on =
+  ignore (E.exec ctx.Rql.data (if on then "PRAGMA incremental=on" else "PRAGMA incremental=off"))
+
+type mech = {
+  label : string;
+  qq : string;
+  run : Rql.ctx -> qs:string -> qq:string -> table:string -> IS.run;
+}
+
+let agg_var fn = fun ctx ~qs ~qq ~table -> Rql.aggregate_data_in_variable ctx ~qs ~qq ~table ~fn
+let agg_table aggs = fun ctx ~qs ~qq ~table -> Rql.aggregate_data_in_table ctx ~qs ~qq ~table ~aggs
+let collate ctx ~qs ~qq ~table = Rql.collate_data ctx ~qs ~qq ~table
+let intervals ctx ~qs ~qq ~table = Rql.collate_data_into_intervals ctx ~qs ~qq ~table
+
+let mechs =
+  [ { label = "Qq_io AVG";
+      qq = "SELECT COUNT(*) AS c FROM orders WHERE o_orderstatus = 'O'";
+      run = agg_var "AVG" };
+    { label = "real SUM, MAX";
+      qq = "SELECT SUM(o_totalprice) AS s FROM orders";
+      run = agg_var "MAX" };
+    { label = "Qq_agg";
+      qq = "SELECT o_custkey, COUNT(*) AS cn, AVG(o_totalprice) AS av FROM orders GROUP BY o_custkey";
+      run = agg_table [ ("cn", "MAX"); ("av", "MIN") ] };
+    { label = "grouped, HAVING, ORDER BY";
+      qq =
+        "SELECT o_orderpriority, MIN(o_totalprice) AS lo, MAX(o_totalprice) AS hi, COUNT(*) AS n, \
+         TOTAL(o_shippriority) AS t FROM orders WHERE o_totalprice > 1000 GROUP BY \
+         o_orderpriority HAVING COUNT(*) > 1 ORDER BY n DESC";
+      run = collate };
+    { label = "lineitem groups as intervals";
+      qq =
+        "SELECT l_returnflag, l_linestatus, COUNT(*) AS n, SUM(l_quantity) AS q FROM lineitem \
+         WHERE l_quantity < 30 GROUP BY l_returnflag, l_linestatus";
+      run = intervals } ]
+
+(* Run [m] naively and incrementally into two result tables; both must
+   hold the same bytes.  Returns the incremental run. *)
+let differential ctx ~name ~qs m =
+  let table = "R_" ^ String.map (fun ch -> if ch = ' ' || ch = ',' then '_' else ch) m.label in
+  set_incremental ctx false;
+  let naive = m.run ctx ~qs ~qq:m.qq ~table in
+  let want = table_bytes ctx table in
+  set_incremental ctx true;
+  let run = m.run ctx ~qs ~qq:m.qq ~table in
+  Alcotest.(check (list string)) (Printf.sprintf "%s: %s" name m.label) want (table_bytes ctx table);
+  List.iter
+    (fun (it : IS.iteration) ->
+      Alcotest.(check string) "naive iterations are plain" "plain" it.IS.eval)
+    naive.IS.iterations;
+  run
+
+let evals run = List.map (fun (it : IS.iteration) -> it.IS.eval) run.IS.iterations
+
+let all_snapshots = "SELECT snap_id FROM SnapIds"
+
+let uw_matrix =
+  [ Alcotest.test_case "byte-identical to the naive loop across UW7.5-UW60" `Quick (fun () ->
+        List.iter
+          (fun uw ->
+            let ctx, sids = history uw in
+            let name = uw.Tpch.Workload.uname in
+            List.iter
+              (fun m ->
+                let run = differential ctx ~name ~qs:all_snapshots m in
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s: %s modes" name m.label)
+                  ("full" :: List.map (fun _ -> "delta") (List.tl sids))
+                  (evals run))
+              mechs)
+          Tpch.Workload.[ uw7_5; uw15; uw30; uw60 ]);
+    Alcotest.test_case "hot iterations evaluate only the changed pages" `Quick (fun () ->
+        let ctx, _ = history Tpch.Workload.uw15 in
+        let m = List.hd mechs in
+        let run = differential ctx ~name:"UW15" ~qs:all_snapshots m in
+        match run.IS.iterations with
+        | first :: hot ->
+          let pages = first.IS.pages_evaluated in
+          Alcotest.(check int) "the first iteration reuses nothing" 0 first.IS.pages_reused;
+          List.iter
+            (fun (it : IS.iteration) ->
+              Alcotest.(check int) "every heap page accounted" pages
+                (it.IS.pages_evaluated + it.IS.pages_reused);
+              Alcotest.(check bool)
+                (Printf.sprintf "snapshot %d: %d of %d pages" it.IS.snap_id
+                   it.IS.pages_evaluated pages)
+                true
+                (it.IS.pages_evaluated * 4 < pages))
+            hot
+        | [] -> Alcotest.fail "no iterations");
+    Alcotest.test_case "snapshot sets that skip and run backwards" `Quick (fun () ->
+        let ctx, _ = history Tpch.Workload.uw30 in
+        List.iter
+          (fun qs -> List.iter (fun m -> ignore (differential ctx ~name:qs ~qs m)) mechs)
+          [ "SELECT snap_id FROM SnapIds WHERE snap_id % 2 = 1";
+            "SELECT snap_id FROM SnapIds ORDER BY snap_id DESC" ]);
+    Alcotest.test_case "after a vacuum, over the surviving snapshots" `Quick (fun () ->
+        let ctx, _ = history Tpch.Workload.uw60 in
+        ignore (E.exec ctx.Rql.data "VACUUM SNAPSHOTS KEEPING LAST 3");
+        List.iter
+          (fun m ->
+            let qs = "SELECT snap_id FROM SnapIds WHERE snap_id >= 4" in
+            let run = differential ctx ~name:"vacuumed" ~qs m in
+            Alcotest.(check (list string)) "modes" [ "full"; "delta"; "delta" ] (evals run))
+          mechs) ]
+
+(* --- when the loop falls back ----------------------------------------------- *)
+
+let fallback =
+  [ Alcotest.test_case "a vacuumed previous snapshot forces a full iteration" `Quick (fun () ->
+        let ctx, _ = history Tpch.Workload.uw30 in
+        let qq = "SELECT COUNT(*) AS c FROM orders WHERE o_orderstatus = 'O'" in
+        let count sid =
+          E.int_scalar ctx.Rql.data
+            (Printf.sprintf "SELECT AS OF %d COUNT(*) FROM orders WHERE o_orderstatus = 'O'" sid)
+        in
+        let at4 = count 4 in
+        let step sid =
+          ignore
+            (E.exec ctx.Rql.meta
+               (Printf.sprintf
+                  "SELECT AggregateDataInVariable(snap_id, '%s', 'G', 'SUM') FROM SnapIds WHERE \
+                   snap_id = %d"
+                  (String.concat "''" (String.split_on_char '\'' qq)) sid))
+        in
+        step 4;
+        ignore (E.exec ctx.Rql.data "VACUUM SNAPSHOTS KEEPING LAST 1");
+        step 6;
+        Alcotest.(check (list string)) "sum of both snapshots"
+          [ R.encode_row [| R.Int (at4 + count 6) |] ]
+          (table_bytes ctx "G");
+        match Rql.take_run ctx ~table:"G" with
+        | Some run -> Alcotest.(check (list string)) "modes" [ "full"; "full" ] (evals run)
+        | None -> Alcotest.fail "no SQL-form run");
+    Alcotest.test_case "joins, all-cold and parallel runs stay plain" `Quick (fun () ->
+        let ctx, _ = history ~snapshots:3 Tpch.Workload.uw30 in
+        let plain run = List.for_all (fun e -> e = "plain") (evals run) in
+        let qs = all_snapshots in
+        Alcotest.(check bool) "join" true
+          (plain
+             (Rql.aggregate_data_in_variable ctx ~qs ~fn:"SUM" ~table:"J"
+                ~qq:"SELECT COUNT(*) FROM orders, customer WHERE o_custkey = c_custkey"));
+        Alcotest.(check bool) "current_snapshot() in the body" true
+          (plain
+             (Rql.aggregate_data_in_variable ctx ~qs ~fn:"SUM" ~table:"S"
+                ~qq:"SELECT COUNT(*) FROM orders WHERE o_orderkey > current_snapshot()"));
+        let qq = (List.hd mechs).qq in
+        Alcotest.(check bool) "all-cold" true
+          (plain (Rql.aggregate_data_in_variable ~all_cold:true ctx ~qs ~qq ~table:"C" ~fn:"AVG"));
+        Alcotest.(check bool) "parallel" true
+          (plain (Rql.aggregate_data_in_variable ~domains:2 ctx ~qs ~qq ~table:"P" ~fn:"AVG")));
+    Alcotest.test_case "past its row budget a run goes plain" `Quick (fun () ->
+        let ctx, sids = history ~snapshots:4 Tpch.Workload.uw30 in
+        let db = ctx.Rql.data in
+        let p =
+          E.prepare db
+            "SELECT AS OF ? o_orderpriority, COUNT(*) AS n, SUM(o_totalprice) AS s FROM orders \
+             GROUP BY o_orderpriority"
+        in
+        let rows ?incr sid =
+          let _, run = E.prepared_stream ~params:[| R.Int sid |] ?incr p in
+          let acc = ref [] in
+          run (fun r -> acc := R.encode_row r :: !acc);
+          List.rev !acc
+        in
+        let most =
+          List.fold_left max 0
+            (List.map
+               (fun sid ->
+                 E.int_scalar db (Printf.sprintf "SELECT AS OF %d COUNT(*) FROM orders" sid))
+               sids)
+        in
+        let modes inc =
+          List.map
+            (fun sid ->
+              let want = rows sid in
+              Alcotest.(check (list string)) (Printf.sprintf "snapshot %d" sid) want (rows ~incr:inc sid);
+              match Sqldb.Incr.last inc with
+              | Some r -> Sqldb.Incr.mode_to_string r.Sqldb.Incr.mode
+              | None -> "plain")
+            sids
+        in
+        Alcotest.(check (list string)) "within the budget"
+          ("full" :: List.map (fun _ -> "delta") (List.tl sids))
+          (modes (Sqldb.Incr.create ~max_rows:most ()));
+        Alcotest.(check (list string)) "over it"
+          (List.map (fun _ -> "plain") sids)
+          (modes (Sqldb.Incr.create ~max_rows:(most / 2) ())));
+    Alcotest.test_case "PRAGMA incremental reads and sets the switch" `Quick (fun () ->
+        let ctx = Rql.create () in
+        let get () = E.query ctx.Rql.data "PRAGMA incremental" in
+        Alcotest.(check bool) "on by default" true (get () = [ [| R.Text "on" |] ]);
+        set_incremental ctx false;
+        Alcotest.(check bool) "off" true (get () = [ [| R.Text "off" |] ])) ]
+
+(* --- observability ------------------------------------------------------------ *)
+
+let observability =
+  [ Alcotest.test_case "run report and JSON mark each iteration" `Quick (fun () ->
+        let ctx, _ = history ~snapshots:3 Tpch.Workload.uw30 in
+        let m = List.hd mechs in
+        let run =
+          Rql.aggregate_data_in_variable ~analyze:true ctx ~qs:all_snapshots ~qq:m.qq ~table:"A"
+            ~fn:"AVG"
+        in
+        (match Rql.run_report () with
+        | Some r ->
+          Alcotest.(check (list string)) "report modes" [ "full"; "delta"; "delta" ]
+            (List.map (fun (_, mode, _) -> mode) r.Rql.rr_evals);
+          let scan =
+            List.find (fun (a : Sqldb.Plan.op_actual) -> a.Sqldb.Plan.a_kind = "scan") r.Rql.rr_ops
+          in
+          Alcotest.(check int) "one scan loop per iteration" 3 scan.Sqldb.Plan.a_loops
+        | None -> Alcotest.fail "no run report");
+        match IS.json_of_iteration (List.nth run.IS.iterations 1) with
+        | Obs.Json.Obj fields ->
+          Alcotest.(check bool) "eval field" true
+            (List.assoc_opt "eval" fields = Some (Obs.Json.Str "delta"))
+        | _ -> Alcotest.fail "iteration JSON is not an object") ]
+
+let () =
+  Alcotest.run "incr"
+    [ ("changed", changed_pages_tests);
+      ("naive", uw_matrix);
+      ("fallback", fallback);
+      ("report", observability) ]

@@ -266,6 +266,12 @@ let delta_safety =
       "DELTA-SAFE: no (compound (UNION))";
     delta_check "subquery is rejected" "SELECT SUM(a) FROM t WHERE a IN (SELECT a FROM u)"
       "DELTA-SAFE: no (subquery)";
+    delta_check "join is rejected" "SELECT COUNT(*) FROM t, u WHERE t.a = u.a"
+      "DELTA-SAFE: no (join)";
+    delta_check "index search is rejected" "SELECT COUNT(*) FROM t WHERE a = 2"
+      "DELTA-SAFE: no (index search";
+    delta_check "MIN, MAX and TOTAL are delta-safe" "SELECT MIN(a), MAX(c), TOTAL(a) FROM t"
+      "DELTA-SAFE: yes";
     Alcotest.test_case "UDF call is rejected" `Quick (fun () ->
         let db = fresh () in
         E.register_fn db "myfn" (fun _ -> R.Int 1);

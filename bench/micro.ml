@@ -1,8 +1,8 @@
 (* Bechamel micro-benchmarks for the primitive operations underlying
    the experiments: row codec (full and projected decode), slotted-page
    insert, B+tree insert and lookup, SPT construction, snapshot page
-   fetch, Qq parsing and rewriting.  One Test.make per primitive, all in
-   one executable. *)
+   fetch, page checksum, Qq parsing and rewriting.  One Test.make per
+   primitive, all in one executable. *)
 
 open Bechamel
 open Toolkit
@@ -100,6 +100,11 @@ let test_snapshot_read =
           Storage.Heap.iter_spans (Retro.read_ctx retro (Lazy.force spt)) heap
             ~f:(fun _ _ _ _ -> incr n)))
 
+(* Every archive miss and page commit checksums one page. *)
+let test_crc32 =
+  let page = Bytes.init Storage.Page.size (fun i -> Char.chr (i * 7 land 0xff)) in
+  Test.make ~name:"crc32 (4 KiB page)" (Staged.stage (fun () -> ignore (Storage.Crc32.bytes page)))
+
 let test_parse =
   Test.make ~name:"sql.parse (Qq_agg)"
     (Staged.stage (fun () -> ignore (Sqldb.Parser.parse_one Queries.qq_agg)))
@@ -113,7 +118,7 @@ let test_rewrite =
 
 let tests =
   [ test_encode; test_decode; test_decode_cols; test_page_insert; test_btree_lookup; test_btree_insert;
-    test_spt_build; test_snapshot_read; test_parse; test_rewrite ]
+    test_spt_build; test_snapshot_read; test_crc32; test_parse; test_rewrite ]
 
 (* --- EXPLAIN ANALYZE smoke (bench --analyze) ---------------------------- *)
 

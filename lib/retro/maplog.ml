@@ -97,18 +97,13 @@ let raw_boundary t snap_id =
     invalid_arg (Printf.sprintf "Maplog.raw_boundary: unknown snapshot %d" snap_id);
   t.boundaries.(snap_id - 1)
 
-(* First-occurrence-per-page digest of raw entries [lo, hi). *)
-let dedup_range t lo hi =
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  for i = lo to hi - 1 do
-    let e = t.entries.(i) in
-    if not (Hashtbl.mem seen e.pid) then begin
-      Hashtbl.add seen e.pid ();
-      out := e :: !out
-    end
-  done;
-  Array.of_list (List.rev !out)
+(* First-occurrence-per-page digest of [es], in log order. *)
+let first_per_page (es : entry array) =
+  let seen = Hashtbl.create 256 in
+  let first (e : entry) =
+    if Hashtbl.mem seen e.pid then false else (Hashtbl.add seen e.pid (); true)
+  in
+  Array.of_list (List.filter first (Array.to_list es))
 
 (* Digest of the [n]-th full L1 segment (memoized; segments are
    immutable once the log has grown past them).  [_unlocked]: caller
@@ -117,7 +112,7 @@ let l1_digest_unlocked t n =
   match Hashtbl.find_opt t.l1 n with
   | Some d -> d
   | None ->
-    let d = dedup_range t (n * l1_size) ((n + 1) * l1_size) in
+    let d = first_per_page (Array.sub t.entries (n * l1_size) l1_size) in
     Hashtbl.add t.l1 n d;
     d
 
@@ -136,23 +131,14 @@ let l2_digest t n =
   match Hashtbl.find_opt t.l2 n with
     | Some d -> d
     | None ->
-      let seen = Hashtbl.create 256 in
-      let out = ref [] in
-      for k = n * l2_factor to ((n + 1) * l2_factor) - 1 do
-        Array.iter
-          (fun (e : entry) ->
-            if not (Hashtbl.mem seen e.pid) then begin
-              Hashtbl.add seen e.pid ();
-              out := e :: !out
-            end)
-          (l1_digest_unlocked t k)
-      done;
-      let d = Array.of_list (List.rev !out) in
+      let l1s = List.init l2_factor (fun k -> l1_digest_unlocked t ((n * l2_factor) + k)) in
+      let d = first_per_page (Array.concat l1s) in
       Hashtbl.add t.l2 n d;
       d
 
 (* Scan the suffix starting at snapshot [snap_id]'s position, calling
-   [f pid pl_off] for the *first* mapping of each page only.  Returns the
+   [f pid pl_off] for every visited mapping of a page the snapshot had,
+   in log order; the caller keeps the first per page.  Returns the
    number of entries visited (the SPT build cost).
 
    With [skippy] on, the scan hops to memoized segment digests once it
@@ -161,14 +147,10 @@ let l2_digest t n =
    history suffix. *)
 let scan_from t snap_id ~f =
   let b = boundary t snap_id in
-  let seen = Hashtbl.create 256 in
   let visited = ref 0 in
   let visit (e : entry) =
     incr visited;
-    if e.pid < b.db_pages && not (Hashtbl.mem seen e.pid) then begin
-      Hashtbl.add seen e.pid ();
-      f e.pid e.pl_off
-    end
+    if e.pid < b.db_pages then f e.pid e.pl_off
   in
   let n = t.n_entries in
   if not t.skippy then

@@ -56,9 +56,10 @@ val raw_boundary : t -> int -> boundary
 val compact : t -> keep_from:int -> remap:(int -> int) -> int
 
 (** Scan the suffix for snapshot [snap_id], calling [f pid pl_off] for
-    the first mapping of each page (pages beyond the declaration-time
-    database size are skipped).  Returns the number of entries visited —
-    the SPT build cost, accumulated into {!Storage.Stats.global}. *)
+    every visited mapping of a page below the declaration-time database
+    size, in log order; the caller keeps first-wins.  Returns the number
+    of entries visited — the SPT build cost, accumulated into the
+    [retro.maplog_scanned] counter. *)
 val scan_from : t -> int -> f:(int -> int -> unit) -> int
 
 (** Total mappings appended. *)

@@ -244,7 +244,7 @@ let read_page t (spt : Spt.t) pid =
   if not (Spt.in_snapshot spt pid) then
     invalid_arg
       (Printf.sprintf "Retro.read_page: page %d beyond snapshot %d (db_pages=%d)" pid
-         spt.Spt.snap_id spt.Spt.db_pages);
+         (Spt.snap_id spt) (Spt.db_pages spt));
   match Spt.find spt pid with
   | Some off -> (
     (* Lru.find reorders the recency list even on a hit: lock around
@@ -264,14 +264,14 @@ let read_page t (spt : Spt.t) pid =
          page
        | exception Storage.Disk.Corruption { block; detail; _ } ->
          Obs.Scope.incr Storage.Stats.c_checksum_failures;
-         mark_damaged t spt.Spt.snap_id;
+         mark_damaged t (Spt.snap_id spt);
          raise
            (Snapshot_damaged
-              { snap_id = spt.Spt.snap_id; pl_off = block; reason = detail })
+              { snap_id = Spt.snap_id spt; pl_off = block; reason = detail })
        | exception Storage.Disk.Read_error { block; _ } ->
          raise
            (Snapshot_damaged
-              { snap_id = spt.Spt.snap_id; pl_off = block; reason = "read error" })))
+              { snap_id = Spt.snap_id spt; pl_off = block; reason = "read error" })))
   | None ->
     (* Shared with the current database: served from memory. *)
     Storage.Pager.read_committed t.pager pid

@@ -30,7 +30,7 @@ let changed_pages_tests =
               (fun b ->
                 let sa = Retro.build_spt rt a and sb = Retro.build_spt rt b in
                 let changed = Retro.changed_pages rt a b in
-                for pid = 0 to min sa.Retro.Spt.db_pages sb.Retro.Spt.db_pages - 1 do
+                for pid = 0 to min (Retro.Spt.db_pages sa) (Retro.Spt.db_pages sb) - 1 do
                   Alcotest.(check bool)
                     (Printf.sprintf "page %d between %d and %d" pid a b)
                     (Retro.Spt.find sa pid <> Retro.Spt.find sb pid)

@@ -77,8 +77,8 @@ let basic =
         (* the archived page for the heap page must be the same pagelog
            offset in both SPTs *)
         let off1 = ref None and off2 = ref None in
-        Hashtbl.iter (fun pid off -> off1 := Some (pid, off)) spt1.Spt.map;
-        Hashtbl.iter (fun pid off -> off2 := Some (pid, off)) spt2.Spt.map;
+        Spt.iter spt1 ~f:(fun pid off -> off1 := Some (pid, off));
+        Spt.iter spt2 ~f:(fun pid off -> off2 := Some (pid, off));
         ignore s2;
         Alcotest.(check bool) "shared offset" true (!off1 = !off2 && !off1 <> None));
     Alcotest.test_case "unmodified pages served from the database" `Quick (fun () ->
@@ -136,7 +136,7 @@ let basic =
         insert pager heap [ "c" ];
         let spt2 = Retro.build_spt retro s2 in
         Alcotest.(check bool) "suffix only" true
-          (spt2.Spt.scan_len <= Retro.maplog_length retro));
+          (Spt.scan_len spt2 <= Retro.maplog_length retro));
     Alcotest.test_case "unknown snapshot id rejected" `Quick (fun () ->
         let _pager, retro, _heap = setup () in
         Alcotest.(check bool) "raises" true
@@ -195,6 +195,83 @@ let prop_history =
       let ok2 = List.for_all (fun (sid, e) -> snapshot_contents retro heap sid = e) (List.rev !snapshots) in
       ok1 && ok2)
 
+(* --- SPT model ---------------------------------------------------------- *)
+
+module M = Retro.Maplog
+
+(* The reference SPT: for every page the snapshot had, the first Maplog
+   entry at or after its boundary, by a plain walk over [M.entry]. *)
+let naive_spt (ml : M.t) sid =
+  let b = M.boundary ml sid in
+  let first = Array.make b.M.db_pages None in
+  for i = M.length ml - 1 downto b.M.pos do
+    let e = M.entry ml i in
+    if e.M.pid < b.M.db_pages then first.(e.M.pid) <- Some e.M.pl_off
+  done;
+  first
+
+(* Every live snapshot's SPT, with Skippy on and off, agrees with the
+   naive fold page by page; [cardinal] counts the mapped pages and a
+   linear scan visits exactly the suffix. *)
+let spt_matches_model retro =
+  let ml = retro.Retro.maplog in
+  let check_one sid =
+    let want = naive_spt ml sid in
+    let linear_len = M.length ml - (M.boundary ml sid).M.pos in
+    List.for_all
+      (fun skippy ->
+        Retro.set_skippy retro skippy;
+        let spt = Retro.build_spt retro sid in
+        Spt.db_pages spt = Array.length want
+        && Array.for_all Fun.id (Array.mapi (fun pid w -> Spt.find spt pid = w) want)
+        && Spt.find spt (Array.length want) = None
+        && Spt.cardinal spt = Array.fold_left (fun n w -> if w = None then n else n + 1) 0 want
+        && if skippy then Spt.scan_len spt <= linear_len else Spt.scan_len spt = linear_len)
+      [ true; false ]
+  in
+  let ok = ref true in
+  for sid = M.first_live ml to M.snapshot_count ml do
+    ok := !ok && check_one sid
+  done;
+  Retro.set_skippy retro true;
+  !ok
+
+(* Random page-level histories: each round rewrites a random subset of
+   the pages (archiving their pre-states once per epoch), sometimes
+   allocates more, and declares a snapshot.  Long enough histories cross
+   Skippy's 1024-entry segments.  The model must hold before and after a
+   VACUUM SNAPSHOTS compaction of a random prefix. *)
+let prop_spt_model =
+  QCheck.Test.make ~name:"SPT equals the naive Maplog fold" ~count:25
+    QCheck.(triple (int_range 1 40) (int_range 1 150) (int_bound 10_000))
+    (fun (rounds, pages, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pager, retro, _heap = setup () in
+      let pids = ref [] in
+      let grow n =
+        T.with_txn pager (fun txn ->
+            for _ = 1 to n do
+              pids := T.alloc txn Pg.Heap_page :: !pids
+            done)
+      in
+      grow pages;
+      for _ = 1 to rounds do
+        let all = Array.of_list !pids in
+        T.with_txn pager (fun txn ->
+            for _ = 0 to Random.State.int rng (Array.length all) do
+              let pid = all.(Random.State.int rng (Array.length all)) in
+              Bytes.set (T.write txn pid) (Pg.size - 1) (Char.chr (Random.State.int rng 256))
+            done);
+        if Random.State.int rng 4 = 0 then grow (1 + Random.State.int rng 20);
+        ignore (Retro.declare retro)
+      done;
+      let before = spt_matches_model retro in
+      let keep_from = 1 + Random.State.int rng rounds in
+      ignore (P.with_write_lock pager (fun () -> Retro.vacuum retro ~keep_from));
+      before && M.first_live retro.Retro.maplog = keep_from && spt_matches_model retro)
+
 let () =
   Alcotest.run "retro"
-    [ ("basic", basic); ("properties", [ QCheck_alcotest.to_alcotest prop_history ]) ]
+    [ ("basic", basic);
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_history; QCheck_alcotest.to_alcotest prop_spt_model ] ) ]

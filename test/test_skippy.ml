@@ -46,8 +46,9 @@ let contents retro heap sid =
 
 let spt_pairs retro sid =
   let spt = Retro.build_spt retro sid in
-  Hashtbl.fold (fun pid off acc -> (pid, off) :: acc) spt.Spt.map []
-  |> List.sort compare
+  let pairs = ref [] in
+  Spt.iter spt ~f:(fun pid off -> pairs := (pid, off) :: !pairs);
+  List.rev !pairs
 
 let tests =
   [ Alcotest.test_case "skippy SPTs equal linear SPTs" `Quick (fun () ->

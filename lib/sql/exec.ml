@@ -251,6 +251,82 @@ let key_fn fnctx exprs =
     done;
     R.encode_row vals
 
+(* --- equi-join keys ------------------------------------------------------
+
+   A join key is its expressions' values, unencoded.  Two keys join when
+   SQL [=] holds on every pair: a NULL joins nothing, Int 1 joins Real
+   1.0, text joins equal text and no number.  Hash tables group keys by
+   their values read as floats — an equivalence, as a table needs.  That
+   is SQL [=] exactly unless two integers a float cannot hold (|i| >=
+   2^53) read as the same float, so a probe holding such an integer
+   re-checks each candidate ([Jkey.coarse]). *)
+module Jkey = struct
+  type t = R.value array
+
+  let limit = 1 lsl 53
+  let wide i = i >= limit || i <= -limit
+
+  let equal_value a b =
+    match a, b with
+    | R.Int x, R.Int y -> x = y || (wide x && wide y && float_of_int x = float_of_int y)
+    | R.Int x, R.Real y | R.Real y, R.Int x -> Float.equal (float_of_int x) y
+    | R.Real x, R.Real y -> Float.equal x y
+    | R.Text x, R.Text y -> String.equal x y
+    | R.Null, R.Null -> true
+    | _ -> false
+
+  let equal (a : t) b =
+    let rec go i = i = Array.length a || (equal_value a.(i) b.(i) && go (i + 1)) in
+    Array.length a = Array.length b && go 0
+
+  (* Equal values hash alike: an integral float within 2^53 hashes as
+     its integer. *)
+  let hash_value = function
+    | R.Int i when not (wide i) -> Hashtbl.hash i
+    | R.Int i -> Hashtbl.hash (float_of_int i)
+    | R.Real f when Float.is_integer f && Float.abs f < float_of_int limit ->
+      Hashtbl.hash (int_of_float f)
+    | R.Real f -> Hashtbl.hash f
+    | R.Text s -> Hashtbl.hash s
+    | R.Null -> 0
+
+  let hash (k : t) = Array.fold_left (fun h v -> (h * 31) + hash_value v) 0 k land max_int
+
+  (* Can the key join anything at all? *)
+  let matchable (k : t) = Array.for_all (function R.Null -> false | _ -> true) k
+
+  (* Does a probe with [k] need SQL [=] re-checked on its candidates? *)
+  let coarse (k : t) = Array.exists (function R.Int i -> wide i | _ -> false) k
+
+  let sql_equal (a : t) (b : t) = Array.for_all2 (fun x y -> R.compare_value x y = 0) a b
+end
+
+module Jtbl = Hashtbl.Make (Jkey)
+
+(* The key of [exprs] over a row: a fresh array per row. *)
+let join_key fnctx exprs =
+  let exprs = Array.of_list exprs in
+  fun row -> Array.map (fun e -> Expr.eval fnctx ~row ~aggs:[||] e) exprs
+
+(* Pass [f] the inner rows joining the outer row [lrow] by SQL [=]:
+   [lookup] lists the candidates of the key's hash class; [left] and
+   [right] build the outer and inner keys. *)
+let join_matches ~left ~right lookup lrow f =
+  let k = left lrow in
+  if Jkey.matchable k then
+    if Jkey.coarse k then lookup k (fun rrow -> if Jkey.sql_equal k (right rrow) then f rrow)
+    else lookup k f
+
+(* Rows a caller keeps between executions, standing in for the scans of
+   a core whose joins are all [Hash_join]s (the incremental evaluator,
+   Incr): the driving rows that pass its filters, in chain and slot
+   order, and per join step the inner rows of a key's hash class, in
+   reverse scan order, as the plain build conses them. *)
+type kept = {
+  k_drive : (R.row -> unit) -> unit;
+  k_lookups : (Jkey.t -> (R.row -> unit) -> unit) list;
+}
+
 (* The aggregation state of one core: its groups in first-seen order,
    each with its encoded key, its representative row (the first row
    seen: output expressions over non-grouped columns read it) and its
@@ -624,14 +700,16 @@ and stream_compound env (p : Plan.t) =
   (header, fun f -> List.iter f rows)
 
 (* Evaluate one plan core: FROM pipeline, then projection, aggregation,
-   DISTINCT, ORDER BY and LIMIT. *)
-and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
+   DISTINCT, ORDER BY and LIMIT.  With [kept], the FROM pipeline reads
+   the caller's rows instead of scanning the driving table and building
+   the hash joins' inner tables (the caller instruments the scan). *)
+and stream_core ?kept env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
   let fnctx = Db.fn_ctx env.db in
   (* Expand uncorrelated subqueries against this execution's environment
      (fresh copy of the core; the cached plan stays pristine). *)
   let c = Plan.map_core (expand_sub env) c in
   let feval row e = Expr.eval fnctx ~row ~aggs:[||] e in
-  let key_fn = key_fn fnctx in
+  let join_key = join_key fnctx in
   (* per-row paths allocate no closures *)
   let pass = passes fnctx in
   let instr = env.analyze in
@@ -694,60 +772,71 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
         | [] -> (R.decode_bytes, [])
       in
       let emit0 f =
-        match first.Plan.sc_access with
-        | Plan.Index_search { ix; bounds } ->
+        match kept, first.Plan.sc_access with
+        | Some k, _ -> k.k_drive f
+        | None, Plan.Index_search { ix; bounds } ->
           index_scan env t0 ix (eval_bounds fnctx bounds) ~f:(fun rid ->
               match fetch_row env t0 ~decode:decode0 rid with
               | Some row -> if pass first.Plan.sc_filters row then f row
               | None -> ())
-        | Plan.Seq_scan ->
+        | None, Plan.Seq_scan ->
           scan_rows env t0 ~decode:decode0 ~f:(fun _rid row ->
               if pass first.Plan.sc_filters row then f row)
       in
-      let emit0 = stage first.Plan.sc_op emit0 in
-      let add_join emit ((js : Plan.join_step), decode) =
+      let emit0 = if Option.is_none kept then stage first.Plan.sc_op emit0 else emit0 in
+      let add_join emit ((js : Plan.join_step), decode, lookup) =
         let t = js.Plan.j_src.Plan.s_tbl in
         let scan_rows env t ~f = scan_rows env t ~decode ~f in
+        (* a hash table of the (filtered) inner rows by join key, the
+           automatic-index analogue, timed as index build; rows whose key
+           holds a NULL join nothing and stay out *)
+        let hash_inner ~right filters =
+          let tbl : R.row list ref Jtbl.t = Jtbl.create 1024 in
+          charge_build js.Plan.j_op (fun () ->
+              Exec_stats.time_index (fun () ->
+                  scan_rows env t ~f:(fun _rid row ->
+                      if pass filters row then
+                        let k = right row in
+                        if Jkey.matchable k then
+                          match Jtbl.find_opt tbl k with
+                          | Some l -> l := row :: !l
+                          | None -> Jtbl.add tbl k (ref [ row ]))));
+          tbl
+        in
         match js.Plan.j_plan with
         | Plan.Left_hash { equi; inner_filters; residual } ->
           let n_inner = Array.length t.Catalog.tcols in
           let nulls = Array.make n_inner R.Null in
-          let right_key_of = key_fn (List.map snd equi) in
-          let left_key_of = key_fn (List.map fst equi) in
-          (* materialize the (filtered) inner side, hashed when equi keys
-             exist — the automatic-index analogue, timed as index build *)
-          let tbl_hash : (string, R.row list ref) Hashtbl.t = Hashtbl.create 256 in
-          let all_inner = ref [] in
-          let build () =
-            scan_rows env t ~f:(fun _rid row ->
-                if pass inner_filters row then
-                  if equi = [] then all_inner := row :: !all_inner
-                  else
-                    let k = right_key_of row in
-                    match Hashtbl.find_opt tbl_hash k with
-                    | Some l -> l := row :: !l
-                    | None -> Hashtbl.add tbl_hash k (ref [ row ]))
+          let right = join_key (List.map snd equi) and left = join_key (List.map fst equi) in
+          let candidates =
+            if equi = [] then begin
+              let all_inner = ref [] in
+              charge_build js.Plan.j_op (fun () ->
+                  Exec_stats.time_index (fun () ->
+                      scan_rows env t ~f:(fun _rid row ->
+                          if pass inner_filters row then all_inner := row :: !all_inner)));
+              let all_inner = List.rev !all_inner in
+              fun _lrow f -> List.iter f all_inner
+            end
+            else begin
+              let tbl = hash_inner ~right inner_filters in
+              (* a bucket holds its rows in reverse scan order *)
+              let lookup k f =
+                match Jtbl.find_opt tbl k with Some l -> List.iter f (List.rev !l) | None -> ()
+              in
+              join_matches ~left ~right lookup
+            end
           in
-          charge_build js.Plan.j_op (fun () -> Exec_stats.time_index build);
           let emit = probed js.Plan.j_op emit in
           fun f ->
             emit (fun lrow ->
-                let candidates =
-                  if equi = [] then List.rev !all_inner
-                  else
-                    match Hashtbl.find_opt tbl_hash (left_key_of lrow) with
-                    | Some l -> List.rev !l
-                    | None -> []
-                in
                 let matched = ref false in
-                List.iter
-                  (fun rrow ->
+                candidates lrow (fun rrow ->
                     let row = Array.append lrow rrow in
                     if pass residual row then begin
                       matched := true;
                       f row
-                    end)
-                  candidates;
+                    end);
                 if not !matched then f (Array.append lrow nulls))
         | Plan.Nested_loop { filters } ->
           (* cross/theta join: materialize the (filtered) inner table *)
@@ -763,36 +852,37 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
           fun f ->
             emit (fun lrow ->
                 let kv = Array.of_list (List.map (fun e -> feval lrow e) left_keys) in
-                Storage.Btree.lookup env.read bt kv ~f:(fun rid ->
-                    match fetch_row env t ~decode rid with
-                    | Some rrow -> if pass filters rrow then f (Array.append lrow rrow)
-                    | None -> ()))
+                (* SQL [=]: a NULL key matches no entry, NULL ones included *)
+                if Jkey.matchable kv then
+                  Storage.Btree.lookup env.read bt kv ~f:(fun rid ->
+                      match fetch_row env t ~decode rid with
+                      | Some rrow -> if pass filters rrow then f (Array.append lrow rrow)
+                      | None -> ()))
         | Plan.Hash_join { equi; filters } ->
           (* automatic ephemeral index over the inner table (SQLite's
-             covering-index analogue); built once per execution. *)
-          let right_key_of = key_fn (List.map snd equi) in
-          let left_key_of = key_fn (List.map fst equi) in
-          let tbl_hash : (string, R.row list ref) Hashtbl.t = Hashtbl.create 1024 in
-          let build () =
-            scan_rows env t ~f:(fun _rid row ->
-                if pass filters row then
-                  let k = right_key_of row in
-                  match Hashtbl.find_opt tbl_hash k with
-                  | Some l -> l := row :: !l
-                  | None -> Hashtbl.add tbl_hash k (ref [ row ]))
+             covering-index analogue); built once per execution, unless
+             the caller keeps it *)
+          let right = join_key (List.map snd equi) and left = join_key (List.map fst equi) in
+          let lookup =
+            match lookup with
+            | Some lookup -> lookup
+            | None ->
+              let tbl = hash_inner ~right filters in
+              fun k f -> match Jtbl.find_opt tbl k with Some l -> List.iter f !l | None -> ()
           in
-          charge_build js.Plan.j_op (fun () -> Exec_stats.time_index build);
+          let matches = join_matches ~left ~right lookup in
           let emit = probed js.Plan.j_op emit in
-          fun f ->
-            emit (fun lrow ->
-                match Hashtbl.find_opt tbl_hash (left_key_of lrow) with
-                | Some l -> List.iter (fun rrow -> f (Array.append lrow rrow)) !l
-                | None -> ())
+          fun f -> emit (fun lrow -> matches lrow (fun rrow -> f (Array.append lrow rrow)))
+      in
+      let lookups =
+        match kept with
+        | Some k -> List.map Option.some k.k_lookups
+        | None -> List.map (fun _ -> None) joins
       in
       let emit =
         List.fold_left2
-          (fun emit js decode -> stage js.Plan.j_op (add_join emit (js, decode)))
-          emit0 joins join_decoders
+          (fun emit (js, decode) lookup -> stage js.Plan.j_op (add_join emit (js, decode, lookup)))
+          emit0 (List.combine joins join_decoders) lookups
       in
       let filtered f = emit (fun row -> if pass residual row then f row) in
       if residual = [] then filtered else stage c.Plan.c_filter_op filtered

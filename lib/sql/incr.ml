@@ -1,34 +1,59 @@
 (* Delta-driven evaluation of one aggregate query over a sequence of
    snapshots: the RQL snapshot loop's Qq, when the optimizer found it
-   delta-safe (Opt.delta_verdict — one heap scan, filters, aggregates).
+   delta-safe (Opt.delta_verdict — a heap scan, hash joins over heap
+   tables, filters, aggregates).
 
-   The query's result over a snapshot is a fold over the table's heap
-   pages in chain order.  This evaluator keeps, per heap page, the rows
-   of that page that pass the filters (decoded, with their group keys).
-   The first snapshot evaluates every page.  For each later snapshot,
-   the archive names the pages modified between the two declarations
-   (Retro.changed_pages); only those, and pages the previous snapshot
-   did not have, are read and re-evaluated, and the rest keep their
-   rows.  The kept rows are then aggregated in chain order by the
-   ordinary executor's grouping code, so the result — same groups, same
-   order, same representative rows, same float sums — is what the
-   ordinary executor computes on the whole snapshot (Dignös et al.'s
-   snapshot reducibility; the test suite checks it against the ordinary
-   executor).
+   The query's result over a snapshot is a fold over its sources' heap
+   pages in chain order.  This evaluator keeps, per FROM source and
+   heap page, the rows of that page that pass the source's filters
+   (decoded, with a key per row).  The first snapshot evaluates every
+   page.  For each later snapshot, the archive names the pages modified
+   between the two declarations (Retro.changed_pages); only those, and
+   pages the previous snapshot did not have, are read and re-evaluated,
+   and the rest keep their rows.  The kept rows are then joined and
+   aggregated by the ordinary executor's code, so the result — same
+   groups, same order, same representative rows, same float sums — is
+   what the ordinary executor computes on the whole snapshot (Dignös et
+   al.'s snapshot reducibility; the test suite checks it against the
+   ordinary executor).
+
+   A lone source keys its rows by group, and the kept rows are
+   aggregated directly.  The inner source of a hash join keys its rows
+   by join key and keeps a covering index from each key to its rows,
+   each tagged with its page's chain position: last page first, a
+   page's rows last slot first.  A probe so lists a key's rows in
+   reverse scan order, the order in which the plain executor's build
+   conses them; re-reading a page swaps only that page's rows.  Chain
+   positions are stable while the heap only grows at its tail; when a
+   kept page moves, the index is rebuilt from the kept rows.
 
    The kept rows are bounded: an evaluation that would keep more than
-   the evaluator's [max_rows] runs the ordinary executor instead, and so
-   does every later evaluation of the run.
+   the evaluator's [max_rows], over all sources, runs the ordinary
+   executor instead, and so does every later evaluation of the run.
 
    A run starts over ("full") when there is no previous snapshot, when
    the plan was re-planned, or when the previous snapshot has since
    been vacuumed; otherwise an iteration is a "delta". *)
 
 module R = Storage.Record
+module Jtbl = Exec.Jtbl
 
-(* A heap page's rows passing the filters, in slot order, with their
-   group keys. *)
-type page = { pg_next : int; pg_keys : string array; pg_rows : R.row array }
+(* A heap page's rows passing its source's filters, in slot order, and
+   the page's position in its chain.  A lone source also keeps each
+   row's group key ([pg_keys]; empty otherwise). *)
+type page = { pg_pos : int; pg_next : int; pg_keys : string array; pg_rows : R.row array }
+
+(* One source's kept pages: heap page id -> its rows. *)
+type pages = (int, page) Hashtbl.t
+
+(* A join key's rows in the covering index, each with its page's chain
+   position: positions descending, a page's rows in reverse slot order.
+   That is reverse scan order, in which a probe lists them. *)
+type rows = Nil | Row of int * R.row * rows
+
+(* The inner source of a hash join: its pages, and the index from each
+   join key to its rows. *)
+type inner = { in_pages : pages; in_index : rows ref Jtbl.t }
 
 type mode = Full | Delta
 
@@ -37,16 +62,17 @@ let mode_to_string = function Full -> "full" | Delta -> "delta"
 (* What the last evaluation did. *)
 type report = {
   mode : mode;
-  evaluated : int; (* heap pages read and re-evaluated *)
-  reused : int; (* heap pages whose rows carried over *)
+  evaluated : int; (* heap pages read and re-evaluated, over all sources *)
+  reused : int; (* heap pages whose rows carried over, over all sources *)
 }
 
 type t = {
-  max_rows : int; (* most rows kept across the heap's pages *)
+  max_rows : int; (* most rows kept across all sources' pages *)
   mutable over_budget : bool; (* a snapshot needed more: run plain *)
   mutable plan : Plan.t option; (* the cached plan the pages belong to *)
   mutable sid : int; (* the snapshot they describe *)
-  mutable pages : (int, page) Hashtbl.t; (* heap page id -> its rows *)
+  mutable drive : pages; (* the driving source *)
+  mutable inners : inner list; (* the hash joins' inner sources, in FROM order *)
   mutable last : report option;
 }
 
@@ -58,7 +84,13 @@ let default_max_rows = 250_000
 
 (* One evaluator per run: its state belongs to the run's loop. *)
 let create ?(max_rows = default_max_rows) () =
-  { max_rows; over_budget = false; plan = None; sid = 0; pages = Hashtbl.create 1; last = None }
+  { max_rows;
+    over_budget = false;
+    plan = None;
+    sid = 0;
+    drive = Hashtbl.create 1;
+    inners = [];
+    last = None }
 
 let last t = t.last
 
@@ -78,10 +110,131 @@ let eligible t (p : Plan.t) =
    describe the snapshot before the next one. *)
 let note_plain t =
   t.plan <- None;
-  t.pages <- Hashtbl.create 1;
+  t.drive <- Hashtbl.create 1;
+  t.inners <- [];
   t.last <- None
 
 exception Over_budget
+
+(* --- the covering index ------------------------------------------------ *)
+
+(* Add [row] of the page at [pos] to a key's rows, ahead of the page's
+   earlier rows.  Pages are indexed in chain order when the index is
+   built, so the row then goes first. *)
+let rec place pos row = function
+  | Row (p, r, rest) when p > pos -> Row (p, r, place pos row rest)
+  | l -> Row (pos, row, l)
+
+(* Take out the rows of the page at [pos]. *)
+let rec unplace pos = function
+  | Row (p, r, rest) when p > pos -> Row (p, r, unplace pos rest)
+  | Row (p, _, rest) when p = pos -> unplace pos rest
+  | l -> l
+
+(* Index (or take out) a page's rows by [key], the join key; a row
+   whose key holds a NULL joins nothing and stays out. *)
+let index_page ix key pg =
+  Array.iter
+    (fun row ->
+      let k = key row in
+      if Exec.Jkey.matchable k then
+        match Jtbl.find_opt ix k with
+        | Some b -> b := place pg.pg_pos row !b
+        | None -> Jtbl.add ix k (ref (Row (pg.pg_pos, row, Nil))))
+    pg.pg_rows
+
+let unindex_page ix key pg =
+  Array.iter
+    (fun row ->
+      let k = key row in
+      match Jtbl.find_opt ix k with
+      | Some b -> ( match unplace pg.pg_pos !b with Nil -> Jtbl.remove ix k | l -> b := l)
+      | None -> ())
+    pg.pg_rows
+
+let lookup ix k f =
+  let rec go = function
+    | Row (_, row, rest) ->
+      f row;
+      go rest
+    | Nil -> ()
+  in
+  match Jtbl.find_opt ix k with Some b -> go !b | None -> ()
+
+(* --- evaluation ----------------------------------------------------------- *)
+
+(* One source's walk over its chain as of the snapshot. *)
+type walk = {
+  w_pages : pages;
+  w_chain : page list; (* reverse chain order *)
+  w_fresh : page list; (* the pages read and evaluated *)
+  w_moved : bool; (* a kept page changed its chain position *)
+}
+
+(* Walk [tbl]'s chain as of [env]'s snapshot: with [changed], a page
+   outside it keeps its record from [old]; any other page is read,
+   evaluated and passed to [fresh] with its old record, if any.  [kept]
+   counts the rows kept over all sources. *)
+let walk t env ~changed ~kept (old : pages) (tbl : Catalog.table) ?(fresh = fun _ _ -> ())
+    evaluate =
+  let pages = Hashtbl.create (max 16 (Hashtbl.length old)) in
+  let chain = ref [] and evaluated = ref [] and moved = ref false in
+  let rec go pos pid =
+    if pid >= 0 then begin
+      let prior = Hashtbl.find_opt old pid in
+      let pg =
+        match changed, prior with
+        | Some ch, Some pg when not (Hashtbl.mem ch pid) ->
+          if pg.pg_pos = pos then pg
+          else begin
+            moved := true;
+            { pg with pg_pos = pos }
+          end
+        | _ ->
+          (match prior with Some o when o.pg_pos <> pos -> moved := true | _ -> ());
+          let pg = evaluate pos (env.Exec.read pid) in
+          evaluated := pg :: !evaluated;
+          fresh prior pg;
+          pg
+      in
+      kept := !kept + Array.length pg.pg_rows;
+      if !kept > t.max_rows then raise Over_budget;
+      Hashtbl.replace pages pid pg;
+      chain := pg :: !chain;
+      go (pos + 1) pg.pg_next
+    end
+  in
+  Exec.attributed env tbl (fun () -> go 0 tbl.Catalog.theap);
+  { w_pages = pages; w_chain = !chain; w_fresh = !evaluated; w_moved = !moved }
+
+(* Bring a hash join's inner source, as the previous evaluation left it
+   ([prev]), to the snapshot.  The walk swaps each re-read page's rows in
+   the index as it goes (into a new index when this is no delta); pages
+   that left the chain are taken out after it.  If a kept page moved,
+   the index is rebuilt from the kept rows. *)
+let update_inner t env ~changed ~kept (prev : inner option) tbl ~key evaluate =
+  let old, ix =
+    match prev, changed with
+    | Some i, Some _ -> (i.in_pages, i.in_index)
+    | _ -> (Hashtbl.create 1, Jtbl.create 1024)
+  in
+  let fresh old_pg pg =
+    Option.iter (unindex_page ix key) old_pg;
+    index_page ix key pg
+  in
+  let w = walk t env ~changed ~kept old tbl ~fresh evaluate in
+  let ix =
+    if w.w_moved then begin
+      let ix = Jtbl.create (Jtbl.length ix) in
+      List.iter (index_page ix key) (List.rev w.w_chain);
+      ix
+    end
+    else begin
+      Hashtbl.iter (fun pid o -> if not (Hashtbl.mem w.w_pages pid) then unindex_page ix key o) old;
+      ix
+    end
+  in
+  ({ in_pages = w.w_pages; in_index = ix }, w)
 
 (* Evaluate [bound] — [cached] with its parameters bound — against the
    snapshot environment [env].  Returns the header and runner, like
@@ -93,12 +246,18 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
     | None -> invalid_arg "Incr.eval: not a snapshot environment"
   in
   let c = bound.Plan.p_core in
-  let first =
+  let first, joins =
     match c.Plan.c_from with
-    | Plan.From_scan { first; joins = []; residual = [] } -> first
-    | _ -> invalid_arg "Incr.eval: plan is not delta-safe"
+    | Plan.From_scan { first; joins; _ } ->
+      ( first,
+        List.map
+          (fun (js : Plan.join_step) ->
+            match js.Plan.j_plan with
+            | Plan.Hash_join { equi; filters } -> (js, equi, filters)
+            | _ -> invalid_arg "Incr.eval: plan is not delta-safe")
+          joins )
+    | Plan.From_none -> invalid_arg "Incr.eval: plan is not delta-safe"
   in
-  let tbl = first.Plan.sc_src.Plan.s_tbl in
   let retro = Db.retro_exn env.Exec.db in
   let changed =
     match t.plan with
@@ -106,85 +265,123 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
       Some (Retro.changed_pages retro t.sid sid)
     | _ -> None
   in
+  (* The kept state is mid-update until this evaluation completes: an
+     exception on the way leaves the next one starting over. *)
+  t.plan <- None;
   let fnctx = Db.fn_ctx env.Exec.db in
-  let decode =
-    match Plan.projections c with d :: _ -> R.decode_cols d | [] -> R.decode_bytes
-  in
-  let filters = first.Plan.sc_filters in
-  let key_of = match c.Plan.c_group with [] -> fun _ -> "" | es -> Exec.key_fn fnctx es in
+  let decoders = List.map R.decode_cols (Plan.projections c) in
   let instr = env.Exec.analyze in
+  let scanned = ref 0 and kept = ref 0 in
+  (* A source's page evaluator: a page's rows passing [filters], with
+     their [group] keys when given.  The rows are gathered in a scratch
+     array reused across the pages. *)
+  let evaluate decode filters ~group =
+    let rows = ref [||] and n = ref 0 in
+    let push row =
+      if !n = Array.length !rows then rows := Array.append !rows (Array.make (max 64 !n) row);
+      !rows.(!n) <- row;
+      incr n
+    in
+    fun pos p ->
+      n := 0;
+      Storage.Page.iter_spans p ~f:(fun _slot off len ->
+          incr scanned;
+          let row = decode p ~off ~len in
+          if Exec.passes fnctx filters row then push row);
+      let pg_rows = Array.sub !rows 0 !n in
+      { pg_pos = pos;
+        pg_next = Storage.Page.next p;
+        pg_keys = (match group with Some key -> Array.map key pg_rows | None -> [||]);
+        pg_rows }
+  in
+  let group =
+    match joins, c.Plan.c_group with
+    | [], (_ :: _ as es) -> Some (Exec.key_fn fnctx es)
+    | [], [] -> Some (fun _ -> "")
+    | _ -> None
+  in
   let t0 = if instr then Exec_stats.now () else 0. and p0 = Exec.pages_now () in
-  let old = t.pages in
-  let pages = Hashtbl.create (max 16 (Hashtbl.length old)) in
-  let chain = ref [] (* the pages in reverse chain order *) in
-  let evaluated = ref 0 and kept = ref 0 in
-  let scanned = ref 0 and passed = ref 0 in
-  let evaluate pid =
-    incr evaluated;
-    let p = env.Exec.read pid in
-    let rows = ref [] in
-    Storage.Page.iter_spans p ~f:(fun _slot off len ->
-        incr scanned;
-        let row = decode p ~off ~len in
-        if Exec.passes fnctx filters row then rows := row :: !rows);
-    let rows = Array.of_list (List.rev !rows) in
-    passed := !passed + Array.length rows;
-    { pg_next = Storage.Page.next p; pg_keys = Array.map key_of rows; pg_rows = rows }
+  let work () =
+    let drive =
+      walk t env ~changed ~kept t.drive first.Plan.sc_src.Plan.s_tbl
+        (evaluate (List.hd decoders) first.Plan.sc_filters ~group)
+    in
+    let t1 = if instr then Exec_stats.now () else 0. and p1 = Exec.pages_now () in
+    let prev =
+      match changed with
+      | Some _ -> List.map Option.some t.inners
+      | None -> List.map (fun _ -> None) joins
+    in
+    let inners =
+      List.map2
+        (fun ((js : Plan.join_step), equi, filters) (prev, decode) ->
+          let t_in = if instr then Exec_stats.now () else 0. and p_in = Exec.pages_now () in
+          let r =
+            Exec_stats.time_index (fun () ->
+                let key = Exec.join_key fnctx (List.map snd equi) in
+                update_inner t env ~changed ~kept prev js.Plan.j_src.Plan.s_tbl ~key
+                  (evaluate decode filters ~group:None))
+          in
+          if instr then begin
+            (* the index maintenance is the join's build *)
+            let sl = js.Plan.j_op.Plan.op_slot in
+            sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (Exec_stats.now () -. t_in);
+            sl.Plan.o_pages <- sl.Plan.o_pages + (Exec.pages_now () - p_in)
+          end;
+          r)
+        joins
+        (List.combine prev (List.tl decoders))
+    in
+    (drive, (t1, p1), inners)
   in
-  (* Walk the chain as of [sid]: an unchanged page keeps its rows and
-     its next link; a changed or new one is read at [sid]. *)
-  let rec walk pid =
-    if pid >= 0 then begin
-      let pg =
-        match changed with
-        | Some ch when not (Hashtbl.mem ch pid) -> (
-          match Hashtbl.find_opt old pid with Some pg -> pg | None -> evaluate pid)
-        | _ -> evaluate pid
-      in
-      kept := !kept + Array.length pg.pg_rows;
-      if !kept > t.max_rows then raise Over_budget;
-      Hashtbl.replace pages pid pg;
-      chain := pg :: !chain;
-      walk pg.pg_next
-    end
-  in
-  let within =
-    match Exec.attributed env tbl (fun () -> walk tbl.Catalog.theap) with
-    | () -> true
-    | exception Over_budget -> false
-  in
-  Obs.Scope.add Exec.c_rows_scanned !scanned;
-  if not within then begin
+  match work () with
+  | exception Over_budget ->
+    Obs.Scope.add Exec.c_rows_scanned !scanned;
     note_plain t;
     t.over_budget <- true;
     Exec.stream_plan env bound
-  end
-  else begin
-    let gs = Exec.new_groups fnctx c in
-    List.iter
-      (fun pg ->
-        Array.iteri (fun r key -> Exec.group_step_keyed fnctx gs key pg.pg_rows.(r)) pg.pg_keys)
-      (List.rev !chain);
-    let reused = Hashtbl.length pages - !evaluated in
-    Obs.Scope.add c_evaluated !evaluated;
+  | drive, (t1, p1), inners ->
+    Obs.Scope.add Exec.c_rows_scanned !scanned;
+    let walks = List.map snd inners in
+    let evaluated =
+      List.fold_left (fun n w -> n + List.length w.w_fresh) (List.length drive.w_fresh) walks
+    in
+    let held =
+      List.fold_left (fun n w -> n + Hashtbl.length w.w_pages) (Hashtbl.length drive.w_pages) walks
+    in
+    let reused = held - evaluated in
+    Obs.Scope.add c_evaluated evaluated;
     Obs.Scope.add c_reused reused;
     if instr then begin
       (* The scan operator's actuals count the rows this evaluation
          actually produced from the pages it read. *)
       let sl = first.Plan.sc_op.Plan.op_slot in
       sl.Plan.o_loops <- sl.Plan.o_loops + 1;
-      sl.Plan.o_rows <- sl.Plan.o_rows + !passed;
-      sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (Exec_stats.now () -. t0);
-      sl.Plan.o_pages <- sl.Plan.o_pages + (Exec.pages_now () - p0)
+      sl.Plan.o_rows <-
+        List.fold_left (fun n pg -> n + Array.length pg.pg_rows) sl.Plan.o_rows drive.w_fresh;
+      sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (t1 -. t0);
+      sl.Plan.o_pages <- sl.Plan.o_pages + (p1 - p0)
     end;
     t.plan <- Some cached;
     t.sid <- sid;
-    t.pages <- pages;
+    t.drive <- drive.w_pages;
+    t.inners <- List.map fst inners;
     t.last <-
-      Some
-        { mode = (match changed with Some _ -> Delta | None -> Full);
-          evaluated = !evaluated;
-          reused };
-    let groups = List.rev gs.Exec.gs_rev in
-    Exec.counted (Exec.finish_core env c (fun push -> Exec.emit_group_list fnctx c groups push))
-  end
+      Some { mode = (match changed with Some _ -> Delta | None -> Full); evaluated; reused };
+    let chain = List.rev drive.w_chain in
+    match inners with
+    | [] ->
+      (* a lone source: its rows carry their group keys *)
+      let gs = Exec.new_groups fnctx c in
+      List.iter
+        (fun pg ->
+          Array.iteri (fun r key -> Exec.group_step_keyed fnctx gs key pg.pg_rows.(r)) pg.pg_keys)
+        chain;
+      let groups = List.rev gs.Exec.gs_rev in
+      Exec.counted (Exec.finish_core env c (fun push -> Exec.emit_group_list fnctx c groups push))
+    | _ ->
+      let kept =
+        { Exec.k_drive = (fun f -> List.iter (fun pg -> Array.iter f pg.pg_rows) chain);
+          k_lookups = List.map (fun (i, _) -> lookup i.in_index) inners }
+      in
+      Exec.counted (Exec.stream_core ~kept env c)

@@ -27,7 +27,8 @@
 
    4. A delta-safety verdict ([oi_delta_safe] + reason), the gate of
       the RQL loop's incremental evaluation ([Incr]): aggregates (none
-      DISTINCT) over one sequential heap scan, no join, no LIMIT /
+      DISTINCT) over one sequential heap scan and hash joins over
+      heap tables, no other join, no LIMIT /
       OFFSET / DISTINCT / UNION, no subqueries, no UDF calls, no
       parameter outside the AS OF.
 
@@ -458,10 +459,13 @@ let is_invariant ~pure_fn (p : Plan.t) : bool =
 
 (* The delta-safety gate of incremental RQL evaluation ([Incr]): the
    verdict plus the first disqualifying reason.  A safe plan is one
-   heap scan feeding filters and aggregates, whose result for a
-   snapshot depends only on that snapshot's heap pages — so what one
-   snapshot's evaluation kept of a page stays valid for every page the
-   next snapshot did not change.  [Incr] runs exactly the plans this
+   heap scan, and hash joins over heap tables, feeding filters and
+   aggregates, whose result for a snapshot depends only on that
+   snapshot's heap pages — so what one snapshot's evaluation kept of a
+   page stays valid for every page the next snapshot did not change.
+   Other joins stay plain: a LEFT JOIN pads unmatched rows, a nested
+   loop has no key to index pages by, and an index probe reads rows in
+   the persistent index's order.  [Incr] runs exactly the plans this
    accepts. *)
 let delta_verdict ~pure_fn (p : Plan.t) : bool * string =
   match
@@ -470,11 +474,21 @@ let delta_verdict ~pure_fn (p : Plan.t) : bool * string =
     if not c.Plan.c_has_agg then raise (Unsafe "no aggregate to update incrementally");
     (match c.Plan.c_from with
     | Plan.From_none -> raise (Unsafe "no table")
-    | Plan.From_scan { joins = _ :: _; _ } -> raise (Unsafe "join")
     | Plan.From_scan { first = { Plan.sc_access = Plan.Index_search _; _ }; _ } ->
       raise (Unsafe "index search (rows arrive in index order)")
-    | Plan.From_scan { first; _ } ->
-      if first.Plan.sc_src.Plan.s_tbl.Catalog.theap < 0 then raise (Unsafe "system table"));
+    | Plan.From_scan { first; joins; _ } ->
+      let heap (s : Plan.source) =
+        if s.Plan.s_tbl.Catalog.theap < 0 then raise (Unsafe "system table")
+      in
+      heap first.Plan.sc_src;
+      List.iter
+        (fun (js : Plan.join_step) ->
+          match js.Plan.j_plan with
+          | Plan.Hash_join _ -> heap js.Plan.j_src
+          | Plan.Left_hash _ -> raise (Unsafe "left join")
+          | Plan.Nested_loop _ -> raise (Unsafe "nested-loop join")
+          | Plan.Index_probe _ -> raise (Unsafe "index probe join"))
+        joins);
     if c.Plan.c_limit <> None || c.Plan.c_offset <> None || p.Plan.p_climit <> None
        || p.Plan.p_coffset <> None
     then raise (Unsafe "LIMIT/OFFSET");

@@ -52,6 +52,9 @@ let build_fsm (read : Pager.read) t =
 
 let get_fsm read t = match t.fsm with Some f -> f | None -> build_fsm read t
 
+let fsm_bindings read t =
+  List.sort compare (Hashtbl.fold (fun pid free acc -> (pid, free) :: acc) (get_fsm read t) [])
+
 let fsm_note t pid free =
   match t.fsm with
   | None -> ()
@@ -142,8 +145,13 @@ let delete txn t rid =
 let update txn t rid data =
   let pid = pid_of_rid rid and slot = slot_of_rid rid in
   let p = Txn.write txn pid in
+  (* a record rewritten at its own length leaves the page's free space
+     as it was: no FSM note, which would walk every slot *)
+  let same_len =
+    slot < Page.nslots p && Page.live p slot && Page.slot_len p slot = String.length data
+  in
   if Page.update p slot data then begin
-    fsm_note t pid (page_free p);
+    if not same_len then fsm_note t pid (page_free p);
     `Same
   end
   else begin

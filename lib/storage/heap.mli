@@ -45,6 +45,11 @@ val delete : Txn.t -> t -> int -> bool
     ([`Moved] carries the new rid). *)
 val update : Txn.t -> t -> int -> string -> [ `Same | `Moved of int ]
 
+(** The handle's free-space map as sorted (page id, free bytes) pairs,
+    built by one chain walk if the handle has none yet.  A fresh handle
+    ({!open_existing}) gives the map a chain walk finds now. *)
+val fsm_bindings : Pager.read -> t -> (int * int) list
+
 (** Visit every live row in chain order. *)
 val iter : Pager.read -> t -> f:(int -> string -> unit) -> unit
 

@@ -134,6 +134,69 @@ let prop_model =
           Hashtbl.iter (fun r s -> if H.get read h r <> Some s then ok := false) model;
           !ok))
 
+(* The handle's free-space map, kept up by every insert, delete and
+   update (same-length rewrites skip the note), equals the map a fresh
+   chain walk builds. *)
+type fop = Put of int | Drop of int | Same_len of int | Resize of int * int
+
+let gen_fop =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun n -> Put n) (int_range 1 600));
+        (2, map (fun i -> Drop i) (int_bound 400));
+        (4, map (fun i -> Same_len i) (int_bound 400));
+        (2, map2 (fun i n -> Resize (i, n)) (int_bound 400) (int_range 1 600)) ])
+
+let prop_fsm =
+  QCheck.Test.make ~name:"fsm equals a fresh build" ~count:60
+    (QCheck.make
+       ~print:(fun l -> Printf.sprintf "<%d ops>" (List.length l))
+       QCheck.Gen.(list_size (int_range 50 400) gen_fop))
+    (fun ops ->
+      with_heap (fun pager h ->
+          let live : (int, int) Hashtbl.t = Hashtbl.create 64 (* rid -> length *) in
+          let rids = ref [||] in
+          let pick i =
+            if Array.length !rids = 0 then None
+            else
+              let r = !rids.(i mod Array.length !rids) in
+              if Hashtbl.mem live r then Some r else None
+          in
+          let put txn n =
+            let r = H.insert txn h (String.make n 'x') in
+            rids := Array.append !rids [| r |];
+            Hashtbl.replace live r n
+          in
+          let rewrite txn r n =
+            match H.update txn h r (String.make n 'y') with
+            | `Same -> Hashtbl.replace live r n
+            | `Moved r' ->
+              Hashtbl.remove live r;
+              rids := Array.append !rids [| r' |];
+              Hashtbl.replace live r' n
+          in
+          List.iteri
+            (fun i op ->
+              T.with_txn pager (fun txn ->
+                  (* a first insert builds the map *)
+                  if i = 0 then put txn 1;
+                  match op with
+                  | Put n -> put txn n
+                  | Drop i -> (
+                    match pick i with
+                    | Some r ->
+                      ignore (H.delete txn h r);
+                      Hashtbl.remove live r
+                    | None -> ())
+                  | Same_len i -> (
+                    match pick i with Some r -> rewrite txn r (Hashtbl.find live r) | None -> ())
+                  | Resize (i, n) -> (
+                    match pick i with Some r -> rewrite txn r n | None -> ())))
+            ops;
+          let read = P.read pager in
+          H.fsm_bindings read h = H.fsm_bindings read (H.open_existing (H.first_page h))))
+
 let () =
   Alcotest.run "heap"
-    [ ("basic", basic); ("properties", [ QCheck_alcotest.to_alcotest prop_model ]) ]
+    [ ("basic", basic);
+      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_model; prop_fsm ]) ]

@@ -79,7 +79,34 @@ let mechs =
       qq =
         "SELECT l_returnflag, l_linestatus, COUNT(*) AS n, SUM(l_quantity) AS q FROM lineitem \
          WHERE l_quantity < 30 GROUP BY l_returnflag, l_linestatus";
-      run = intervals } ]
+      run = intervals };
+    (* Hash joins: the inner source keeps its pages and a covering index
+       on the join key. *)
+    { label = "Qq_cpu AVG";
+      qq =
+        "SELECT SUM(l_extendedprice) AS revenue FROM part, lineitem WHERE p_partkey = l_partkey \
+         AND p_type = 'STANDARD POLISHED TIN'";
+      run = agg_var "AVG" };
+    (* Every brand ties many parts, every part many lineitems: group
+       order, the representative row (l_orderkey) and the REAL sums
+       all follow the order the join emits its rows in. *)
+    { label = "join groups with tied keys";
+      qq =
+        "SELECT p_brand, l_orderkey AS k, COUNT(*) AS n, SUM(l_quantity) AS q, \
+         SUM(l_extendedprice) AS rev FROM part, lineitem WHERE p_partkey = l_partkey GROUP BY \
+         p_brand";
+      run = agg_table [ ("n", "MAX"); ("q", "MIN"); ("rev", "MAX") ] };
+    { label = "two hash joins and a residual";
+      qq =
+        "SELECT c_mktsegment, COUNT(*) AS n, SUM(l_extendedprice) AS rev FROM customer, orders, \
+         lineitem WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND l_extendedprice * \
+         10 > o_totalprice GROUP BY c_mktsegment";
+      run = collate };
+    { label = "self join";
+      qq =
+        "SELECT SUM(b.o_totalprice) AS s FROM orders a, orders b WHERE a.o_custkey = b.o_custkey \
+         AND a.o_orderstatus = 'F'";
+      run = agg_var "MAX" } ]
 
 (* Run [m] naively and incrementally into two result tables; both must
    hold the same bytes.  Returns the incremental run. *)
@@ -118,23 +145,40 @@ let uw_matrix =
           Tpch.Workload.[ uw7_5; uw15; uw30; uw60 ]);
     Alcotest.test_case "hot iterations evaluate only the changed pages" `Quick (fun () ->
         let ctx, _ = history Tpch.Workload.uw15 in
-        let m = List.hd mechs in
-        let run = differential ctx ~name:"UW15" ~qs:all_snapshots m in
-        match run.IS.iterations with
-        | first :: hot ->
-          let pages = first.IS.pages_evaluated in
-          Alcotest.(check int) "the first iteration reuses nothing" 0 first.IS.pages_reused;
-          List.iter
-            (fun (it : IS.iteration) ->
-              Alcotest.(check int) "every heap page accounted" pages
-                (it.IS.pages_evaluated + it.IS.pages_reused);
-              Alcotest.(check bool)
-                (Printf.sprintf "snapshot %d: %d of %d pages" it.IS.snap_id
-                   it.IS.pages_evaluated pages)
-                true
-                (it.IS.pages_evaluated * 4 < pages))
-            hot
-        | [] -> Alcotest.fail "no iterations");
+        (* a join counts the pages of both its sources *)
+        let heap_pages sid tables =
+          let env = Sqldb.Exec.snapshot_env ctx.Rql.data sid in
+          List.fold_left
+            (fun n t ->
+              let tbl = Option.get (Sqldb.Catalog.find_table env.Sqldb.Exec.cat t) in
+              n
+              + Storage.Heap.page_count env.Sqldb.Exec.read
+                  (Storage.Heap.open_existing tbl.Sqldb.Catalog.theap))
+            0 tables
+        in
+        List.iter
+          (fun (label, tables) ->
+            let m = List.find (fun m -> m.label = label) mechs in
+            let run = differential ctx ~name:"UW15" ~qs:all_snapshots m in
+            match run.IS.iterations with
+            | first :: hot ->
+              let pages = first.IS.pages_evaluated in
+              Alcotest.(check int)
+                (label ^ ": the first iteration reads every page")
+                (heap_pages first.IS.snap_id tables) pages;
+              Alcotest.(check int) "the first iteration reuses nothing" 0 first.IS.pages_reused;
+              List.iter
+                (fun (it : IS.iteration) ->
+                  Alcotest.(check int) "every heap page accounted" pages
+                    (it.IS.pages_evaluated + it.IS.pages_reused);
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s, snapshot %d: %d of %d pages" label it.IS.snap_id
+                       it.IS.pages_evaluated pages)
+                    true
+                    (it.IS.pages_evaluated * 4 < pages))
+                hot
+            | [] -> Alcotest.fail "no iterations")
+          [ ("Qq_io AVG", [ "orders" ]); ("Qq_cpu AVG", [ "part"; "lineitem" ]) ]);
     Alcotest.test_case "snapshot sets that skip and run backwards" `Quick (fun () ->
         let ctx, _ = history Tpch.Workload.uw30 in
         List.iter
@@ -179,18 +223,38 @@ let fallback =
         match Rql.take_run ctx ~table:"G" with
         | Some run -> Alcotest.(check (list string)) "modes" [ "full"; "full" ] (evals run)
         | None -> Alcotest.fail "no SQL-form run");
-    Alcotest.test_case "joins, all-cold and parallel runs stay plain" `Quick (fun () ->
+    Alcotest.test_case "non-hash joins, all-cold and parallel runs stay plain" `Quick (fun () ->
         let ctx, _ = history ~snapshots:3 Tpch.Workload.uw30 in
         let plain run = List.for_all (fun e -> e = "plain") (evals run) in
         let qs = all_snapshots in
-        Alcotest.(check bool) "join" true
+        let sum ?(ctx = ctx) table qq =
+          Rql.aggregate_data_in_variable ctx ~qs ~fn:"SUM" ~table ~qq
+        in
+        Alcotest.(check (list string)) "hash join" [ "full"; "delta"; "delta" ]
+          (evals (sum "J" "SELECT COUNT(*) FROM orders, customer WHERE o_custkey = c_custkey"));
+        Alcotest.(check bool) "left join" true
           (plain
-             (Rql.aggregate_data_in_variable ctx ~qs ~fn:"SUM" ~table:"J"
-                ~qq:"SELECT COUNT(*) FROM orders, customer WHERE o_custkey = c_custkey"));
+             (sum "L" "SELECT COUNT(*) FROM orders LEFT JOIN customer ON o_custkey = c_custkey"));
+        Alcotest.(check bool) "theta join" true
+          (plain (sum "T" "SELECT COUNT(*) FROM customer, nation WHERE c_nationkey < n_nationkey"));
+        (* an index probe needs the index in the snapshots themselves *)
+        let small = Rql.create () in
+        let e sql = ignore (E.exec small.Rql.data sql) in
+        e "CREATE TABLE a (x INTEGER)";
+        e "CREATE TABLE b (y INTEGER)";
+        e "CREATE INDEX b_y ON b (y)";
+        e "INSERT INTO a VALUES (1), (2)";
+        e "INSERT INTO b VALUES (1), (1), (2)";
+        ignore (Rql.declare_snapshot small);
+        e "BEGIN";
+        e "INSERT INTO b VALUES (2)";
+        ignore (Rql.declare_snapshot small);
+        Alcotest.(check bool) "index probe join" true
+          (plain (sum ~ctx:small "I" "SELECT COUNT(*) FROM a, b WHERE x = y"));
+        Alcotest.(check (list string)) "index probe sums" [ R.encode_row [| R.Int 7 |] ]
+          (table_bytes small "I");
         Alcotest.(check bool) "current_snapshot() in the body" true
-          (plain
-             (Rql.aggregate_data_in_variable ctx ~qs ~fn:"SUM" ~table:"S"
-                ~qq:"SELECT COUNT(*) FROM orders WHERE o_orderkey > current_snapshot()"));
+          (plain (sum "S" "SELECT COUNT(*) FROM orders WHERE o_orderkey > current_snapshot()"));
         let qq = (List.hd mechs).qq in
         Alcotest.(check bool) "all-cold" true
           (plain (Rql.aggregate_data_in_variable ~all_cold:true ctx ~qs ~qq ~table:"C" ~fn:"AVG"));
@@ -263,7 +327,45 @@ let observability =
         | Obs.Json.Obj fields ->
           Alcotest.(check bool) "eval field" true
             (List.assoc_opt "eval" fields = Some (Obs.Json.Str "delta"))
-        | _ -> Alcotest.fail "iteration JSON is not an object") ]
+        | _ -> Alcotest.fail "iteration JSON is not an object");
+    Alcotest.test_case "a join's report sums its sources and keeps the join actuals" `Quick
+      (fun () ->
+        let ctx, _ = history ~snapshots:3 Tpch.Workload.uw30 in
+        let m = List.find (fun m -> m.label = "join groups with tied keys") mechs in
+        let analyzed table =
+          ignore
+            (Rql.aggregate_data_in_table ~analyze:true ctx ~qs:all_snapshots ~qq:m.qq ~table
+               ~aggs:[ ("n", "MAX") ]);
+          match Rql.run_report () with
+          | Some r ->
+            let join =
+              List.find
+                (fun (a : Sqldb.Plan.op_actual) -> a.Sqldb.Plan.a_kind = "hash_join")
+                r.Rql.rr_ops
+            in
+            (r, join)
+          | None -> Alcotest.fail "no run report"
+        in
+        set_incremental ctx false;
+        let _, plain = analyzed "N" in
+        set_incremental ctx true;
+        let r, delta = analyzed "D" in
+        Alcotest.(check (list string)) "modes" [ "full"; "delta"; "delta" ]
+          (List.map (fun (_, mode, _) -> mode) r.Rql.rr_evals);
+        Alcotest.(check int) "join rows" plain.Sqldb.Plan.a_rows delta.Sqldb.Plan.a_rows;
+        Alcotest.(check int) "join probes" plain.Sqldb.Plan.a_probes delta.Sqldb.Plan.a_probes;
+        (* part and lineitem pages: more than lineitem alone holds *)
+        match r.Rql.rr_evals with
+        | (sid, _, pages) :: _ ->
+          let env = Sqldb.Exec.snapshot_env ctx.Rql.data sid in
+          let count t =
+            let tbl = Option.get (Sqldb.Catalog.find_table env.Sqldb.Exec.cat t) in
+            Storage.Heap.page_count env.Sqldb.Exec.read
+              (Storage.Heap.open_existing tbl.Sqldb.Catalog.theap)
+          in
+          Alcotest.(check int) "first evaluation reads both sources" (count "part" + count "lineitem")
+            pages
+        | [] -> Alcotest.fail "no evaluations") ]
 
 let () =
   Alcotest.run "incr"

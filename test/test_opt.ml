@@ -266,8 +266,20 @@ let delta_safety =
       "DELTA-SAFE: no (compound (UNION))";
     delta_check "subquery is rejected" "SELECT SUM(a) FROM t WHERE a IN (SELECT a FROM u)"
       "DELTA-SAFE: no (subquery)";
-    delta_check "join is rejected" "SELECT COUNT(*) FROM t, u WHERE t.a = u.a"
-      "DELTA-SAFE: no (join)";
+    (* Joins: a hash join over heap tables keeps its inner pages and
+       covering index; every other kind names itself. *)
+    delta_check "hash join is delta-safe" "SELECT COUNT(*) FROM t, u WHERE t.a = u.a"
+      "DELTA-SAFE: yes";
+    delta_check "grouped hash join with a residual is delta-safe"
+      "SELECT u.d, SUM(t.c) FROM t, u WHERE t.a = u.a AND t.c > u.a GROUP BY u.d"
+      "DELTA-SAFE: yes";
+    delta_check "LEFT JOIN is rejected" "SELECT COUNT(*) FROM t LEFT JOIN u ON t.a = u.a"
+      "DELTA-SAFE: no (left join)";
+    delta_check "nested-loop join is rejected" "SELECT COUNT(*) FROM t, u WHERE t.a < u.a"
+      "DELTA-SAFE: no (nested-loop join)";
+    (* t.a is indexed: the join probes it *)
+    delta_check "index probe join is rejected" "SELECT COUNT(*) FROM u, t WHERE u.a = t.a"
+      "DELTA-SAFE: no (index probe join)";
     delta_check "index search is rejected" "SELECT COUNT(*) FROM t WHERE a = 2"
       "DELTA-SAFE: no (index search";
     delta_check "MIN, MAX and TOTAL are delta-safe" "SELECT MIN(a), MAX(c), TOTAL(a) FROM t"

@@ -187,9 +187,73 @@ let explain =
             [ R.Text no_delta ] ]
           (rows_of res)) ]
 
+(* Equi-joins match exactly the pairs where SQL [=] is true, whatever
+   the join strategy: Int 1 joins Real 1.0, a NULL key joins nothing,
+   text joins equal text and no number. *)
+let keyed () =
+  let db = E.create ~snapshots:false () in
+  let e sql = ignore (E.exec db sql) in
+  e "CREATE TABLE a (x INTEGER)";
+  e "CREATE TABLE b (y REAL, z TEXT)";
+  e "INSERT INTO a VALUES (NULL), (1), (2), (3), ('1'), (2.5)";
+  e "INSERT INTO b VALUES (NULL, 'null'), (1.0, 'one'), (1, 'one int'), (2.5, 'two and a half'), \
+     ('1', 'text one'), (3.0, 'three'), (4, 'four')";
+  db
+
+let sorted db sql = List.sort compare (rows_of (E.exec db sql))
+
+let plan_has db sql line =
+  List.mem [ R.Text line ] (rows_of (E.exec db ("EXPLAIN " ^ sql)))
+
+let equi_join =
+  [ Alcotest.test_case "hash, index-probe and nested-loop joins agree with SQL =" `Quick
+      (fun () ->
+        let db = keyed () in
+        let want =
+          List.sort compare
+            [ [ R.Int 1; R.Text "one" ]; [ R.Int 1; R.Text "one int" ];
+              [ R.Int 3; R.Text "three" ]; [ R.Text "1"; R.Text "text one" ];
+              [ R.Real 2.5; R.Text "two and a half" ] ]
+        in
+        let hash = "SELECT x, z FROM a, b WHERE x = y" in
+        Alcotest.(check bool) "hash join planned" true
+          (plan_has db hash "JOIN b USING AUTOMATIC HASH INDEX");
+        Alcotest.(check (list row)) "hash join" want (sorted db hash);
+        Alcotest.(check (list row)) "hash join, the other way round" want
+          (sorted db "SELECT x, z FROM b, a WHERE y = x");
+        Alcotest.(check (list row)) "nested loop" want
+          (sorted db "SELECT x, z FROM a, b WHERE x >= y AND x <= y");
+        ignore (E.exec db "CREATE INDEX iy ON b (y)");
+        Alcotest.(check bool) "index probe planned" true
+          (plan_has db hash "SEARCH b USING INDEX iy (join)");
+        Alcotest.(check (list row)) "index probe" want (sorted db hash));
+    Alcotest.test_case "a NULL key gets NULLs from a LEFT JOIN" `Quick (fun () ->
+        let db = keyed () in
+        Alcotest.(check (list row)) "left join"
+          (List.sort compare
+             [ [ R.Null; R.Null ]; [ R.Int 1; R.Text "one" ]; [ R.Int 1; R.Text "one int" ];
+               [ R.Int 2; R.Null ]; [ R.Int 3; R.Text "three" ];
+               [ R.Text "1"; R.Text "text one" ]; [ R.Real 2.5; R.Text "two and a half" ] ])
+          (sorted db "SELECT x, z FROM a LEFT JOIN b ON x = y"));
+    Alcotest.test_case "integers beyond 2^53 join as SQL = compares them" `Quick (fun () ->
+        (* 2^53 + 1 equals the REAL 2^53 it rounds to, not the INTEGER *)
+        let db = E.create ~snapshots:false () in
+        let e sql = ignore (E.exec db sql) in
+        e "CREATE TABLE a (x INTEGER)";
+        e "CREATE TABLE b (y, z TEXT)";
+        e "INSERT INTO a VALUES (9007199254740993), (9007199254740992)";
+        e "INSERT INTO b VALUES (9007199254740992, 'int'), (9007199254740992.0, 'real')";
+        let nested = sorted db "SELECT x, z FROM a, b WHERE x >= y AND x <= y" in
+        Alcotest.(check int) "three pairs" 3 (List.length nested);
+        Alcotest.(check (list row)) "hash join" nested
+          (sorted db "SELECT x, z FROM a, b WHERE x = y");
+        Alcotest.(check (list row)) "left join" nested
+          (sorted db "SELECT x, z FROM a LEFT JOIN b ON x = y")) ]
+
 let () =
   Alcotest.run "sql2"
     [ ("left-join", left_join);
+      ("equi-join", equi_join);
       ("subqueries", subqueries);
       ("union", unions);
       ("cast", casts);

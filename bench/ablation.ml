@@ -29,9 +29,9 @@ let run () =
     (fun sid ->
       let visited skippy =
         Retro.set_skippy retro skippy;
-        let s0 = S.copy S.global in
+        let m0 = Obs.Scope.get S.c_maplog_scanned in
         ignore (Retro.build_spt retro sid);
-        (S.diff (S.copy S.global) s0).S.maplog_scanned
+        Obs.Scope.get S.c_maplog_scanned - m0
       in
       let linear = visited false in
       let skip = visited true in
@@ -48,15 +48,19 @@ let run () =
   List.iter
     (fun pages ->
       Retro.set_cache_pages retro pages;
-      let s0 = S.copy S.global in
+      let counters = [ S.c_snap_cache_hits; S.c_snap_cache_misses; S.c_pagelog_reads ] in
+      let before = List.map Obs.Scope.get counters in
       let run =
         Rql.aggregate_data_in_variable ctx ~qs ~qq:Queries.qq_io ~table:"bench_abl" ~fn:"avg"
       in
-      let d = S.diff (S.copy S.global) s0 in
-      let hits = d.S.snap_cache_hits and misses = d.S.snap_cache_misses in
+      let hits, misses, pagelog_reads =
+        match List.map2 (fun c b -> Obs.Scope.get c - b) counters before with
+        | [ h; m; p ] -> (h, m, p)
+        | _ -> invalid_arg "ablation: counter deltas"
+      in
       Printf.printf "%-16d %12.4f %14d %13.1f%%\n" pages
         (Rql.Iter_stats.total_s run)
-        d.S.pagelog_reads
+        pagelog_reads
         (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses))))
     [ 64; 128; 256; 512; 4096 ];
   Retro.set_cache_pages retro Retro.default_cache_pages;

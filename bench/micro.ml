@@ -109,16 +109,9 @@ let test_parse =
   Test.make ~name:"sql.parse (Qq_agg)"
     (Staged.stage (fun () -> ignore (Sqldb.Parser.parse_one Queries.qq_agg)))
 
-let test_rewrite =
-  Test.make ~name:"rql.rewrite (Qq with current_snapshot)"
-    (Staged.stage (fun () ->
-         ignore
-           (Rql.Rewrite.rewrite
-              "SELECT DISTINCT l_userid, current_snapshot() AS sid FROM LoggedIn" ~sid:42)))
-
 let tests =
   [ test_encode; test_decode; test_decode_cols; test_page_insert; test_btree_lookup; test_btree_insert;
-    test_spt_build; test_snapshot_read; test_crc32; test_parse; test_rewrite ]
+    test_spt_build; test_snapshot_read; test_crc32; test_parse ]
 
 (* --- EXPLAIN ANALYZE smoke (bench --analyze) ---------------------------- *)
 
@@ -177,7 +170,7 @@ let run_analyze () =
           (a.Sqldb.Plan.a_elapsed_s *. 1e3) a.Sqldb.Plan.a_pages)
       r.Rql.rr_ops;
     Util.record_analysis ~label:"rql_run" (Rql.run_report_to_json r)
-  | None -> print_endline "no run report (Qq fell back to textual rewrite)"
+  | None -> print_endline "no run report"
 
 (* --- scoped-instrumentation smoke (bench --scope-smoke) ----------------- *)
 
@@ -193,17 +186,22 @@ let run_scope_smoke () =
     Fixtures.get
       { Fixtures.uw = Tpch.Workload.uw30; snapshots = 8; native_lineitem_index = false }
   in
-  let db = fx.Fixtures.ctx.Rql.data in
-  let workload () =
-    ignore
-      (Rql.aggregate_data_in_variable fx.Fixtures.ctx ~qs:(Queries.qs_n 5)
-         ~qq:Queries.qq_cpu ~table:"bench_scope" ~fn:"sum")
+  let ctx = fx.Fixtures.ctx in
+  let db = ctx.Rql.data in
+  (* The Qq runs on the ctx's evaluation session: the baseline charges
+     the root only, the scoped variant a child scope as well. *)
+  let run_in scope () =
+    let prev = Sqldb.Db.scope ctx.Rql.eval in
+    Sqldb.Db.set_scope ctx.Rql.eval scope;
+    Fun.protect
+      ~finally:(fun () -> Sqldb.Db.set_scope ctx.Rql.eval prev)
+      (fun () ->
+        ignore
+          (Rql.aggregate_data_in_variable ctx ~qs:(Queries.qs_n 5) ~qq:Queries.qq_cpu
+             ~table:"bench_scope" ~fn:"sum"))
   in
-  let scope = Obs.Scope.create "bench.scope_smoke" in
-  let scoped () =
-    Sqldb.Db.set_scope db scope;
-    Fun.protect ~finally:(fun () -> Sqldb.Db.set_scope db Obs.Scope.root) workload
-  in
+  let workload = run_in Obs.Scope.root in
+  let scoped = run_in (Obs.Scope.create "bench.scope_smoke") in
   let time f =
     let t0 = Unix.gettimeofday () in
     f ();

@@ -78,8 +78,17 @@ let print_help () =
      RQL mechanisms are UDFs on @meta, e.g.:\n\
      @meta SELECT CollateData(snap_id, 'SELECT ... current_snapshot() ...', 'T') FROM SnapIds;"
 
+(* The process-wide (root scope) storage and Retro counters. *)
 let run_stats (ctx : Rql.ctx) =
-  Fmt.pr "%a@." Storage.Stats.pp Storage.Stats.global;
+  List.iter
+    (fun (name, m) ->
+      match m with
+      | Obs.Metrics.M_counter c
+        when String.starts_with ~prefix:"storage." name
+             || String.starts_with ~prefix:"retro." name ->
+        Printf.printf "%s=%d\n" name (Obs.Metrics.Counter.get c)
+      | _ -> ())
+    (Obs.Metrics.sorted_items ());
   match Sqldb.Db.(ctx.Rql.data.retro) with
   | Some retro ->
     Printf.printf "snapshots=%d pagelog=%d pages (%.1f MB) maplog=%d entries\n"
@@ -370,8 +379,7 @@ let repl ctx =
            Printf.printf "run %d (%s) cancelled after %d iteration%s (.progress for details)\n"
              run_id mechanism iterations_done
              (if iterations_done = 1 then "" else "s")
-         | Rql.Monoid.Not_supported msg -> Printf.printf "error: %s\n" msg
-         | Rql.Rewrite.Error msg -> Printf.printf "error: %s\n" msg)
+         | Rql.Monoid.Not_supported msg -> Printf.printf "error: %s\n" msg)
      done
    with Exit -> ());
   print_endline "bye"

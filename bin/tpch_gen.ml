@@ -41,11 +41,11 @@ let main sf uw_name snapshots =
   let retro = Sqldb.Db.retro_exn ctx.Rql.data in
   Printf.printf "%4s %12s %12s %12s %10s\n" "snap" "cow pages" "pagelog MB" "maplog" "sec";
   for i = 1 to snapshots do
-    let s0 = Storage.Stats.copy Storage.Stats.global in
+    let cow0 = Obs.Scope.get Storage.Stats.c_cow_archived in
     let t = Unix.gettimeofday () in
     ignore (Tpch.Workload.run ctx st ~uw ~snapshots:1);
-    let d = Storage.Stats.diff (Storage.Stats.copy Storage.Stats.global) s0 in
-    Printf.printf "%4d %12d %12.1f %12d %10.2f\n%!" i d.Storage.Stats.cow_archived
+    Printf.printf "%4d %12d %12.1f %12d %10.2f\n%!" i
+      (Obs.Scope.get Storage.Stats.c_cow_archived - cow0)
       (float_of_int (Retro.pagelog_size_bytes retro) /. 1e6)
       (Retro.maplog_length retro)
       (Unix.gettimeofday () -. t)

@@ -2,23 +2,26 @@
 
    The benchmarks reproduce the paper's stacked bars (Figs 8-13), which
    attribute each iteration's latency to I/O, SPT build, (covering)
-   index creation, query evaluation and RQL UDF processing.  I/O is
-   modeled from the simulated device counters (see DESIGN.md); the other
-   components are measured wall-clock. *)
+   index creation, query evaluation and RQL UDF processing.  Both RQL
+   loops build an iteration the same way: the Qq is evaluated on a
+   session whose scope's counter and gauge deltas give the read counts
+   and the SPT/index times, then the loop body applies the rows and is
+   timed once.  I/O is modeled from the archive-read count (see
+   DESIGN.md); the other components are measured wall-clock. *)
 
 type iteration = {
   snap_id : int;
-  cold : bool;                 (* first iteration of the run *)
-  pagelog_reads : int;
-  db_reads : int;
-  cache_hits : int;
+  cold : bool;                 (* first iteration of the run, or all-cold *)
+  pagelog_reads : int;         (* archive reads of the Qq evaluation *)
+  db_reads : int;              (* current-state page reads of the Qq evaluation *)
+  cache_hits : int;            (* snapshot page cache, during the evaluation *)
   cache_misses : int;
   io_s : float;                (* modeled: pagelog reads x device latency *)
-  spt_build_s : float;
+  spt_build_s : float;         (* measured SPT builds within the evaluation *)
   spt_entries : int;           (* maplog entries scanned *)
-  index_build_s : float;       (* automatic covering-index creation *)
-  query_eval_s : float;        (* Qq evaluation minus the other parts *)
-  udf_s : float;               (* mechanism row processing (loop body) *)
+  index_build_s : float;       (* automatic covering-index creation, likewise *)
+  query_eval_s : float;        (* evaluation wall time minus SPT and index builds *)
+  udf_s : float;               (* loop body: applying the rows, commit included *)
   udf_rows : int;              (* Qq rows processed by the loop body *)
   udf_inserts : int;           (* result-table inserts *)
   udf_updates : int;           (* result-table updates *)

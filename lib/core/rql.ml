@@ -2,9 +2,9 @@
 
    An RQL computation iterates over the snapshot set returned by a
    snapshot query Qs, and for each snapshot executes a "loop body" that
-   rewrites Qq (injecting AS OF and binding current_snapshot()), runs it
-   on that snapshot, and processes the result rows in a
-   mechanism-specific way:
+   binds Qq to that snapshot (AS OF the snapshot, current_snapshot() its
+   id), runs it, and processes the result rows in a mechanism-specific
+   way:
 
    - CollateData(Qs, Qq, T)                    collect rows into T
    - AggregateDataInVariable(Qs, Qq, T, fn)    fold a single value
@@ -27,7 +27,6 @@ module Sq = Sqldb
 (* Re-export the companion modules: [rql.ml] is the library root, so
    these are only reachable through it. *)
 module Monoid = Sqldb.Monoid
-module Rewrite = Rewrite
 module Iter_stats = Iter_stats
 
 exception Error of string
@@ -52,26 +51,18 @@ let mech_name = function
   | Agg_table _ -> "AggregateDataInTable"
   | Intervals -> "CollateDataIntoIntervals"
 
-(* Prepared-Qq state of a run: the Qq is parsed and parameterized once
-   (first iteration) and the compiled plan is then reused across the
-   snapshot loop; if the AST path cannot represent the Qq we fall back
-   to the legacy per-iteration textual rewrite. *)
-type prep_state =
-  | Prep_pending
-  | Prep_ready of Sq.Engine.prepared
-  | Prep_fallback
-
 type run_state = {
   kind : mech_kind;
   qq : string;
   table : string;
   data : Sq.Db.t;
   meta : Sq.Db.t;
+  eval : Sq.Db.t; (* the ctx's evaluation session over [data] *)
+  prepared : Sq.Engine.prepared; (* the parameterized Qq, on [eval] *)
   rs_analyze : bool; (* per-operator instrumentation for this run *)
   (* Delta-driven Qq evaluation across the loop's snapshots; None runs
      every iteration on the ordinary executor. *)
   incr : Sq.Incr.t option;
-  mutable prepared : prep_state;
   (* Qq result hoisted out of the snapshot loop: when the optimizer
      classified the prepared plan as snapshot-invariant, the first
      iteration's rows are stashed here and every later iteration replays
@@ -107,6 +98,10 @@ type run_state = {
 type ctx = {
   data : Sq.Db.t;
   meta : Sq.Db.t;
+  (* A private session over [data] that evaluates every sequential Qq:
+     its scope measures exactly the Qq's work, and its plan cache keeps
+     prepared Qq plans across runs. *)
+  eval : Sq.Db.t;
   runs : (string, run_state) Hashtbl.t; (* active SQL-form UDF runs *)
 }
 
@@ -114,37 +109,33 @@ type ctx = {
 
 let now = Unix.gettimeofday
 
-let stream_select db sql =
-  match Sq.Parser.parse_one sql with
-  | Sq.Ast.Select sel ->
-    let env = Sq.Exec.env_of_select db sel in
-    Sq.Exec.select_stream env sel
+(* Bind Qq to a snapshot parameter, once, on the AST: every
+   current_snapshot() call (or bare identifier use) becomes parameter 0
+   and AS OF ? is attached to the outermost select, replacing any AS OF
+   the Qq carried (W106).  Each iteration then binds its snapshot id
+   instead of re-parsing text. *)
+let parameterize (sel : Sq.Ast.select) : Sq.Ast.select =
+  let open Sq.Ast in
+  let is_cs name = String.lowercase_ascii name = "current_snapshot" in
+  let subst = function
+    | Call (name, []) when is_cs name -> Param 0
+    | Col (None, name) when is_cs name -> Param 0
+    | e -> e
+  in
+  { (Sq.Expr.map_select subst sel) with as_of = Some (Param 0) }
+
+let qq_key qq = "rql-qq:" ^ qq
+
+(* Prepare the parameterized Qq on session [sess] under a stable
+   plan-cache key.  Total: a Qq that cannot be prepared raises a typed
+   error before any snapshot is read. *)
+let prepare_qq sess qq =
+  match Sq.Engine.parse qq with
+  | Sq.Ast.Select sel -> (
+    try Sq.Engine.prepare_select sess ~key:(qq_key qq) (parameterize sel)
+    with Sq.Engine.Error msg -> error "Qq rejected: %s" msg)
   | _ -> error "Qq must be a SELECT statement"
-
-(* Parse and parameterize the Qq once per run, preparing it against the
-   data database under a stable plan-cache key; iterations then bind the
-   snapshot id as parameter 0.  Any failure on this path (beyond Qq not
-   being a SELECT, which is a user error either way) falls back to the
-   per-iteration textual rewrite so no previously-working Qq regresses. *)
-let qq_key (rs : run_state) = "rql-qq:" ^ rs.qq
-
-let qq_prepared (rs : run_state) =
-  match rs.prepared with
-  | Prep_ready p -> Some p
-  | Prep_fallback -> None
-  | Prep_pending -> (
-    try
-      match Sq.Engine.parse rs.qq with
-      | Sq.Ast.Select sel ->
-        let p = Sq.Engine.prepare_select rs.data ~key:(qq_key rs) (Rewrite.parameterize sel) in
-        rs.prepared <- Prep_ready p;
-        Some p
-      | _ -> error "Qq must be a SELECT statement"
-    with
-    | Error _ as e -> raise e
-    | _ ->
-      rs.prepared <- Prep_fallback;
-      None)
+  | exception Sq.Engine.Error msg -> error "Qq rejected: %s" msg
 
 let meta_env (rs : run_state) =
   match rs.env_meta with
@@ -461,7 +452,7 @@ let run_report_to_json (r : run_report) =
             r.rr_evals)) ]
 
 (* The prepared Qq's cached plan, when present and fresh. *)
-let qq_plan (rs : run_state) = Sq.Engine.cached_plan rs.data ~key:(qq_key rs)
+let qq_plan (rs : run_state) = Sq.Engine.cached_plan rs.eval ~key:(qq_key rs.qq)
 
 (* Iterations that replayed a hoisted snapshot-invariant Qq result
    instead of re-evaluating it (sequential loop only). *)
@@ -495,7 +486,7 @@ let emit_op_counters (rs : run_state) =
 
 (* --- the loop body ----------------------------------------------------- *)
 
-let make_run ?(analyze = false) ?(incremental = true) ~kind ~data ~meta ~qq ~table () =
+let make_run ?(analyze = false) ?(incremental = true) (ctx : ctx) ~kind ~qq ~table () =
   (match kind with
   | Agg_table [] -> error "AggregateDataInTable requires at least one (column, function) pair"
   | _ -> ());
@@ -504,16 +495,21 @@ let make_run ?(analyze = false) ?(incremental = true) ~kind ~data ~meta ~qq ~tab
      non-SELECT — fails now, before any snapshot iteration spends SPT
      builds or page reads.  Diagnostics surface as RQL errors: to the
      caller this is the loop mechanism rejecting its Qq argument. *)
-  (try Sq.Engine.analyze_qq data qq
+  (try Sq.Engine.analyze_qq ctx.data qq
    with Sq.Engine.Error msg -> error "Qq rejected: %s" msg);
+  (* The evaluation session follows the data handle's PRAGMA optimize
+     as of run start. *)
+  Sq.Engine.set_optimize ctx.eval ctx.data.Sq.Db.optimize;
   { kind;
     qq;
     table;
-    data;
-    meta;
+    data = ctx.data;
+    meta = ctx.meta;
+    eval = ctx.eval;
+    prepared = prepare_qq ctx.eval qq;
     rs_analyze = analyze;
-    incr = (if incremental && data.Sq.Db.incremental then Some (Sq.Incr.create ()) else None);
-    prepared = Prep_pending;
+    incr =
+      (if incremental && ctx.data.Sq.Db.incremental then Some (Sq.Incr.create ()) else None);
     invariant_rows = None;
     t_start = now ();
     iterations = [];
@@ -538,12 +534,10 @@ let make_run ?(analyze = false) ?(incremental = true) ~kind ~data ~meta ~qq ~tab
     cur_updates = 0;
     rs_progress = None }
 
-(* A snapshot's Qq output evaluated ahead of its loop-body application
-   by a worker domain (the parallel AS OF reader pool).  The worker
-   evaluates inside a private metric scope confined to its domain, so
-   the per-iteration I/O counters here are exact even while other
-   workers run — the main domain's global-counter diffs would interleave
-   every concurrent evaluation. *)
+(* A snapshot's Qq rows with the evaluating session scope's counter and
+   gauge deltas around the evaluation.  One domain drives a session, so
+   the deltas are exact even while parallel workers evaluate other
+   snapshots. *)
 type eval_result = {
   ev_header : string array;
   ev_rows : R.row list;
@@ -552,20 +546,99 @@ type eval_result = {
   ev_cache_hits : int;
   ev_cache_misses : int;
   ev_spt_entries : int;
-  ev_eval_s : float; (* wall-clock Qq evaluation time on the worker *)
+  ev_spt_build_s : float;
+  ev_index_build_s : float;
+  ev_eval_s : float; (* wall-clock evaluation, SPT and index builds included *)
+  ev_mode : string; (* "plain", or the incremental evaluator's "full" / "delta" *)
+  ev_pages_evaluated : int;
+  ev_pages_reused : int;
 }
 
-let scope_counter sc name =
-  match List.assoc_opt name (Obs.Scope.metric_items sc) with
-  | Some (Obs.Metrics.M_counter c) -> Obs.Metrics.Counter.get c
-  | _ -> 0
+(* Run [produce] on session [sess], measuring it in the session's scope.
+   [incr] reports how the evaluation ran; without one it was plain. *)
+let measured ?incr sess produce =
+  let module S = Storage.Stats in
+  let sc = sess.Sq.Db.scope in
+  let c h = Obs.Scope.get_in sc h and g h = Obs.Scope.gauge_get_in sc h in
+  let plr0 = c S.c_pagelog_reads and dbr0 = c S.c_db_page_reads in
+  let hit0 = c S.c_snap_cache_hits and mis0 = c S.c_snap_cache_misses in
+  let mls0 = c S.c_maplog_scanned in
+  let spt0 = g Sq.Exec_stats.g_spt_build_s and idx0 = g Sq.Exec_stats.g_index_build_s in
+  let t0 = now () in
+  let header, rows = produce () in
+  let eval_s = now () -. t0 in
+  let mode, evaluated, reused =
+    match Option.bind incr Sq.Incr.last with
+    | Some r -> (Sq.Incr.mode_to_string r.Sq.Incr.mode, r.Sq.Incr.evaluated, r.Sq.Incr.reused)
+    | None -> ("plain", 0, 0)
+  in
+  { ev_header = header;
+    ev_rows = rows;
+    ev_pagelog_reads = c S.c_pagelog_reads - plr0;
+    ev_db_reads = c S.c_db_page_reads - dbr0;
+    ev_cache_hits = c S.c_snap_cache_hits - hit0;
+    ev_cache_misses = c S.c_snap_cache_misses - mis0;
+    ev_spt_entries = c S.c_maplog_scanned - mls0;
+    ev_spt_build_s = g Sq.Exec_stats.g_spt_build_s -. spt0;
+    ev_index_build_s = g Sq.Exec_stats.g_index_build_s -. idx0;
+    ev_eval_s = eval_s;
+    ev_mode = mode;
+    ev_pages_evaluated = evaluated;
+    ev_pages_reused = reused }
 
-(* One RQL iteration over snapshot [sid].  [cold] empties the snapshot
-   page cache first (used by the all-cold baseline runs in §5.1).
-   With [eval] the Qq was already evaluated by a worker domain: only
-   the loop-body application runs here (in snapshot order, so results
-   are byte-identical to the sequential loop), and the iteration's I/O
-   attribution comes from the worker's own measurements. *)
+(* Evaluate the prepared Qq over snapshot [sid] on the session it was
+   prepared on: the one evaluation path of both loops (the sequential
+   loop's session is the ctx's, each parallel worker has its own). *)
+let evaluate ?incr prep ~sid =
+  measured ?incr (Sq.Engine.prepared_db prep) (fun () ->
+      let header, run = Sq.Engine.prepared_stream ~params:[| R.Int sid |] ?incr prep in
+      let rows = ref [] in
+      run (fun row -> rows := row :: !rows);
+      (header, List.rev !rows))
+
+(* The sequential loop's evaluation: a Qq the optimizer proved
+   snapshot-invariant is evaluated once and its rows replayed. *)
+let evaluate_in_loop (rs : run_state) ~sid =
+  match rs.invariant_rows with
+  | Some hr ->
+    Obs.Scope.incr c_invariant_reuses;
+    measured rs.eval (fun () -> hr)
+  | None ->
+    let ev = evaluate ?incr:rs.incr rs.prepared ~sid in
+    if qq_invariant rs then rs.invariant_rows <- Some (ev.ev_header, ev.ev_rows);
+    ev
+
+(* Apply one snapshot's Qq rows to the result table, in the
+   mechanism-specific way. *)
+let apply (rs : run_state) ev ~sid =
+  let first = not rs.first_done in
+  rs.cur_rows <- 0;
+  rs.cur_inserts <- 0;
+  rs.cur_updates <- 0;
+  if first then init_run rs ev.ev_header;
+  let each_row f = Sq.Db.with_write_txn rs.meta (fun txn -> List.iter (f txn) ev.ev_rows) in
+  (match rs.kind with
+  | Agg_var _ ->
+    let rows_seen = ref 0 in
+    List.iter (step_var rs ~rows_seen) ev.ev_rows;
+    Sq.Db.with_write_txn rs.meta (write_var_result rs)
+  | Collate ->
+    each_row (fun txn row ->
+        rs.cur_rows <- rs.cur_rows + 1;
+        rs.cur_inserts <- rs.cur_inserts + 1;
+        ignore (Sq.Exec.insert_row_raw (meta_env rs) txn (table_exn rs) row))
+  | Agg_table _ -> each_row (fun txn -> step_agg_table rs txn ~sid ~first)
+  | Intervals -> each_row (fun txn -> step_intervals rs txn ~sid ~first));
+  if first then post_first rs;
+  rs.first_done <- true;
+  rs.prev_sid <- sid;
+  rs.last_sid <- Some sid
+
+(* One RQL iteration over snapshot [sid]: evaluate, then apply.  [cold]
+   empties the snapshot page cache first (the all-cold baseline runs of
+   §5.1).  With [eval] a parallel worker already evaluated the Qq; the
+   loop body still applies in snapshot order, so results are
+   byte-identical to the sequential loop. *)
 let step_body ?eval (rs : run_state) ~sid ~cold =
   (* One timeseries sample per iteration, so sys_timeseries resolves the
      inside of a snapshot loop rather than only statement boundaries. *)
@@ -573,126 +646,29 @@ let step_body ?eval (rs : run_state) ~sid ~cold =
   (match Sq.Db.(rs.data.retro) with
   | Some retro when cold -> Retro.clear_cache retro
   | _ -> ());
-  let stats0 = Storage.Stats.copy Storage.Stats.global in
-  let exec0 = Sq.Exec_stats.copy Sq.Exec_stats.global in
+  let cold = cold || not rs.first_done in
+  let ev = match eval with Some ev -> ev | None -> evaluate_in_loop rs ~sid in
   let t0 = now () in
-  let udf_s = ref 0. in
-  let udf_timed f =
-    let t = now () in
-    let r = f () in
-    udf_s := !udf_s +. (now () -. t);
-    r
-  in
-  let first = not rs.first_done in
-  rs.cur_rows <- 0;
-  rs.cur_inserts <- 0;
-  rs.cur_updates <- 0;
-  let header, run_rows =
-    match eval with
-    | Some ev -> (ev.ev_header, fun f -> List.iter f ev.ev_rows)
-    | None -> (
-      match rs.invariant_rows with
-      | Some (h, rows) ->
-        (* Hoisted: the optimizer proved the Qq snapshot-invariant, so
-           replay the first iteration's rows instead of re-evaluating. *)
-        Obs.Scope.incr c_invariant_reuses;
-        (h, fun f -> List.iter f rows)
-      | None -> (
-        let header, run =
-          match qq_prepared rs with
-          | Some p -> Sq.Engine.prepared_stream ~params:[| R.Int sid |] ?incr:rs.incr p
-          | None -> stream_select rs.data (Rewrite.rewrite rs.qq ~sid)
-        in
-        if qq_invariant rs then begin
-          let acc = ref [] in
-          run (fun r -> acc := r :: !acc);
-          let rows = List.rev !acc in
-          rs.invariant_rows <- Some (header, rows);
-          (header, fun f -> List.iter f rows)
-        end
-        else (header, run)))
-  in
-  if first then udf_timed (fun () -> init_run rs header);
-  (match rs.kind with
-  | Agg_var _ ->
-    let rows_seen = ref 0 in
-    run_rows (fun row -> udf_timed (fun () -> step_var rs ~rows_seen row));
-    udf_timed (fun () ->
-        Sq.Db.with_write_txn rs.meta (fun txn -> write_var_result rs txn))
-  | Collate ->
-    Sq.Db.with_write_txn rs.meta (fun txn ->
-        run_rows (fun row ->
-            udf_timed (fun () ->
-                rs.cur_rows <- rs.cur_rows + 1;
-                rs.cur_inserts <- rs.cur_inserts + 1;
-                ignore (Sq.Exec.insert_row_raw (meta_env rs) txn (table_exn rs) row))))
-  | Agg_table _ ->
-    Sq.Db.with_write_txn rs.meta (fun txn ->
-        run_rows (fun row -> udf_timed (fun () -> step_agg_table rs txn ~sid ~first row)))
-  | Intervals ->
-    Sq.Db.with_write_txn rs.meta (fun txn ->
-        run_rows (fun row -> udf_timed (fun () -> step_intervals rs txn ~sid ~first row))));
-  if first then udf_timed (fun () -> post_first rs);
-  rs.first_done <- true;
-  rs.prev_sid <- sid;
-  rs.last_sid <- Some sid;
-  let total = now () -. t0 in
-  let sd = Storage.Stats.diff (Storage.Stats.copy Storage.Stats.global) stats0 in
-  let ed = Sq.Exec_stats.diff (Sq.Exec_stats.copy Sq.Exec_stats.global) exec0 in
-  let io_s = Storage.Stats.Cost_model.io_seconds sd in
-  (* How this iteration's Qq ran: the incremental evaluator reports its
-     last evaluation, which is this iteration's unless a worker
-     evaluated it; a plan it cannot run leaves no report (plain). *)
-  let eval_mode, pages_evaluated, pages_reused =
-    match eval, Option.bind rs.incr Sq.Incr.last with
-    | None, Some r -> (Sq.Incr.mode_to_string r.Sq.Incr.mode, r.Sq.Incr.evaluated, r.Sq.Incr.reused)
-    | _ -> ("plain", 0, 0)
-  in
-  let other = ed.Sq.Exec_stats.spt_build_s +. ed.Sq.Exec_stats.index_build_s +. !udf_s in
+  apply rs ev ~sid;
   let it =
-    match eval with
-    | None ->
-      { Iter_stats.snap_id = sid;
-        cold = first || cold;
-        pagelog_reads = sd.Storage.Stats.pagelog_reads;
-        db_reads = sd.Storage.Stats.db_page_reads;
-        cache_hits = sd.Storage.Stats.snap_cache_hits;
-        cache_misses = sd.Storage.Stats.snap_cache_misses;
-        io_s;
-        spt_build_s = ed.Sq.Exec_stats.spt_build_s;
-        spt_entries = sd.Storage.Stats.maplog_scanned;
-        index_build_s = ed.Sq.Exec_stats.index_build_s;
-        query_eval_s = Float.max 0. (total -. other);
-        udf_s = !udf_s;
-        udf_rows = rs.cur_rows;
-        udf_inserts = rs.cur_inserts;
-        udf_updates = rs.cur_updates;
-        eval = eval_mode;
-        pages_evaluated;
-        pages_reused }
-    | Some ev ->
-      (* Worker-measured evaluation, main-measured application.  SPT
-         build and index-build time happen on the worker inside
-         [ev_eval_s]; the modeled I/O time comes from the worker's
-         exact read counters. *)
-      { Iter_stats.snap_id = sid;
-        cold = first || cold;
-        pagelog_reads = ev.ev_pagelog_reads;
-        db_reads = ev.ev_db_reads;
-        cache_hits = ev.ev_cache_hits;
-        cache_misses = ev.ev_cache_misses;
-        io_s = float_of_int ev.ev_pagelog_reads *. !Storage.Stats.Cost_model.ssd_read_s;
-        spt_build_s = 0.;
-        spt_entries = ev.ev_spt_entries;
-        index_build_s = 0.;
-        query_eval_s = ev.ev_eval_s;
-        udf_s = !udf_s;
-        udf_rows = rs.cur_rows;
-        udf_inserts = rs.cur_inserts;
-        udf_updates = rs.cur_updates;
-        eval = eval_mode;
-        pages_evaluated;
-        pages_reused }
+    { Iter_stats.snap_id = sid;
+      cold;
+      pagelog_reads = ev.ev_pagelog_reads;
+      db_reads = ev.ev_db_reads;
+      cache_hits = ev.ev_cache_hits;
+      cache_misses = ev.ev_cache_misses;
+      io_s = float_of_int ev.ev_pagelog_reads *. !Storage.Stats.Cost_model.ssd_read_s;
+      spt_build_s = ev.ev_spt_build_s;
+      spt_entries = ev.ev_spt_entries;
+      index_build_s = ev.ev_index_build_s;
+      query_eval_s = Float.max 0. (ev.ev_eval_s -. ev.ev_spt_build_s -. ev.ev_index_build_s);
+      udf_s = now () -. t0;
+      udf_rows = rs.cur_rows;
+      udf_inserts = rs.cur_inserts;
+      udf_updates = rs.cur_updates;
+      eval = ev.ev_mode;
+      pages_evaluated = ev.ev_pages_evaluated;
+      pages_reused = ev.ev_pages_reused }
   in
   Obs.Trace.set_attrs
     [ ("cold", Obs.Trace.Bool it.Iter_stats.cold);
@@ -857,46 +833,6 @@ let snapshot_set (ctx : ctx) qs =
 
 (* --- parallel AS OF evaluation ----------------------------------------- *)
 
-(* Evaluate the Qq over one snapshot on a worker domain, collecting the
-   full row set.  [wdb] is the worker's private session (own plan cache
-   and prepared statement) over the shared data core.  The engine runs
-   every statement inside the session's metric scope, and that scope is
-   driven by exactly one domain, so diffing its local counters around
-   the evaluation gives the iteration's exact I/O attribution — the
-   global registry totals would interleave across concurrent domains. *)
-let eval_snapshot wdb prep (rs : run_state) sid =
-  let sc = wdb.Sq.Db.scope in
-  let c name = scope_counter sc name in
-  let plr0 = c "storage.pagelog_reads" in
-  let dbr0 = c "storage.db_page_reads" in
-  let hit0 = c "retro.snap_cache_hits" in
-  let mis0 = c "retro.snap_cache_misses" in
-  let spt0 = c "retro.maplog_scanned" in
-  let header = ref [||] in
-  let rows = ref [] in
-  let t0 = now () in
-  (* prepared_stream runs inside the session scope on its own; the
-     textual-rewrite fallback streams through Exec directly and needs
-     the scope installed here. *)
-  (match prep with
-  | Some p ->
-    let h, run = Sq.Engine.prepared_stream ~params:[| R.Int sid |] p in
-    header := h;
-    run (fun row -> rows := row :: !rows)
-  | None ->
-    Obs.Scope.with_scope sc (fun () ->
-        let h, run = stream_select wdb (Rewrite.rewrite rs.qq ~sid) in
-        header := h;
-        run (fun row -> rows := row :: !rows)));
-  { ev_header = !header;
-    ev_rows = List.rev !rows;
-    ev_pagelog_reads = c "storage.pagelog_reads" - plr0;
-    ev_db_reads = c "storage.db_page_reads" - dbr0;
-    ev_cache_hits = c "retro.snap_cache_hits" - hit0;
-    ev_cache_misses = c "retro.snap_cache_misses" - mis0;
-    ev_spt_entries = c "retro.maplog_scanned" - spt0;
-    ev_eval_s = now () -. t0 }
-
 (* The Domain-parallel snapshot loop: [domains] workers evaluate the Qq
    over disjoint snapshots concurrently (overlapping their archive-read
    waits), while the main domain applies each evaluated row set through
@@ -917,26 +853,18 @@ let parallel_loop (rs : run_state) ~domains ~sids =
   let stop = ref false in
   let failure : exn option ref = ref None in
   let worker w () =
+    (* A private session per worker: its own plan cache and prepared Qq,
+       and a scope only this domain drives. *)
     let wdb = Sq.Db.session rs.data in
+    Sq.Engine.set_optimize wdb rs.data.Sq.Db.optimize;
     Fun.protect
       ~finally:(fun () -> Sq.Db.close_session wdb)
       (fun () ->
-        (* Per-worker prepared Qq, mirroring [qq_prepared]'s fallback:
-           a Qq the rewriter cannot parameterize falls back to the
-           textual per-snapshot rewrite in [eval_snapshot]. *)
-        let prep =
-          try
-            match Sq.Engine.parse rs.qq with
-            | Sq.Ast.Select sel ->
-              Some (Sq.Engine.prepare_select wdb ~key:(qq_key rs) (Rewrite.parameterize sel))
-            | _ -> None
-          with
-          | Sq.Engine.Error _ | Rewrite.Error _ -> None
-        in
         try
+          let prep = prepare_qq wdb rs.qq in
           let i = ref w in
           while !i < n && not !stop do
-            let ev = eval_snapshot wdb prep rs arr.(!i) in
+            let ev = evaluate prep ~sid:arr.(!i) in
             (* lint: allow — producer/consumer handoff: Condition needs
                the raw mutex, and the section is two writes. *)
             Mutex.lock mu;
@@ -1006,7 +934,7 @@ let run_mechanism ?(all_cold = false) ?(analyze = false) ?(domains = 1) ctx kind
      definition, and the parallel loop's workers evaluate snapshots
      independently: both run the ordinary executor. *)
   let incremental = (not all_cold) && domains <= 1 in
-  let rs = make_run ~analyze ~incremental ~kind ~data:ctx.data ~meta:ctx.meta ~qq ~table () in
+  let rs = make_run ~analyze ~incremental ctx ~kind ~qq ~table () in
   let sids = snapshot_set ctx qs in
   if sids = [] then error "%s: Qs returned no snapshots" (mech_name kind);
   (match Sq.Db.(ctx.data.retro) with
@@ -1038,9 +966,9 @@ let run_mechanism ?(all_cold = false) ?(analyze = false) ?(domains = 1) ctx kind
           (* The Qq may already be cached from an earlier run: start the
              accumulators at zero so the report covers exactly this run. *)
           (match qq_plan rs with Some p -> Sq.Plan.reset_actuals p | None -> ());
-          let was = ctx.data.Sq.Db.analyze in
-          ctx.data.Sq.Db.analyze <- true;
-          Fun.protect ~finally:(fun () -> ctx.data.Sq.Db.analyze <- was) loop
+          let was = ctx.eval.Sq.Db.analyze in
+          Sq.Engine.set_analyze ctx.eval true;
+          Fun.protect ~finally:(fun () -> Sq.Engine.set_analyze ctx.eval was) loop
         end
       in
       match run () with
@@ -1104,7 +1032,7 @@ let udf_step ctx kind ~qq ~table ~sid =
       (match prev with
       | Some old -> Option.iter (fun p -> Obs.Progress.finish p Obs.Progress.Done) old.rs_progress
       | None -> ());
-      let rs = make_run ~kind ~data:ctx.data ~meta:ctx.meta ~qq ~table () in
+      let rs = make_run ctx ~kind ~qq ~table () in
       (match Sq.Db.(ctx.data.retro) with
       | Some retro -> Retro.clear_cache retro
       | None -> ());
@@ -1202,17 +1130,20 @@ let register_udfs ctx =
 
 (* --- context creation ---------------------------------------------------- *)
 
+let make_ctx ~data ~meta =
+  let ctx = { data; meta; eval = Sq.Db.session data; runs = Hashtbl.create 8 } in
+  register_udfs ctx;
+  (* current_snapshot() is only meaningful inside a Qq, where the loop
+     body binds it.  A direct call is a usage error. *)
+  Sq.Engine.register_fn data "current_snapshot" (fun _ ->
+      error "current_snapshot() is only valid inside an RQL Qq query");
+  ctx
+
 let create ?data () =
   let data = match data with Some d -> d | None -> Sq.Db.create ~snapshots:true () in
   let meta = Sq.Db.create ~snapshots:false () in
   ignore (Sq.Engine.exec meta snapids_ddl);
-  let ctx = { data; meta; runs = Hashtbl.create 8 } in
-  register_udfs ctx;
-  (* current_snapshot() is only meaningful inside a Qq: the loop body
-     substitutes it before execution.  A direct call is a usage error. *)
-  Sq.Engine.register_fn data "current_snapshot" (fun _ ->
-      error "current_snapshot() is only valid inside an RQL Qq query");
-  ctx
+  make_ctx ~data ~meta
 
 (* Convenience wrappers for the two databases. *)
 let exec_data ctx sql = Sq.Engine.exec ctx.data sql
@@ -1246,12 +1177,4 @@ let load ~path =
     | v -> v
     | exception Failure m -> error "%s: context payload does not unmarshal: %s" path m
   in
-  let ctx =
-    { data = Sq.Backup.restore_image data_img;
-      meta = Sq.Backup.restore_image meta_img;
-      runs = Hashtbl.create 8 }
-  in
-  register_udfs ctx;
-  Sq.Engine.register_fn ctx.data "current_snapshot" (fun _ ->
-      error "current_snapshot() is only valid inside an RQL Qq query");
-  ctx
+  make_ctx ~data:(Sq.Backup.restore_image data_img) ~meta:(Sq.Backup.restore_image meta_img)

@@ -1,13 +1,10 @@
 (* Global metrics registry: named counters, gauges and log-scale latency
    histograms.
 
-   This registry is the single source of truth for the cost accounting
-   that used to live in ad-hoc mutable structs (Storage.Stats,
-   Sqldb.Exec_stats); those modules are now thin compatibility shims
-   over these metrics.  The engine is single-process and the hot paths
-   (per-page, per-row) increment a pre-looked-up counter, so an
-   increment is exactly one mutable-field write — the same cost as the
-   old struct fields. *)
+   This registry is the single source of truth for the cost accounting:
+   Storage.Stats and Sqldb.Exec_stats only name handles into it.  The
+   hot paths (per-page, per-row) increment a pre-looked-up counter, so
+   an increment is exactly one mutable-field write. *)
 
 module Counter = struct
   type t = { name : string; mutable v : int }

@@ -3,8 +3,8 @@
    A scope is a lightweight registry node: a named table of counters /
    gauges / histograms with a parent pointer.  The process-wide
    {!Metrics} registry is the *root* scope's table, so "global metrics"
-   and "root scope" are the same storage — the Storage.Stats and
-   Sqldb.Exec_stats shims remain views over it.
+   and "root scope" are the same storage — Storage.Stats and
+   Sqldb.Exec_stats only name handles into it.
 
    Charging is eager: an increment through a scope {!counter} handle
    always bumps the pre-looked-up root metric (one mutable-field write,
@@ -151,87 +151,84 @@ let build_chain make name s =
   in
   Array.of_list (go s [])
 
-(* The (scope -> chain) cache is domain-local: with parallel reader
-   domains each under its own scope, a shared cache slot would race and
-   charge one domain's increments to another domain's scope. *)
+(* Every handle caches its resolved chain per domain: with parallel
+   reader domains each under its own scope, a shared cache slot would
+   race and charge one domain's increments to another domain's scope. *)
+type 'm chain_cache = (t * 'm array) ref Domain.DLS.key
+
+let chain_cache () : _ chain_cache = Domain.DLS.new_key (fun () -> ref (root, [||]))
+
+(* The chain of [s] for a handle, rebuilt only when this domain's
+   active scope changed since its last charge. *)
+let cached_chain cache make name s =
+  let c = Domain.DLS.get cache in
+  let cs, chain = !c in
+  if cs == s then chain
+  else begin
+    let chain = build_chain make name s in
+    c := (s, chain);
+    chain
+  end
+
 type counter = {
   cn_name : string;
   cn_root : M.Counter.t;
-  cn_cache : (t * M.Counter.t array) ref Domain.DLS.key;
+  cn_cache : M.Counter.t chain_cache;
 }
 
-let counter name =
-  { cn_name = name;
-    cn_root = M.counter name;
-    cn_cache = Domain.DLS.new_key (fun () -> ref (root, [||])) }
+let counter name = { cn_name = name; cn_root = M.counter name; cn_cache = chain_cache () }
 
 let add h n =
   M.Counter.add h.cn_root n;
   let s = Domain.DLS.get current in
-  if s != root then begin
-    let cache = Domain.DLS.get h.cn_cache in
-    let cs, cached = !cache in
-    let chain =
-      if cs == s then cached
-      else begin
-        let chain = build_chain M.counter_in h.cn_name s in
-        cache := (s, chain);
-        chain
-      end
-    in
-    Array.iter (fun c -> M.Counter.add c n) chain
-  end
+  if s != root then
+    Array.iter (fun c -> M.Counter.add c n) (cached_chain h.cn_cache M.counter_in h.cn_name s)
 
 let incr h = add h 1
 let get h = M.Counter.get h.cn_root
 
-(* Root-level assignment (the reset path of the Stats shims); scope
-   locals are zeroed by the registry-wide reset hook, not here. *)
+(* Root-level assignment; scope locals are zeroed by the registry-wide
+   reset hook, not here. *)
 let set h n = M.Counter.set h.cn_root n
+
+(* [h]'s local total in scope [s]: subtree-inclusive for a child scope,
+   the process total for the root.  Exact when one domain drives [s]. *)
+let get_in s h = if s == root then get h else M.Counter.get (M.counter_in s.sc_metrics h.cn_name)
 
 type gauge = {
   ga_name : string;
   ga_root : M.Gauge.t;
-  mutable ga_for : t;
-  mutable ga_chain : M.Gauge.t array;
+  ga_cache : M.Gauge.t chain_cache;
 }
 
-let gauge name = { ga_name = name; ga_root = M.gauge name; ga_for = root; ga_chain = [||] }
+let gauge name = { ga_name = name; ga_root = M.gauge name; ga_cache = chain_cache () }
 
 let gauge_add h x =
   M.Gauge.add h.ga_root x;
   let s = Domain.DLS.get current in
-  if s != root then begin
-    if h.ga_for != s then begin
-      h.ga_for <- s;
-      h.ga_chain <- build_chain M.gauge_in h.ga_name s
-    end;
-    Array.iter (fun g -> M.Gauge.add g x) h.ga_chain
-  end
+  if s != root then
+    Array.iter (fun g -> M.Gauge.add g x) (cached_chain h.ga_cache M.gauge_in h.ga_name s)
 
 let gauge_get h = M.Gauge.get h.ga_root
-let gauge_set h x = M.Gauge.set h.ga_root x
+
+let gauge_get_in s h =
+  if s == root then gauge_get h else M.Gauge.get (M.gauge_in s.sc_metrics h.ga_name)
 
 type histogram = {
   hi_name : string;
   hi_root : M.Histogram.t;
-  mutable hi_for : t;
-  mutable hi_chain : M.Histogram.t array;
+  hi_cache : M.Histogram.t chain_cache;
 }
 
-let histogram name =
-  { hi_name = name; hi_root = M.histogram name; hi_for = root; hi_chain = [||] }
+let histogram name = { hi_name = name; hi_root = M.histogram name; hi_cache = chain_cache () }
 
 let observe h v =
   M.Histogram.observe h.hi_root v;
   let s = Domain.DLS.get current in
-  if s != root then begin
-    if h.hi_for != s then begin
-      h.hi_for <- s;
-      h.hi_chain <- build_chain M.histogram_in h.hi_name s
-    end;
-    Array.iter (fun hg -> M.Histogram.observe hg v) h.hi_chain
-  end
+  if s != root then
+    Array.iter
+      (fun hg -> M.Histogram.observe hg v)
+      (cached_chain h.hi_cache M.histogram_in h.hi_name s)
 
 let hist_root h = h.hi_root
 
@@ -317,18 +314,6 @@ let rec reset_scope s =
    local table and all heat cells: sys_scopes reports zeroed children
    after a reset, never stale totals. *)
 let () = M.on_reset (fun () -> reset_scope root)
-
-(* Zero the combined page-read counter and every heat cell together
-   (the Stats shim's global reset), keeping the partition invariant
-   [heat(root) = storage.page_reads] intact across partial resets. *)
-let reset_heat () =
-  set c_page_reads 0;
-  locked (fun () ->
-      let rec clear s =
-        Hashtbl.reset s.sc_heat;
-        List.iter clear s.sc_children
-      in
-      clear root)
 
 (* --- introspection (sys_scopes / sys_heat / Prometheus) ---------------- *)
 

@@ -161,11 +161,14 @@ let sessions t =
   List.map (fun si -> si.si_handle) ss
 
 (* Forget a derived session (a disconnected client); its plan cache and
-   counters drop out of sys_sessions. *)
+   counters drop out of sys_sessions, and its metric scope is dropped
+   (its totals fold into the parent's "(dropped)" bucket; the root keeps
+   them).  Idempotent. *)
 let close_session t =
   locked_core t.core (fun () ->
       t.core.c_sessions <-
-        List.filter (fun si -> si.si_id <> t.session_id) t.core.c_sessions)
+        List.filter (fun si -> si.si_id <> t.session_id) t.core.c_sessions);
+  if not (Obs.Scope.is_root t.scope) then Obs.Scope.drop t.scope
 
 let generation t = t.core.c_generation
 

@@ -191,6 +191,12 @@ let plan_optimized db ~cat (sel : select) : Plan.t =
     fst (Opt.optimize ~fnctx:(Db.fn_ctx db) ~is_udf:(fun n -> Db.is_udf db n) plan)
   else plan
 
+(* PRAGMA optimize: cached plans were built under the old setting, so a
+   change drops them and the next use replans under the new one. *)
+let set_optimize db on =
+  if db.Db.optimize <> on then Hashtbl.reset db.Db.plan_cache;
+  db.Db.optimize <- on
+
 (* Optimizer diagnostics (W2xx) for lint paths: plan the select against
    the current catalog and collect what the optimizer would warn about.
    Planning failures are the analyzer's department, not lint's, so any
@@ -626,10 +632,7 @@ let run_stmt_core db ?key (s : stmt) : result =
         | "optimize=on" | "optimize=1" | "optimize=true" -> true
         | _ -> false
       in
-      (* Cached plans were built under the old setting; drop them so the
-         next use replans under the new one. *)
-      if db.Db.optimize <> on then Hashtbl.reset db.Db.plan_cache;
-      db.Db.optimize <- on;
+      set_optimize db on;
       { empty_result with
         columns = [| "optimize" |];
         rows = [ [| R.Text (if on then "on" else "off") |] ] }
@@ -818,6 +821,8 @@ let prepare_select db ~key (sel : select) : prepared =
   Db.note_prepared db;
   { pr_db = db; pr_key = key; pr_sel = sel;
     pr_read_lock = not (select_calls_udf db sel) }
+
+let prepared_db (p : prepared) = p.pr_db
 
 let prepare db sql : prepared =
   wrap_errors (fun () ->

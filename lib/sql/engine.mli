@@ -67,8 +67,11 @@ type prepared
 val prepare : db -> string -> prepared
 
 (** Prepare an already-parsed SELECT under an explicit plan-cache
-    [key] (used by the RQL layer, which rewrites before preparing). *)
+    [key] (used by the RQL layer, which parameterizes Qq before preparing). *)
 val prepare_select : db -> key:string -> Ast.select -> prepared
+
+(** The session a statement was prepared on (and executes through). *)
+val prepared_db : prepared -> db
 
 (** Execute with [params] bound to the [?] placeholders in order.
     @raise Error if a referenced parameter has no binding. *)
@@ -165,6 +168,9 @@ val slow_query_threshold : db -> float option
     EXPLAIN ANALYZE and analyzed RQL runs manage it themselves; turning
     it on manually instruments every subsequent execution. *)
 val set_analyze : db -> bool -> unit
+
+(** PRAGMA optimize on this handle; a change drops its cached plans. *)
+val set_optimize : db -> bool -> unit
 
 (** The plan currently cached for [key], when present and fresh —
     structural access to the accumulated operator actuals of prepared /

@@ -1,14 +1,14 @@
 (* Executor-side timing attribution.  The paper's per-iteration cost
    breakdown (Figs 8-13) splits time into I/O, SPT build, index creation
    and query evaluation; the executor accumulates the SPT-build and
-   index-creation components and the RQL layer reads the deltas.
+   index-creation components and the RQL layer reads their deltas in the
+   evaluating session's scope.
 
    The accumulators live in the Obs.Metrics registry — the root metric
    scope — reached through Obs.Scope handles (gauges for the elapsed
    seconds, counters for the event counts, plus log-scale latency
    histograms), so SPT and index builds are charged to whatever scope
-   is active.  This module holds no independent mutable totals; it is
-   the compatibility shim over the root scope, mirroring Storage.Stats. *)
+   is active.  This module holds no independent mutable totals. *)
 
 let g_spt_build_s = Obs.Scope.gauge "sql.spt_build_s"
 let g_index_build_s = Obs.Scope.gauge "sql.index_build_s"
@@ -17,57 +17,11 @@ let c_index_builds = Obs.Scope.counter "sql.index_builds"
 let h_spt_build = Obs.Scope.histogram "sql.spt_build_latency"
 let h_index_build = Obs.Scope.histogram "sql.index_build_latency"
 
-type t = {
-  mutable spt_build_s : float;     (* snapshot page table construction *)
-  mutable index_build_s : float;   (* automatic (covering) index creation *)
-  mutable spt_builds : int;
-  mutable index_builds : int;
-}
-
-let make () = { spt_build_s = 0.; index_build_s = 0.; spt_builds = 0; index_builds = 0 }
-
-let snapshot () =
-  { spt_build_s = Obs.Scope.gauge_get g_spt_build_s;
-    index_build_s = Obs.Scope.gauge_get g_index_build_s;
-    spt_builds = Obs.Scope.get c_spt_builds;
-    index_builds = Obs.Scope.get c_index_builds }
-
-(* Legacy global handle: [copy global] materializes the registry,
-   [reset global] zeroes it (see Storage.Stats for the pattern). *)
-let global = make ()
-
-let reset t =
-  if t == global then begin
-    Obs.Scope.gauge_set g_spt_build_s 0.;
-    Obs.Scope.gauge_set g_index_build_s 0.;
-    Obs.Scope.set c_spt_builds 0;
-    Obs.Scope.set c_index_builds 0
-  end
-  else begin
-    t.spt_build_s <- 0.;
-    t.index_build_s <- 0.;
-    t.spt_builds <- 0;
-    t.index_builds <- 0
-  end
-
-let copy t = if t == global then snapshot () else { t with spt_build_s = t.spt_build_s }
-
-let diff a b =
-  { spt_build_s = a.spt_build_s -. b.spt_build_s;
-    index_build_s = a.index_build_s -. b.index_build_s;
-    spt_builds = a.spt_builds - b.spt_builds;
-    index_builds = a.index_builds - b.index_builds }
-
 let now () = Unix.gettimeofday ()
 
-let timed f =
-  let t0 = now () in
-  let r = f () in
-  (r, now () -. t0)
-
-(* Run [f], crediting its elapsed time to [record] even when [f] raises
-   (the old [timed]-based accounting lost the partial elapsed time of a
-   failing build, skewing deltas for the surviving iterations). *)
+(* Run [f], crediting its elapsed time to [record] even when [f] raises,
+   so a failing build's partial time still lands in the deltas of the
+   surviving iterations. *)
 let time_into record f =
   let t0 = now () in
   match f () with

@@ -1,39 +1,15 @@
 (** Executor-side timing attribution: the SPT-build and (automatic)
     index-creation components of the paper's per-iteration cost
     breakdown (Figs 8-13), accumulated in the {!Obs.Metrics} registry
-    (the root metric scope, charged through {!Obs.Scope} handles so
-    active scopes see the same attribution) and read as deltas by the
-    RQL layer through this compatibility shim, which holds no
-    independent mutable totals. *)
+    and charged through {!Obs.Scope} handles, so the RQL layer reads an
+    iteration's components as deltas in the evaluating session's scope.
+    This module holds no independent mutable totals. *)
 
-type t = {
-  mutable spt_build_s : float;
-  mutable index_build_s : float;
-  mutable spt_builds : int;
-  mutable index_builds : int;
-}
-
-val make : unit -> t
-
-(** Materialize the live registry accumulators. *)
-val snapshot : unit -> t
-
-(** Legacy global handle: [copy global] materializes the registry,
-    [reset global] zeroes it. *)
-val global : t
-
-val reset : t -> unit
-val copy : t -> t
-
-(** Fieldwise [a - b]. *)
-val diff : t -> t -> t
+(** Seconds spent building SPTs / automatic indexes. *)
+val g_spt_build_s : Obs.Scope.gauge
+val g_index_build_s : Obs.Scope.gauge
 
 val now : unit -> float
-
-(** Run [f], returning its result and elapsed wall-clock seconds.
-    Prefer {!time_spt} / {!time_index}: [timed] cannot account the
-    elapsed time when [f] raises. *)
-val timed : (unit -> 'a) -> 'a * float
 
 (** Run [f], crediting elapsed seconds to the callback even when [f]
     raises (the exception is re-raised after accounting). *)

@@ -6,8 +6,7 @@
    heap pages — the catalog entry handed to the planner uses the
    [virtual_heap] sentinel and the executor routes scans here instead
    of to Storage.Heap — so they are visible to the full query surface
-   (joins, aggregates, RQL UDFs, AS OF-rewritten retrospective
-   queries) while remaining pure observers: reading them never
+   (joins, aggregates, RQL UDFs, AS OF retrospective queries) while remaining pure observers: reading them never
    perturbs the counters they report, beyond the statement accounting
    every query pays.
 

@@ -1,6 +1,6 @@
 (** Simulated block device backing the snapshot archive (Pagelog).
 
-    Reads and writes are counted into {!Stats.global} and converted to
+    Reads and writes are counted into the {!Stats} counters and converted to
     modeled time by {!Stats.Cost_model}; see DESIGN.md for the
     substitution rationale.  Blocks are page-sized and copied on append,
     so later mutation of the source buffer cannot corrupt the archive.

@@ -1,15 +1,12 @@
-(* Global cost accounting for the storage manager and the Retro snapshot
+(* Cost accounting for the storage manager and the Retro snapshot
    layer.
 
    Counter state lives in the Obs.Metrics registry — the root metric
    scope — reached through Obs.Scope handles (one named counter per
-   field below), so every increment also charges whatever scope is
-   active.  This module holds no independent mutable totals: it is a
-   compatibility shim that exposes the root scope under the historical
-   record-of-ints API the benchmarks and the RQL layer were written
-   against.  Reading [global] through {!copy} (or {!snapshot})
-   materializes the registry counters into a plain record; {!diff} then
-   attributes counter deltas to a code region exactly as before. *)
+   event below), so every increment also charges whatever scope is
+   active.  This module holds no independent mutable totals: readers
+   take [Obs.Scope.get] (process totals) or [Obs.Scope.get_in] (one
+   scope's totals) deltas around the region they attribute. *)
 
 module C = Obs.Scope
 
@@ -42,9 +39,8 @@ let c_torn_tail_discards = C.counter "storage.torn_tail_discards"
 let c_checksum_failures = C.counter "retro.checksum_failures"
 
 (* Archive-lifecycle events (VACUUM SNAPSHOTS / CHECKPOINT) and the
-   transient-read-retry path.  Registry-only, like the durability
-   events above: they are rare maintenance operations, not steady-state
-   costs, so the legacy record API does not carry them. *)
+   transient-read-retry path: rare maintenance operations, not
+   steady-state costs. *)
 let c_checkpoints = C.counter "storage.checkpoints"
 let c_wal_truncated_bytes = C.counter "storage.wal_truncated_bytes"
 let c_snapshots_vacuumed = C.counter "retro.snapshots_vacuumed"
@@ -57,129 +53,6 @@ let c_read_retries = C.counter "storage.read_retries"
    every active scope, so sys_heat partitions the total exactly. *)
 let record_db_page_read () = C.page_read C.Db_read c_db_page_reads
 let record_pagelog_read () = C.page_read C.Archive_read c_pagelog_reads
-
-type t = {
-  mutable db_page_reads : int;      (* current-state pages, memory resident *)
-  mutable db_page_writes : int;
-  mutable pagelog_reads : int;      (* snapshot archive reads (simulated SSD) *)
-  mutable pagelog_writes : int;
-  mutable maplog_appends : int;
-  mutable maplog_scanned : int;     (* maplog entries visited during SPT builds *)
-  mutable snap_cache_hits : int;
-  mutable snap_cache_misses : int;
-  mutable pages_allocated : int;
-  mutable txn_commits : int;
-  mutable txn_aborts : int;
-  mutable cow_archived : int;       (* pre-state pages copied out at commit *)
-  mutable wal_appends : int;        (* records appended to the write-ahead log *)
-  mutable wal_bytes : int;          (* bytes of WAL frames written *)
-  mutable wal_fsyncs : int;         (* modeled fsync barriers *)
-}
-
-let make () = {
-  db_page_reads = 0;
-  db_page_writes = 0;
-  pagelog_reads = 0;
-  pagelog_writes = 0;
-  maplog_appends = 0;
-  maplog_scanned = 0;
-  snap_cache_hits = 0;
-  snap_cache_misses = 0;
-  pages_allocated = 0;
-  txn_commits = 0;
-  txn_aborts = 0;
-  cow_archived = 0;
-  wal_appends = 0;
-  wal_bytes = 0;
-  wal_fsyncs = 0;
-}
-
-(* Materialize the live registry counters. *)
-let snapshot () = {
-  db_page_reads = C.get c_db_page_reads;
-  db_page_writes = C.get c_db_page_writes;
-  pagelog_reads = C.get c_pagelog_reads;
-  pagelog_writes = C.get c_pagelog_writes;
-  maplog_appends = C.get c_maplog_appends;
-  maplog_scanned = C.get c_maplog_scanned;
-  snap_cache_hits = C.get c_snap_cache_hits;
-  snap_cache_misses = C.get c_snap_cache_misses;
-  pages_allocated = C.get c_pages_allocated;
-  txn_commits = C.get c_txn_commits;
-  txn_aborts = C.get c_txn_aborts;
-  cow_archived = C.get c_cow_archived;
-  wal_appends = C.get c_wal_appends;
-  wal_bytes = C.get c_wal_bytes;
-  wal_fsyncs = C.get c_wal_fsyncs;
-}
-
-(* The legacy global handle.  The record itself no longer accumulates;
-   it marks (by physical identity) "the live system-wide counters", and
-   {!copy}/{!reset} on it read or reset the registry.  Pre-existing
-   consumers all go through copy/diff, so they see exactly the values
-   they used to. *)
-let global = make ()
-
-let reset t =
-  if t == global then begin
-    C.set c_db_page_reads 0;
-    C.set c_db_page_writes 0;
-    C.set c_pagelog_reads 0;
-    C.set c_pagelog_writes 0;
-    C.set c_maplog_appends 0;
-    C.set c_maplog_scanned 0;
-    C.set c_snap_cache_hits 0;
-    C.set c_snap_cache_misses 0;
-    C.set c_pages_allocated 0;
-    C.set c_txn_commits 0;
-    C.set c_txn_aborts 0;
-    C.set c_cow_archived 0;
-    C.set c_wal_appends 0;
-    C.set c_wal_bytes 0;
-    C.set c_wal_fsyncs 0;
-    (* The combined page-read total and the heat matrix partition the
-       per-device counters just zeroed: zero them together or sys_heat
-       would no longer sum to storage.page_reads. *)
-    C.reset_heat ()
-  end
-  else begin
-    t.db_page_reads <- 0;
-    t.db_page_writes <- 0;
-    t.pagelog_reads <- 0;
-    t.pagelog_writes <- 0;
-    t.maplog_appends <- 0;
-    t.maplog_scanned <- 0;
-    t.snap_cache_hits <- 0;
-    t.snap_cache_misses <- 0;
-    t.pages_allocated <- 0;
-    t.txn_commits <- 0;
-    t.txn_aborts <- 0;
-    t.cow_archived <- 0;
-    t.wal_appends <- 0;
-    t.wal_bytes <- 0;
-    t.wal_fsyncs <- 0
-  end
-
-let copy t = if t == global then snapshot () else { t with db_page_reads = t.db_page_reads }
-
-(* a - b, fieldwise: used to attribute counter deltas to a code region. *)
-let diff a b = {
-  db_page_reads = a.db_page_reads - b.db_page_reads;
-  db_page_writes = a.db_page_writes - b.db_page_writes;
-  pagelog_reads = a.pagelog_reads - b.pagelog_reads;
-  pagelog_writes = a.pagelog_writes - b.pagelog_writes;
-  maplog_appends = a.maplog_appends - b.maplog_appends;
-  maplog_scanned = a.maplog_scanned - b.maplog_scanned;
-  snap_cache_hits = a.snap_cache_hits - b.snap_cache_hits;
-  snap_cache_misses = a.snap_cache_misses - b.snap_cache_misses;
-  pages_allocated = a.pages_allocated - b.pages_allocated;
-  txn_commits = a.txn_commits - b.txn_commits;
-  txn_aborts = a.txn_aborts - b.txn_aborts;
-  cow_archived = a.cow_archived - b.cow_archived;
-  wal_appends = a.wal_appends - b.wal_appends;
-  wal_bytes = a.wal_bytes - b.wal_bytes;
-  wal_fsyncs = a.wal_fsyncs - b.wal_fsyncs;
-}
 
 (* Latency model for the simulated snapshot archive device.  The paper's
    Pagelog lives on a SATA SSD; the random-read latency is calibrated to
@@ -206,25 +79,4 @@ module Cost_model = struct
      the overlapped-I/O effect a real SATA SSD gives the paper's setup.
      lint: allow — calibration knob, not a metric total *)
   let real_read_latency = ref false
-
-  (* Modeled I/O seconds attributable to a counter delta.  WAL appends
-     are sequential writes, charged per page-equivalent of logged
-     bytes; each fsync pays the full barrier. *)
-  let io_seconds (d : t) =
-    (float_of_int d.pagelog_reads *. !ssd_read_s)
-    +. (float_of_int d.pagelog_writes *. !ssd_write_s)
-    +. (float_of_int d.wal_bytes /. float_of_int Page.size *. !ssd_write_s)
-    +. (float_of_int d.wal_fsyncs *. !fsync_s)
 end
-
-let pp ppf t =
-  let t = if t == global then snapshot () else t in
-  Fmt.pf ppf
-    "@[<v>db_page_reads=%d db_page_writes=%d@ pagelog_reads=%d \
-     pagelog_writes=%d@ maplog_appends=%d maplog_scanned=%d@ \
-     snap_cache hits=%d misses=%d@ pages_allocated=%d commits=%d aborts=%d \
-     cow_archived=%d@ wal_appends=%d wal_bytes=%d wal_fsyncs=%d@]"
-    t.db_page_reads t.db_page_writes t.pagelog_reads t.pagelog_writes
-    t.maplog_appends t.maplog_scanned t.snap_cache_hits t.snap_cache_misses
-    t.pages_allocated t.txn_commits t.txn_aborts t.cow_archived
-    t.wal_appends t.wal_bytes t.wal_fsyncs

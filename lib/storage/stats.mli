@@ -1,15 +1,15 @@
-(** Global cost accounting for the storage manager and the Retro
-    layer: the raw material for the per-iteration cost attribution
-    (I/O / SPT build / query evaluation / UDF) used by the benchmarks.
+(** Cost accounting for the storage manager and the Retro layer: the
+    raw material for the per-iteration cost attribution (I/O / SPT
+    build / query evaluation / UDF) used by the benchmarks.
 
     Counter state lives in the {!Obs.Metrics} registry — the root
     metric scope — reached through {!Obs.Scope} handles, so increments
     also charge whatever scope is active.  This module holds no
-    independent mutable totals: it is a compatibility shim exposing the
-    root scope under the historical record API.  Instrumentation points
-    increment the [c_*] counters directly. *)
+    independent mutable totals: instrumentation points increment the
+    [c_*] counters directly, and readers diff [Obs.Scope.get] (process
+    totals) or [Obs.Scope.get_in] (one scope's totals). *)
 
-(** Scope-charged counters (one per record field below). *)
+(** Scope-charged counters. *)
 val c_db_page_reads : Obs.Scope.counter
 val c_db_page_writes : Obs.Scope.counter
 val c_pagelog_reads : Obs.Scope.counter
@@ -46,40 +46,6 @@ val c_read_retries : Obs.Scope.counter
 val record_db_page_read : unit -> unit
 val record_pagelog_read : unit -> unit
 
-type t = {
-  mutable db_page_reads : int;      (** current-state pages (memory resident) *)
-  mutable db_page_writes : int;
-  mutable pagelog_reads : int;      (** snapshot-archive reads (simulated SSD) *)
-  mutable pagelog_writes : int;
-  mutable maplog_appends : int;
-  mutable maplog_scanned : int;     (** maplog entries visited by SPT builds *)
-  mutable snap_cache_hits : int;
-  mutable snap_cache_misses : int;
-  mutable pages_allocated : int;
-  mutable txn_commits : int;
-  mutable txn_aborts : int;
-  mutable cow_archived : int;       (** pre-state pages copied out at commit *)
-  mutable wal_appends : int;        (** records appended to the write-ahead log *)
-  mutable wal_bytes : int;          (** bytes of WAL frames written *)
-  mutable wal_fsyncs : int;         (** modeled fsync barriers *)
-}
-
-val make : unit -> t
-
-(** Materialize the live registry counters into a plain record. *)
-val snapshot : unit -> t
-
-(** The legacy global handle: [copy global] materializes the live
-    registry counters, [reset global] zeroes them.  The engine is
-    single-process. *)
-val global : t
-
-val reset : t -> unit
-val copy : t -> t
-
-(** Fieldwise [a - b]: attribute counter deltas to a code region. *)
-val diff : t -> t -> t
-
 (** Latency model for the simulated archive device, calibrated to the
     paper's measured per-page I/O (see DESIGN.md). *)
 module Cost_model : sig
@@ -95,9 +61,4 @@ module Cost_model : sig
       their simulated device waits like they would on a real SSD.  Off
       by default; bench/concurrency turns it on. *)
   val real_read_latency : bool ref
-
-  (** Modeled I/O seconds for a counter delta. *)
-  val io_seconds : t -> float
 end
-
-val pp : Format.formatter -> t -> unit

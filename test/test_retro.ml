@@ -60,12 +60,11 @@ let basic =
         let pager, retro, heap = setup () in
         insert pager heap [ "a" ];
         ignore (Retro.declare retro);
-        let s0 = S.copy S.global in
+        let cow0 = Obs.Scope.get S.c_cow_archived in
         (* two updates to the same page within one epoch: one archive *)
         insert pager heap [ "b" ];
         insert pager heap [ "c" ];
-        let d = S.diff (S.copy S.global) s0 in
-        Alcotest.(check int) "one pre-state" 1 d.S.cow_archived);
+        Alcotest.(check int) "one pre-state" 1 (Obs.Scope.get S.c_cow_archived - cow0));
     Alcotest.test_case "consecutive snapshots share unmodified pre-states" `Quick (fun () ->
         let pager, retro, heap = setup () in
         insert pager heap [ "a" ];
@@ -87,25 +86,23 @@ let basic =
         let s1 = Retro.declare retro in
         (* nothing modified since declaration: snapshot read must not
            touch the pagelog *)
-        let s0 = S.copy S.global in
+        let pl0 = Obs.Scope.get S.c_pagelog_reads and db0 = Obs.Scope.get S.c_db_page_reads in
         ignore (snapshot_contents retro heap s1);
-        let d = S.diff (S.copy S.global) s0 in
-        Alcotest.(check int) "no pagelog reads" 0 d.S.pagelog_reads;
-        Alcotest.(check bool) "db reads happened" true (d.S.db_page_reads > 0));
+        Alcotest.(check int) "no pagelog reads" 0 (Obs.Scope.get S.c_pagelog_reads - pl0);
+        Alcotest.(check bool) "db reads happened" true (Obs.Scope.get S.c_db_page_reads > db0));
     Alcotest.test_case "snapshot cache avoids repeated pagelog reads" `Quick (fun () ->
         let pager, retro, heap = setup () in
         insert pager heap [ "a" ];
         let s1 = Retro.declare retro in
         insert pager heap [ "b" ];
         Retro.clear_cache retro;
-        let s0 = S.copy S.global in
-        ignore (snapshot_contents retro heap s1);
-        let d1 = S.diff (S.copy S.global) s0 in
-        Alcotest.(check bool) "first read hits pagelog" true (d1.S.pagelog_reads > 0);
-        let s0 = S.copy S.global in
-        ignore (snapshot_contents retro heap s1);
-        let d2 = S.diff (S.copy S.global) s0 in
-        Alcotest.(check int) "second read cached" 0 d2.S.pagelog_reads);
+        let pagelog_reads () =
+          let pl0 = Obs.Scope.get S.c_pagelog_reads in
+          ignore (snapshot_contents retro heap s1);
+          Obs.Scope.get S.c_pagelog_reads - pl0
+        in
+        Alcotest.(check bool) "first read hits pagelog" true (pagelog_reads () > 0);
+        Alcotest.(check int) "second read cached" 0 (pagelog_reads ()));
     Alcotest.test_case "pages created after declaration are excluded" `Quick (fun () ->
         let pager, retro, heap = setup () in
         insert pager heap [ "a" ];

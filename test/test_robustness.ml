@@ -93,7 +93,7 @@ let udf_errors =
                (Rql.collate_data ctx ~qs:"SELECT snap_id FROM SnapIds"
                   ~qq:"DELETE FROM t" ~table:"T");
              false
-           with Rql.Error _ | Rql.Rewrite.Error _ -> true)) ]
+           with Rql.Error _ -> true)) ]
 
 let storage_stability =
   [ Alcotest.test_case "heap churn keeps page count bounded" `Quick (fun () ->

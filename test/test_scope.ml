@@ -107,9 +107,38 @@ let rollup_tests =
                 S.with_scope a (fun () -> S.incr h);
                 Alcotest.(check int) "a local" 2 (local_counter a "test.scope_switch");
                 Alcotest.(check int) "b local" 2 (local_counter b "test.scope_switch");
-                Alcotest.(check int) "root" 4 (S.get h)))) ]
-
-(* --- lifecycle: drop and reset ----------------------------------------- *)
+                Alcotest.(check int) "root" 4 (S.get h))));
+    Alcotest.test_case "gauges and histograms charge each domain's own scope" `Quick
+      (fun () ->
+        (* Two domains, each under its own child scope, charging the same
+           handles at once: every scope's local totals must be exact. *)
+        let g = S.gauge "test.scope_domains_gauge" in
+        let h = S.histogram "test.scope_domains_hist" in
+        let n = 200_000 in
+        let started = Atomic.make 0 in
+        let scopes = List.init 2 (fun i -> S.create (Printf.sprintf "domain%d" i)) in
+        Fun.protect
+          ~finally:(fun () -> List.iter S.drop scopes)
+          (fun () ->
+            let run sc () =
+              Atomic.incr started;
+              while Atomic.get started < 2 do Domain.cpu_relax () done;
+              S.with_scope sc (fun () ->
+                  for _ = 1 to n do
+                    S.gauge_add g 1.0;
+                    S.observe h 1e-3
+                  done)
+            in
+            List.iter Domain.join (List.map (fun sc -> Domain.spawn (run sc)) scopes);
+            List.iter
+              (fun sc ->
+                Alcotest.(check (float 0.)) "gauge local total" (float_of_int n)
+                  (S.gauge_get_in sc g);
+                match List.assoc_opt "test.scope_domains_hist" (S.metric_items sc) with
+                | Some (M.M_histogram hs) ->
+                  Alcotest.(check int) "histogram local count" n (M.Histogram.count hs)
+                | _ -> Alcotest.fail "histogram missing from the scope")
+              scopes)) ]
 
 let lifecycle_tests =
   [ Alcotest.test_case "dropped child keeps totals in root and (dropped) bucket" `Quick
@@ -182,7 +211,7 @@ let make_snapshot_ctx () =
 
 let heat_tests =
   [ Alcotest.test_case "root heat partitions storage.page_reads exactly" `Quick (fun () ->
-        Storage.Stats.reset Storage.Stats.global;
+        Obs.Metrics.reset_all ();
         let ctx = make_snapshot_ctx () in
         ignore
           (Rql.collate_data ctx ~qs:"SELECT snap_id FROM SnapIds"

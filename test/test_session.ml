@@ -172,8 +172,94 @@ let parallel_rql =
             Alcotest.(check bool) "io_s >= 0" true (it.IS.io_s >= 0.))
           run.IS.iterations) ]
 
+(* --- one accounting path for both loops ----------------------------------- *)
+
+let c_folds = Obs.Metrics.counter "sql.opt_folds"
+
+(* A small three-snapshot context for the loop-accounting checks. *)
+let small_ctx () =
+  let ctx = Rql.create () in
+  let e sql = ignore (E.exec ctx.Rql.data sql) in
+  e "CREATE TABLE t (x INTEGER)";
+  e "INSERT INTO t VALUES (1), (2), (3)";
+  ignore (Rql.declare_snapshot ctx);
+  e "BEGIN";
+  e "INSERT INTO t VALUES (4)";
+  ignore (Rql.declare_snapshot ctx);
+  e "BEGIN";
+  e "DELETE FROM t WHERE x = 1";
+  ignore (Rql.declare_snapshot ctx);
+  ctx
+
+let accounting =
+  [ Alcotest.test_case "closed sessions drop their metric scope" `Quick (fun () ->
+        let ctx = small_ctx () in
+        let run () =
+          ignore
+            (Rql.collate_data ~domains:2 ctx ~qs:"SELECT snap_id FROM SnapIds"
+               ~qq:"SELECT x FROM t" ~table:"R")
+        in
+        run ();
+        let live = List.length (Obs.Scope.scopes ()) in
+        for _ = 1 to 5 do run () done;
+        Alcotest.(check int) "live scopes after 5 parallel runs" live
+          (List.length (Obs.Scope.scopes ()));
+        (* Dropping folds a session's totals away without touching the
+           root's; closing twice is harmless. *)
+        let s = S.create ctx.Rql.data in
+        ignore (E.exec s "SELECT AS OF 1 COUNT(*) FROM t");
+        let root () =
+          List.map Obs.Scope.get
+            [ Storage.Stats.c_db_page_reads; Storage.Stats.c_pagelog_reads; Obs.Scope.c_page_reads ]
+        in
+        let before = root () in
+        S.close s;
+        S.close s;
+        Alcotest.(check bool) "scope dropped" false (Obs.Scope.is_live (S.scope s));
+        Alcotest.(check (list int)) "root totals unchanged" before (root ()));
+    Alcotest.test_case "both loops follow PRAGMA optimize on the data handle" `Quick
+      (fun () ->
+        let ctx = small_ctx () in
+        let folds ?domains () =
+          let f0 = Obs.Metrics.Counter.get c_folds in
+          ignore
+            (Rql.collate_data ?domains ctx ~qs:"SELECT snap_id FROM SnapIds"
+               ~qq:"SELECT x + (1 + 1) AS y FROM t WHERE 1 = 1" ~table:"F");
+          Obs.Metrics.Counter.get c_folds - f0
+        in
+        ignore (E.exec ctx.Rql.data "PRAGMA optimize = off");
+        Alcotest.(check int) "sequential, optimize=off" 0 (folds ());
+        Alcotest.(check int) "two domains, optimize=off" 0 (folds ~domains:2 ());
+        ignore (E.exec ctx.Rql.data "PRAGMA optimize = on");
+        Alcotest.(check bool) "sequential, optimize=on folds" true (folds () > 0);
+        Alcotest.(check bool) "two domains, optimize=on folds" true (folds ~domains:2 () > 0));
+    Alcotest.test_case "parallel and sequential loops account iterations alike" `Quick
+      (fun () ->
+        let ctx, _st, _ =
+          Tpch.Workload.build_history ~sf:0.002 ~uw:Tpch.Workload.uw30 ~snapshots:5 ()
+        in
+        let qs = "SELECT snap_id FROM SnapIds" in
+        let qq = "SELECT o_orderkey FROM orders WHERE o_totalprice > 50000" in
+        let seq = Rql.collate_data_into_intervals ctx ~qs ~qq ~table:"Is" in
+        let par = Rql.collate_data_into_intervals ~domains:2 ctx ~qs ~qq ~table:"Ip" in
+        let per f (r : IS.run) = List.map f r.IS.iterations in
+        let sum f r = List.fold_left ( + ) 0 (per f r) in
+        Alcotest.(check (list int)) "udf_rows" (per (fun it -> it.IS.udf_rows) seq)
+          (per (fun it -> it.IS.udf_rows) par);
+        Alcotest.(check (list int)) "udf_inserts" (per (fun it -> it.IS.udf_inserts) seq)
+          (per (fun it -> it.IS.udf_inserts) par);
+        Alcotest.(check (list int)) "udf_updates" (per (fun it -> it.IS.udf_updates) seq)
+          (per (fun it -> it.IS.udf_updates) par);
+        Alcotest.(check int) "total spt_entries"
+          (sum (fun it -> it.IS.spt_entries) seq)
+          (sum (fun it -> it.IS.spt_entries) par);
+        let spt_s = List.fold_left (fun a it -> a +. it.IS.spt_build_s) 0. par.IS.iterations in
+        Alcotest.(check bool) (Printf.sprintf "parallel spt_build_s > 0 (%g)" spt_s) true
+          (spt_s > 0.)) ]
+
 let () =
   Alcotest.run "session"
     [ ("lifecycle", lifecycle);
       ("parallel-asof", parallel_asof);
-      ("parallel-rql", parallel_rql) ]
+      ("parallel-rql", parallel_rql);
+      ("accounting", accounting) ]

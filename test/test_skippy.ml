@@ -73,9 +73,9 @@ let tests =
         let _pager, retro, _heap, _ = build_history ~snapshots:60 ~rows_per_snap:200 in
         let visited skippy =
           Retro.set_skippy retro skippy;
-          let s0 = S.copy S.global in
+          let m0 = Obs.Scope.get S.c_maplog_scanned in
           ignore (Retro.build_spt retro 1);
-          (S.diff (S.copy S.global) s0).S.maplog_scanned
+          Obs.Scope.get S.c_maplog_scanned - m0
         in
         let linear = visited false in
         let skip = visited true in

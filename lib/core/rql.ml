@@ -51,6 +51,10 @@ let mech_name = function
   | Agg_table _ -> "AggregateDataInTable"
   | Intervals -> "CollateDataIntoIntervals"
 
+(* A CollateDataIntoIntervals result row as the loop body knows it
+   without reading T: its rid and its end_snapshot value. *)
+type interval = { rid : int; mutable last : R.value }
+
 type run_state = {
   kind : mech_kind;
   qq : string;
@@ -81,6 +85,12 @@ type run_state = {
   mutable avg_hidden : (int * int * int) list; (* visible, sum, cnt positions in T *)
   mutable index : Sq.Catalog.index option;
   mutable single_rid : int option;           (* Agg_table with no grouping columns *)
+  (* CollateDataIntoIntervals: every row of T by its Qq columns
+     ([interval_key]), rids ascending; and the meta pager's install
+     count when the map last matched T's committed state (None: rebuild
+     it from T before use). *)
+  intervals : (string, interval list) Hashtbl.t;
+  mutable intervals_at : int option;
   (* AggregateDataInVariable running state *)
   mutable var_value : R.value;
   mutable var_seen : bool;
@@ -225,6 +235,7 @@ let init_run (rs : run_state) (header : string array) =
           else None)
         rs.agg_specs
   | Intervals ->
+    Hashtbl.reset rs.intervals;
     rs.group_pos <- List.init (Array.length header) (fun i -> i);
     let cols =
       Array.to_list (Array.map (fun h -> (h, "")) header)
@@ -292,19 +303,18 @@ let fetch (rs : run_state) read rid =
   | Some row -> row
   | None -> error "%s: dangling result rid %d" (mech_name rs.kind) rid
 
-(* Update a result row in place, repairing the index entry if the row
-   had to move. *)
+(* Update a result row in place, repairing the index entry (or the
+   single row's rid) if the row had to move. *)
 let update_row (rs : run_state) txn ~rid ~key (row' : R.row) =
   match Storage.Heap.update txn (meta_heap rs) rid (R.encode_row row') with
-  | `Same -> rid
-  | `Moved rid' ->
-    (match rs.index with
+  | `Same -> ()
+  | `Moved rid' -> (
+    match rs.index with
     | Some idx ->
       let bt = Storage.Btree.open_existing idx.Sq.Catalog.iroot in
       ignore (Storage.Btree.delete txn bt key rid);
       Storage.Btree.insert txn bt key rid'
-    | None -> ());
-    rid'
+    | None -> rs.single_rid <- Some rid')
 
 let insert_new (rs : run_state) txn (t_row : R.row) =
   let rid = Sq.Exec.insert_row_raw (meta_env rs) txn (table_exn rs) t_row in
@@ -347,35 +357,65 @@ let step_agg_table (rs : run_state) txn ~sid ~first (row : R.row) =
       (* write back only when the accumulator changed: this is why hot
          iterations with MAX are much cheaper than with SUM (Fig 13) *)
       if R.compare_row row' stored <> 0 then begin
-        ignore (update_row rs txn ~rid ~key row');
+        update_row rs txn ~rid ~key row';
         rs.cur_updates <- rs.cur_updates + 1
       end
     | [] -> ignore (insert_new rs txn (first_row rs ~sid row))
   end
 
+(* CollateDataIntoIntervals keys its map by the encoding of a row's
+   first [n] values (its Qq columns), with every REAL equal to an
+   INTEGER written as that INTEGER and every NaN as one NaN: rows the
+   __rql_key index holds equal (1 = 1.0, -0.0 = 0.0) share a binding. *)
+let interval_key (row : R.row) n =
+  let canon = function
+    | R.Real f when Float.is_integer f && Float.abs f < 0x1p62 -> R.Int (int_of_float f)
+    | R.Real f when Float.is_nan f -> R.Real Float.nan
+    | v -> v
+  in
+  R.encode_row (Array.init n (fun i -> canon row.(i)))
+
+(* A key's intervals stay in rid order, the order __rql_key lists the
+   key's rids in: its entries are (key, rid) composites. *)
+let rec add_interval (iv : interval) = function
+  | x :: rest when x.rid < iv.rid -> x :: add_interval iv rest
+  | l -> iv :: l
+
+(* The map from one scan of T, read through [txn]. *)
+let rebuild_intervals (rs : run_state) txn =
+  Hashtbl.reset rs.intervals;
+  let n = Array.length rs.header in
+  Storage.Heap.iter_spans (Storage.Txn.read_ctx txn) (meta_heap rs) ~f:(fun rid p off len ->
+      let row = R.decode_bytes p ~off ~len in
+      let key = interval_key row n in
+      let ivs = Option.value (Hashtbl.find_opt rs.intervals key) ~default:[] in
+      Hashtbl.replace rs.intervals key (add_interval { rid; last = row.(n + 1) } ivs))
+
+(* The paper's rule: the first row of T holding this Qq row whose
+   interval ends at the previous snapshot is extended to [sid];
+   otherwise a new interval starts.  The row to extend comes from the
+   map, and its end_snapshot (an INTEGER: a tag and 8 payload bytes,
+   the row's last) is rewritten in place, so T is never probed or
+   read. *)
 let step_intervals (rs : run_state) txn ~sid ~first (row : R.row) =
   rs.cur_rows <- rs.cur_rows + 1;
-  if first then ignore (insert_new rs txn (first_row rs ~sid row))
-  else begin
-    let key = group_key rs row in
-    let read = Storage.Txn.read_ctx txn in
-    let end_pos = Array.length rs.header + 1 in
-    let candidates = probe rs read key in
-    let matching =
-      List.filter_map
-        (fun rid ->
-          let stored = fetch rs read rid in
-          if stored.(end_pos) = R.Int rs.prev_sid then Some (rid, stored) else None)
-        candidates
+  let key = interval_key row (Array.length row) in
+  let ivs = Option.value (Hashtbl.find_opt rs.intervals key) ~default:[] in
+  let open_at_prev iv = match iv.last with R.Int e -> e = rs.prev_sid | _ -> false in
+  match if first then None else List.find_opt open_at_prev ivs with
+  | Some iv ->
+    let patched =
+      Storage.Heap.write_span txn (meta_heap rs) iv.rid ~f:(fun p off len ->
+          if R.int_at p (off + len - 9) = rs.prev_sid then
+            Bytes.set_int64_le p (off + len - 8) (Int64.of_int sid)
+          else error "CollateDataIntoIntervals: result rid %d does not end at %d" iv.rid rs.prev_sid)
     in
-    match matching with
-    | (rid, stored) :: _ ->
-      let row' = Array.copy stored in
-      row'.(end_pos) <- R.Int sid;
-      ignore (update_row rs txn ~rid ~key row');
-      rs.cur_updates <- rs.cur_updates + 1
-    | [] -> ignore (insert_new rs txn (first_row rs ~sid row))
-  end
+    if patched = None then error "CollateDataIntoIntervals: dangling result rid %d" iv.rid;
+    iv.last <- R.Int sid;
+    rs.cur_updates <- rs.cur_updates + 1
+  | None ->
+    let rid = insert_new rs txn (first_row rs ~sid row) in
+    Hashtbl.replace rs.intervals key (add_interval { rid; last = R.Int sid } ivs)
 
 let step_var (rs : run_state) ~rows_seen (row : R.row) =
   rs.cur_rows <- rs.cur_rows + 1;
@@ -524,6 +564,8 @@ let make_run ?(analyze = false) ?(incremental = true) (ctx : ctx) ~kind ~qq ~tab
     avg_hidden = [];
     index = None;
     single_rid = None;
+    intervals = Hashtbl.create 16;
+    intervals_at = None;
     var_value = R.Null;
     var_seen = false;
     var_avg = Monoid.avg_create ();
@@ -628,8 +670,23 @@ let apply (rs : run_state) ev ~sid =
         rs.cur_inserts <- rs.cur_inserts + 1;
         ignore (Sq.Exec.insert_row_raw (meta_env rs) txn (table_exn rs) row))
   | Agg_table _ -> each_row (fun txn -> step_agg_table rs txn ~sid ~first)
-  | Intervals -> each_row (fun txn -> step_intervals rs txn ~sid ~first));
+  | Intervals ->
+    (* The map is committed state: anything else that changed a page
+       since this run last committed (a statement between SQL-form
+       invocations, say) forces a rebuild, and so does a failed
+       iteration, since the map is trusted again only below. *)
+    let valid = rs.intervals_at = Some rs.meta.Sq.Db.pager.Storage.Pager.installs in
+    rs.intervals_at <- None;
+    Sq.Db.with_write_txn rs.meta (fun txn ->
+        if not (first || valid) then rebuild_intervals rs txn;
+        List.iter (step_intervals rs txn ~sid ~first) ev.ev_rows));
   if first then post_first rs;
+  (* Inside an explicit transaction the iteration's writes are not
+     committed yet, and may be rolled back. *)
+  (match rs.kind with
+  | Intervals when not (Sq.Db.in_txn rs.meta) ->
+    rs.intervals_at <- Some rs.meta.Sq.Db.pager.Storage.Pager.installs
+  | _ -> ());
   rs.first_done <- true;
   rs.prev_sid <- sid;
   rs.last_sid <- Some sid

@@ -134,6 +134,8 @@ let get_span (read : Pager.read) _t rid ~f =
 
 let get read t rid = get_span read t rid ~f:(fun p off len -> Bytes.sub_string p off len)
 
+let write_span txn t rid ~f = get_span (Txn.write txn) t rid ~f
+
 let delete txn t rid =
   let pid = pid_of_rid rid and slot = slot_of_rid rid in
   let p = Txn.write txn pid in

@@ -38,6 +38,12 @@ val get : Pager.read -> t -> int -> string option
     its page; [None] when the rid's slot is dead. *)
 val get_span : Pager.read -> t -> int -> f:(Page.t -> int -> int -> 'a) -> 'a option
 
+(** {!get_span} on the transaction's own copy of the row's page, for
+    edits that rewrite bytes in place and keep the row's length (the
+    bytes a same-length {!update} would leave); [None] when the rid's
+    slot is dead. *)
+val write_span : Txn.t -> t -> int -> f:(Page.t -> int -> int -> 'a) -> 'a option
+
 (** Delete by rid; returns whether the row existed. *)
 val delete : Txn.t -> t -> int -> bool
 

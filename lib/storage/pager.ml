@@ -37,6 +37,9 @@ type t = {
   mutable free_list : int list;
   mutable pre_commit_hook : commit_event list -> unit;
   mutable wal : wal_sink option;
+  (* Committed page images installed so far: a reader that saw a count
+     knows, while it is unchanged, that no committed page changed. *)
+  mutable installs : int;
   (* Readers-writer lock for cross-session access: whole read statements
      hold it in read mode, commit bodies (install + COW archiving) and
      snapshot declarations in write mode, so a reader never observes a
@@ -56,6 +59,7 @@ let create () =
     free_list = [];
     pre_commit_hook = (fun _ -> ());
     wal = None;
+    installs = 0;
     lock = Rwlock.create () }
 
 (* Run [f] as a reader / writer over this database's committed state.
@@ -120,6 +124,7 @@ let install t pid (bytes : Bytes.t) =
   if pid >= t.n_pages then t.n_pages <- pid + 1;
   t.pages.(pid) <- Some bytes;
   t.crcs.(pid) <- Crc32.bytes bytes;
+  t.installs <- t.installs + 1;
   Obs.Scope.incr Stats.c_db_page_writes
 
 let release t pid = t.free_list <- pid :: t.free_list

@@ -29,6 +29,9 @@ type t = {
   mutable free_list : int list;
   mutable pre_commit_hook : commit_event list -> unit;
   mutable wal : wal_sink option;
+  mutable installs : int;
+      (** committed page images installed so far: unchanged between two
+          reads exactly when no page's committed content changed *)
   lock : Rwlock.t;
       (** readers = whole read statements, writers = commit bodies /
           snapshot declarations (see DESIGN.md §15) *)

@@ -133,6 +133,34 @@ let avg_udf =
           [ [ R.Text "g1"; R.Real 2.0 ]; [ R.Text "g2"; R.Real 1.5 ] ]
           (q ctx "SELECT g, c FROM T ORDER BY g")) ]
 
+let single_row =
+  [ Alcotest.test_case "AggTable without grouping columns follows its row when it moves" `Quick
+      (fun () ->
+        let ctx = Rql.create () in
+        let e sql = ignore (E.exec ctx.Rql.data sql) in
+        e "CREATE TABLE t (name TEXT)";
+        e
+          ("INSERT INTO t VALUES "
+          ^ String.concat ", " (List.init 300 (fun i -> Printf.sprintf "('n%03d')" i)));
+        ignore (Rql.declare_snapshot ctx);
+        (* the running MAX grows past the free space of its page, so the
+           result row is rewritten on another page with a new rid *)
+        let long = String.make 3000 'z' in
+        e "BEGIN";
+        e (Printf.sprintf "INSERT INTO t VALUES ('%s')" long);
+        ignore (Rql.declare_snapshot ctx);
+        e "BEGIN";
+        e "INSERT INTO t VALUES ('a')";
+        ignore (Rql.declare_snapshot ctx);
+        ignore
+          (Rql.aggregate_data_in_table ctx ~qs:qs_all ~qq:"SELECT name AS m FROM t" ~table:"T"
+             ~aggs:[ ("m", "MAX") ]);
+        (* the first iteration stores one row per Qq row; later ones fold
+           into the last of them *)
+        Alcotest.(check (list row)) "rows and maximum"
+          [ [ R.Int 300; R.Text long ] ]
+          (q ctx "SELECT COUNT(*), MAX(m) FROM T")) ]
+
 let intervals =
   [ Alcotest.test_case "multi-column interval keys" `Quick (fun () ->
         let ctx = history () in
@@ -199,5 +227,6 @@ let () =
       ("ordering", ordering);
       ("all-cold", all_cold);
       ("avg-udf", avg_udf);
+      ("single-row", single_row);
       ("intervals", intervals);
       ("isolation", isolation) ]

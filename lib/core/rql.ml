@@ -1208,30 +1208,21 @@ let exec_meta ctx sql = Sq.Engine.exec ctx.meta sql
 
 (* --- persistence ---------------------------------------------------------- *)
 
-let ctx_magic = "RQLCTX02"
-
 (* Save the whole context — the application database with its complete
-   snapshot history, and the SnapIds/result database — to [path].
-   Written through Backup's framed container (magic, version, length,
-   whole-payload CRC32), so a truncated or bit-flipped file fails typed
-   at load instead of decoding garbage. *)
+   snapshot history, and the SnapIds/result database — to [path] as one
+   {!Sq.Image.context} file, so a truncated or bit-flipped file fails
+   typed at load instead of decoding garbage. *)
 let save (ctx : ctx) ~path =
-  let data_img = Sq.Backup.snapshot_image ctx.data in
-  let meta_img = Sq.Backup.snapshot_image ctx.meta in
-  Sq.Backup.write_framed ~magic:ctx_magic ~path (Marshal.to_string (data_img, meta_img) [])
+  Sq.Image.write Sq.Image.context ~path
+    (Sq.Backup.snapshot_image ctx.data, Sq.Backup.snapshot_image ctx.meta)
 
 (* Reopen a context saved by {!save}: AS OF queries over the restored
    history work immediately, mechanisms and current_snapshot() are
    re-registered, and new snapshots can be declared on top. *)
 let load ~path =
-  let payload =
-    match Sq.Backup.read_framed ~magic:ctx_magic ~path with
-    | p -> p
-    | exception Sq.Backup.Error m -> error "%s" m
-  in
   let data_img, meta_img =
-    match (Marshal.from_string payload 0 : Sq.Backup.image * Sq.Backup.image) with
-    | v -> v
-    | exception Failure m -> error "%s: context payload does not unmarshal: %s" path m
+    match Sq.Image.read Sq.Image.context ~path with
+    | imgs -> imgs
+    | exception Sq.Image.Error m -> error "%s" m
   in
   make_ctx ~data:(Sq.Backup.restore_image data_img) ~meta:(Sq.Backup.restore_image meta_img)

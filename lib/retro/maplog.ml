@@ -225,8 +225,8 @@ let compact t ~keep_from ~remap =
       Hashtbl.reset t.l2);
   keep_pos
 
-(* Portable image (for backup/restore); skip digests are rebuilt on
-   demand after restore. *)
+(* Portable image (part of every database image); skip digests are
+   rebuilt on demand after restore. *)
 type image = {
   img_entries : entry array;
   img_boundaries : boundary array;

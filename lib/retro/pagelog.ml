@@ -27,11 +27,7 @@ let set_fault t f = Storage.Disk.set_fault t.disk f
 
 let size_bytes t = Storage.Disk.size_bytes t.disk
 
-let dump t = Storage.Disk.dump t.disk
-
-let restore blocks = { disk = Storage.Disk.restore ~name:"pagelog" blocks }
-
-(* Raw (stored-CRC-preserving) access for compaction and checkpoint
+(* Raw (stored-CRC-preserving) access for compaction and database
    images: a latent checksum mismatch must survive the copy as a
    mismatch, never be re-blessed by a recomputed CRC. *)
 let raw_block t off = Storage.Disk.raw_block t.disk off

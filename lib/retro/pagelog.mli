@@ -33,14 +33,9 @@ val set_fault : t -> Storage.Fault.t option -> unit
     replacement device so armed faults survive a vacuum). *)
 val fault : t -> Storage.Fault.t option
 
-(** {1 Backup} *)
-
-val dump : t -> Bytes.t array
-val restore : Bytes.t array -> t
-
 (** {1 Raw (stored-CRC-preserving) access}
 
-    Compaction and checkpoint images copy blocks with these so a latent
+    Compaction and database images copy blocks with these so a latent
     checksum mismatch survives the copy as a mismatch (see
     {!Storage.Disk.raw_block}). *)
 

@@ -84,14 +84,15 @@ let on_commit t (events : Storage.Pager.commit_event list) =
           end)
       events
 
-(* Attach a Retro instance to a pager, interposing on commit. *)
-let attach ?(cache_pages = default_cache_pages) pager =
+(* A Retro instance over [pager] holding the given archive, interposing
+   on commit. *)
+let make pager ~pagelog ~maplog ~saved_epoch =
   let t =
-    { pagelog = Pagelog.create ();
-      maplog = Maplog.create ();
+    { pagelog;
+      maplog;
       pager;
-      saved_epoch = Array.make 256 0;
-      snap_cache = Storage.Lru.create cache_pages;
+      saved_epoch;
+      snap_cache = Storage.Lru.create default_cache_pages;
       clock = Unix.gettimeofday;
       last_spt = None;
       damaged = Hashtbl.create 4;
@@ -101,6 +102,11 @@ let attach ?(cache_pages = default_cache_pages) pager =
   in
   pager.Storage.Pager.pre_commit_hook <- on_commit t;
   t
+
+(* Attach a Retro instance with an empty archive to a pager. *)
+let attach pager =
+  make pager ~pagelog:(Pagelog.create ()) ~maplog:(Maplog.create ())
+    ~saved_epoch:(Array.make 256 0)
 
 (* Declare a snapshot reflecting the current committed state (called by
    COMMIT WITH SNAPSHOT just after the transaction installs).  Returns
@@ -561,68 +567,27 @@ let set_archive_fault t f = Pagelog.set_fault t.pagelog f
 let verify_archive t = Pagelog.verify_all t.pagelog
 let archive_device = "pagelog"
 
-(* --- backup/restore ----------------------------------------------------- *)
+(* --- images ---------------------------------------------------------------- *)
 
-(* Portable image of the whole snapshot system: the archive, the mapping
-   log and the per-page COW bookkeeping. *)
+(* Portable image of the whole snapshot system: the archive with every
+   block's *stored* CRC, the mapping log and the per-page COW
+   bookkeeping.  A latent archive corruption therefore survives any
+   image round trip as a corruption the scrub re-finds, instead of being
+   blessed by a recomputed checksum. *)
 type image = {
-  img_pagelog : Bytes.t array;
+  img_pagelog : (Bytes.t * int) array; (* (block bytes, stored CRC) *)
   img_maplog : Maplog.image;
   img_saved_epoch : int array;
 }
 
 let export t =
-  { img_pagelog = Pagelog.dump t.pagelog;
+  { img_pagelog = Pagelog.dump_raw t.pagelog;
     img_maplog = Maplog.dump t.maplog;
     img_saved_epoch = Array.copy t.saved_epoch }
 
-(* Raw image for checkpoints: blocks carry their *stored* CRCs, so a
-   latent archive corruption survives a checkpoint/restore round trip as
-   a corruption (the post-recovery scrub re-finds it) instead of being
-   blessed by a recomputed checksum, as [export]'s bytes-only image
-   would do. *)
-type raw_image = {
-  ri_pagelog : (Bytes.t * int) array; (* (block bytes, stored CRC) *)
-  ri_maplog : Maplog.image;
-  ri_saved_epoch : int array;
-}
-
-let export_raw t =
-  { ri_pagelog = Pagelog.dump_raw t.pagelog;
-    ri_maplog = Maplog.dump t.maplog;
-    ri_saved_epoch = Array.copy t.saved_epoch }
-
-let import_raw ?(cache_pages = default_cache_pages) pager img =
-  let t =
-    { pagelog = Pagelog.restore_raw img.ri_pagelog;
-      maplog = Maplog.restore img.ri_maplog;
-      pager;
-      saved_epoch = Array.copy img.ri_saved_epoch;
-      snap_cache = Storage.Lru.create cache_pages;
-      clock = Unix.gettimeofday;
-      last_spt = None;
-      damaged = Hashtbl.create 4;
-      rt_mu = Mutex.create ();
-      spt_cache_on = false;
-      spt_cache = Hashtbl.create 16 }
-  in
-  pager.Storage.Pager.pre_commit_hook <- on_commit t;
-  t
-
 (* Attach a restored snapshot system to a (restored) pager. *)
-let import ?(cache_pages = default_cache_pages) pager img =
-  let t =
-    { pagelog = Pagelog.restore img.img_pagelog;
-      maplog = Maplog.restore img.img_maplog;
-      pager;
-      saved_epoch = Array.copy img.img_saved_epoch;
-      snap_cache = Storage.Lru.create cache_pages;
-      clock = Unix.gettimeofday;
-      last_spt = None;
-      damaged = Hashtbl.create 4;
-      rt_mu = Mutex.create ();
-      spt_cache_on = false;
-      spt_cache = Hashtbl.create 16 }
-  in
-  pager.Storage.Pager.pre_commit_hook <- on_commit t;
-  t
+let import pager img =
+  make pager
+    ~pagelog:(Pagelog.restore_raw img.img_pagelog)
+    ~maplog:(Maplog.restore img.img_maplog)
+    ~saved_epoch:(Array.copy img.img_saved_epoch)

@@ -1,107 +1,27 @@
 (* Database backup/restore.
 
-   A database image captures the committed pages and, for snapshottable
-   databases, the whole Retro state (Pagelog, Maplog, COW bookkeeping) —
-   so a saved database reopens with its entire snapshot history intact
-   and AS OF queries keep working.  Registered functions are not part of
-   the image and must be re-registered by the caller (Rql.load does).
+   A backup is one {!Image.t} in an {!Image.backup} file: the committed
+   pages and, for snapshottable databases, the whole Retro state
+   (Pagelog, Maplog, COW bookkeeping) — so a saved database reopens with
+   its entire snapshot history intact and AS OF queries keep working.
+   Stored CRCs travel with the image, so damage survives the round trip
+   and the integrity check still reports it.  Registered functions are
+   not part of the image and must be re-registered by the caller
+   (Rql.load does). *)
 
-   On disk an image is a framed container:
-
-     magic (8 bytes) | u32 LE format version | u32 LE payload length |
-     u32 LE CRC32(payload) | payload (Marshal)
-
-   so a truncated or bit-flipped file fails with a typed {!Error}
-   before Marshal ever sees it — never decoded into garbage. *)
-
-exception Error of string
-
-let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
-type image = {
-  img_pager : Storage.Pager.image;
-  img_retro : Retro.image option;
-}
-
-let magic = "RQLDB002"
-let version = 2
-let header_size = 20 (* magic + version + length + crc *)
-
-(* --- the framed container (shared with Rql context save/load) ----------- *)
-
-let put_u32 oc v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  output_bytes oc b
-
-let get_u32 (b : Bytes.t) off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
-
-(* Write [payload] at [path] under [magic] (8 bytes) with version,
-   length and whole-payload CRC32. *)
-let write_framed ~magic ~path (payload : string) =
-  if String.length magic <> 8 then invalid_arg "Backup.write_framed: magic must be 8 bytes";
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      put_u32 oc version;
-      put_u32 oc (String.length payload);
-      put_u32 oc (Storage.Crc32.string payload);
-      output_string oc payload)
-
-(* Read and verify a framed payload; every failure mode is a distinct
-   typed error. *)
-let read_framed ~magic ~path : string =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let total = in_channel_length ic in
-      if total < header_size then error "%s: too short to be an image (%d bytes)" path total;
-      let hdr = Bytes.create header_size in
-      really_input ic hdr 0 header_size;
-      let m = Bytes.sub_string hdr 0 8 in
-      if m <> magic then error "%s: not a database image (bad magic %S)" path m;
-      let v = get_u32 hdr 8 in
-      if v <> version then error "%s: unsupported image format version %d" path v;
-      let len = get_u32 hdr 12 in
-      let crc = get_u32 hdr 16 in
-      if total - header_size <> len then
-        error "%s: truncated image (%d payload bytes, expected %d)" path
-          (total - header_size) len;
-      let payload = Bytes.create len in
-      really_input ic payload 0 len;
-      if Storage.Crc32.bytes payload <> crc then
-        error "%s: image checksum mismatch (corrupt or bit-flipped)" path;
-      Bytes.unsafe_to_string payload)
-
-(* --- database images ----------------------------------------------------- *)
+exception Error = Image.Error
 
 (* Capture a consistent image of the committed state. *)
-let snapshot_image (db : Db.t) : image =
-  if Db.in_txn db then error "cannot back up a database with an open transaction";
-  { img_pager = Storage.Pager.dump db.Db.pager;
-    img_retro = Option.map Retro.export db.Db.retro }
+let snapshot_image (db : Db.t) =
+  if Db.in_txn db then
+    raise (Error "cannot back up a database with an open transaction");
+  Image.capture db.Db.pager db.Db.retro
 
 (* Materialize an image as a fresh database handle. *)
-let restore_image (img : image) : Db.t =
-  let pager = Storage.Pager.restore img.img_pager in
-  let retro = Option.map (fun r -> Retro.import pager r) img.img_retro in
+let restore_image img =
+  let pager, retro = Image.restore img in
   Db.of_parts ~pager ~retro
 
-(* Save the database to [path] (overwriting). *)
-let save (db : Db.t) ~path =
-  write_framed ~magic ~path (Marshal.to_string (snapshot_image db) [])
+let save (db : Db.t) ~path = Image.write Image.backup ~path (snapshot_image db)
 
-(* Load a database saved by {!save}. *)
-let load ~path : Db.t =
-  let payload = read_framed ~magic ~path in
-  let img =
-    (* the frame's CRC already vouched for the bytes; a Marshal failure
-       here means a same-size forgery or an incompatible runtime *)
-    match (Marshal.from_string payload 0 : image) with
-    | img -> img
-    | exception Failure m -> error "%s: image payload does not unmarshal: %s" path m
-  in
-  restore_image img
+let load ~path = restore_image (Image.read Image.backup ~path)

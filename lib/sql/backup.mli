@@ -1,38 +1,25 @@
 (** Database backup/restore.
 
-    An image captures the committed pages and, for snapshottable
+    A backup captures the committed pages and, for snapshottable
     databases, the whole Retro state (Pagelog, Maplog, COW bookkeeping):
     a saved database reopens with its complete snapshot history and
-    AS OF queries keep working.  Registered functions are not part of
-    the image; callers re-register them (Rql.load does). *)
+    AS OF queries keep working.  Stored page and block CRCs travel with
+    it, so damage the original had is still reported after a load.
+    Registered functions are not part of the image; callers re-register
+    them (Rql.load does). *)
 
+(** The same exception as {!Image.Error}. *)
 exception Error of string
-
-type image
-
-(** {1 Framed container}
-
-    On disk every image is [magic (8 bytes) | u32 version | u32 payload
-    length | u32 CRC32(payload) | payload], so truncation and bit flips
-    fail typed before any decoding.  Exposed for other persisted
-    artifacts (Rql context files) to share the same hardening. *)
-
-(** Write [payload] at [path] under an 8-byte [magic]. *)
-val write_framed : magic:string -> path:string -> string -> unit
-
-(** Read and verify a framed payload.
-    @raise Error on bad magic, bad version, truncation or checksum
-    mismatch. *)
-val read_framed : magic:string -> path:string -> string
 
 (** Capture a consistent image.
     @raise Error if a transaction is open. *)
-val snapshot_image : Db.t -> image
+val snapshot_image : Db.t -> Image.t
 
 (** Materialize an image as a fresh handle. *)
-val restore_image : image -> Db.t
+val restore_image : Image.t -> Db.t
 
-(** Save to [path], overwriting. *)
+(** Save to [path]: written to [path ^ ".tmp"], then renamed over
+    [path]. *)
 val save : Db.t -> path:string -> unit
 
 (** Load a database saved by {!save}.

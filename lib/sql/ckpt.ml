@@ -2,16 +2,12 @@
    truncated (bounding recovery replay) and makes VACUUM's Pagelog
    compaction crash-atomic.
 
-   File layout (the image lives beside the log, at <wal>.ckpt):
-
-     magic "RQLCKPT1" (8 bytes) | u32 LE format version | u32 LE seq
-     | u32 LE payload length | u32 LE CRC32(payload)
-     | payload (marshalled {!image})
-
-   The image carries the committed pager state and the Retro archive
-   with *stored* block CRCs (Retro.export_raw), so a latent archive
-   corruption survives checkpoint + recovery as a corruption the scrub
-   re-finds — never silently blessed.
+   The image lives beside the log, at <wal>.ckpt, as an {!Image.checkpoint}
+   file: the seq of the WAL Checkpoint frame it pairs with plus the
+   database image.  That image keeps the stored CRCs of pages and
+   archive blocks, so a latent corruption survives checkpoint + recovery
+   as a corruption the scrub and the integrity check re-find — never
+   silently blessed.
 
    Write protocol (Db.checkpoint drives it, under the pager's writer
    lock, with every step a fault-injection point):
@@ -31,49 +27,15 @@
    world, never a hybrid — which is exactly the old-or-new guarantee
    VACUUM inherits by committing through a checkpoint. *)
 
-let magic = "RQLCKPT1"
-let version = 1
-let header_size = 24 (* magic + version + seq + payload len + payload crc *)
-
-type image = {
-  ck_seq : int;                       (* pairs with the WAL Checkpoint frame *)
-  ck_pager : Storage.Pager.image;     (* committed current state + free list *)
-  ck_retro : Retro.raw_image;         (* archive with stored block CRCs *)
-}
-
 (* The image path for a WAL at [wal_path]. *)
 let path_for wal_path = wal_path ^ ".ckpt"
 
-let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
-
-let get_u32 (b : Bytes.t) off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
-
-(* Serialize [img] to <path>.tmp and rename it to <path>.new.  [tick]
-   is the fault-injection hook: it fires once *mid-record* (so a crash
-   leaves a torn image, which recovery never reads — only .ckpt/.new
-   are consulted) and once before the rename. *)
-let write ~tick ~path (img : image) =
-  let payload = Marshal.to_bytes img [] in
-  let buf = Buffer.create (Bytes.length payload + header_size) in
-  Buffer.add_string buf magic;
-  add_u32 buf version;
-  add_u32 buf img.ck_seq;
-  add_u32 buf (Bytes.length payload);
-  add_u32 buf (Storage.Crc32.bytes payload);
-  Buffer.add_bytes buf payload;
-  let bytes = Buffer.contents buf in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let half = String.length bytes / 2 in
-      output_string oc (String.sub bytes 0 half);
-      tick (); (* torn-checkpoint-record injection point *)
-      output_string oc (String.sub bytes half (String.length bytes - half));
-      flush oc);
-  tick ();
-  Sys.rename tmp (path ^ ".new")
+(* Serialize [img] for checkpoint [seq] to <path>.tmp and rename it to
+   <path>.new.  [tick] is the fault-injection hook: it fires once
+   *mid-record* (so a crash leaves a torn image, which recovery never
+   reads — only .ckpt/.new are consulted) and once before the rename. *)
+let write ~tick ~path ~seq (img : Image.t) =
+  Image.write ~tick ~tmp:(path ^ ".tmp") Image.checkpoint ~path:(path ^ ".new") (seq, img)
 
 (* Promote the durably written image to its live name — the final step
    of the protocol, after the WAL swap made it authoritative. *)
@@ -84,43 +46,19 @@ let promote ~tick ~path =
 (* Parse one candidate file.  [None] for anything not a complete,
    checksum-valid image — a torn or bit-flipped file never yields a
    state. *)
-let load file : image option =
-  match open_in_bin file with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let read_exact n =
-          let b = Bytes.create n in
-          really_input ic b 0 n;
-          b
-        in
-        match read_exact header_size with
-        | exception End_of_file -> None
-        | hdr ->
-          if Bytes.sub_string hdr 0 8 <> magic then None
-          else if get_u32 hdr 8 <> version then None
-          else begin
-            let plen = get_u32 hdr 16 in
-            let crc = get_u32 hdr 20 in
-            if plen > in_channel_length ic - header_size then None
-            else
-              match read_exact plen with
-              | exception End_of_file -> None
-              | payload ->
-                if Storage.Crc32.bytes payload <> crc then None
-                else Some (Marshal.from_bytes payload 0 : image)
-          end)
+let load file =
+  match Image.read Image.checkpoint ~path:file with
+  | ck -> Some ck
+  | exception (Image.Error _ | Sys_error _) -> None
 
 (* The image matching WAL checkpoint frame [seq]: the live file or, in
    the window between the WAL swap and the final promote, the .new
    file.  The protocol guarantees one of them exists with this seq. *)
-let load_for ~wal_path ~seq : image option =
+let load_for ~wal_path ~seq : Image.t option =
   let path = path_for wal_path in
   let matching file =
     match load file with
-    | Some img when img.ck_seq = seq -> Some img
+    | Some (s, img) when s = seq -> Some img
     | _ -> None
   in
   match matching path with
@@ -137,7 +75,7 @@ let finish ~wal_path ~seq =
   if Sys.file_exists (path ^ ".new") then begin
     let keep =
       match (seq, load (path ^ ".new")) with
-      | Some s, Some img -> img.ck_seq = s
+      | Some s, Some (s', _) -> s' = s
       | _ -> false
     in
     if keep then Sys.rename (path ^ ".new") path else Sys.remove (path ^ ".new")

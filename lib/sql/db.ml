@@ -200,13 +200,13 @@ type recovery = {
 
    Existing path: scan the log (truncating a torn/corrupt tail to the
    last complete commit).  If the log opens with a Checkpoint frame,
-   restore the matching durable image (pager + raw-CRC Retro archive,
-   see Ckpt) and replay only the frames after it; otherwise rebuild by
-   replaying the full commit sequence — which re-drives Retro's COW
-   archiver and reproduces the Pagelog/Maplog byte-for-byte.  Either
-   way, scrub the archive afterwards so damaged snapshots are known
-   before the first AS OF read.  Returns the recovery report; [None]
-   when the database is fresh.
+   restore the matching durable image (pager + Retro archive, stored
+   CRCs kept; see Ckpt) and replay only the frames after it; otherwise
+   rebuild by replaying the full commit sequence — which re-drives
+   Retro's COW archiver and reproduces the Pagelog/Maplog
+   byte-for-byte.  Either way, scrub the archive afterwards so damaged
+   snapshots are known before the first AS OF read.  Returns the
+   recovery report; [None] when the database is fresh.
 
    @raise Storage.Wal.Error when [path] exists but is not a WAL, or
    when its Checkpoint frame has no matching valid image. *)
@@ -230,16 +230,8 @@ let open_wal ?(group_commit = 1) ~path () : t * recovery option =
         let pager = Storage.Pager.create () in
         (pager, Retro.attach pager, records)
       | Some seq -> (
-        match Ckpt.load_for ~wal_path:path ~seq with
-        | None ->
-          raise
-            (Storage.Wal.Error
-               (Printf.sprintf
-                  "Wal %s: checkpoint %d has no matching image at %s" path seq
-                  (Ckpt.path_for path)))
-        | Some img ->
-          let pager = Storage.Pager.restore img.Ckpt.ck_pager in
-          let retro = Retro.import_raw pager img.Ckpt.ck_retro in
+        match Option.map Image.restore (Ckpt.load_for ~wal_path:path ~seq) with
+        | Some (pager, Some retro) ->
           (* Replay only the frames after the last Checkpoint —
              everything before it is already in the image. *)
           let after =
@@ -249,7 +241,13 @@ let open_wal ?(group_commit = 1) ~path () : t * recovery option =
               [] records
             |> List.rev
           in
-          (pager, retro, after))
+          (pager, retro, after)
+        | Some (_, None) | None ->
+          raise
+            (Storage.Wal.Error
+               (Printf.sprintf
+                  "Wal %s: checkpoint %d has no matching image at %s" path seq
+                  (Ckpt.path_for path))))
     in
     (* pager.wal is still None here: replay must not re-log itself *)
     Storage.Wal.replay ~pager
@@ -326,13 +324,8 @@ let checkpoint_locked t wal =
   let tick () = Storage.Wal.injection_point wal in
   Storage.Wal.sync wal;
   let seq = t.core.c_ckpt_seq + 1 in
-  let img =
-    { Ckpt.ck_seq = seq;
-      ck_pager = Storage.Pager.dump t.pager;
-      ck_retro = Retro.export_raw retro }
-  in
   let path = Ckpt.path_for (Storage.Wal.path wal) in
-  Ckpt.write ~tick ~path img;
+  Ckpt.write ~tick ~path ~seq (Image.capture t.pager (Some retro));
   let dropped = Storage.Wal.truncate_to_checkpoint wal ~seq in
   Ckpt.promote ~tick ~path;
   t.core.c_ckpt_seq <- seq;

@@ -119,33 +119,13 @@ let corrupt_block t i ~bit =
 (* Total archive size in bytes (Pagelog growth experiments). *)
 let size_bytes t = t.n_blocks * Page.size
 
-(* Portable copies of all blocks (for backup/restore). *)
-let dump t = Array.init t.n_blocks (fun i -> Bytes.copy t.blocks.(i))
-
-let restore ?(name = "disk") blocks =
-  let n = Array.length blocks in
-  let t =
-    { blocks = Array.make (max 64 n) Bytes.empty;
-      crcs = Array.make (max 64 n) 0;
-      n_blocks = n;
-      name;
-      fault = None;
-      read_retries = default_read_retries }
-  in
-  Array.iteri
-    (fun i b ->
-      t.blocks.(i) <- Bytes.copy b;
-      t.crcs.(i) <- Crc32.bytes b)
-    blocks;
-  t
-
 (* --- raw (CRC-preserving) block access ----------------------------------- *)
 
 (* Stored bytes + stored CRC of block [i], with no verification, no
-   counters and no fault injection.  Compaction (Retro.vacuum) and the
-   checkpoint image use these so a latent checksum mismatch survives a
-   copy *as a mismatch* — [restore]/[append] would recompute the CRC and
-   silently bless the corruption. *)
+   counters and no fault injection.  Compaction (Retro.vacuum) and every
+   database image use these so a latent checksum mismatch survives a
+   copy *as a mismatch* — [append] would recompute the CRC and silently
+   bless the corruption. *)
 let raw_block t i =
   if i < 0 || i >= t.n_blocks then
     invalid_arg (Printf.sprintf "Disk.raw_block %s: block %d/%d" t.name i t.n_blocks);

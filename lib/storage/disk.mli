@@ -57,18 +57,11 @@ val corrupt_block : t -> int -> bit:int -> unit
 
 val size_bytes : t -> int
 
-(** {1 Backup} *)
-
-(** Portable copies of all blocks. *)
-val dump : t -> Bytes.t array
-
-val restore : ?name:string -> Bytes.t array -> t
-
 (** {1 Raw (stored-CRC-preserving) access}
 
-    [restore]/[append] recompute checksums, which would silently bless a
-    latent corruption.  Compaction and checkpoint images copy blocks
-    with these instead, so a stored mismatch survives the copy as a
+    [append] recomputes the checksum, which would silently bless a
+    latent corruption.  Compaction and database images copy blocks with
+    these instead, so a stored mismatch survives the copy as a
     mismatch. *)
 
 (** Stored bytes + stored CRC of a block — no verification, no read
@@ -80,5 +73,7 @@ val raw_block : t -> int -> Bytes.t * int
     device write); returns its index. *)
 val append_raw : t -> Bytes.t -> crc:int -> int
 
+(** Every block with its stored CRC, and a device holding such a
+    copy. *)
 val dump_raw : t -> (Bytes.t * int) array
 val restore_raw : ?name:string -> (Bytes.t * int) array -> t

@@ -154,28 +154,32 @@ let corrupt_page t pid ~bit =
     let off = bit / 8 mod Bytes.length b in
     Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl (bit mod 8))))
 
-(* Portable image of the committed state (for backup/restore). *)
+(* Portable image of the committed state: each page with its stored
+   CRC, so a page that failed its checksum before the copy still fails
+   it after a restore. *)
 type image = {
-  img_pages : Bytes.t option array;
-  img_n_pages : int;
+  img_pages : (Bytes.t * int) option array;
   img_free : int list;
 }
 
 let dump t =
-  { img_pages = Array.init t.n_pages (fun i -> Option.map Bytes.copy t.pages.(i));
-    img_n_pages = t.n_pages;
+  { img_pages =
+      Array.init t.n_pages (fun i ->
+          Option.map (fun b -> (Bytes.copy b, t.crcs.(i))) t.pages.(i));
     img_free = t.free_list }
 
 let restore img =
   let t = create () in
-  grow t (max 0 (img.img_n_pages - 1));
+  let n = Array.length img.img_pages in
+  grow t (max 0 (n - 1));
   Array.iteri
     (fun i p ->
-      t.pages.(i) <- Option.map Bytes.copy p;
-      match t.pages.(i) with
-      | Some b -> t.crcs.(i) <- Crc32.bytes b
-      | None -> ())
+      Option.iter
+        (fun (b, crc) ->
+          t.pages.(i) <- Some (Bytes.copy b);
+          t.crcs.(i) <- crc)
+        p)
     img.img_pages;
-  t.n_pages <- img.img_n_pages;
+  t.n_pages <- n;
   t.free_list <- img.img_free;
   t

@@ -91,16 +91,18 @@ val verify_checksums : t -> int list
     CRC. *)
 val corrupt_page : t -> int -> bit:int -> unit
 
-(** {1 Backup} *)
+(** {1 Images} *)
 
 type image = {
-  img_pages : Bytes.t option array;
-  img_n_pages : int;
+  img_pages : (Bytes.t * int) option array;
+      (** committed bytes and stored CRC; [None] for an id never
+          committed *)
   img_free : int list;
 }
 
-(** Portable copy of the committed state. *)
+(** Portable copy of the committed state, stored CRCs included. *)
 val dump : t -> image
 
-(** A fresh pager holding the image (no hook attached). *)
+(** A fresh pager holding the image (no hook attached); each page keeps
+    the CRC it was dumped with, so a damaged page stays damaged. *)
 val restore : image -> t

@@ -280,6 +280,43 @@ let checkpoint_tests =
              false
            with E.Error m -> has_sub m "vacuumed");
         Sqldb.Db.close_wal db3);
+    Alcotest.test_case "archive damage survives CHECKPOINT and reopen" `Quick (fun () ->
+        let path = fresh "vacuum_ckpt_archive.wal" in
+        let db, _ = Sqldb.Db.open_wal ~path () in
+        e db "CREATE TABLE t (id INTEGER, v INTEGER)";
+        e db "INSERT INTO t VALUES (1, 0), (2, 0)";
+        for i = 1 to 3 do
+          round_sql db i
+        done;
+        Retro.corrupt_archive_block (retro_of db) 0 ~bit:5;
+        let scrub = Retro.scrub (retro_of db) in
+        Alcotest.(check bool) "damage found before the checkpoint" true (scrub <> []);
+        e db "CHECKPOINT";
+        Sqldb.Db.close_wal db;
+        let db2, r = Sqldb.Db.open_wal ~path () in
+        Alcotest.(check (option int)) "recovered from the image" (Some 1)
+          (Option.get r).Sqldb.Db.rec_report.Storage.Wal.rep_checkpoint;
+        Alcotest.(check (list (pair int int))) "scrub re-finds it" scrub
+          (Retro.scrub (retro_of db2));
+        Sqldb.Db.close_wal db2);
+    Alcotest.test_case "page damage survives CHECKPOINT and recovery" `Quick (fun () ->
+        let path = fresh "vacuum_ckpt_page.wal" in
+        let db, _ = Sqldb.Db.open_wal ~path () in
+        e db "CREATE TABLE t (a INTEGER)";
+        e db "INSERT INTO t VALUES (1), (2)";
+        let pager = db.Sqldb.Db.pager in
+        let pid = Storage.Pager.n_pages pager - 1 in
+        Storage.Pager.corrupt_page pager pid ~bit:4;
+        e db "CHECKPOINT";
+        Sqldb.Db.close_wal db;
+        let db2, _ = Sqldb.Db.open_wal ~path () in
+        let rows =
+          List.map (function [| R.Text s |] -> s | _ -> "?")
+            (E.exec db2 "PRAGMA integrity_check").E.rows
+        in
+        Alcotest.(check bool) "recovered page still fails its checksum" true
+          (List.mem (Printf.sprintf "page %d fails checksum" pid) rows);
+        Sqldb.Db.close_wal db2);
     Alcotest.test_case "auto-checkpoint fires past the threshold" `Quick (fun () ->
         let path = fresh "vacuum_auto.wal" in
         let db, _ = Sqldb.Db.open_wal ~path () in

@@ -1,4 +1,4 @@
-.PHONY: all build test check lint crash bench concurrency opt-diff shell clean
+.PHONY: all build test check lint crash bench gates shell clean
 
 all: build
 
@@ -34,20 +34,11 @@ check: lint
 bench:
 	dune exec bench/main.exe
 
-# Concurrency smoke: 4 reader domains over one shared core with real
-# archive-read latency must beat 1 reader by >= 1.5x, and the
-# Domain-parallel RQL loop must match the sequential loop byte-for-byte.
-concurrency:
-	dune exec bin/rql_serve.exe -- --self-test --clients 4
-	dune exec bench/concurrency.exe -- --readers 4 --gate 1.5
-
-# Optimizer differential gate: `PRAGMA optimize` on vs off must be
-# byte-identical over random expressions and the fixed statement matrix
-# (test_opt.ml), and the bench smoke must show the fold/hoist counters
-# advancing with no latency regression on a foldable Qq_cpu.
-opt-diff:
-	dune exec test/test_opt.exe
-	dune exec bench/main.exe -- --only micro --opt-smoke
+# Regression gates (bench/gates.ml): scoped-instrumentation overhead,
+# optimizer counters/identity/latency, AS OF read scaling and parallel
+# RQL identity; exits 1 if any bound is violated.
+gates:
+	dune exec bench/main.exe -- --only gates
 
 shell:
 	dune exec bin/rql_shell.exe

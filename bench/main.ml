@@ -5,14 +5,19 @@
      dune exec bench/main.exe -- --full       larger scale
      dune exec bench/main.exe -- --only fig6,fig8
      dune exec bench/main.exe -- --skip-micro
+     dune exec bench/main.exe -- --only gates   regression gates, exit 1 on failure
 
    Absolute numbers differ from the paper (different hardware, a
    simulated SSD, a scaled-down TPC-H); the shapes the paper reports are
    the reproduction target.  EXPERIMENTS.md records paper-vs-measured
    for every experiment. *)
 
+(* Run in this order.  [gates] runs only when named, and first, so a
+   failing gate fails fast and the experiments after it show that it
+   leaves no global state (cost model, scopes) behind. *)
 let experiments : (string * string * (unit -> unit)) list =
-  [ ("fig6", "ratio C vs interval length (old snapshots)", Fig6.run);
+  [ ("gates", "regression gates (only when named)", Gates.run);
+    ("fig6", "ratio C vs interval length (old snapshots)", Fig6.run);
     ("fig7", "ratio C vs interval start (recent snapshots)", Fig7.run);
     ("fig8", "single-iteration breakdown, Qq_io", Fig8.run);
     ("fig9", "CPU-intensive Qq_cpu, index effects", Fig9.run);
@@ -21,7 +26,10 @@ let experiments : (string * string * (unit -> unit)) list =
     ("fig12", "per-iteration Collate vs AggTable", Fig12.run);
     ("fig13", "AggTable MAX vs SUM", Fig13.run);
     ("sec5.3", "interval result sizes across workloads", Intervals_table.run);
-    ("ablation", "Skippy skip index; snapshot cache size (extensions)", Ablation.run) ]
+    ("ablation", "Skippy skip index; snapshot cache size (extensions)", Ablation.run);
+    ("micro", "bechamel micro-benchmarks of primitive operations", Micro.run) ]
+
+let ids = List.map (fun (id, _, _) -> id) experiments
 
 let print_table1 () =
   Util.section "Table 1 — Parameters and notations";
@@ -35,37 +43,14 @@ let full =
 
 let only =
   let doc =
-    "Comma-separated experiment ids to run (fig6..fig13, sec5.3, ablation, micro). Default: all."
+    "Comma-separated experiment ids to run: " ^ String.concat ", " ids
+    ^ ". Default: all but gates. An unknown id exits 2."
   in
   Arg.(value & opt (some string) None & info [ "only" ] ~docv:"IDS" ~doc)
 
 let skip_micro =
   let doc = "Skip the bechamel micro-benchmark suite." in
   Arg.(value & flag & info [ "skip-micro" ] ~doc)
-
-let analyze =
-  let doc =
-    "Replace the bechamel micro suite with the EXPLAIN ANALYZE observability smoke: \
-     seeded fixtures, one analyzed statement per plan shape, one analyzed RQL run; \
-     analyses land under the \"analysis\" key of --json output."
-  in
-  Arg.(value & flag & info [ "analyze" ] ~doc)
-
-let scope_smoke =
-  let doc =
-    "Replace the bechamel micro suite with the scoped-instrumentation smoke: \
-     Qq_cpu with a child scope installed vs. the root-only baseline (gate: within 5%), \
-     plus the sys_heat = storage.page_reads partition check."
-  in
-  Arg.(value & flag & info [ "scope-smoke" ] ~doc)
-
-let opt_smoke =
-  let doc =
-    "Replace the bechamel micro suite with the plan-IR optimizer smoke: a foldable \
-     Qq_cpu through the snapshot loop must advance the fold/hoist counters, match \
-     the $(b,PRAGMA optimize=off) results exactly, and not run slower (p50 gate)."
-  in
-  Arg.(value & flag & info [ "opt-smoke" ] ~doc)
 
 let json_path =
   let doc = "Write recorded runs and the metrics registry as JSON to $(docv)." in
@@ -79,15 +64,29 @@ let sample_every =
   let doc = "Sample the metrics registry into the time-series ring every $(docv) SQL statements (0 = only the final sample)." in
   Arg.(value & opt int 1000 & info [ "sample-every" ] ~docv:"N" ~doc)
 
-let main full only skip_micro analyze scope_smoke opt_smoke json_path prom_path sample_every =
+(* Counters that must not rise during any run: the harness exits 1 if
+   they do. *)
+let guarded = [ "retro.checksum_failures"; "sql.analyzer_errors" ]
+
+let counter name = Obs.Metrics.Counter.get (Obs.Metrics.counter name)
+
+let main full only skip_micro json_path prom_path sample_every =
+  let selected =
+    Option.map (fun s -> String.split_on_char ',' (String.lowercase_ascii s)) only
+  in
+  (match List.filter (fun id -> not (List.mem id ids)) (Option.value selected ~default:[]) with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment id: %s (valid: %s)\n" (String.concat ", " unknown)
+      (String.concat ", " ids);
+    exit 2);
   if full then Params.current := Params.full;
   Obs.Timeseries.set_interval sample_every;
-  let selected =
-    match only with
-    | None -> None
-    | Some s -> Some (String.split_on_char ',' (String.lowercase_ascii s))
+  let wanted id =
+    (id <> "micro" || not skip_micro)
+    && match selected with None -> id <> "gates" | Some ids -> List.mem id ids
   in
-  let wanted id = match selected with None -> true | Some ids -> List.mem id ids in
+  let before = List.map (fun name -> (name, counter name)) guarded in
   let t0 = Unix.gettimeofday () in
   Printf.printf
     "RQL benchmark harness — reproducing the EDBT'18 evaluation (TPC-H SF %g, %s scale)\n"
@@ -95,25 +94,23 @@ let main full only skip_micro analyze scope_smoke opt_smoke json_path prom_path 
     (if full then "full" else "quick");
   if selected = None then print_table1 ();
   List.iter (fun (id, _, run) -> if wanted id then run ()) experiments;
-  if (not skip_micro) && wanted "micro" then
-    if analyze then Micro.run_analyze ()
-    else if scope_smoke then Micro.run_scope_smoke ()
-    else if opt_smoke then Micro.run_opt_smoke ()
-    else Micro.run ();
   (match json_path with Some path -> Util.write_json path | None -> ());
   (match prom_path with
   | Some path ->
     Obs.Metrics.write_prometheus ~path;
     Printf.printf "wrote Prometheus exposition to %s\n" path
   | None -> ());
-  Printf.printf "\nall experiments done in %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\nall experiments done in %.1fs\n" (Unix.gettimeofday () -. t0);
+  let rose = List.filter (fun (name, n0) -> counter name > n0) before in
+  List.iter
+    (fun (name, n0) -> Printf.eprintf "FAIL: %s rose by %d during the run\n" name (counter name - n0))
+    rose;
+  if rose <> [] then exit 1
 
 let cmd =
   let doc = "reproduce the RQL paper's performance evaluation" in
   Cmd.v
     (Cmd.info "rql-bench" ~doc)
-    Term.(
-      const main $ full $ only $ skip_micro $ analyze $ scope_smoke $ opt_smoke $ json_path
-      $ prom_path $ sample_every)
+    Term.(const main $ full $ only $ skip_micro $ json_path $ prom_path $ sample_every)
 
 let () = exit (Cmd.eval cmd)

@@ -62,22 +62,11 @@ let record ~experiment ~label (run : IS.run) =
   recorded := (experiment, label, run) :: !recorded;
   run
 
-(* EXPLAIN ANALYZE / run-report documents recorded by --analyze; they
-   ride along in the --json output under an "analysis" key. *)
-let recorded_analyses : (string * Obs.Json.t) list ref = ref []
-
-let record_analysis ~label json = recorded_analyses := (label, json) :: !recorded_analyses
-
 let write_json path =
   let runs =
     List.rev_map
       (fun (experiment, label, run) -> IS.json_of_run ~experiment ~label run)
       !recorded
-  in
-  let analyses =
-    List.rev_map
-      (fun (label, j) -> Obs.Json.Obj [ ("label", Obs.Json.Str label); ("analysis", j) ])
-      !recorded_analyses
   in
   (* Always close the trajectory with a final sample, so even a run with
      automatic sampling off carries at least one time-series point. *)
@@ -85,7 +74,6 @@ let write_json path =
   let doc =
     Obs.Json.Obj
       [ ("runs", Obs.Json.List runs);
-        ("analysis", Obs.Json.List analyses);
         ("metrics", Obs.Metrics.to_json ());
         ("timeseries", Obs.Timeseries.to_json ()) ]
   in

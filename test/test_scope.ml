@@ -260,7 +260,28 @@ let heat_tests =
             Alcotest.(check bool) "child is a subset of root" true
               (child_total <= S.heat_total S.root);
             Alcotest.(check int) "child heat = child page_reads counter"
-              (local_counter child "storage.page_reads") child_total)) ]
+              (local_counter child "storage.page_reads") child_total));
+    Alcotest.test_case "RQL run under a child scope on the eval session" `Quick (fun () ->
+        Obs.Metrics.reset_all ();
+        let ctx = make_snapshot_ctx () in
+        (* a sequential Qq runs on ctx.eval, so that is where the scope
+           that charges it is set, not on ctx.data *)
+        with_child "rql" (fun child ->
+            Sqldb.Db.set_scope ctx.Rql.eval child;
+            Fun.protect ~finally:(fun () -> Sqldb.Db.set_scope ctx.Rql.eval S.root) (fun () ->
+                ignore
+                  (Rql.aggregate_data_in_variable ctx ~qs:"SELECT snap_id FROM SnapIds"
+                     ~qq:"SELECT COUNT(a) FROM t" ~table:"H" ~fn:"sum"));
+            Alcotest.(check bool) "child saw the loop's reads" true (S.heat_total child > 0);
+            Alcotest.(check int) "child heat = child page_reads counter"
+              (local_counter child "storage.page_reads") (S.heat_total child));
+        Alcotest.(check int) "root heat total = page_reads" (S.page_reads_total ())
+          (S.heat_total S.root);
+        let sum_sql = "SELECT SUM(reads) FROM sys_heat WHERE scope_id = 0" in
+        ignore (E.exec ctx.Rql.data sum_sql);
+        let expected = S.page_reads_total () in
+        Alcotest.(check int) "sys_heat scope 0 = live total" expected
+          (E.int_scalar ctx.Rql.data sum_sql)) ]
 
 (* --- progress and cancellation ----------------------------------------- *)
 

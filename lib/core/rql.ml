@@ -814,10 +814,10 @@ let result_metrics (rs : run_state) =
   | Some tbl ->
     let read = Sq.Db.read_current rs.meta in
     let rows = ref 0 and bytes = ref 0 in
-    Storage.Heap.iter read (Storage.Heap.open_existing tbl.Sq.Catalog.theap)
-      ~f:(fun _rid data ->
+    Storage.Heap.iter_spans read (Storage.Heap.open_existing tbl.Sq.Catalog.theap)
+      ~f:(fun _rid _page _off len ->
         incr rows;
-        bytes := !bytes + String.length data);
+        bytes := !bytes + len);
     (!rows, !bytes)
 
 let finish (rs : run_state) : Iter_stats.run =

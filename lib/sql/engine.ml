@@ -88,7 +88,9 @@ let create_index db ~name ~table ~columns ~if_not_exists =
       | Some t -> t
       | None -> error "no such table: %s" table
     in
-    List.iter (fun c -> ignore (Exec.col_pos tbl c)) columns;
+    let pos = Array.of_list (List.map (Exec.col_pos tbl) columns) in
+    let want = Array.make (Array.length tbl.Catalog.tcols) false in
+    Array.iter (fun i -> want.(i) <- true) pos;
     Db.with_write_txn db (fun txn ->
         let bt = Storage.Btree.create txn in
         let idx =
@@ -96,12 +98,18 @@ let create_index db ~name ~table ~columns ~if_not_exists =
             iroot = Storage.Btree.root bt }
         in
         Catalog.add_index txn idx;
-        (* populate from existing rows *)
+        (* populate from existing rows: one scan decoding only the key
+           columns, one sort, one bottom-up build *)
         let read = Storage.Txn.read_ctx txn in
+        let entries = ref [] in
         Storage.Heap.iter_spans read (Storage.Heap.open_existing tbl.Catalog.theap)
           ~f:(fun rid p off len ->
-            let row = R.decode_bytes p ~off ~len in
-            Storage.Btree.insert txn bt (Exec.index_key tbl idx row) rid));
+            let row = R.decode_cols want p ~off ~len in
+            entries := (Array.map (fun i -> row.(i)) pos, rid) :: !entries);
+        let entries = Array.of_list !entries in
+        (* merge sort: far fewer comparisons than [Array.sort]'s heap sort *)
+        Array.stable_sort Storage.Btree.compare_composite entries;
+        Storage.Btree.build txn bt entries);
     Db.schema_changed db
 
 let drop_table db ~name ~if_exists =

@@ -4,8 +4,9 @@
    verifies the structural invariants the engine relies on:
    - heap chains are acyclic and made of heap pages;
    - every stored row decodes and matches its table's arity;
-   - B+tree pages have the right kinds, leaves are sorted, and interior
-     separators route correctly;
+   - B+tree pages have the right kinds, every node is sorted, every
+     entry lies within the separator bounds of the path that routes to
+     it, and the leaf chain visits the leaves in key order;
    - every index entry points at a live heap row whose key columns
      equal the entry key, and the entry count equals the row count;
    - no page is claimed by two structures;
@@ -84,43 +85,95 @@ let check (db : Db.t) : string list =
         | Some tbl ->
           let heap = Storage.Heap.open_existing tbl.Catalog.theap in
           let bt = Storage.Btree.open_existing idx.Catalog.iroot in
-          (* page kinds along the tree *)
-          let rec walk pid depth =
+          (* page kinds, node order and separator bounds along the tree:
+             a node's composites ascend strictly, and every composite
+             under child i of an interior node lies in [sep_i,
+             sep_(i+1)), the child left of sep_0 below sep_0; [lo]
+             (inclusive) and [hi] (exclusive) carry those bounds down,
+             [None] being unbounded *)
+          let pp (key, rid) =
+            Printf.sprintf "(%s; rid %d)"
+              (String.concat "," (Array.to_list (Array.map R.value_to_string key))) rid
+          in
+          (* composite and child of an entry ending in [trailing] INTEGERs *)
+          let composite ~trailing row =
+            let n = Array.length row in
+            match row.(n - trailing), row.(n - 1) with
+            | R.Int rid, R.Int child -> ((Array.sub row 0 (n - trailing), rid), child)
+            | _ -> invalid_arg "malformed entry"
+          in
+          let leaves = ref [] in
+          let rec walk pid depth ~lo ~hi =
             if depth > 64 then problem "%s: tree too deep (cycle?)" who
             else begin
               claim pid who;
               match
                 let p = read pid in
-                Storage.Page.kind p
+                let kind = Storage.Page.kind p in
+                let trailing = if kind = Storage.Page.Btree_interior then 2 else 1 in
+                let entries = ref [] in
+                (match kind with
+                | Storage.Page.Btree_leaf | Storage.Page.Btree_interior ->
+                  Storage.Page.iter p ~f:(fun _ data ->
+                      entries := composite ~trailing (R.decode_row data) :: !entries)
+                | _ -> ());
+                (kind, Storage.Page.aux p, List.rev !entries)
               with
-              | Storage.Page.Btree_leaf -> ()
-              | Storage.Page.Btree_interior ->
-                let p = read pid in
-                walk (Storage.Page.aux p) (depth + 1);
-                Storage.Page.iter p ~f:(fun _ data ->
-                    match R.decode_row data with
-                    | row -> (
-                      match row.(Array.length row - 1) with
-                      | R.Int child -> walk child (depth + 1)
-                      | _ -> problem "%s: malformed interior entry" who)
-                    | exception _ -> problem "%s: undecodable interior entry" who)
+              | (Storage.Page.Btree_leaf | Storage.Page.Btree_interior) as kind, leftmost, entries
+                ->
+                let prev = ref None in
+                List.iter
+                  (fun (c, _) ->
+                    (match !prev with
+                    | Some c' when Storage.Btree.compare_composite c' c >= 0 ->
+                      problem "%s: entries out of order in page %d" who pid
+                    | _ -> ());
+                    prev := Some c;
+                    let below_lo =
+                      match lo with Some l -> Storage.Btree.compare_composite c l < 0 | None -> false
+                    and not_below_hi =
+                      match hi with Some h -> Storage.Btree.compare_composite c h >= 0 | None -> false
+                    in
+                    if below_lo || not_below_hi then
+                      problem "%s: %s %s in page %d lies outside its separator bounds" who
+                        (if kind = Storage.Page.Btree_leaf then "entry" else "separator")
+                        (pp c) pid)
+                  entries;
+                if kind = Storage.Page.Btree_leaf then leaves := pid :: !leaves
+                else begin
+                  let rec children child ~lo = function
+                    | [] -> walk child (depth + 1) ~lo ~hi
+                    | (sep, next) :: rest ->
+                      walk child (depth + 1) ~lo ~hi:(Some sep);
+                      children next ~lo:(Some sep) rest
+                  in
+                  children leftmost ~lo entries
+                end
               | _ -> problem "%s: page %d is not an index page" who pid
               | exception e ->
                 problem "%s: page %d unreadable: %s" who pid (Printexc.to_string e)
             end
           in
-          walk idx.Catalog.iroot 0;
-          (* ordered, and every entry backed by a matching heap row *)
+          walk idx.Catalog.iroot 0 ~lo:None ~hi:None;
+          (* the leaf chain visits the leaves in key (in-order) order *)
+          (match List.rev !leaves with
+          | [] -> ()
+          | first :: _ as in_order ->
+            let n = List.length in_order in
+            let rec chain pid acc steps =
+              if pid < 0 || steps > n then List.rev acc
+              else
+                match Storage.Page.next (read pid) with
+                | next -> chain next (pid :: acc) (steps + 1)
+                | exception _ -> List.rev (pid :: acc)
+            in
+            if chain first [] 0 <> in_order then
+              problem "%s: leaf chain does not follow key order" who);
+          (* every entry backed by a matching heap row *)
           let entries = ref 0 in
-          let last = ref None in
           (try
             Storage.Btree.iter_all read bt ~f:(fun key rid ->
               incr entries;
-              (match !last with
-              | Some prev when R.compare_row prev key > 0 ->
-                problem "%s: entries out of order" who
-              | _ -> ());
-              last := Some key;
               match Storage.Heap.get read heap rid with
               | None -> problem "%s: entry (%s, rid %d) has no heap row" who
                           (String.concat "," (Array.to_list (Array.map R.value_to_string key)))

@@ -35,26 +35,28 @@ let entry_at (p : Page.t) off len =
   let aux = match r.(n - 1) with Record.Int i -> i | _ -> invalid_arg "Btree: bad entry" in
   { key = Array.sub r 0 (n - 1); aux }
 
-let load (p : Page.t) : entry array =
-  let out = ref [] in
-  Page.iter_spans p ~f:(fun _ off len -> out := entry_at p off len :: !out);
-  Array.of_list (List.rev !out)
+(* The entry encoded in string [s] (a node slot's bytes). *)
+let entry_of_string s = entry_at (Bytes.unsafe_of_string s) 0 (String.length s)
 
-(* Rewrite a node page with [entries] in order; slot order is then key
-   order, so lookups can binary-search over slots. *)
-let store (p : Page.t) kind ~next ~aux entries =
+(* The node's slots as stored bytes, in slot (= key) order. *)
+let slots (p : Page.t) =
+  Array.init (Page.nslots p) (fun i -> Bytes.sub_string p (Page.slot_off p i) (Page.slot_len p i))
+
+(* Rewrite a node page with the encoded entries [encs] in order; slot
+   order is then key order, so lookups can binary-search over slots.
+   Node pages have no dead slots, so each entry is appended at the end
+   of the directory. *)
+let store (p : Page.t) kind ~next ~aux encs =
   Page.init p kind;
   Page.set_next p next;
   Page.set_aux p aux;
   Array.iter
-    (fun e ->
-      match Page.insert p (encode_entry e) with
-      | Some _ -> ()
-      | None -> invalid_arg "Btree.store: node overflow")
-    entries
+    (fun s ->
+      if not (Page.insert_at p (Page.nslots p) s) then invalid_arg "Btree.store: node overflow")
+    encs
 
-let entries_bytes entries =
-  Array.fold_left (fun acc e -> acc + String.length (encode_entry e) + Page.slot_bytes) 0 entries
+(* Directory plus record bytes an encoded entry takes in a node. *)
+let cost s = String.length s + Page.slot_bytes
 
 let create txn =
   let pid = Txn.alloc txn Page.Btree_leaf in
@@ -124,14 +126,14 @@ let array_insert arr i x =
   Array.init (n + 1) (fun j -> if j < i then arr.(j) else if j = i then x else arr.(j - 1))
 
 (* Split point by accumulated bytes (entries have variable size). *)
-let split_point entries =
-  let total = entries_bytes entries in
+let split_point encs =
+  let total = Array.fold_left (fun acc s -> acc + cost s) 0 encs in
   let acc = ref 0 in
-  let n = Array.length entries in
+  let n = Array.length encs in
   let rec go i =
     if i >= n - 1 then n - 1
     else begin
-      acc := !acc + String.length (encode_entry entries.(i)) + Page.slot_bytes;
+      acc := !acc + cost encs.(i);
       if !acc * 2 >= total then i + 1 else go (i + 1)
     end
   in
@@ -139,29 +141,30 @@ let split_point entries =
 
 (* Recursive insert; returns (separator, right page id) when [pid]
    split.  The fast path shifts the slot directory in place
-   (Page.insert_at); only splits materialize the whole node.
-   [lower_bound_w] works on the writable image so positions stay valid
-   after earlier in-place edits. *)
+   (Page.insert_at); a split takes the node's stored entry bytes as they
+   are, plus the new entry encoded once, and decodes only the entry it
+   promotes.  [lower_bound_w] works on the writable image so positions
+   stay valid after earlier in-place edits. *)
 let rec ins txn pid c =
   let p = Txn.read txn pid in
   match Page.kind p with
   | Page.Btree_leaf ->
     let key, rid = c in
-    let entry = { key; aux = rid } in
+    let enc = encode_entry { key; aux = rid } in
     let w = Txn.write txn pid in
     let pos = lower_bound_page w c in
-    if Page.insert_at w pos (encode_entry entry) then None
+    if Page.insert_at w pos enc then None
     else begin
       (* split: materialize including the new entry *)
-      let entries = array_insert (load w) pos entry in
-      let mid = split_point entries in
-      let left = Array.sub entries 0 mid in
-      let right = Array.sub entries mid (Array.length entries - mid) in
+      let encs = array_insert (slots w) pos enc in
+      let mid = split_point encs in
+      let left = Array.sub encs 0 mid in
+      let right = Array.sub encs mid (Array.length encs - mid) in
       let right_pid = Txn.alloc txn Page.Btree_leaf in
       let rp = Txn.write txn right_pid in
       store rp Page.Btree_leaf ~next:(Page.next w) ~aux:(-1) right;
       store w Page.Btree_leaf ~next:right_pid ~aux:(-1) left;
-      let s = right.(0) in
+      let s = entry_of_string right.(0) in
       Some ((s.key, s.aux), right_pid)
     end
   | Page.Btree_interior ->
@@ -170,15 +173,15 @@ let rec ins txn pid c =
     (match ins txn child c with
     | None -> None
     | Some (sep, right_pid) ->
-      let sep_entry = make_sep sep right_pid in
+      let enc = encode_entry (make_sep sep right_pid) in
       let w = Txn.write txn pid in
-      if Page.insert_at w (i + 1) (encode_entry sep_entry) then None
+      if Page.insert_at w (i + 1) enc then None
       else begin
-        let entries = array_insert (load w) (i + 1) sep_entry in
-        let mid = split_point entries in
-        let promoted = entries.(mid) in
-        let left = Array.sub entries 0 mid in
-        let right = Array.sub entries (mid + 1) (Array.length entries - mid - 1) in
+        let encs = array_insert (slots w) (i + 1) enc in
+        let mid = split_point encs in
+        let promoted = entry_of_string encs.(mid) in
+        let left = Array.sub encs 0 mid in
+        let right = Array.sub encs (mid + 1) (Array.length encs - mid - 1) in
         let right_pid = Txn.alloc txn Page.Btree_interior in
         let rp = Txn.write txn right_pid in
         store rp Page.Btree_interior ~next:(-1) ~aux:promoted.aux right;
@@ -199,7 +202,83 @@ let insert txn t key rid =
     let lp = Txn.write txn left_pid in
     Bytes.blit root_img 0 lp 0 Page.size;
     let w = Txn.write txn t.root in
-    store w Page.Btree_interior ~next:(-1) ~aux:left_pid [| make_sep sep right_pid |]
+    store w Page.Btree_interior ~next:(-1) ~aux:left_pid
+      [| encode_entry (make_sep sep right_pid) |]
+
+let compare_composite (ka, ra) (kb, rb) =
+  let c = Record.compare_row ka kb in
+  if c <> 0 then c else Int.compare ra rb
+
+(* A node of a level under construction, seen from the level above: its
+   first composite, that composite's encoded entry (a leaf entry, or the
+   separator for [pid]) and its page id (-1 for a leaf entry). *)
+type item = { first : Record.row * int; enc : string; pid : int }
+
+(* Bulk load into an empty tree.  Leaves are packed left to right, each
+   holding entries until the next one would not fit, and chained through
+   [next].  Each interior level is packed the same way over the level
+   below: a node's leftmost child goes in [aux] and every further child
+   gets the separator [make_sep] of its first composite, the separator
+   [ins] promotes when it splits that child off.  The level that fits in
+   one node is written into the fixed root page, so the root never
+   moves and no page is allocated only to be freed. *)
+let build txn t (entries : (Record.row * int) array) =
+  let root = Txn.read txn t.root in
+  if Page.kind root <> Page.Btree_leaf || Page.nslots root <> 0 then
+    invalid_arg "Btree.build: tree not empty";
+  for i = 1 to Array.length entries - 1 do
+    if compare_composite entries.(i - 1) entries.(i) >= 0 then
+      invalid_arg "Btree.build: entries not strictly ascending"
+  done;
+  (* [(start, stop)] ranges of [items] packed greedily into nodes.  An
+     interior node's first item is its leftmost child, which takes no
+     room; every node stores at least one entry when one is left. *)
+  let pack items ~interior =
+    let n = Array.length items in
+    let rec go start acc =
+      if start >= n then Array.of_list (List.rev acc)
+      else begin
+        let first = if interior then start + 1 else start in
+        let room = ref (Page.size - Page.header) and stop = ref start in
+        while !stop < n && (!stop <= first || cost items.(!stop).enc <= !room) do
+          if !stop >= first then room := !room - cost items.(!stop).enc;
+          incr stop
+        done;
+        go !stop ((start, !stop) :: acc)
+      end
+    in
+    go 0 []
+  in
+  (* Write one level of [items], in key order, then the levels above. *)
+  let rec level kind items =
+    let interior = kind = Page.Btree_interior in
+    let groups = pack items ~interior in
+    let node pid ~next (start, stop) =
+      let first = if interior then start + 1 else start in
+      store (Txn.write txn pid) kind ~next
+        ~aux:(if interior then items.(start).pid else -1)
+        (Array.init (stop - first) (fun i -> items.(first + i).enc))
+    in
+    if Array.length groups = 1 then node t.root ~next:(-1) groups.(0)
+    else begin
+      let pids = Array.map (fun _ -> Txn.alloc txn kind) groups in
+      let last = Array.length pids - 1 in
+      Array.iteri
+        (fun g range -> node pids.(g) ~next:(if interior || g = last then -1 else pids.(g + 1)) range)
+        groups;
+      level Page.Btree_interior
+        (Array.mapi
+           (fun g pid ->
+             let first = items.(fst groups.(g)).first in
+             { first; enc = encode_entry (make_sep first pid); pid })
+           pids)
+    end
+  in
+  if Array.length entries > 0 then
+    level Page.Btree_leaf
+      (Array.map
+         (fun (key, rid) -> { first = (key, rid); enc = encode_entry { key; aux = rid }; pid = -1 })
+         entries)
 
 let rec leaf_for read pid c =
   let p : Page.t = read pid in

@@ -18,6 +18,19 @@ val root : t -> int
     rids differ. *)
 val insert : Txn.t -> t -> Record.row -> int -> unit
 
+(** Composite order of entries: [Record.compare_row] on the keys, then
+    rids. *)
+val compare_composite : Record.row * int -> Record.row * int -> int
+
+(** Fill an empty tree (fresh from {!create}) from [(key, rid)] entries
+    sorted by {!compare_composite}, bottom up: packed leaves chained in
+    order, interior levels of first-composite separators, the top node
+    in the root page.  Gives the same entries as {!insert} of each one;
+    only the node layout differs.
+    @raise Invalid_argument if the tree is not empty or the entries are
+    not strictly ascending. *)
+val build : Txn.t -> t -> (Record.row * int) array -> unit
+
 (** Remove exactly the (key, rid) entry; returns whether it existed. *)
 val delete : Txn.t -> t -> Record.row -> int -> bool
 

@@ -86,10 +86,9 @@ let insert txn t (data : string) =
   let try_page pid =
     let image = Txn.read txn pid in
     if Page.can_insert image len then begin
-      let p = Txn.write txn pid in
-      match Page.insert p data with
-      | Some slot ->
-        fsm_note t pid (page_free p);
+      match Page.insert_free (Txn.write txn pid) data with
+      | Some (slot, free) ->
+        fsm_note t pid free;
         Some (rid_of ~pid ~slot)
       | None -> None
     end
@@ -119,10 +118,9 @@ let insert txn t (data : string) =
       let tail_page = Txn.write txn tail in
       Page.set_next tail_page fresh;
       t.tail_hint <- fresh;
-      let p = Txn.write txn fresh in
-      (match Page.insert p data with
-      | Some slot ->
-        fsm_note t fresh (page_free p);
+      (match Page.insert_free (Txn.write txn fresh) data with
+      | Some (slot, free) ->
+        fsm_note t fresh free;
         rid_of ~pid:fresh ~slot
       | None -> invalid_arg "Heap.insert: record larger than a page"))
 

@@ -37,11 +37,8 @@ let kind_of_code = function
 
 type t = Bytes.t
 
-let get_u16 (p : t) off = Char.code (Bytes.get p off) lor (Char.code (Bytes.get p (off + 1)) lsl 8)
-
-let set_u16 (p : t) off v =
-  Bytes.set p off (Char.chr (v land 0xff));
-  Bytes.set p (off + 1) (Char.chr ((v lsr 8) land 0xff))
+let get_u16 (p : t) off = Bytes.get_uint16_le p off
+let set_u16 (p : t) off v = Bytes.set_uint16_le p off v
 
 let get_i32 (p : t) off =
   let v = Bytes.get_int32_le p off in
@@ -115,44 +112,49 @@ let compact p =
     recs;
   set_content p !pos
 
-let dead_bytes p =
-  let live_bytes = ref 0 in
-  for i = 0 to nslots p - 1 do
-    if live p i then live_bytes := !live_bytes + slot_len p i
+(* One pass over the slot directory: the first dead slot ([nslots] when
+   every slot is live) and the bytes [compact] would reclaim. *)
+let scan_slots p =
+  let n = nslots p in
+  let first_dead = ref n and live_bytes = ref 0 in
+  for i = n - 1 downto 0 do
+    let base = header + (slot_bytes * i) in
+    if get_u16 p base = 0 then first_dead := i
+    else live_bytes := !live_bytes + get_u16 p (base + 2)
   done;
-  size - content p - !live_bytes
+  (!first_dead, size - content p - !live_bytes)
+
+let dead_bytes p = snd (scan_slots p)
 
 (* Would [insert] of a record of [len] bytes succeed (possibly after
-   compaction)? *)
+   compaction)?  Room for the record and a new slot answers yes without
+   a directory scan: [dead_bytes] is never negative and a reused slot
+   costs nothing. *)
 let can_insert p len =
-  let reuse = ref false in
-  (try
-     for i = 0 to nslots p - 1 do
-       if not (live p i) then begin
-         reuse := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  let need = len + if !reuse then 0 else slot_bytes in
-  free_space p + dead_bytes p >= need
+  free_space p >= len + slot_bytes
+  ||
+  let slot, dead = scan_slots p in
+  free_space p + dead >= len + if slot = nslots p then slot_bytes else 0
 
-let find_dead_slot p =
-  let n = nslots p in
-  let rec go i = if i >= n then None else if live p i then go (i + 1) else Some i in
-  go 0
-
-(* Insert a record, returning its slot index, or [None] if the page is
-   full even after compaction. *)
-let insert p data =
+(* Insert a record into the first dead slot (a new one when none is
+   dead), returning its slot index and the page's [free_space +
+   dead_bytes] afterwards, or [None] if the page is full even after
+   compaction.  The directory is read once: an insert without
+   compaction leaves [dead_bytes] as it was, one with compaction leaves
+   none. *)
+let insert_free p data =
   let len = String.length data in
   if len > size - header - slot_bytes then None
   else begin
-    let slot, slot_cost =
-      match find_dead_slot p with Some i -> i, 0 | None -> nslots p, slot_bytes
+    let slot, dead = scan_slots p in
+    let slot_cost = if slot = nslots p then slot_bytes else 0 in
+    let dead =
+      if free_space p < len + slot_cost && free_space p + dead >= len + slot_cost then begin
+        compact p;
+        0
+      end
+      else dead
     in
-    if free_space p < len + slot_cost && free_space p + dead_bytes p >= len + slot_cost
-    then compact p;
     if free_space p < len + slot_cost then None
     else begin
       if slot = nslots p then set_nslots p (slot + 1);
@@ -160,9 +162,11 @@ let insert p data =
       Bytes.blit_string data 0 p off len;
       set_content p off;
       set_slot p slot off len;
-      Some slot
+      Some (slot, free_space p + dead)
     end
   end
+
+let insert p data = Option.map fst (insert_free p data)
 
 let delete p i =
   if i < 0 || i >= nslots p || not (live p i) then false

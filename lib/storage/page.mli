@@ -60,12 +60,18 @@ val free_space : t -> int
 (** Bytes recoverable by {!compact}. *)
 val dead_bytes : t -> int
 
-(** Would an insert of [len] bytes succeed, counting compaction? *)
+(** Would an insert of [len] bytes succeed, counting compaction?
+    Answered without a directory scan when [free_space] already holds
+    the record and a new slot. *)
 val can_insert : t -> int -> bool
 
-(** Insert a record, reusing a dead slot if any; returns the slot index
-    or [None] if the page is full even after compaction. *)
+(** Insert a record, reusing the first dead slot if any; returns the
+    slot index or [None] if the page is full even after compaction. *)
 val insert : t -> string -> int option
+
+(** {!insert}, also returning the page's [free_space + dead_bytes]
+    after the insert; one pass over the slot directory computes both. *)
+val insert_free : t -> string -> (int * int) option
 
 (** Kill slot [i]; returns whether it was live. *)
 val delete : t -> int -> bool

@@ -196,7 +196,94 @@ let prop_fsm =
           let read = P.read pager in
           H.fsm_bindings read h = H.fsm_bindings read (H.open_existing (H.first_page h))))
 
+(* Page fast paths against the spec, on one page: [can_insert] equals
+   the spec written out here, [insert] takes the first dead slot (a new
+   one when none is dead), and its reported free space is the spec's.
+   A second page replays every insert through the reference algorithm
+   below, written against the page layout; the two pages stay byte for
+   byte equal. *)
+module Pg = Storage.Page
+
+let dead_slot q =
+  let rec go i = if i >= Pg.nslots q then None else if Pg.live q i then go (i + 1) else Some i in
+  go 0
+
+(* [size - content - live bytes], from the directory *)
+let spec_dead q =
+  let live = ref 0 in
+  for i = 0 to Pg.nslots q - 1 do
+    if Pg.live q i then live := !live + Pg.slot_len q i
+  done;
+  Pg.size - Bytes.get_uint16_le q 7 - !live
+
+let spec_can_insert q len =
+  Pg.free_space q + spec_dead q >= len + if dead_slot q = None then Pg.slot_bytes else 0
+
+let ref_insert q data =
+  let len = String.length data in
+  let n = Pg.nslots q in
+  let slot, cost = match dead_slot q with Some i -> (i, 0) | None -> (n, Pg.slot_bytes) in
+  if len > Pg.size - Pg.header - Pg.slot_bytes then None
+  else begin
+    if Pg.free_space q < len + cost && Pg.free_space q + spec_dead q >= len + cost then
+      Pg.compact q;
+    if Pg.free_space q < len + cost then None
+    else begin
+      if slot = n then Bytes.set_uint16_le q 5 (n + 1);
+      let off = Bytes.get_uint16_le q 7 - len in
+      Bytes.blit_string data 0 q off len;
+      Bytes.set_uint16_le q 7 off;
+      Bytes.set_uint16_le q (Pg.header + (Pg.slot_bytes * slot)) off;
+      Bytes.set_uint16_le q (Pg.header + (Pg.slot_bytes * slot) + 2) len;
+      Some slot
+    end
+  end
+
+type pop = P_ins of int | P_del of int | P_upd of int * int
+
+let prop_page_spec =
+  QCheck.Test.make ~name:"page fast paths equal the spec" ~count:200
+    (QCheck.make
+       ~print:(fun l -> Printf.sprintf "<%d ops>" (List.length l))
+       QCheck.Gen.(
+         list_size (int_range 1 300)
+           (frequency
+              [ (6, map (fun n -> P_ins n) (int_range 0 700));
+                (3, map (fun i -> P_del i) (int_bound 200));
+                (2, map2 (fun i n -> P_upd (i, n)) (int_bound 200) (int_range 0 700)) ])))
+    (fun ops ->
+      let p = Pg.create Pg.Heap_page and q = Pg.create Pg.Heap_page in
+      let fill = ref 0 in
+      let data n =
+        incr fill;
+        String.make n (Char.chr (Char.code 'a' + (!fill mod 26)))
+      in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | P_ins n ->
+              let d = data n in
+              let can = Pg.can_insert p n in
+              let want_slot = match dead_slot q with Some i -> i | None -> Pg.nslots q in
+              let spec = spec_can_insert q n in
+              let got = Pg.insert_free p d and want = ref_insert q d in
+              can = spec
+              && Option.map fst got = want
+              && (want = None || want = Some want_slot)
+              && Option.map snd got
+                 = Option.map (fun _ -> Pg.free_space q + spec_dead q) want
+            | P_del i ->
+              let n = max 1 (Pg.nslots p) in
+              Pg.delete p (i mod n) = Pg.delete q (i mod n)
+            | P_upd (i, n) ->
+              let i = i mod max 1 (Pg.nslots p) and d = data n in
+              Pg.update p i d = Pg.update q i d
+          in
+          agree && Bytes.equal p q)
+        ops)
+
 let () =
   Alcotest.run "heap"
     [ ("basic", basic);
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_model; prop_fsm ]) ]
+      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_model; prop_fsm; prop_page_spec ]) ]

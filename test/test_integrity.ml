@@ -80,6 +80,56 @@ let tests =
              false
            with Sqldb.Db.Error _ -> true)) ]
 
+(* The tree walk checks separator bounds and the leaf chain: one
+   separator of a bulk-built index moved past entries of its right
+   child is reported, though every entry is still there and in order
+   along the leaves; so is a leaf chain cut after its first leaf. *)
+let reports sub problems =
+  let n = String.length sub in
+  List.exists
+    (fun s ->
+      let rec has i = i + n <= String.length s && (String.sub s i n = sub || has (i + 1)) in
+      has 0)
+    problems
+
+(* A 400-row table with a bulk-built index on it (three leaves under
+   an interior root); [corrupt] edits the index through a transaction. *)
+let indexed_then ~corrupt =
+  let db = E.create ~snapshots:false () in
+  ignore (E.exec db "CREATE TABLE t (a INTEGER)");
+  for i = 0 to 399 do
+    ignore (E.exec db (Printf.sprintf "INSERT INTO t VALUES (%d)" i))
+  done;
+  ignore (E.exec db "CREATE INDEX ia ON t (a)");
+  check_clean "built" db;
+  let cat = Sqldb.Db.catalog db in
+  let root = (Option.get (Sqldb.Catalog.find_index cat "ia")).Sqldb.Catalog.iroot in
+  Storage.Txn.with_txn Sqldb.Db.(db.pager) (fun txn ->
+      let w = Storage.Txn.write txn root in
+      Alcotest.(check bool) "root is interior" true
+        (Storage.Page.kind w = Storage.Page.Btree_interior);
+      corrupt txn w);
+  I.check db
+
+let separator_tests =
+  [ Alcotest.test_case "a corrupted separator is reported" `Quick (fun () ->
+        let problems =
+          indexed_then ~corrupt:(fun _ root ->
+              (* separator 0 is [key; rid; child]: raise its key by 5 *)
+              let sep = R.decode_row (Storage.Page.get_exn root 0) in
+              (match sep.(0) with R.Int a -> sep.(0) <- R.Int (a + 5) | _ -> assert false);
+              Storage.Page.remove_at root 0;
+              ignore (Storage.Page.insert_at root 0 (R.encode_row sep)))
+        in
+        Alcotest.(check bool) "reported" true (reports "outside its separator bounds" problems));
+    Alcotest.test_case "a cut leaf chain is reported" `Quick (fun () ->
+        let problems =
+          indexed_then ~corrupt:(fun txn root ->
+              Storage.Page.set_next (Storage.Txn.write txn (Storage.Page.aux root)) (-1))
+        in
+        Alcotest.(check bool) "reported" true
+          (reports "leaf chain does not follow key order" problems)) ]
+
 (* PRAGMA integrity_check: the SQL surface over I.check — a single "ok"
    row when healthy, one row per problem otherwise. *)
 let pragma_tests =
@@ -161,5 +211,6 @@ let prop_random_workload =
 let () =
   Alcotest.run "integrity"
     [ ("integrity", tests);
+      ("separators", separator_tests);
       ("pragma", pragma_tests);
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_workload ]) ]

@@ -10,8 +10,10 @@
      every archive read sleeps its modeled latency outside all locks, so
      readers overlap their device waits (I/O overlap, not CPU
      parallelism: it holds on one core);
-   - the Domain-parallel CollateData loop returns the sequential loop's
-     table byte for byte on UW15, UW30 and UW60;
+   - the Domain-parallel loop returns the sequential loop's table byte
+     for byte on UW15, UW30 and UW60: CollateData, and
+     AggregateDataInTable over Qq_agg with its stripes evaluating by
+     delta (at least one delta iteration);
    - no archive checksum failure during any of it.
 
    The heat-partition and EXPLAIN ANALYZE checks are exact and live in
@@ -201,12 +203,28 @@ let parallel_rql uw =
   let qq = "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice > 1000" in
   ignore (Rql.collate_data ctx ~qs ~qq ~table:"Cseq");
   ignore (Rql.collate_data ~domains ctx ~qs ~qq ~table:"Cpar");
-  let rows table = (E.exec ctx.Rql.meta ("SELECT * FROM " ^ table)).E.rows in
+  let rows table = List.map R.encode_row (E.query ctx.Rql.meta ("SELECT * FROM " ^ table)) in
   let seq = rows "Cseq" in
   check
     (Printf.sprintf "parallel CollateData = sequential (%s)" uw.Tpch.Workload.uname)
     (seq = rows "Cpar")
-    (Printf.sprintf "%d rows, %d domains" (List.length seq) domains)
+    (Printf.sprintf "%d rows, %d domains" (List.length seq) domains);
+  ignore (E.exec ctx.Rql.data "PRAGMA incremental=on");
+  let agg ?domains table =
+    Rql.aggregate_data_in_table ?domains ctx ~qs ~qq:Queries.qq_agg ~table ~aggs:[ ("cn", "MAX") ]
+  in
+  ignore (agg "Aseq");
+  let par = agg ~domains "Apar" in
+  let seq = rows "Aseq" in
+  let deltas =
+    List.length
+      (List.filter (fun (it : Rql.Iter_stats.iteration) -> it.eval = "delta") par.iterations)
+  in
+  check
+    (Printf.sprintf "parallel AggregateDataInTable = sequential (%s)" uw.Tpch.Workload.uname)
+    (seq = rows "Apar" && deltas > 0)
+    (Printf.sprintf "%d rows, %d domains, %d delta iterations (> 0)" (List.length seq) domains
+       deltas)
 
 let run () =
   Util.section "Gates: scope overhead, optimizer, AS OF read scaling, parallel RQL";

@@ -55,6 +55,13 @@ let mech_name = function
    without reading T: its rid and its end_snapshot value. *)
 type interval = { rid : int; mutable last : R.value }
 
+(* One stripe of the snapshot loop: the parameterized Qq prepared on
+   one session, and the stripe's own delta evaluator (None: every
+   snapshot runs on the ordinary executor).  A stripe evaluates its
+   snapshots in loop order, each a delta from the stripe's previous
+   one. *)
+type stripe = { prep : Sq.Engine.prepared; incr : Sq.Incr.t option }
+
 type run_state = {
   kind : mech_kind;
   qq : string;
@@ -62,16 +69,9 @@ type run_state = {
   data : Sq.Db.t;
   meta : Sq.Db.t;
   eval : Sq.Db.t; (* the ctx's evaluation session over [data] *)
-  prepared : Sq.Engine.prepared; (* the parameterized Qq, on [eval] *)
+  inline : stripe; (* the one-stripe case: the Qq on [eval] *)
   rs_analyze : bool; (* per-operator instrumentation for this run *)
-  (* Delta-driven Qq evaluation across the loop's snapshots; None runs
-     every iteration on the ordinary executor. *)
-  incr : Sq.Incr.t option;
-  (* Qq result hoisted out of the snapshot loop: when the optimizer
-     classified the prepared plan as snapshot-invariant, the first
-     iteration's rows are stashed here and every later iteration replays
-     them instead of re-evaluating. *)
-  mutable invariant_rows : (string array * R.row list) option;
+  rs_all_cold : bool; (* every iteration starts from an empty page cache *)
   t_start : float; (* wall-clock run start; anchors the modeled trace track *)
   mutable iterations : Iter_stats.iteration list; (* reversed *)
   mutable first_done : bool;
@@ -108,7 +108,7 @@ type run_state = {
 type ctx = {
   data : Sq.Db.t;
   meta : Sq.Db.t;
-  (* A private session over [data] that evaluates every sequential Qq:
+  (* A private session over [data] that evaluates every one-stripe Qq:
      its scope measures exactly the Qq's work, and its plan cache keeps
      prepared Qq plans across runs. *)
   eval : Sq.Db.t;
@@ -471,7 +471,7 @@ type run_report = {
 }
 
 (* lint: allow — written by [run_mechanism] on the driving domain only;
-   worker domains never touch the report *)
+   stripe domains never touch the report *)
 let last_run_report : run_report option ref = ref None
 let run_report () = !last_run_report
 
@@ -494,21 +494,6 @@ let run_report_to_json (r : run_report) =
 (* The prepared Qq's cached plan, when present and fresh. *)
 let qq_plan (rs : run_state) = Sq.Engine.cached_plan rs.eval ~key:(qq_key rs.qq)
 
-(* Iterations that replayed a hoisted snapshot-invariant Qq result
-   instead of re-evaluating it (sequential loop only). *)
-let c_invariant_reuses = Obs.Scope.counter "rql.qq_invariant_reuses"
-
-(* Did the optimizer classify this run's prepared Qq plan as
-   snapshot-invariant?  (No table access, no snapshot-dependent
-   expressions — the result is identical for every snapshot id.) *)
-let qq_invariant (rs : run_state) =
-  match qq_plan rs with
-  | Some p -> (
-    match p.Sq.Plan.p_opt with
-    | Some oi -> oi.Sq.Plan.oi_invariant
-    | None -> false)
-  | None -> false
-
 (* Chrome counter track: one sample of the cumulative per-operator row
    counts per iteration, so the operator-level progress of an analyzed
    run is visible on the trace timeline. *)
@@ -526,7 +511,18 @@ let emit_op_counters (rs : run_state) =
 
 (* --- the loop body ----------------------------------------------------- *)
 
-let make_run ?(analyze = false) ?(incremental = true) (ctx : ctx) ~kind ~qq ~table () =
+(* A stripe of a loop over [k] stripes.  It evaluates by delta unless
+   the run is all-cold (every snapshot from scratch, by definition) or
+   PRAGMA incremental is off on [data]; the k stripes share
+   {!Sq.Incr.default_max_rows}, so a run keeps no more rows than one
+   stripe alone would. *)
+let make_stripe (data : Sq.Db.t) ~all_cold ~k prep =
+  { prep;
+    incr =
+      (if all_cold || not data.Sq.Db.incremental then None
+       else Some (Sq.Incr.create ~max_rows:(Sq.Incr.default_max_rows / k) ())) }
+
+let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table () =
   (match kind with
   | Agg_table [] -> error "AggregateDataInTable requires at least one (column, function) pair"
   | _ -> ());
@@ -546,11 +542,9 @@ let make_run ?(analyze = false) ?(incremental = true) (ctx : ctx) ~kind ~qq ~tab
     data = ctx.data;
     meta = ctx.meta;
     eval = ctx.eval;
-    prepared = prepare_qq ctx.eval qq;
+    inline = make_stripe ctx.data ~all_cold ~k:1 (prepare_qq ctx.eval qq);
     rs_analyze = analyze;
-    incr =
-      (if incremental && ctx.data.Sq.Db.incremental then Some (Sq.Incr.create ()) else None);
-    invariant_rows = None;
+    rs_all_cold = all_cold;
     t_start = now ();
     iterations = [];
     first_done = false;
@@ -578,7 +572,7 @@ let make_run ?(analyze = false) ?(incremental = true) (ctx : ctx) ~kind ~qq ~tab
 
 (* A snapshot's Qq rows with the evaluating session scope's counter and
    gauge deltas around the evaluation.  One domain drives a session, so
-   the deltas are exact even while parallel workers evaluate other
+   the deltas are exact even while other stripes evaluate other
    snapshots. *)
 type eval_result = {
   ev_header : string array;
@@ -596,26 +590,29 @@ type eval_result = {
   ev_pages_reused : int;
 }
 
-(* Run [produce] on session [sess], measuring it in the session's scope.
-   [incr] reports how the evaluation ran; without one it was plain. *)
-let measured ?incr sess produce =
+(* Evaluate stripe [st]'s Qq over snapshot [sid] on the session it was
+   prepared on, measured in that session's scope: the one evaluation
+   path of the loop. *)
+let evaluate (st : stripe) ~sid =
   let module S = Storage.Stats in
-  let sc = sess.Sq.Db.scope in
+  let sc = (Sq.Engine.prepared_db st.prep).Sq.Db.scope in
   let c h = Obs.Scope.get_in sc h and g h = Obs.Scope.gauge_get_in sc h in
   let plr0 = c S.c_pagelog_reads and dbr0 = c S.c_db_page_reads in
   let hit0 = c S.c_snap_cache_hits and mis0 = c S.c_snap_cache_misses in
   let mls0 = c S.c_maplog_scanned in
   let spt0 = g Sq.Exec_stats.g_spt_build_s and idx0 = g Sq.Exec_stats.g_index_build_s in
   let t0 = now () in
-  let header, rows = produce () in
+  let header, run = Sq.Engine.prepared_stream ~params:[| R.Int sid |] ?incr:st.incr st.prep in
+  let rows = ref [] in
+  run (fun row -> rows := row :: !rows);
   let eval_s = now () -. t0 in
   let mode, evaluated, reused =
-    match Option.bind incr Sq.Incr.last with
+    match Option.bind st.incr Sq.Incr.last with
     | Some r -> (Sq.Incr.mode_to_string r.Sq.Incr.mode, r.Sq.Incr.evaluated, r.Sq.Incr.reused)
     | None -> ("plain", 0, 0)
   in
   { ev_header = header;
-    ev_rows = rows;
+    ev_rows = List.rev !rows;
     ev_pagelog_reads = c S.c_pagelog_reads - plr0;
     ev_db_reads = c S.c_db_page_reads - dbr0;
     ev_cache_hits = c S.c_snap_cache_hits - hit0;
@@ -627,28 +624,6 @@ let measured ?incr sess produce =
     ev_mode = mode;
     ev_pages_evaluated = evaluated;
     ev_pages_reused = reused }
-
-(* Evaluate the prepared Qq over snapshot [sid] on the session it was
-   prepared on: the one evaluation path of both loops (the sequential
-   loop's session is the ctx's, each parallel worker has its own). *)
-let evaluate ?incr prep ~sid =
-  measured ?incr (Sq.Engine.prepared_db prep) (fun () ->
-      let header, run = Sq.Engine.prepared_stream ~params:[| R.Int sid |] ?incr prep in
-      let rows = ref [] in
-      run (fun row -> rows := row :: !rows);
-      (header, List.rev !rows))
-
-(* The sequential loop's evaluation: a Qq the optimizer proved
-   snapshot-invariant is evaluated once and its rows replayed. *)
-let evaluate_in_loop (rs : run_state) ~sid =
-  match rs.invariant_rows with
-  | Some hr ->
-    Obs.Scope.incr c_invariant_reuses;
-    measured rs.eval (fun () -> hr)
-  | None ->
-    let ev = evaluate ?incr:rs.incr rs.prepared ~sid in
-    if qq_invariant rs then rs.invariant_rows <- Some (ev.ev_header, ev.ev_rows);
-    ev
 
 (* Apply one snapshot's Qq rows to the result table, in the
    mechanism-specific way. *)
@@ -691,20 +666,19 @@ let apply (rs : run_state) ev ~sid =
   rs.prev_sid <- sid;
   rs.last_sid <- Some sid
 
-(* One RQL iteration over snapshot [sid]: evaluate, then apply.  [cold]
-   empties the snapshot page cache first (the all-cold baseline runs of
-   §5.1).  With [eval] a parallel worker already evaluated the Qq; the
-   loop body still applies in snapshot order, so results are
-   byte-identical to the sequential loop. *)
-let step_body ?eval (rs : run_state) ~sid ~cold =
+(* One RQL iteration over snapshot [sid]: [eval] yields the snapshot's
+   Qq rows (evaluating them inline, or taking them from the stripe that
+   did), then the loop body applies them.  An all-cold run empties the
+   snapshot page cache first (the baseline runs of §5.1). *)
+let step_body (rs : run_state) ~sid eval =
   (* One timeseries sample per iteration, so sys_timeseries resolves the
      inside of a snapshot loop rather than only statement boundaries. *)
   Obs.Timeseries.tick ();
   (match Sq.Db.(rs.data.retro) with
-  | Some retro when cold -> Retro.clear_cache retro
+  | Some retro when rs.rs_all_cold -> Retro.clear_cache retro
   | _ -> ());
-  let cold = cold || not rs.first_done in
-  let ev = match eval with Some ev -> ev | None -> evaluate_in_loop rs ~sid in
+  let cold = rs.rs_all_cold || not rs.first_done in
+  let ev = eval () in
   let t0 = now () in
   apply rs ev ~sid;
   let it =
@@ -788,12 +762,12 @@ let cancel_check (rs : run_state) =
 
 let progress (rs : run_state) = rs.rs_progress
 
-let step ?eval (rs : run_state) ~sid ~cold =
+let iterate (rs : run_state) ~sid eval =
   cancel_check rs;
   let body () =
     Obs.Trace.with_span ~name:"rql.iteration"
       ~attrs:[ ("snap_id", Obs.Trace.Int sid) ]
-      (fun () -> step_body ?eval rs ~sid ~cold)
+      (fun () -> step_body rs ~sid eval)
   in
   match rs.rs_progress with
   | None -> body ()
@@ -806,6 +780,10 @@ let step ?eval (rs : run_state) ~sid ~cold =
           (pg.Obs.Progress.pr_pages + it.Iter_stats.db_reads
          + it.Iter_stats.pagelog_reads)
     | [] -> ())
+
+(* One iteration of the one-stripe loop: the Qq evaluated inline, on
+   the ctx's evaluation session. *)
+let step (rs : run_state) ~sid = iterate rs ~sid (fun () -> evaluate rs.inline ~sid)
 
 (* Result-table footprint (rows and approximate bytes). *)
 let result_metrics (rs : run_state) =
@@ -820,16 +798,18 @@ let result_metrics (rs : run_state) =
         bytes := !bytes + len);
     (!rows, !bytes)
 
-let finish (rs : run_state) : Iter_stats.run =
+(* The run's record so far. *)
+let run_record (rs : run_state) : Iter_stats.run =
   let result_rows, result_bytes = result_metrics rs in
-  let run =
-    { Iter_stats.mechanism = mech_name rs.kind;
-      qq = rs.qq;
-      iterations = List.rev rs.iterations;
-      result_rows;
-      result_bytes;
-      finalize_s = rs.finalize_s }
-  in
+  { Iter_stats.mechanism = mech_name rs.kind;
+    qq = rs.qq;
+    iterations = List.rev rs.iterations;
+    result_rows;
+    result_bytes;
+    finalize_s = rs.finalize_s }
+
+let finish (rs : run_state) : Iter_stats.run =
+  let run = run_record rs in
   (* Modeled-attribution track: only worth emitting when tracing is on. *)
   if Obs.Trace.is_enabled () then Iter_stats.emit_trace ~start_s:rs.t_start run;
   if rs.rs_analyze then
@@ -888,110 +868,105 @@ let snapshot_set (ctx : ctx) qs =
         | v -> error "Qs must return snapshot ids; got %s" (R.value_to_string v))
     res.Sq.Engine.rows
 
-(* --- parallel AS OF evaluation ----------------------------------------- *)
+(* --- the snapshot loop ---------------------------------------------------- *)
 
-(* The Domain-parallel snapshot loop: [domains] workers evaluate the Qq
-   over disjoint snapshots concurrently (overlapping their archive-read
-   waits), while the main domain applies each evaluated row set through
-   the ordinary loop body in snapshot order.  Ordered application makes
-   the result table byte-identical to the sequential loop for every
-   mechanism — including order-sensitive ones like intervals — because
-   the loop body never observes a reordering.
+(* Evaluate the snapshots [sids] over [k] stripes and pass [f] the
+   function that yields the i-th snapshot's rows, in order.  Stripe w
+   evaluates sids w, w + k, ...
 
-   Shared SPT caching is enabled for the duration of the run so workers
-   re-reading the same declared snapshot share its table; the prior
-   setting is restored on exit. *)
-let parallel_loop (rs : run_state) ~domains ~sids =
-  let arr = Array.of_list sids in
-  let n = Array.length arr in
-  let slots : eval_result option array = Array.make n None in
-  let mu = Mutex.create () in
-  let cv = Condition.create () in
-  let stop = ref false in
-  let failure : exn option ref = ref None in
-  let worker w () =
-    (* A private session per worker: its own plan cache and prepared Qq,
-       and a scope only this domain drives. *)
-    let wdb = Sq.Db.session rs.data in
-    Sq.Engine.set_optimize wdb rs.data.Sq.Db.optimize;
-    Fun.protect
-      ~finally:(fun () -> Sq.Db.close_session wdb)
-      (fun () ->
-        try
-          let prep = prepare_qq wdb rs.qq in
-          let i = ref w in
-          while !i < n && not !stop do
-            let ev = evaluate prep ~sid:arr.(!i) in
-            (* lint: allow — producer/consumer handoff: Condition needs
-               the raw mutex, and the section is two writes. *)
-            Mutex.lock mu;
-            slots.(!i) <- Some ev;
-            Condition.broadcast cv;
-            Mutex.unlock mu;
-            i := !i + domains
-          done
-        with e ->
-          (* lint: allow — failure publication under the raw condition
-             mutex; two writes, no I/O. *)
-          Mutex.lock mu;
+   With k = 1 the one stripe is [rs.inline], evaluated on demand on the
+   calling domain.  Otherwise each stripe runs on its own domain and
+   session, with its own delta evaluator, and publishes into a ring of
+   2k slots: a stripe runs at most 2k evaluations ahead of the slot the
+   caller takes next, so a run holds at most 2k snapshots' rows.  Any
+   failure stops every stripe, wakes every waiter and re-raises in the
+   caller; the stripes are joined and their sessions closed before this
+   returns or raises. *)
+let with_stripes (rs : run_state) ~k sids f =
+  if k = 1 then f (fun i -> evaluate rs.inline ~sid:sids.(i))
+  else begin
+    let n = Array.length sids and ahead = 2 * k in
+    let slots : eval_result option array = Array.make ahead None in
+    let taken = ref 0 in (* slots the caller has taken *)
+    let stop = ref false in
+    let failure : exn option ref = ref None in
+    let mu = Mutex.create () and cv = Condition.create () in
+    let locked f =
+      Mutex.lock mu;
+      Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
+    in
+    let fail e =
+      locked (fun () ->
           if !failure = None then failure := Some e;
           stop := true;
-          Condition.broadcast cv;
-          Mutex.unlock mu)
-  in
-  (match Sq.Db.(rs.data.retro) with
-  | Some retro -> Retro.set_spt_cache retro true
-  | None -> ());
-  let dms = List.init (min domains n) (fun w -> Domain.spawn (worker w)) in
-  let wait_slot i =
-    (* lint: allow — Condition.wait requires the raw mutex; every exit
-       path of [go] unlocks before returning or raising. *)
-    Mutex.lock mu;
-    let rec go () =
-      match slots.(i) with
-      | Some ev ->
-        slots.(i) <- None; (* free the rows once applied *)
-        Mutex.unlock mu;
-        ev
-      | None -> (
-        match !failure with
-        | Some e ->
-          Mutex.unlock mu;
-          raise e
-        | None ->
-          Condition.wait cv mu;
+          Condition.broadcast cv)
+    in
+    (* Wait until slot [i] is within reach; false once the run stops. *)
+    let room i =
+      locked (fun () ->
+          while i >= !taken + ahead && not !stop do Condition.wait cv mu done;
+          not !stop)
+    in
+    let stripe w () =
+      let wdb = Sq.Db.session rs.data in
+      Sq.Engine.set_optimize wdb rs.data.Sq.Db.optimize;
+      Fun.protect
+        ~finally:(fun () -> Sq.Db.close_session wdb)
+        (fun () ->
+          try
+            let st = make_stripe rs.data ~all_cold:rs.rs_all_cold ~k (prepare_qq wdb rs.qq) in
+            let i = ref w in
+            while !i < n && room !i do
+              let ev = evaluate st ~sid:sids.(!i) in
+              locked (fun () ->
+                  slots.(!i mod ahead) <- Some ev;
+                  Condition.broadcast cv);
+              i := !i + k
+            done
+          with e -> fail e)
+    in
+    let take i =
+      locked (fun () ->
+          let rec go () =
+            match slots.(i mod ahead), !failure with
+            | Some ev, _ ->
+              slots.(i mod ahead) <- None;
+              taken := i + 1;
+              Condition.broadcast cv;
+              ev
+            | None, Some e -> raise e
+            | None, None ->
+              Condition.wait cv mu;
+              go ()
+          in
           go ())
     in
-    go ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (* lint: allow — shutdown broadcast under the raw condition mutex. *)
-      Mutex.lock mu;
-      stop := true;
-      Condition.broadcast cv;
-      Mutex.unlock mu;
-      List.iter Domain.join dms;
-      match Sq.Db.(rs.data.retro) with
-      | Some retro -> Retro.set_spt_cache retro false
-      | None -> ())
-    (fun () ->
-      Array.iteri
-        (fun i sid ->
-          let ev = wait_slot i in
-          step ~eval:ev rs ~sid ~cold:false)
-        arr)
+    let dms = List.init (min k n) (fun w -> Domain.spawn (stripe w)) in
+    Fun.protect
+      ~finally:(fun () ->
+        locked (fun () ->
+            stop := true;
+            Condition.broadcast cv);
+        List.iter Domain.join dms)
+      (fun () -> f take)
+  end
+
+(* The snapshot loop (paper §3): evaluate Qq over every snapshot of
+   [sids] on [k] stripes, and apply the rows through the loop body in
+   snapshot order.  The loop body never observes the striping, so the
+   result table is byte-identical for every k, for every mechanism —
+   order-sensitive ones like intervals included. *)
+let snapshot_loop (rs : run_state) ~k sids =
+  let sids = Array.of_list sids in
+  with_stripes rs ~k sids (fun take ->
+      Array.iteri (fun i sid -> iterate rs ~sid (fun () -> take i)) sids)
 
 (* --- public mechanisms -------------------------------------------------- *)
 
 let run_mechanism ?(all_cold = false) ?(analyze = false) ?(domains = 1) ctx kind ~qs ~qq ~table =
   (* make_run first: its Qq gate must fire before the Qs executes (a
      bad Qq spends zero page reads, not even SnapIds ones). *)
-  (* The all-cold baseline evaluates every snapshot from scratch by
-     definition, and the parallel loop's workers evaluate snapshots
-     independently: both run the ordinary executor. *)
-  let incremental = (not all_cold) && domains <= 1 in
-  let rs = make_run ~analyze ~incremental ctx ~kind ~qq ~table () in
+  let rs = make_run ~analyze ~all_cold ctx ~kind ~qq ~table () in
   let sids = snapshot_set ctx qs in
   if sids = [] then error "%s: Qs returned no snapshots" (mech_name kind);
   (match Sq.Db.(ctx.data.retro) with
@@ -1008,13 +983,12 @@ let run_mechanism ?(all_cold = false) ?(analyze = false) ?(domains = 1) ctx kind
       [ ("mechanism", Obs.Trace.Str (mech_name kind));
         ("snapshots", Obs.Trace.Int (List.length sids)) ]
     (fun () ->
-      (* The parallel loop needs per-iteration independence: the
-         all-cold baseline (a cache clear between iterations) and
-         EXPLAIN ANALYZE accumulation (per-operator actuals on one
-         shared plan) are driven sequentially by construction. *)
+      (* One stripe, run inline, for an all-cold run (a cache clear
+         between iterations) and an analyzed one (per-operator actuals
+         accumulate on one shared plan). *)
+      let k = if all_cold || analyze then 1 else max 1 domains in
       let loop () =
-        if domains > 1 && (not all_cold) && not analyze then parallel_loop rs ~domains ~sids
-        else List.iter (fun sid -> step rs ~sid ~cold:all_cold) sids;
+        snapshot_loop rs ~k sids;
         finish rs
       in
       let run () =
@@ -1100,7 +1074,7 @@ let udf_step ctx kind ~qq ~table ~sid =
       Hashtbl.replace ctx.runs key rs;
       rs
   in
-  try step rs ~sid ~cold:false
+  try step rs ~sid
   with Cancelled _ as e ->
     (* Drop the run so a later invocation starts fresh rather than
        resuming a cancelled loop. *)
@@ -1113,16 +1087,7 @@ let udf_step ctx kind ~qq ~table ~sid =
    [finish] instead. *)
 let flush_traces (ctx : ctx) =
   if Obs.Trace.is_enabled () then
-    Hashtbl.iter
-      (fun _ rs ->
-        Iter_stats.emit_trace ~start_s:rs.t_start
-          { Iter_stats.mechanism = mech_name rs.kind;
-            qq = rs.qq;
-            iterations = List.rev rs.iterations;
-            result_rows = 0;
-            result_bytes = 0;
-            finalize_s = rs.finalize_s })
-      ctx.runs
+    Hashtbl.iter (fun _ rs -> Iter_stats.emit_trace ~start_s:rs.t_start (run_record rs)) ctx.runs
 
 (* Retrieve (and retire) the statistics of the most recent SQL-form run
    that produced result table [table]. *)

@@ -34,16 +34,10 @@ type t = {
       (* snapshots known to reference a corrupt Pagelog block; their AS
          OF reads fail typed, everything else keeps working *)
   (* Guards the shared read-side mutable state: the snapshot page cache
-     (Lru.find reorders its recency list even on hits), the damaged set
-     and the SPT cache.  Never held across Pagelog reads — the simulated
-     device may sleep there (Cost_model.real_read_latency). *)
+     (Lru.find reorders its recency list even on hits) and the damaged
+     set.  Never held across Pagelog reads — the simulated device may
+     sleep there (Cost_model.real_read_latency). *)
   rt_mu : Mutex.t;
-  (* Opt-in cross-session SPT cache: snap_id -> (maplog length at
-     build, SPT).  Off by default so the paper's SPT-build cost
-     attribution is untouched; concurrent AS OF readers (bench, server)
-     turn it on to share builds of the same declared snapshot. *)
-  mutable spt_cache_on : bool;
-  spt_cache : (int, int * Spt.t) Hashtbl.t;
 }
 
 exception Snapshot_damaged of { snap_id : int; pl_off : int; reason : string }
@@ -96,9 +90,7 @@ let make pager ~pagelog ~maplog ~saved_epoch =
       clock = Unix.gettimeofday;
       last_spt = None;
       damaged = Hashtbl.create 4;
-      rt_mu = Mutex.create ();
-      spt_cache_on = false;
-      spt_cache = Hashtbl.create 16 }
+      rt_mu = Mutex.create () }
   in
   pager.Storage.Pager.pre_commit_hook <- on_commit t;
   t
@@ -163,35 +155,22 @@ let snapshot_ts t snap_id = (Maplog.boundary t.maplog snap_id).Maplog.ts
    boundary slots keep it); sys_snapshots reads this. *)
 let snapshot_ts_raw t snap_id = (Maplog.raw_boundary t.maplog snap_id).Maplog.ts
 
-(* Wrapped in a trace span: SPT construction is one of the paper's
-   attributed cost components, and the span lets EXPLAIN PROFILE and
-   trace dumps show it nested under the statement / RQL iteration. *)
+(* Every call builds: each snapshot's SPT is built once per RQL
+   iteration, the cost the paper attributes.  Wrapped in a trace span:
+   SPT construction is one of the paper's attributed cost components,
+   and the span lets EXPLAIN PROFILE and trace dumps show it nested
+   under the statement / RQL iteration. *)
 let build_spt t snap_id =
-  let cached =
-    if not t.spt_cache_on then None
-    else begin
-      locked_rt t (fun () ->
-          match Hashtbl.find_opt t.spt_cache snap_id with
-          | Some (len, spt) when len = Maplog.length t.maplog -> Some spt
-          | _ -> None)
-    end
-  in
-  match cached with
-  | Some spt -> spt
-  | None ->
-    Obs.Trace.with_span ~name:"spt_build"
-      ~attrs:[ ("snap_id", Obs.Trace.Int snap_id) ]
-      (fun () ->
-        let scanned0 = Obs.Scope.get Storage.Stats.c_maplog_scanned in
-        let spt = Spt.build t.maplog snap_id in
-        Obs.Trace.set_attrs
-          [ ("maplog_scanned",
-             Obs.Trace.Int (Obs.Scope.get Storage.Stats.c_maplog_scanned - scanned0)) ];
-        let len = Maplog.length t.maplog in
-        t.last_spt <- Some (snap_id, len);
-        if t.spt_cache_on then
-          locked_rt t (fun () -> Hashtbl.replace t.spt_cache snap_id (len, spt));
-        spt)
+  Obs.Trace.with_span ~name:"spt_build"
+    ~attrs:[ ("snap_id", Obs.Trace.Int snap_id) ]
+    (fun () ->
+      let scanned0 = Obs.Scope.get Storage.Stats.c_maplog_scanned in
+      let spt = Spt.build t.maplog snap_id in
+      Obs.Trace.set_attrs
+        [ ("maplog_scanned",
+           Obs.Trace.Int (Obs.Scope.get Storage.Stats.c_maplog_scanned - scanned0)) ];
+      t.last_spt <- Some (snap_id, Maplog.length t.maplog);
+      spt)
 
 (* The pages whose images may differ between snapshots [a] and [b]
    (either order): every page with a Maplog entry between the two
@@ -211,15 +190,6 @@ let changed_pages t a b =
     Hashtbl.replace set (Maplog.entry t.maplog i).Maplog.pid ()
   done;
   set
-
-(* Enable/disable sharing built SPTs across sessions (declared
-   snapshots are immutable, so a cached SPT is valid until the maplog
-   grows).  Off by default: caching would hide the per-iteration SPT
-   build cost the paper attributes. *)
-let set_spt_cache t on =
-  locked_rt t (fun () ->
-      t.spt_cache_on <- on;
-      if not on then Hashtbl.reset t.spt_cache)
 
 (* Whether the most recently built SPT belongs to [snap_id] and is still
    current (no mappings appended since the build).  Reported by
@@ -286,10 +256,7 @@ let read_ctx t spt : Storage.Pager.read = fun pid -> read_page t spt pid
 
 (* Empty the snapshot page cache: the paper's experiments assume the
    cache is cold at the start of each RQL query. *)
-let clear_cache t =
-  locked_rt t (fun () ->
-      Storage.Lru.clear t.snap_cache;
-      Hashtbl.reset t.spt_cache)
+let clear_cache t = locked_rt t (fun () -> Storage.Lru.clear t.snap_cache)
 
 let set_cache_pages t n = locked_rt t (fun () -> Storage.Lru.set_capacity t.snap_cache n)
 
@@ -547,7 +514,6 @@ let vacuum ?(tick = fun () -> ()) t ~keep_from =
     t.last_spt <- None;
     locked_rt t (fun () ->
         Storage.Lru.clear t.snap_cache;
-        Hashtbl.reset t.spt_cache;
         let stale =
           Hashtbl.fold (fun s () acc -> if s < keep_from then s :: acc else acc) t.damaged []
         in

@@ -1,7 +1,7 @@
 (* The post-planning optimizer: runs between [Planner.plan] and
    [Exec.stream_plan] over the typed plan IR.
 
-   Four jobs, all differentially testable against `PRAGMA optimize=off`:
+   Three jobs, all differentially testable against `PRAGMA optimize=off`:
 
    1. Constant folding / strength reduction of every expression slot of
       the plan, via the abstract interpreter in [Absint].  Folds are
@@ -20,12 +20,7 @@
       pipeline is [Absint.droppable], so runtime errors and UDF effects
       the naive path would produce are preserved.
 
-   3. Snapshot-invariance classification: a plan whose result cannot
-      depend on the bound snapshot — no table access, no parameters, no
-      subqueries, only pure builtins — is marked [oi_invariant] so the
-      RQL loop evaluates it once per run instead of once per snapshot.
-
-   4. A delta-safety verdict ([oi_delta_safe] + reason), the gate of
+   3. A delta-safety verdict ([oi_delta_safe] + reason), the gate of
       the RQL loop's incremental evaluation ([Incr]): aggregates (none
       DISTINCT) over one sequential heap scan and hash joins over
       heap tables, no other join, no LIMIT /
@@ -411,9 +406,10 @@ let rec opt_plan st (p : Plan.t) : Plan.t =
 
 exception Unsafe of string
 
-(* Walk every expression node of every core slot (not descending into
-   subquery selects — a subquery node itself is already a verdict). *)
-let scan_plan_exprs ?(as_of = true) (f : expr -> unit) (p : Plan.t) : unit =
+(* Walk every expression node of every core slot, the AS OF expression
+   excepted (not descending into subquery selects — a subquery node
+   itself is already a verdict). *)
+let scan_plan_exprs (f : expr -> unit) (p : Plan.t) : unit =
   let scan e = ignore (Expr.map (fun x -> f x; x) e) in
   let rec go p =
     ignore
@@ -422,40 +418,11 @@ let scan_plan_exprs ?(as_of = true) (f : expr -> unit) (p : Plan.t) : unit =
            scan e;
            e)
          p.Plan.p_core);
-    if as_of then Option.iter scan p.Plan.p_as_of;
     Option.iter scan p.Plan.p_climit;
     Option.iter scan p.Plan.p_coffset;
     List.iter (fun (_, m) -> go m) p.Plan.p_members
   in
   go p
-
-(* Snapshot-invariant: the result cannot depend on which snapshot (or
-   parameter binding) the plan runs against — no table access, no
-   parameters, no subqueries, only pure builtin calls. *)
-let is_invariant ~pure_fn (p : Plan.t) : bool =
-  let from_none p =
-    let rec go p =
-      (match p.Plan.p_core.Plan.c_from with
-      | Plan.From_none -> ()
-      | Plan.From_scan _ -> raise (Unsafe "table access"));
-      List.iter (fun (_, m) -> go m) p.Plan.p_members
-    in
-    go p
-  in
-  match
-    from_none p;
-    (* The AS OF expression itself is exempt: with no table access the
-       snapshot binding (a parameter in a prepared Qq) cannot change the
-       result — only data visibility, of which there is none. *)
-    scan_plan_exprs ~as_of:false
-      (function
-        | Param _ | Subquery _ | In_select _ | Exists _ -> raise (Unsafe "dependent")
-        | Call (n, _) when not (pure_fn n) -> raise (Unsafe "udf")
-        | _ -> ())
-      p
-  with
-  | () -> true
-  | exception Unsafe _ -> false
 
 (* The delta-safety gate of incremental RQL evaluation ([Incr]): the
    verdict plus the first disqualifying reason.  A safe plan is one
@@ -503,7 +470,7 @@ let delta_verdict ~pure_fn (p : Plan.t) : bool * string =
     (* The AS OF expression is the snapshot binding itself; anywhere
        else a parameter (current_snapshot() in a Qq) makes every row's
        contribution snapshot-dependent. *)
-    scan_plan_exprs ~as_of:false
+    scan_plan_exprs
       (function
         | Subquery _ | In_select _ | Exists _ -> raise (Unsafe "subquery")
         | Call (n, _) when not (pure_fn n) -> raise (Unsafe ("calls UDF " ^ n))
@@ -530,7 +497,6 @@ let optimize ~fnctx ~is_udf (p : Plan.t) : Plan.t * Diag.t list =
   in
   let p' = opt_plan st p in
   let folds = st.actx.Absint.folds in
-  let invariant = is_invariant ~pure_fn p' in
   let delta_safe, delta_reason = delta_verdict ~pure_fn p' in
   Obs.Scope.add c_folds folds;
   Obs.Scope.add c_pruned_preds st.pruned;
@@ -541,7 +507,6 @@ let optimize ~fnctx ~is_udf (p : Plan.t) : Plan.t * Diag.t list =
     { Plan.oi_folds = folds;
       oi_pruned = st.pruned;
       oi_empty = any_empty p';
-      oi_invariant = invariant;
       oi_delta_safe = delta_safe;
       oi_delta_reason = delta_reason;
       oi_notes = List.rev st.notes }

@@ -132,7 +132,6 @@ type opt_info = {
   oi_folds : int;           (* expressions replaced by literals *)
   oi_pruned : int;          (* always-true/false predicate conjuncts removed *)
   oi_empty : bool;          (* an always-false conjunct emptied the plan *)
-  oi_invariant : bool;      (* snapshot-invariant: no params, no table data *)
   oi_delta_safe : bool;     (* eligible for delta-driven incremental RQL *)
   oi_delta_reason : string; (* "" when delta-safe, else why not *)
   oi_notes : (int * string) list; (* op_id -> per-node annotation *)
@@ -488,10 +487,8 @@ let opt_trailer (p : t) : string list =
   match p.p_opt with
   | None -> []
   | Some oi ->
-    (if oi.oi_folds = 0 && oi.oi_pruned = 0 && not oi.oi_invariant then []
-     else
-       [ Printf.sprintf "OPT (folded=%d pruned=%d%s)" oi.oi_folds oi.oi_pruned
-           (if oi.oi_invariant then " invariant" else "") ])
+    (if oi.oi_folds = 0 && oi.oi_pruned = 0 then []
+     else [ Printf.sprintf "OPT (folded=%d pruned=%d)" oi.oi_folds oi.oi_pruned ])
     @ [ (if oi.oi_delta_safe then "DELTA-SAFE: yes"
          else Printf.sprintf "DELTA-SAFE: no (%s)" oi.oi_delta_reason) ]
 

@@ -19,20 +19,18 @@ type t = {
   mutable n_blocks : int;
   name : string;
   mutable fault : Fault.t option;
-  mutable read_retries : int; (* bounded retries before Read_error surfaces *)
 }
 
 (* Transient media errors (an armed-once fault) are retried this many
    times before {!Read_error} reaches the caller. *)
-let default_read_retries = 3
+let read_retries = 3
 
 let create ?(name = "disk") () =
   { blocks = Array.make 64 Bytes.empty;
     crcs = Array.make 64 0;
     n_blocks = 0;
     name;
-    fault = None;
-    read_retries = default_read_retries }
+    fault = None }
 
 let length t = t.n_blocks
 
@@ -40,9 +38,6 @@ let name t = t.name
 
 let set_fault t f = t.fault <- f
 let fault t = t.fault
-
-let set_read_retries t n = t.read_retries <- max 0 n
-let read_retries t = t.read_retries
 
 let grow t =
   let cap = Array.length t.blocks in
@@ -76,7 +71,7 @@ let read t i =
    | Some f ->
      let rec probe attempt =
        if Fault.should_fail_read f ~device:t.name ~index:i then begin
-         if attempt >= t.read_retries then
+         if attempt >= read_retries then
            raise (Read_error { device = t.name; block = i });
          Obs.Scope.incr Stats.c_read_retries;
          if !Stats.Cost_model.real_read_latency then
@@ -150,8 +145,7 @@ let restore_raw ?(name = "disk") pairs =
       crcs = Array.make (max 64 n) 0;
       n_blocks = n;
       name;
-      fault = None;
-      read_retries = default_read_retries }
+      fault = None }
   in
   Array.iteri
     (fun i (b, crc) ->

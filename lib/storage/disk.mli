@@ -30,18 +30,12 @@ val set_fault : t -> Fault.t option -> unit
 (** The attached fault injector, if any. *)
 val fault : t -> Fault.t option
 
-(** Bounded retry budget for transient read faults (default 3): an
-    armed-once fault is consumed by a probe and the retry succeeds; a
-    persistent fault exhausts the budget and raises {!Read_error}.
-    Each retry counts into [storage.read_retries]. *)
-val set_read_retries : t -> int -> unit
-
-val read_retries : t -> int
-
 (** Append a copy of the block; returns its index. *)
 val append : t -> Bytes.t -> int
 
-(** A defensive copy of the block.
+(** A defensive copy of the block.  A transient read fault (armed
+    once) is retried up to 3 times, each retry counted into
+    [storage.read_retries]; a persistent one exhausts the retries.
     @raise Invalid_argument on an out-of-range index.
     @raise Corruption when the stored block fails its checksum.
     @raise Read_error when a fault injector armed this block. *)

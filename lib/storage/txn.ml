@@ -63,8 +63,6 @@ let free t pid =
   check_active t;
   t.freed <- pid :: t.freed
 
-let dirty_count t = Hashtbl.length t.writes
-
 (* Commit ordering: pre-commit hook (Retro archives COW pre-states),
    then the WAL record + barrier, then install.  A hook that raises
    leaves nothing logged or installed; a crash inside the WAL append

@@ -28,8 +28,6 @@ val alloc : t -> Page.kind -> int
 (** Schedule a page for release at commit. *)
 val free : t -> int -> unit
 
-val dirty_count : t -> int
-
 (** Deliver before-images to the pager hook, install after-images,
     release freed pages. *)
 val commit : t -> unit

@@ -47,7 +47,7 @@ type t = {
   mutable oc : out_channel option;
   pending : Buffer.t; (* frames appended but not yet flushed *)
   mutable pending_barriers : int;
-  mutable group_commit : int; (* barriers per real flush+fsync *)
+  group_commit : int; (* barriers per real flush+fsync *)
   mutable fault : Fault.t option;
   mutable appends : int; (* per-instance mirrors of the global counters *)
   mutable bytes_logged : int;
@@ -115,7 +115,6 @@ let open_append ?(group_commit = 1) ~path () =
 
 let set_fault t f = t.fault <- f
 let fault t = t.fault
-let set_group_commit t n = t.group_commit <- max 1 n
 let path t = t.path
 let bytes_since_checkpoint t = t.since_ckpt
 

@@ -65,7 +65,6 @@ val set_fault : t -> Fault.t option -> unit
     their injection points through it). *)
 val fault : t -> Fault.t option
 
-val set_group_commit : t -> int -> unit
 val status : t -> status
 
 (** The log's file path (checkpoint images live beside it). *)

@@ -25,8 +25,6 @@ type state = {
 
 let n_live st = st.live_tail - st.live_head
 
-let live_orders st = Array.sub st.live st.live_head (n_live st)
-
 let push_live st key =
   if st.live_tail >= Array.length st.live then begin
     (* compact or grow *)

@@ -21,8 +21,6 @@ val generate : ?seed:int -> Sqldb.Db.t -> sf:float -> state
 (** Number of live (non-deleted) orders. *)
 val order_count : state -> int
 
-val live_orders : state -> int array
-
 val push_live : state -> int -> unit
 
 (** Remove and return the [count] lowest live order keys (dbgen RF2

@@ -3,8 +3,10 @@
    The oracle is the naive loop: the same mechanism with PRAGMA
    incremental=off, which evaluates every snapshot's Qq on the ordinary
    executor.  Each incremental run must leave a byte-identical result
-   table (rows in heap order) across the UW7.5-UW60 histories, after a
-   vacuum, and for snapshot sets that skip or run backwards.  Below
+   table (rows in heap order) across the UW7.5-UW60 histories, on one
+   stripe and on two and three (each stripe a delta from its own
+   previous snapshot), after a vacuum, and for snapshot sets that skip
+   or run backwards.  Below
    that: the archive's changed-page set is exactly the pages whose SPT
    entries differ. *)
 
@@ -51,13 +53,19 @@ let set_incremental ctx on =
 type mech = {
   label : string;
   qq : string;
-  run : Rql.ctx -> qs:string -> qq:string -> table:string -> IS.run;
+  run : domains:int -> Rql.ctx -> qs:string -> qq:string -> table:string -> IS.run;
 }
 
-let agg_var fn = fun ctx ~qs ~qq ~table -> Rql.aggregate_data_in_variable ctx ~qs ~qq ~table ~fn
-let agg_table aggs = fun ctx ~qs ~qq ~table -> Rql.aggregate_data_in_table ctx ~qs ~qq ~table ~aggs
-let collate ctx ~qs ~qq ~table = Rql.collate_data ctx ~qs ~qq ~table
-let intervals ctx ~qs ~qq ~table = Rql.collate_data_into_intervals ctx ~qs ~qq ~table
+let agg_var fn ~domains ctx ~qs ~qq ~table =
+  Rql.aggregate_data_in_variable ~domains ctx ~qs ~qq ~table ~fn
+
+let agg_table aggs ~domains ctx ~qs ~qq ~table =
+  Rql.aggregate_data_in_table ~domains ctx ~qs ~qq ~table ~aggs
+
+let collate ~domains ctx ~qs ~qq ~table = Rql.collate_data ~domains ctx ~qs ~qq ~table
+
+let intervals ~domains ctx ~qs ~qq ~table =
+  Rql.collate_data_into_intervals ~domains ctx ~qs ~qq ~table
 
 let mechs =
   [ { label = "Qq_io AVG";
@@ -108,16 +116,19 @@ let mechs =
          AND a.o_orderstatus = 'F'";
       run = agg_var "MAX" } ]
 
-(* Run [m] naively and incrementally into two result tables; both must
-   hold the same bytes.  Returns the incremental run. *)
-let differential ctx ~name ~qs m =
+(* Run [m] naively (one stripe) and incrementally on [domains] stripes
+   into two result tables; both must hold the same bytes.  Returns the
+   incremental run. *)
+let differential ?(domains = 1) ctx ~name ~qs m =
   let table = "R_" ^ String.map (fun ch -> if ch = ' ' || ch = ',' then '_' else ch) m.label in
   set_incremental ctx false;
-  let naive = m.run ctx ~qs ~qq:m.qq ~table in
+  let naive = m.run ~domains:1 ctx ~qs ~qq:m.qq ~table in
   let want = table_bytes ctx table in
   set_incremental ctx true;
-  let run = m.run ctx ~qs ~qq:m.qq ~table in
-  Alcotest.(check (list string)) (Printf.sprintf "%s: %s" name m.label) want (table_bytes ctx table);
+  let run = m.run ~domains ctx ~qs ~qq:m.qq ~table in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s, %d stripe(s): %s" name domains m.label)
+    want (table_bytes ctx table);
   List.iter
     (fun (it : IS.iteration) ->
       Alcotest.(check string) "naive iterations are plain" "plain" it.IS.eval)
@@ -125,6 +136,13 @@ let differential ctx ~name ~qs m =
   run
 
 let evals run = List.map (fun (it : IS.iteration) -> it.IS.eval) run.IS.iterations
+
+(* The modes of a delta-driven run over [n] snapshots on [k] stripes:
+   each stripe's first snapshot is full, every later one a delta. *)
+let striped ~k n = List.init n (fun i -> if i < k then "full" else "delta")
+
+let pages_evaluated run =
+  List.fold_left (fun n (it : IS.iteration) -> n + it.IS.pages_evaluated) 0 run.IS.iterations
 
 let all_snapshots = "SELECT snap_id FROM SnapIds"
 
@@ -141,6 +159,30 @@ let uw_matrix =
                   (Printf.sprintf "%s: %s modes" name m.label)
                   ("full" :: List.map (fun _ -> "delta") (List.tl sids))
                   (evals run))
+              mechs)
+          Tpch.Workload.[ uw7_5; uw15; uw30; uw60 ]);
+    Alcotest.test_case "k stripes are byte-identical to the naive loop" `Quick (fun () ->
+        List.iter
+          (fun uw ->
+            let ctx, sids = history uw in
+            let name = uw.Tpch.Workload.uname in
+            List.iter
+              (fun m ->
+                let one = differential ctx ~name ~qs:all_snapshots m in
+                List.iter
+                  (fun k ->
+                    let run = differential ~domains:k ctx ~name ~qs:all_snapshots m in
+                    let label = Printf.sprintf "%s, %d stripes: %s" name k m.label in
+                    Alcotest.(check (list string)) (label ^ " modes")
+                      (striped ~k (List.length sids)) (evals run);
+                    (* each stripe but the first starts with one more full
+                       evaluation; its deltas span k snapshots' changes *)
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s: %d pages evaluated, one stripe %d" label
+                         (pages_evaluated run) (pages_evaluated one))
+                      true
+                      (pages_evaluated run <= k * pages_evaluated one))
+                  [ 2; 3 ])
               mechs)
           Tpch.Workload.[ uw7_5; uw15; uw30; uw60 ]);
     Alcotest.test_case "hot iterations evaluate only the changed pages" `Quick (fun () ->
@@ -223,7 +265,8 @@ let fallback =
         match Rql.take_run ctx ~table:"G" with
         | Some run -> Alcotest.(check (list string)) "modes" [ "full"; "full" ] (evals run)
         | None -> Alcotest.fail "no SQL-form run");
-    Alcotest.test_case "non-hash joins, all-cold and parallel runs stay plain" `Quick (fun () ->
+    Alcotest.test_case "non-hash joins, all-cold and parallel runs: plain, plain, striped" `Quick
+      (fun () ->
         let ctx, _ = history ~snapshots:3 Tpch.Workload.uw30 in
         let plain run = List.for_all (fun e -> e = "plain") (evals run) in
         let qs = all_snapshots in
@@ -258,8 +301,8 @@ let fallback =
         let qq = (List.hd mechs).qq in
         Alcotest.(check bool) "all-cold" true
           (plain (Rql.aggregate_data_in_variable ~all_cold:true ctx ~qs ~qq ~table:"C" ~fn:"AVG"));
-        Alcotest.(check bool) "parallel" true
-          (plain (Rql.aggregate_data_in_variable ~domains:2 ctx ~qs ~qq ~table:"P" ~fn:"AVG")));
+        Alcotest.(check (list string)) "two stripes" (striped ~k:2 3)
+          (evals (Rql.aggregate_data_in_variable ~domains:2 ctx ~qs ~qq ~table:"P" ~fn:"AVG")));
     Alcotest.test_case "past its row budget a run goes plain" `Quick (fun () ->
         let ctx, sids = history ~snapshots:4 Tpch.Workload.uw30 in
         let db = ctx.Rql.data in

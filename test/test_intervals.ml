@@ -74,7 +74,7 @@ let stepwise ~label ctx ~qs ~qq ~table =
   let m = model () in
   List.iteri
     (fun i sid ->
-      Rql.step rs ~sid ~cold:false;
+      Rql.step rs ~sid;
       model_step m ~sid (qq_rows ctx qq sid);
       agrees ~label:(Printf.sprintf "%s, iteration %d (snapshot %d)" label (i + 1) sid) ctx table m)
     sids;

@@ -170,7 +170,65 @@ let parallel_rql =
         List.iter
           (fun (it : IS.iteration) ->
             Alcotest.(check bool) "io_s >= 0" true (it.IS.io_s >= 0.))
-          run.IS.iterations) ]
+          run.IS.iterations);
+    Alcotest.test_case "a failing striped run raises and releases its stripes" `Quick (fun () ->
+        (* Six snapshots of t; at snapshot 3 it holds two rows, which
+           AggregateDataInVariable rejects as it applies them.  From
+           snapshot 4 on, u exists, so a Qq over u fails in a stripe's
+           evaluation of snapshots 1-3.  Every failing run must return
+           with its stripes joined and their sessions closed. *)
+        let ctx = Rql.create () in
+        let e sql = ignore (E.exec ctx.Rql.data sql) in
+        e "CREATE TABLE t (x INTEGER)";
+        e "INSERT INTO t VALUES (1)";
+        for sid = 1 to 6 do
+          if sid > 1 then e "BEGIN";
+          if sid = 3 then e "INSERT INTO t VALUES (2)";
+          if sid = 4 then begin
+            e "DELETE FROM t WHERE x = 2";
+            e "CREATE TABLE u (y INTEGER)"
+          end;
+          ignore (Rql.declare_snapshot ctx)
+        done;
+        let sessions () = List.length (q ctx.Rql.data "SELECT session_id FROM sys_sessions") in
+        let scopes () = List.length (Obs.Scope.scopes ()) in
+        let run ?(qs = "SELECT snap_id FROM SnapIds") qq =
+          Rql.aggregate_data_in_variable ~domains:2 ctx ~qs ~qq ~table:"V" ~fn:"SUM"
+        in
+        (* The first dropped session scope creates the "(dropped)" one. *)
+        ignore (run "SELECT COUNT(*) FROM t");
+        let sessions0 = sessions () and scopes0 = scopes () in
+        let fails ?(qs = "SELECT snap_id FROM SnapIds") label qq ~raised =
+          (match run ~qs qq with
+          | _ -> Alcotest.failf "%s: the run succeeded" label
+          | exception e -> Alcotest.(check bool) (label ^ ": raised") true (raised e));
+          Alcotest.(check int) (label ^ ": sessions") sessions0 (sessions ());
+          Alcotest.(check int) (label ^ ": scopes") scopes0 (scopes ());
+          match List.rev (Obs.Progress.runs ()) with
+          | pg :: _ ->
+            Alcotest.(check string) (label ^ ": progress")
+              (Obs.Progress.status_to_string Obs.Progress.Failed)
+              (Obs.Progress.status_to_string pg.Obs.Progress.pr_status)
+          | [] -> Alcotest.failf "%s: no progress row" label
+        in
+        let rql_error = function Rql.Error _ -> true | _ -> false in
+        fails "two rows at snapshot 3" "SELECT x FROM t" ~raised:rql_error;
+        fails "a stripe's evaluation" "SELECT COUNT(*) FROM u" ~raised:(function
+          | E.Error _ -> true
+          | _ -> false);
+        (* Snapshot 3 first, and slow: meanwhile stripe 1 evaluates
+           snapshots 1 and 4 (the loop's 2nd and 4th) and then waits for
+           room, since the ring holds 2k = 4 and nothing has been taken
+           yet.  Applying snapshot 3 fails; the stop must wake the
+           waiting stripe. *)
+        E.register_fn ctx.Rql.data "pause" (function
+          | [| R.Int 3 |] ->
+            Unix.sleepf 0.2;
+            R.Int 0
+          | _ -> R.Int 0);
+        fails "a stripe waiting for room"
+          ~qs:"SELECT snap_id FROM SnapIds ORDER BY snap_id <> 3, snap_id"
+          "SELECT x FROM t WHERE pause(current_snapshot()) = 0" ~raised:rql_error) ]
 
 (* --- one accounting path for both loops ----------------------------------- *)
 

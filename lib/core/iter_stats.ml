@@ -40,7 +40,7 @@ type run = {
   iterations : iteration list; (* in execution order *)
   result_rows : int;
   result_bytes : int;          (* approximate result-table footprint *)
-  finalize_s : float;          (* post-loop work (e.g. AVG finalization) *)
+  finalize_s : float;          (* post-loop work: the scan of T behind result_rows/bytes *)
 }
 
 let total_s run =

@@ -96,7 +96,6 @@ type run_state = {
   mutable var_seen : bool;
   var_avg : Monoid.avg_state;
   mutable var_rid : int option;
-  mutable finalize_s : float;
   (* per-iteration loop-body operation counters *)
   mutable cur_rows : int;
   mutable cur_inserts : int;
@@ -564,7 +563,6 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     var_seen = false;
     var_avg = Monoid.avg_create ();
     var_rid = None;
-    finalize_s = 0.;
     cur_rows = 0;
     cur_inserts = 0;
     cur_updates = 0;
@@ -714,23 +712,19 @@ let step_body (rs : run_state) ~sid eval =
 (* --- progress and cancellation ----------------------------------------- *)
 
 (* Per-iteration ETA weights: iteration cost tracks the number of pages
-   archived behind each snapshot (ANALYZE ARCHIVE's per-snapshot delta),
-   so remaining time is scaled by remaining archived pages rather than a
-   flat per-iteration average.  Snapshot ids outside the analyzed range
-   (possible only with a hand-written Qs) weigh as 1. *)
+   archived behind each snapshot (its delta, {!Retro.delta_entries}), so
+   remaining time is scaled by remaining archived pages rather than a
+   flat per-iteration average.  Two boundary reads per snapshot; a
+   vacuumed or unknown id (possible only with a hand-written Qs) weighs
+   1. *)
 let snapshot_weights (data : Sq.Db.t) sids =
   match data.Sq.Db.retro with
   | None -> [||]
   | Some retro ->
-    let snaps = (Retro.analyze retro).Retro.an_snapshots in
-    (* an_snapshots covers live snapshots only, so look up by id (after
-       a vacuum, index != id - 1). *)
+    let live sid = sid >= Retro.first_live retro && sid <= Retro.snapshot_count retro in
     Array.of_list
       (List.map
-         (fun sid ->
-           match Array.find_opt (fun si -> si.Retro.si_id = sid) snaps with
-           | Some si -> 1. +. float_of_int si.Retro.si_delta_pages
-           | None -> 1.)
+         (fun sid -> if live sid then 1. +. float_of_int (Retro.delta_entries retro sid) else 1.)
          sids)
 
 (* Progress rows in the event log: one at every run-status transition,
@@ -798,15 +792,17 @@ let result_metrics (rs : run_state) =
         bytes := !bytes + len);
     (!rows, !bytes)
 
-(* The run's record so far. *)
+(* The run's record so far.  The scan of T behind the footprint is
+   post-loop work, timed into [finalize_s]. *)
 let run_record (rs : run_state) : Iter_stats.run =
+  let t0 = now () in
   let result_rows, result_bytes = result_metrics rs in
   { Iter_stats.mechanism = mech_name rs.kind;
     qq = rs.qq;
     iterations = List.rev rs.iterations;
     result_rows;
     result_bytes;
-    finalize_s = rs.finalize_s }
+    finalize_s = now () -. t0 }
 
 let finish (rs : run_state) : Iter_stats.run =
   let run = run_record rs in

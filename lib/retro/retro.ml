@@ -309,9 +309,42 @@ type analysis = {
   an_skippy_entries : int;            (* total digest entries held *)
 }
 
-(* Scan the Maplog once (plus one backward pass for SPT sizes) and
-   aggregate the archive's health picture.  Costs O(entries +
-   snapshots * distinct pages); independent of the Pagelog contents, so
+(* Mappings appended during snapshot [sid]'s epoch: the entries between
+   its boundary and the next declaration's (or the log's end for the
+   newest snapshot).  [on_commit] archives a page at most once per epoch
+   ([saved_epoch]), so this is also the number of distinct pages the
+   epoch archived — "a snapshot's delta" everywhere it is reported.
+   [sid] must be live.  O(1). *)
+let delta_entries t sid =
+  let p0 = (Maplog.boundary t.maplog sid).Maplog.pos in
+  let p1 =
+    if sid = Maplog.snapshot_count t.maplog then Maplog.length t.maplog
+    else (Maplog.boundary t.maplog (sid + 1)).Maplog.pos
+  in
+  p1 - p0
+
+(* Pages archived twice within one epoch, as (snap_id, pid) pairs in log
+   order: breaches of the at-most-once-per-epoch invariant
+   [delta_entries] relies on.  Empty on a healthy archive; PRAGMA
+   integrity_check reports each pair.  One pass over the log. *)
+let epoch_duplicates t =
+  let last_epoch : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let dups = ref [] in
+  for s = Maplog.first_live t.maplog to Maplog.snapshot_count t.maplog do
+    let p0 = (Maplog.boundary t.maplog s).Maplog.pos in
+    for i = p0 to p0 + delta_entries t s - 1 do
+      let pid = (Maplog.entry t.maplog i).Maplog.pid in
+      if Hashtbl.find_opt last_epoch pid = Some s then dups := (s, pid) :: !dups
+      else Hashtbl.replace last_epoch pid s
+    done
+  done;
+  List.rev !dups
+
+(* Scan the Maplog twice — once forward for version chains, once
+   backward for SPT sizes — and aggregate the archive's health picture.
+   Costs O(entries + (distinct pages + snapshots) * log pages):
+   per-snapshot deltas are [delta_entries], and SPT sizes come from a
+   Fenwick tree over page ids.  Independent of the Pagelog contents, so
    it never touches the simulated SSD. *)
 let analyze t =
   let n = Maplog.length t.maplog in
@@ -327,38 +360,48 @@ let analyze t =
   let distinct = Hashtbl.length chains in
   let chain_max = Hashtbl.fold (fun _ c acc -> max c acc) chains 0 in
   let chain_mean = if distinct = 0 then 0. else float_of_int n /. float_of_int distinct in
-  (* per-snapshot SPT sizes: walk the log backwards, accumulating the
-     distinct-pid set; at each boundary the set is exactly the suffix's
-     first-occurrence domain *)
+  let max_pid = Hashtbl.fold (fun pid _ acc -> max pid acc) chains (-1) in
+  (* per-snapshot SPT sizes: walk the log backwards; a pid's first
+     sighting adds 1 at [pid] in a Fenwick tree, so at each boundary the
+     prefix sum below [db_pages] counts the suffix's distinct pages the
+     snapshot had *)
+  let fenwick = Array.make (max_pid + 2) 0 in (* 1-based: slot pid + 1 *)
+  let rec add i =
+    if i < Array.length fenwick then begin
+      fenwick.(i) <- fenwick.(i) + 1;
+      add (i + (i land -i))
+    end
+  in
+  (* pages with ids below [i] seen so far *)
+  let rec below i acc = if i <= 0 then acc else below (i - (i land -i)) (acc + fenwick.(i)) in
+  let seen = Array.make (max_pid + 1) false in
   let pages_mapped = Array.make (count + 1) 0 in
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let idx = ref (n - 1) in
   for s = count downto fl do
     let b = Maplog.boundary t.maplog s in
     while !idx >= b.Maplog.pos do
-      Hashtbl.replace seen (Maplog.entry t.maplog !idx).Maplog.pid ();
+      let pid = (Maplog.entry t.maplog !idx).Maplog.pid in
+      if not seen.(pid) then begin
+        seen.(pid) <- true;
+        add (pid + 1)
+      end;
       decr idx
     done;
-    pages_mapped.(s) <-
-      Hashtbl.fold (fun pid () acc -> if pid < b.Maplog.db_pages then acc + 1 else acc) seen 0
+    pages_mapped.(s) <- below (min b.Maplog.db_pages (max_pid + 1)) 0
   done;
   let snapshots =
     Array.init (count - fl + 1) (fun i ->
         let s = fl + i in
         let b = Maplog.boundary t.maplog s in
-        let next = if s = count then n else (Maplog.boundary t.maplog (s + 1)).Maplog.pos in
-        let delta : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-        for j = b.Maplog.pos to next - 1 do
-          Hashtbl.replace delta (Maplog.entry t.maplog j).Maplog.pid ()
-        done;
+        let delta = delta_entries t s in
         { si_id = s;
           si_ts = b.Maplog.ts;
           si_boundary = b.Maplog.pos;
           si_db_pages = b.Maplog.db_pages;
           si_pages_mapped = pages_mapped.(s);
-          si_delta_entries = next - b.Maplog.pos;
-          si_delta_pages = Hashtbl.length delta;
-          si_delta_bytes = (next - b.Maplog.pos) * Storage.Page.size })
+          si_delta_entries = delta;
+          si_delta_pages = delta;
+          si_delta_bytes = delta * Storage.Page.size })
   in
   let l1, l2, skippy_entries = Maplog.skippy_stats t.maplog in
   { an_snapshots = snapshots;
@@ -395,12 +438,9 @@ let render_analysis (a : analysis) : string list =
   @ (Array.to_list a.an_snapshots
     |> List.map (fun si ->
            Printf.sprintf
-             "snapshot %d: boundary=%d db_pages=%d spt=%d delta=%d pages (%.2f MB)%s"
+             "snapshot %d: boundary=%d db_pages=%d spt=%d delta=%d pages (%.2f MB)"
              si.si_id si.si_boundary si.si_db_pages si.si_pages_mapped si.si_delta_pages
-             (mb si.si_delta_bytes)
-             (if si.si_delta_entries <> si.si_delta_pages then
-                Printf.sprintf " entries=%d" si.si_delta_entries
-              else "")))
+             (mb si.si_delta_bytes)))
 
 (* --- archive scrub (corruption -> affected snapshots) ------------------- *)
 

@@ -591,14 +591,11 @@ let run_stmt_core db ?key (s : stmt) : result =
          exact: Pagelog blocks and Maplog entries are appended 1:1, so a
          snapshot's delta-entry count is precisely the blocks a live run
          reclaims for it. *)
-      let a = Retro.analyze retro in
       let rows =
-        Array.to_list a.Retro.an_snapshots
-        |> List.filter (fun si -> si.Retro.si_id < keep_from)
-        |> List.map (fun si ->
-               [| R.Int si.Retro.si_id;
-                  R.Int si.Retro.si_delta_entries;
-                  R.Int si.Retro.si_delta_bytes |])
+        List.init (keep_from - fl) (fun i ->
+            let sid = fl + i in
+            let blocks = Retro.delta_entries retro sid in
+            [| R.Int sid; R.Int blocks; R.Int (blocks * Storage.Page.size) |])
       in
       { empty_result with
         columns = [| "snapshot"; "blocks_reclaimable"; "bytes_reclaimable" |];

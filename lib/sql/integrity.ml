@@ -12,7 +12,9 @@
    - no page is claimed by two structures;
    - every committed page matches its install-time checksum, and every
      archived Pagelog block matches its append-time checksum (with the
-     snapshots referencing a corrupt block named).
+     snapshots referencing a corrupt block named);
+   - no snapshot epoch archives a page twice (a snapshot's delta is its
+     Maplog entry count only under that invariant).
 
    Returns a list of problem descriptions; empty means healthy. *)
 
@@ -203,7 +205,10 @@ let check (db : Db.t) : string list =
     List.iter
       (fun (snap_id, pl_off) ->
         problem "snapshot %d references corrupt pagelog block %d" snap_id pl_off)
-      (Retro.scrub retro));
+      (Retro.scrub retro);
+    List.iter
+      (fun (snap_id, pid) -> problem "snapshot %d's epoch archives page %d twice" snap_id pid)
+      (Retro.epoch_duplicates retro));
   List.rev !problems
 
 (* Convenience wrapper that raises on corruption. *)

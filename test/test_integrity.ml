@@ -172,6 +172,29 @@ let pragma_tests =
         in
         Alcotest.(check bool) "restored page still fails its checksum" true
           (List.mem (Printf.sprintf "page %d fails checksum" pid) rows));
+    Alcotest.test_case "a page archived twice in one epoch is reported" `Quick (fun () ->
+        let db = E.create () in
+        ignore (E.exec db "CREATE TABLE t (a INTEGER)");
+        ignore (E.exec db "INSERT INTO t VALUES (1), (2)");
+        ignore (E.exec db "COMMIT WITH SNAPSHOT");
+        ignore (E.exec db "BEGIN");
+        ignore (E.exec db "UPDATE t SET a = 3 WHERE a = 1");
+        ignore (E.exec db "COMMIT WITH SNAPSHOT");
+        ignore (E.exec db "UPDATE t SET a = 4 WHERE a = 2");
+        check_clean "healthy history" db;
+        (* re-append the newest epoch's first mapping: the log now ends
+           inside that epoch with a second entry for the same page *)
+        let retro = Option.get db.Sqldb.Db.retro in
+        let ml = retro.Retro.maplog in
+        let first = Retro.Maplog.entry ml (Retro.Maplog.boundary ml 2).Retro.Maplog.pos in
+        Retro.Maplog.append ml first;
+        let rows =
+          List.map (function [| R.Text s |] -> s | _ -> "?")
+            (E.exec db "PRAGMA integrity_check").E.rows
+        in
+        Alcotest.(check (list string)) "the duplicate is the one problem"
+          [ Printf.sprintf "snapshot 2's epoch archives page %d twice" first.Retro.Maplog.pid ]
+          rows);
     Alcotest.test_case "unknown pragma is a typed error" `Quick (fun () ->
         let db = E.create () in
         Alcotest.(check bool) "raises" true

@@ -299,9 +299,56 @@ let progress_tests =
           Alcotest.(check int) "total" 3 p.P.pr_total;
           Alcotest.(check string) "mechanism" "CollateData" p.P.pr_mechanism;
           Alcotest.(check bool) "pages accumulated" true (p.P.pr_pages > 0);
-          Alcotest.(check bool) "weights from ANALYZE ARCHIVE" true
+          Alcotest.(check bool) "one weight per snapshot" true
             (Array.length p.P.pr_weights = 3)
         | runs -> Alcotest.failf "expected 1 run, got %d" (List.length runs));
+    Alcotest.test_case "weights are 1 + each snapshot's delta pages" `Quick (fun () ->
+        let ctx = make_snapshot_ctx () in
+        let e sql = ignore (E.exec ctx.Rql.data sql) in
+        e "BEGIN";
+        for i = 41 to 140 do
+          e (Printf.sprintf "INSERT INTO t VALUES (%d, 'grown%d')" i i)
+        done;
+        ignore (Rql.declare_snapshot ctx);
+        e "UPDATE t SET b = 'late' WHERE a % 7 = 0";
+        (* the model: 1 + si_delta_pages of the quadratic analysis, and
+           1 for an id it does not list *)
+        let check label (ctx : Rql.ctx) sids =
+          let snaps =
+            (Analyze_model.analyze (Option.get ctx.Rql.data.Sqldb.Db.retro)).Retro.an_snapshots
+          in
+          let want sid =
+            match Array.find_opt (fun si -> si.Retro.si_id = sid) snaps with
+            | Some si -> 1. +. float_of_int si.Retro.si_delta_pages
+            | None -> 1.
+          in
+          let got = Rql.snapshot_weights ctx.Rql.data sids in
+          Alcotest.(check (array (float 0.))) label (Array.of_list (List.map want sids)) got;
+          got
+        in
+        let before = check "before vacuum" ctx [ 1; 2; 3; 4 ] in
+        Alcotest.(check bool) "deltas weigh more than 1" true
+          (Array.for_all (fun w -> w > 1.) before);
+        (* a run's progress entry carries exactly these weights *)
+        P.clear ();
+        ignore
+          (Rql.collate_data ctx ~qs:"SELECT snap_id FROM SnapIds WHERE snap_id >= 2"
+             ~qq:"SELECT a FROM t" ~table:"W");
+        (match P.runs () with
+        | [ p ] ->
+          Alcotest.(check (array (float 0.))) "run weights" (Array.sub before 1 3)
+            p.P.pr_weights
+        | runs -> Alcotest.failf "expected 1 run, got %d" (List.length runs));
+        ignore (E.exec ctx.Rql.data "VACUUM SNAPSHOTS KEEPING LAST 2");
+        let after = check "after vacuum, vacuumed and unknown ids" ctx [ 1; 3; 4; 0; 99 ] in
+        Alcotest.(check (float 0.)) "a vacuumed id weighs 1" 1. after.(0);
+        Alcotest.(check (array (float 0.))) "live weights survive the vacuum"
+          (Array.sub before 2 2) (Array.sub after 1 2);
+        let path = Filename.concat (Filename.get_temp_dir_name ()) "rql_scope_weights.ctx" in
+        Rql.save ctx ~path;
+        let reopened = Rql.load ~path in
+        Sys.remove path;
+        ignore (check "after .save/.open" reopened [ 2; 3; 4 ]));
     Alcotest.test_case "cancel mid-run stops within one iteration, consistently" `Quick
       (fun () ->
         let ctx = make_snapshot_ctx () in

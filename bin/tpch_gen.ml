@@ -3,7 +3,9 @@
    Generates a TPC-H database at a scale factor, runs an update workload
    that declares snapshots, and reports the storage-level quantities the
    paper's §4 discusses: per-snapshot diff sizes, Pagelog/Maplog growth,
-   and overwrite-cycle progress.
+   and overwrite-cycle progress.  The last line is a digest of the
+   history's pages, Pagelog and Maplog (Tpch.Workload.history_digest):
+   a storage change that must leave histories byte-identical keeps it.
 
      dune exec bin/tpch_gen.exe -- --sf 0.01 --uw UW30 --snapshots 20 *)
 
@@ -52,7 +54,8 @@ let main sf uw_name snapshots =
   done;
   Printf.printf "done: %d snapshots, pagelog %.1f MB\n"
     (Retro.snapshot_count retro)
-    (float_of_int (Retro.pagelog_size_bytes retro) /. 1e6)
+    (float_of_int (Retro.pagelog_size_bytes retro) /. 1e6);
+  Printf.printf "history digest %s\n" (Tpch.Workload.history_digest ctx.Rql.data)
 
 let cmd =
   let doc = "generate a TPC-H snapshot history and report storage growth" in

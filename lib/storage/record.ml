@@ -193,6 +193,22 @@ let decode_bytes b ~off ~len : row =
 let decode_row (s : string) : row =
   decode_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
+(* Column [k] of a record an INTEGER satisfying [p]?  Columns [0, k]
+   are stepped over and checked exactly as [decode_cols] checks them,
+   so the two raise on the same corrupt records; nothing is built, so a
+   call allocates nothing beyond what [p] does.  A loop at top level,
+   like the comparison loops below, so it captures no closure. *)
+let rec int_col_from b stop k p i upto pos =
+  if i = upto then false
+  else
+    let e = value_end b pos stop in
+    if i < k then int_col_from b stop k p (i + 1) upto e
+    else Bytes.get_uint8 b pos = tag_int && p (get_int b (pos + 1))
+
+let int_col_satisfies k p b ~off ~len =
+  let stop = record_stop b ~off ~len in
+  int_col_from b stop k p 0 (min (arity b ~off) (k + 1)) (off + 2)
+
 (* --- comparison against encoded values --------------------------------- *)
 
 (* Byte-wise, shorter first on a common prefix (String.compare), of the

@@ -57,6 +57,13 @@ val decode_bytes : Bytes.t -> off:int -> len:int -> row
     their tags and lengths without being built. *)
 val decode_cols : bool array -> Bytes.t -> off:int -> len:int -> row
 
+(** [int_col_satisfies k p b ~off ~len]: whether column [k] of the
+    record is an INTEGER [i] with [p i]; [false] when the record has no
+    column [k] or it holds another storage class.  It checks columns
+    [0..k] as [decode_cols] with a mask of length [k + 1] does, and
+    allocates nothing itself. *)
+val int_col_satisfies : int -> (int -> bool) -> Bytes.t -> off:int -> len:int -> bool
+
 (** The INTEGER value encoded at byte [pos]. *)
 val int_at : Bytes.t -> int -> int
 

@@ -56,7 +56,8 @@ let days_in_month y m =
   | 2 -> if (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0 then 29 else 28
   | _ -> invalid_arg "days_in_month"
 
-let date_of_day_number d =
+(* The formula: day [d] since 1992-01-01 as ISO text. *)
+let format_day_number d =
   let rec year y d =
     let len = if (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0 then 366 else 365 in
     if d < len then (y, d) else year (y + 1) (d - len)
@@ -71,3 +72,13 @@ let date_of_day_number d =
 
 (* 1992-01-01 .. 1998-08-02 is 2406 days. *)
 let max_order_day = 2405
+
+(* Every date the generator writes is a day in [0, max_order_day], so
+   the row builders read them from a table rather than format each. *)
+let dates = Array.init (max_order_day + 1) format_day_number
+
+let date_of_day_number d =
+  if d < 0 || d > max_order_day then
+    invalid_arg
+      (Printf.sprintf "Data.date_of_day_number: day %d is outside 0..%d" d max_order_day);
+  Array.unsafe_get dates d

@@ -28,25 +28,27 @@ let rf1 st db ~count =
   Dbgen.bulk_insert db "lineitem" (List.rev !lineitems);
   count
 
+module Keys = Hashtbl.Make (Int)
+
 (* Delete all rows of [table] whose [keycol] is in [keys], maintaining
-   any indexes; one scan, one transaction. *)
+   any indexes; one scan, one transaction.  The scan tests every row's
+   key column in place against an int-keyed table and decodes the whole
+   row (which index maintenance needs) only for victims; every other
+   row decodes to the shared [[||]], which no victim can be, since a
+   victim has a key column. *)
 let delete_by_key db ~table ~keycol keys =
   let env = Sq.Exec.current_env db in
   let tbl = Dbgen.find_table env table in
   let kpos = Sq.Exec.col_pos tbl keycol in
-  let keyset = Hashtbl.create (Array.length keys) in
-  Array.iter (fun k -> Hashtbl.replace keyset k ()) keys;
-  let victim = function R.Int k -> Hashtbl.mem keyset k | _ -> false in
-  (* decode the key column of every row, and the whole row (which
-     index maintenance needs) only for victims *)
-  let key_only = R.decode_cols (Array.init (kpos + 1) (fun i -> i = kpos)) in
+  let keyset = Keys.create (Array.length keys) in
+  Array.iter (fun k -> Keys.replace keyset k ()) keys;
+  let victim = Keys.mem keyset in
   let decode p ~off ~len =
-    let row = key_only p ~off ~len in
-    if victim row.(kpos) then R.decode_bytes p ~off ~len else row
+    if R.int_col_satisfies kpos victim p ~off ~len then R.decode_bytes p ~off ~len else [||]
   in
   let victims = ref [] in
   Sq.Exec.scan_heap env tbl ~decode ~f:(fun rid row ->
-      if victim row.(kpos) then victims := (rid, row) :: !victims);
+      if Array.length row > 0 then victims := (rid, row) :: !victims);
   Sq.Db.with_write_txn db (fun txn -> Sq.Exec.delete_rows env txn tbl !victims)
 
 (* RF2: delete the [count] oldest live orders and their lineitems. *)

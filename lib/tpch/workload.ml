@@ -54,3 +54,36 @@ let build_history ?(seed = 42) ~sf ~uw ~snapshots () =
   let st = Dbgen.generate ~seed ctx.Rql.data ~sf in
   let sids = run ctx st ~uw ~snapshots in
   (ctx, st, sids)
+
+(* Hex digest of a database's history: every committed page with its
+   stored CRC and the free list, every Pagelog block with its stored
+   CRC, the Maplog's entries and boundaries (without the declaration
+   timestamps, which differ between runs) and the per-page COW epochs.
+   Histories built twice from one seed must give the same digest: the
+   check that a storage change kept every byte of them. *)
+let history_digest (db : Sqldb.Db.t) =
+  let parts = Buffer.create 4096 in
+  let ints l = Buffer.add_string parts (Digest.string (String.concat "," (List.map string_of_int l))) in
+  let block b crc =
+    Buffer.add_string parts (Digest.bytes b);
+    ints [ crc ]
+  in
+  let img = Storage.Pager.dump db.Sqldb.Db.pager in
+  Array.iter
+    (function Some (b, crc) -> block b crc | None -> ints [ -1 ])
+    img.Storage.Pager.img_pages;
+  ints img.Storage.Pager.img_free;
+  let retro = Retro.export (Sqldb.Db.retro_exn db) in
+  Array.iter (fun (b, crc) -> block b crc) retro.Retro.img_pagelog;
+  let ml = retro.Retro.img_maplog in
+  ints
+    (Array.fold_right
+       (fun e acc -> e.Retro.Maplog.pid :: e.Retro.Maplog.pl_off :: acc)
+       ml.Retro.Maplog.img_entries []);
+  ints
+    (ml.Retro.Maplog.img_first_live
+    :: Array.fold_right
+         (fun b acc -> b.Retro.Maplog.pos :: b.Retro.Maplog.db_pages :: acc)
+         ml.Retro.Maplog.img_boundaries []);
+  ints (Array.to_list retro.Retro.img_saved_epoch);
+  Digest.to_hex (Digest.string (Buffer.contents parts))

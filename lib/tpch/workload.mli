@@ -34,3 +34,9 @@ val run : Rql.ctx -> Dbgen.state -> uw:uw -> snapshots:int -> int list
 val build_history :
   ?seed:int -> sf:float -> uw:uw -> snapshots:int -> unit ->
   Rql.ctx * Dbgen.state * int list
+
+(** Hex digest of the database's committed pages (stored CRCs and the
+    free list included), its Pagelog blocks (with their CRCs), its
+    Maplog entries and boundaries (without timestamps) and its per-page
+    COW epochs: equal digests mean byte-identical histories. *)
+val history_digest : Sqldb.Db.t -> string

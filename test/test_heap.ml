@@ -283,7 +283,188 @@ let prop_page_spec =
           agree && Bytes.equal p q)
         ops)
 
+(* --- lockstep against the walking heap --------------------------------
+
+   The heap finds an insert's page through a first-fit index over its
+   free-space map; [Heap_model] is the heap as it was before, walking
+   the map with [Hashtbl.iter].  The same operations on two pagers must
+   give the same rids (or the same failure) and the same page bytes
+   after every step.  Row sizes cover TPC-H's [orders] (about 100-140
+   bytes) and [lineitem] (about 150-200 bytes) as well as rows big
+   enough that each fills most of a page, so the map gets past the 64
+   buckets it starts with and collides in them. *)
+
+module M = Heap_model
+
+type lop =
+  | L_ins of int
+  | L_burst of int (* that many 2 100-byte rows, one page each *)
+  | L_del of int
+  | L_upd of int * int
+  | L_commit
+  | L_abort
+
+let gen_lop =
+  QCheck.Gen.(
+    frequency
+      [ (2, map (fun n -> L_ins n) (int_range 1 60));
+        (3, map (fun n -> L_ins n) (int_range 90 140));
+        (3, map (fun n -> L_ins n) (int_range 150 200));
+        (3, map (fun n -> L_ins n) (int_range 1300 2600));
+        (1, map (fun n -> L_burst n) (int_range 10 60));
+        (4, map (fun i -> L_del i) (int_bound 10_000));
+        (2, map2 (fun i n -> L_upd (i, n)) (int_bound 10_000) (int_range 1 400));
+        (1, return L_commit);
+        (1, return L_abort) ])
+
+let gen_lops = QCheck.Gen.(list_size (int_range 100 600) gen_lop)
+
+(* How often a run met the three cases the index must get right: a pid
+   leaving the map and coming back with no other add in between (the
+   index stays live until the next add), an insert whose first-fit
+   estimate is stale, and the map's bucket array growing. *)
+type coverage = { mutable readds : int; mutable stales : int; mutable resizes : int }
+
+let fsm_keys (h : M.t) = match h.M.fsm with Some f -> Hashtbl.copy f | None -> Hashtbl.create 1
+
+let buckets (h : M.t) =
+  match h.M.fsm with Some f -> (Hashtbl.stats f).Hashtbl.num_buckets | None -> 0
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* Run [ops] on both heaps; [Error] names the first step that differs. *)
+let lockstep (cov : coverage) ops =
+  let pa = P.create () and pb = P.create () in
+  let ha = T.with_txn pa H.create and hb = T.with_txn pb M.create in
+  let ta = ref (T.begin_txn pa) and tb = ref (T.begin_txn pb) in
+  let rids = ref [||] in
+  let pick i = if Array.length !rids = 0 then None else Some !rids.(i mod Array.length !rids) in
+  let gone = Hashtbl.create 16 in
+  let step k op =
+    let data n = String.make n (Char.chr (33 + (k mod 90))) in
+    let both fa fb = (outcome (fun () -> fa !ta), outcome (fun () -> fb !tb)) in
+    let rid_pair (a, b) =
+      (match a with Ok r -> rids := Array.append !rids [| r |] | Error _ -> ());
+      (a = b, Printf.sprintf "rid %s / %s"
+                (match a with Ok r -> string_of_int r | Error m -> m)
+                (match b with Ok r -> string_of_int r | Error m -> m))
+    in
+    match op with
+    | L_ins n ->
+      (match hb.M.fsm with
+      | Some fsm -> (
+        match M.candidate fsm n with
+        | Some pid -> (
+          match Pg.can_insert (T.read !tb pid) n with
+          | false -> cov.stales <- cov.stales + 1
+          | true | (exception Invalid_argument _) -> ())
+        | None -> ())
+      | None -> ());
+      rid_pair (both (fun t -> H.insert t ha (data n)) (fun t -> M.insert t hb (data n)))
+    | L_burst n ->
+      let rec go j =
+        j = n
+        || fst (rid_pair (both (fun t -> H.insert t ha (data 2100)) (fun t -> M.insert t hb (data 2100))))
+           && go (j + 1)
+      in
+      (go 0, "burst")
+    | L_del i -> (
+      match pick i with
+      | None -> (true, "")
+      | Some r ->
+        let a, b = both (fun t -> H.delete t ha r) (fun t -> M.delete t hb r) in
+        (a = b, "delete"))
+    | L_upd (i, n) -> (
+      match pick i with
+      | None -> (true, "")
+      | Some r ->
+        let a, b = both (fun t -> H.update t ha r (data n)) (fun t -> M.update t hb r (data n)) in
+        let moved = function Ok (`Moved r) -> Ok r | Ok `Same -> Ok (-1) | Error m -> Error m in
+        rid_pair (moved a, moved b))
+    | L_commit ->
+      T.commit !ta;
+      T.commit !tb;
+      ta := T.begin_txn pa;
+      tb := T.begin_txn pb;
+      (true, "")
+    | L_abort ->
+      T.abort !ta;
+      T.abort !tb;
+      ta := T.begin_txn pa;
+      tb := T.begin_txn pb;
+      (true, "")
+  in
+  let same_pages () =
+    let n = max (P.n_pages pa) (P.n_pages pb) in
+    let rec go pid =
+      pid = n
+      || (match outcome (fun () -> T.read !ta pid), outcome (fun () -> T.read !tb pid) with
+         | Ok a, Ok b -> Bytes.equal a b
+         | a, b -> a = b)
+         && go (pid + 1)
+    in
+    go 0
+  in
+  let rec run k live = function
+    | [] -> Ok ()
+    | op :: rest ->
+      let keys0 = fsm_keys hb and buckets0 = buckets hb in
+      let ok, what = step k op in
+      let keys1 = fsm_keys hb in
+      let added = Hashtbl.fold (fun p _ acc -> if Hashtbl.mem keys0 p then acc else p :: acc) keys1 [] in
+      Hashtbl.iter (fun p _ -> if not (Hashtbl.mem keys1 p) then Hashtbl.replace gone p ()) keys0;
+      if live && List.exists (Hashtbl.mem gone) added then cov.readds <- cov.readds + 1;
+      if buckets hb > buckets0 && buckets0 > 0 then cov.resizes <- cov.resizes + 1;
+      if added <> [] then Hashtbl.reset gone;
+      let live = (match op with L_ins _ | L_burst _ | L_upd _ -> true | _ -> live) && added = [] in
+      if not ok then Error (Printf.sprintf "step %d: %s" k what)
+      else if not (same_pages ()) then Error (Printf.sprintf "step %d: page bytes differ" k)
+      else run (k + 1) live rest
+  in
+  run 0 false ops
+
+let no_coverage () = { readds = 0; stales = 0; resizes = 0 }
+
+let prop_lockstep =
+  QCheck.Test.make ~name:"indexed heap matches the walking heap" ~count:40
+    (QCheck.make ~print:(fun l -> Printf.sprintf "<%d ops>" (List.length l)) gen_lops)
+    (fun ops ->
+      match lockstep (no_coverage ()) ops with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_report e)
+
+let lockstep_cases =
+  [ Alcotest.test_case "a page leaving the map while the index is dropped comes back as an add"
+      `Quick (fun () ->
+        (* A and B leave the first page 172 bytes; C opens a second page,
+           an add, so the index is dropped; growing B then takes the
+           first page out of the map before the next insert rebuilds
+           the index; deleting A brings it back, and E fits only there *)
+        let ops =
+          [ L_ins 2000; L_ins 1900; L_ins 2000; L_upd (1, 2010); L_ins 100; L_del 0; L_ins 2010 ]
+        in
+        match lockstep (no_coverage ()) ops with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+    Alcotest.test_case "seeded histories cover re-adds, stale estimates and resizes" `Quick
+      (fun () ->
+        let cov = no_coverage () in
+        let rand = Random.State.make [| 23 |] in
+        List.iteri
+          (fun i ops ->
+            match lockstep cov ops with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "history %d, %s" i e)
+          (QCheck.Gen.generate ~rand ~n:30 gen_lops);
+        Alcotest.(check bool) (Printf.sprintf "%d re-adds" cov.readds) true (cov.readds > 0);
+        Alcotest.(check bool) (Printf.sprintf "%d stale estimates" cov.stales) true
+          (cov.stales > 0);
+        Alcotest.(check bool) (Printf.sprintf "%d resizes" cov.resizes) true (cov.resizes > 0)) ]
+
 let () =
   Alcotest.run "heap"
     [ ("basic", basic);
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_model; prop_fsm; prop_page_spec ]) ]
+      ("lockstep", lockstep_cases);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_model; prop_fsm; prop_page_spec; prop_lockstep ]
+      ) ]

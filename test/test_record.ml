@@ -114,7 +114,22 @@ let in_place_cases =
         Alcotest.(check bool) (Printf.sprintf "flag column: %.1f words" flag_col) true
           (flag_col <= 10.5);
         Alcotest.(check bool) (Printf.sprintf "full decode: %.1f words" full) true
-          (full > 3. *. int_col)) ]
+          (full > 3. *. int_col));
+    Alcotest.test_case "int_col_satisfies allocates nothing" `Quick (fun () ->
+        let b, off, len = embedded wide_row in
+        let keys = Hashtbl.create 8 in
+        Hashtbl.replace keys (-7) ();
+        let p = Hashtbl.mem keys in
+        Alcotest.(check bool) "INTEGER column in the set" true (R.int_col_satisfies 6 p b ~off ~len);
+        Alcotest.(check bool) "INTEGER column not in the set" false
+          (R.int_col_satisfies 0 p b ~off ~len);
+        Alcotest.(check bool) "REAL column" false (R.int_col_satisfies 3 p b ~off ~len);
+        Alcotest.(check bool) "past the arity" false (R.int_col_satisfies 12 p b ~off ~len);
+        List.iter
+          (fun k ->
+            let w = words_per_call (fun () -> R.int_col_satisfies k p b ~off ~len) in
+            Alcotest.(check (float 0.)) (Printf.sprintf "column %d: words per call" k) 0. w)
+          [ 0; 3; 6; 12 ]) ]
 
 (* --- qcheck ------------------------------------------------------------- *)
 
@@ -184,6 +199,37 @@ let prop_compare_prefix =
       compare (R.compare_prefix buf ~off ~len n b) 0
       = compare (R.compare_row (Array.sub a 0 n) b) 0)
 
+(* [int_col_satisfies k p] is [decode_cols] with a mask of length
+   [k + 1] followed by a match on [Int i] with [p i]: on valid records
+   (any storage class in column [k], or no column [k]) and on records
+   with one byte overwritten and their length cut, where the two must
+   also raise together. *)
+let int_col_model k p b ~off ~len =
+  let row = R.decode_cols (Array.init (k + 1) (fun i -> i = k)) b ~off ~len in
+  k < Array.length row && match row.(k) with R.Int i -> p i | _ -> false
+
+let even i = i land 1 = 0
+
+let prop_int_col =
+  QCheck.Test.make ~name:"int_col_satisfies = decode_cols and an INTEGER match" ~count:500
+    (QCheck.pair arb_row QCheck.small_nat) (fun (row, k) ->
+      let k = k mod (Array.length row + 3) in
+      let b, off, len = embedded row in
+      R.int_col_satisfies k even b ~off ~len = int_col_model k even b ~off ~len)
+
+let prop_int_col_corrupt =
+  QCheck.Test.make ~name:"int_col_satisfies raises on the records decode_cols raises on"
+    ~count:1000
+    (QCheck.quad arb_row QCheck.small_nat QCheck.small_nat (QCheck.int_bound 255))
+    (fun (row, k, at, byte) ->
+      let k = k mod (Array.length row + 3) in
+      let b, off, len = embedded row in
+      Bytes.set_uint8 b (off + (at mod len)) byte;
+      let len = len - (at mod 4) in
+      let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None in
+      outcome (fun () -> R.int_col_satisfies k even b ~off ~len)
+      = outcome (fun () -> int_col_model k even b ~off ~len))
+
 let () =
   Alcotest.run "record"
     [ ("roundtrip", roundtrip_cases);
@@ -192,5 +238,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_roundtrip; prop_compare_reflexive; prop_compare_antisym; prop_row_size_bounds;
-            prop_decode_cols; prop_compare_prefix ]
+            prop_decode_cols; prop_compare_prefix; prop_int_col; prop_int_col_corrupt ]
       ) ]

@@ -46,8 +46,6 @@ type run = {
 let total_s run =
   List.fold_left (fun acc it -> acc +. iteration_total it) run.finalize_s run.iterations
 
-let total_io_reads run = List.fold_left (fun acc it -> acc + it.pagelog_reads) 0 run.iterations
-
 let pp_iteration ppf it =
   Fmt.pf ppf
     "snap=%d %s io=%.4fs (%d pagelog reads) spt=%.4fs (%d entries) idx=%.4fs \
@@ -60,11 +58,6 @@ let pp_iteration ppf it =
     Fmt.pf ppf " rows=%d ins=%d upd=%d" it.udf_rows it.udf_inserts it.udf_updates;
   if it.eval <> "plain" then
     Fmt.pf ppf " %s(evaluated=%d reused=%d)" it.eval it.pages_evaluated it.pages_reused
-
-let pp_run ppf run =
-  Fmt.pf ppf "@[<v>%s over %d snapshots: total=%.4fs result_rows=%d result_bytes=%d@,%a@]"
-    run.mechanism (List.length run.iterations) (total_s run) run.result_rows run.result_bytes
-    (Fmt.list pp_iteration) run.iterations
 
 (* Aggregate breakdown over a run's iterations (for bar charts). *)
 type breakdown = {

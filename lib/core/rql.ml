@@ -19,7 +19,9 @@
 
    Aggregation functions must form an abelian monoid (Monoid.t); AVG is
    supported as the paper's special case via hidden (sum, count)
-   columns maintained in the result table. *)
+   columns maintained in the result table.  Both aggregation mechanisms
+   fold with the executor's accumulator (Exec.acc_add), so an RQL
+   aggregate equals the SQL aggregate over the snapshots' Qq answers. *)
 
 module R = Storage.Record
 module Sq = Sqldb
@@ -62,6 +64,11 @@ type interval = { rid : int; mutable last : R.value }
    one. *)
 type stripe = { prep : Sq.Engine.prepared; incr : Sq.Incr.t option }
 
+(* An AggregateDataInTable aggregate: the executor's spec of its
+   function, its column (the same position in the Qq row and in T) and,
+   for AVG, the positions of T's hidden sum and count columns. *)
+type agg_col = { pos : int; spec : Sq.Ast.agg; avg : (int * int) option }
+
 type run_state = {
   kind : mech_kind;
   qq : string;
@@ -81,8 +88,7 @@ type run_state = {
   mutable tbl : Sq.Catalog.table option;
   mutable env_meta : Sq.Exec.env option;
   mutable group_pos : int list;              (* grouping column positions (Qq output) *)
-  mutable agg_specs : (int * Monoid.t) list; (* aggregated column positions *)
-  mutable avg_hidden : (int * int * int) list; (* visible, sum, cnt positions in T *)
+  mutable agg_cols : agg_col list;           (* Agg_table's aggregates *)
   mutable index : Sq.Catalog.index option;
   mutable single_rid : int option;           (* Agg_table with no grouping columns *)
   (* CollateDataIntoIntervals: every row of T by its Qq columns
@@ -91,10 +97,8 @@ type run_state = {
      it from T before use). *)
   intervals : (string, interval list) Hashtbl.t;
   mutable intervals_at : int option;
-  (* AggregateDataInVariable running state *)
-  mutable var_value : R.value;
-  mutable var_seen : bool;
-  var_avg : Monoid.avg_state;
+  (* AggregateDataInVariable: the running value and its row in T *)
+  var_acc : Sq.Exec.agg_acc;
   mutable var_rid : int option;
   (* per-iteration loop-body operation counters *)
   mutable cur_rows : int;
@@ -175,6 +179,8 @@ let create_result_table (rs : run_state) cols =
 
 let norm = String.lowercase_ascii
 
+let agg_spec fn = { Sq.Ast.agg_fn = Monoid.to_string fn; agg_arg = None; agg_distinct = false }
+
 (* --- first-iteration initialization --------------------------------- *)
 
 let init_run (rs : run_state) (header : string array) =
@@ -204,35 +210,36 @@ let init_run (rs : run_state) (header : string array) =
       in
       go 0
     in
-    rs.agg_specs <- List.map (fun (c, fn) -> (find_pos c, fn)) pairs;
-    let agg_pos = List.map fst rs.agg_specs in
+    (* visible columns, then hidden (sum, count) pairs for AVG *)
+    let next = ref (Array.length header) in
+    rs.agg_cols <-
+      List.map
+        (fun (c, fn) ->
+          let avg =
+            if fn = Monoid.Avg then begin
+              next := !next + 2;
+              Some (!next - 2, !next - 1)
+            end
+            else None
+          in
+          { pos = find_pos c; spec = agg_spec fn; avg })
+        pairs;
+    let agg_pos = List.map (fun c -> c.pos) rs.agg_cols in
     rs.group_pos <-
       List.filter
         (fun i -> not (List.mem i agg_pos))
         (List.init (Array.length header) (fun i -> i));
-    (* visible columns, then hidden (sum, count) pairs for AVG *)
     let visible = Array.to_list (Array.map (fun h -> (h, "")) header) in
     let hidden =
       List.concat_map
-        (fun (pos, fn) ->
-          if fn = Monoid.Avg then
-            [ (Printf.sprintf "__avg_sum_%s" header.(pos), "");
-              (Printf.sprintf "__avg_cnt_%s" header.(pos), "") ]
-          else [])
-        rs.agg_specs
+        (fun c ->
+          if c.avg = None then []
+          else
+            [ (Printf.sprintf "__avg_sum_%s" header.(c.pos), "");
+              (Printf.sprintf "__avg_cnt_%s" header.(c.pos), "") ])
+        rs.agg_cols
     in
-    create_result_table rs (visible @ hidden);
-    let next = ref (Array.length header) in
-    rs.avg_hidden <-
-      List.filter_map
-        (fun (pos, fn) ->
-          if fn = Monoid.Avg then begin
-            let s = !next and c = !next + 1 in
-            next := !next + 2;
-            Some (pos, s, c)
-          end
-          else None)
-        rs.agg_specs
+    create_result_table rs (visible @ hidden)
   | Intervals ->
     Hashtbl.reset rs.intervals;
     rs.group_pos <- List.init (Array.length header) (fun i -> i);
@@ -260,25 +267,26 @@ let post_first (rs : run_state) =
 
 (* --- row processing --------------------------------------------------- *)
 
-let to_num v = match Sq.Expr.to_number v with Some f -> R.Real f | None -> R.Null
+(* Fold aggregate [c] of a Qq row into [acc], and store the result (and
+   AVG's hidden sum and count) in T row [out]. *)
+let fold_agg c acc (out : R.row) (row : R.row) =
+  Sq.Exec.acc_add acc row.(c.pos);
+  out.(c.pos) <- Sq.Exec.acc_final acc;
+  match c.avg with
+  | Some (s, n) ->
+    let sum, count = Sq.Exec.acc_avg_state acc in
+    out.(s) <- sum;
+    out.(n) <- count
+  | None -> ()
 
 (* The T row stored when a group is seen for the first time. *)
 let first_row (rs : run_state) ~sid (row : R.row) : R.row =
   match rs.kind with
   | Agg_table _ ->
-    let n_hidden = 2 * List.length rs.avg_hidden in
+    let n_hidden = List.fold_left (fun n c -> if c.avg = None then n else n + 2) 0 rs.agg_cols in
     let out = Array.make (Array.length row + n_hidden) R.Null in
     Array.blit row 0 out 0 (Array.length row);
-    List.iter
-      (fun (pos, fn) -> if fn <> Monoid.Avg then out.(pos) <- Monoid.init fn row.(pos))
-      rs.agg_specs;
-    List.iter
-      (fun (vis, sum, cnt) ->
-        let v = row.(vis) in
-        out.(sum) <- to_num v;
-        out.(cnt) <- R.Int (if v = R.Null then 0 else 1);
-        out.(vis) <- to_num v)
-      rs.avg_hidden;
+    List.iter (fun c -> fold_agg c (Sq.Exec.new_acc c.spec) out row) rs.agg_cols;
     out
   | Intervals -> Array.append row [| R.Int sid; R.Int sid |]
   | Collate | Agg_var _ -> row
@@ -321,26 +329,19 @@ let insert_new (rs : run_state) txn (t_row : R.row) =
   if rs.group_pos = [] then rs.single_rid <- Some rid;
   rid
 
-(* Combine a fresh Qq row into the stored accumulator row. *)
+(* Combine a fresh Qq row into the stored accumulator row: each
+   aggregate resumes from its stored result. *)
 let combined_row (rs : run_state) (stored : R.row) (row : R.row) : R.row =
   let out = Array.copy stored in
   List.iter
-    (fun (pos, fn) ->
-      if fn <> Monoid.Avg then out.(pos) <- Monoid.combine fn stored.(pos) row.(pos))
-    rs.agg_specs;
-  List.iter
-    (fun (vis, sum, cnt) ->
-      let v = row.(vis) in
-      if v <> R.Null then begin
-        out.(sum) <- Monoid.add stored.(sum) (to_num v);
-        out.(cnt) <- Monoid.add stored.(cnt) (R.Int 1);
-        match out.(sum), out.(cnt) with
-        | R.Real s, R.Int c when c > 0 -> out.(vis) <- R.Real (s /. float_of_int c)
-        | R.Int s, R.Int c when c > 0 ->
-          out.(vis) <- R.Real (float_of_int s /. float_of_int c)
-        | _ -> ()
-      end)
-    rs.avg_hidden;
+    (fun c ->
+      let acc =
+        match c.avg with
+        | Some (s, n) -> Sq.Exec.acc_resume_avg c.spec ~sum:stored.(s) ~count:stored.(n)
+        | None -> Sq.Exec.acc_resume c.spec stored.(c.pos)
+      in
+      fold_agg c acc out row)
+    rs.agg_cols;
   out
 
 let step_agg_table (rs : run_state) txn ~sid ~first (row : R.row) =
@@ -354,8 +355,10 @@ let step_agg_table (rs : run_state) txn ~sid ~first (row : R.row) =
       let stored = fetch rs read rid in
       let row' = combined_row rs stored row in
       (* write back only when the accumulator changed: this is why hot
-         iterations with MAX are much cheaper than with SUM (Fig 13) *)
-      if R.compare_row row' stored <> 0 then begin
+         iterations with MAX are much cheaper than with SUM (Fig 13).  A
+         change of type alone (an INTEGER sum that a REAL 0 made REAL)
+         is a change. *)
+      if not (R.same_row row' stored) then begin
         update_row rs txn ~rid ~key row';
         rs.cur_updates <- rs.cur_updates + 1
       end
@@ -416,29 +419,15 @@ let step_intervals (rs : run_state) txn ~sid ~first (row : R.row) =
     let rid = insert_new rs txn (first_row rs ~sid row) in
     Hashtbl.replace rs.intervals key (add_interval { rid; last = R.Int sid } ivs)
 
-let step_var (rs : run_state) ~rows_seen (row : R.row) =
-  rs.cur_rows <- rs.cur_rows + 1;
-  incr rows_seen;
-  if !rows_seen > 1 then
-    error "AggregateDataInVariable: Qq returned more than one row for a snapshot";
-  let v = row.(0) in
-  match rs.kind with
-  | Agg_var Monoid.Avg -> Monoid.avg_step rs.var_avg v
-  | Agg_var fn ->
-    if rs.var_seen then rs.var_value <- Monoid.combine fn rs.var_value v
-    else begin
-      rs.var_value <- Monoid.init fn v;
-      rs.var_seen <- true
-    end
-  | Collate | Agg_table _ | Intervals ->
-    error "internal: step_var dispatched on %s" (mech_name rs.kind)
-
-let var_current (rs : run_state) =
-  match rs.kind with
-  | Agg_var Monoid.Avg -> Monoid.avg_current rs.var_avg
-  | Agg_var _ -> if rs.var_seen then rs.var_value else R.Null
-  | Collate | Agg_table _ | Intervals ->
-    error "internal: var_current dispatched on %s" (mech_name rs.kind)
+(* Fold a snapshot's Qq answer, at most one row, into the run's
+   accumulator. *)
+let fold_var (rs : run_state) (rows : R.row list) =
+  match rows with
+  | [] -> ()
+  | [ row ] ->
+    rs.cur_rows <- 1;
+    Sq.Exec.acc_add rs.var_acc row.(0)
+  | _ -> error "AggregateDataInVariable: Qq returned more than one row for a snapshot"
 
 (* Keep the single-row result table current after every iteration so the
    SQL-form UDF needs no end-of-run signal. *)
@@ -446,8 +435,9 @@ let write_var_result (rs : run_state) txn =
   match rs.var_rid with
   | None -> ()
   | Some rid ->
+    let row = R.encode_row [| Sq.Exec.acc_final rs.var_acc |] in
     let rid' =
-      match Storage.Heap.update txn (meta_heap rs) rid (R.encode_row [| var_current rs |]) with
+      match Storage.Heap.update txn (meta_heap rs) rid row with
       | `Same -> rid
       | `Moved r -> r
     in
@@ -473,22 +463,6 @@ type run_report = {
    stripe domains never touch the report *)
 let last_run_report : run_report option ref = ref None
 let run_report () = !last_run_report
-
-let run_report_to_json (r : run_report) =
-  Obs.Json.Obj
-    [ ("mechanism", Obs.Json.Str r.rr_mechanism);
-      ("qq", Obs.Json.Str r.rr_qq);
-      ("iterations", Obs.Json.Int r.rr_iterations);
-      ("ops", Obs.Json.List (List.map Sq.Plan.op_actual_to_json r.rr_ops));
-      ("evals",
-       Obs.Json.List
-         (List.map
-            (fun (sid, mode, pages) ->
-              Obs.Json.Obj
-                [ ("snap_id", Obs.Json.Int sid);
-                  ("eval", Obs.Json.Str mode);
-                  ("pages_evaluated", Obs.Json.Int pages) ])
-            r.rr_evals)) ]
 
 (* The prepared Qq's cached plan, when present and fresh. *)
 let qq_plan (rs : run_state) = Sq.Engine.cached_plan rs.eval ~key:(qq_key rs.qq)
@@ -553,15 +527,14 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     tbl = None;
     env_meta = None;
     group_pos = [];
-    agg_specs = [];
-    avg_hidden = [];
+    agg_cols = [];
     index = None;
     single_rid = None;
     intervals = Hashtbl.create 16;
     intervals_at = None;
-    var_value = R.Null;
-    var_seen = false;
-    var_avg = Monoid.avg_create ();
+    (* only AggregateDataInVariable folds into it *)
+    var_acc =
+      Sq.Exec.new_acc (agg_spec (match kind with Agg_var fn -> fn | _ -> Monoid.Count));
     var_rid = None;
     cur_rows = 0;
     cur_inserts = 0;
@@ -634,8 +607,7 @@ let apply (rs : run_state) ev ~sid =
   let each_row f = Sq.Db.with_write_txn rs.meta (fun txn -> List.iter (f txn) ev.ev_rows) in
   (match rs.kind with
   | Agg_var _ ->
-    let rows_seen = ref 0 in
-    List.iter (step_var rs ~rows_seen) ev.ev_rows;
+    fold_var rs ev.ev_rows;
     Sq.Db.with_write_txn rs.meta (write_var_result rs)
   | Collate ->
     each_row (fun txn row ->

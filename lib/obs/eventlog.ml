@@ -5,11 +5,9 @@
    slow-query hook (kind "slow_query"); the log is generic so future
    subsystems (recovery, checkpointing) can reuse it.
 
-   Events render as JSON-lines: one self-contained JSON object per
-   event, suitable for `grep`/`jq` and for appending to a sink file.
-   The ring is bounded (default 1024 events); older events are dropped
-   silently.  An optional file sink receives every event as it is
-   logged, independent of the ring bound. *)
+   Events render as JSON objects, suitable for `grep`/`jq`.  The ring
+   is bounded (default 1024 events); older events are dropped
+   silently. *)
 
 type event = {
   ev_seq : int;                       (* monotonic, never reused *)
@@ -34,10 +32,6 @@ let head = ref 0
 let count = ref 0
 let seq = ref 0
 
-(* Optional JSON-lines sink: events are appended as they are logged.
-   lint: allow — guarded by [mu] below *)
-let sink : out_channel option ref = ref None
-
 (* The ring is shared across sessions and domains: every producer and
    reader serializes on this lock, so interleaved slow-query events from
    concurrent connections cannot tear the ring indices. *)
@@ -58,20 +52,6 @@ let set_capacity n =
       buf := Array.make n None;
       head := 0;
       count := 0)
-
-let close_sink () =
-  locked (fun () ->
-      match !sink with
-      | Some oc ->
-        close_out_noerr oc;
-        sink := None
-      | None -> ())
-
-(* Open [path] in append mode and mirror every subsequent event to it. *)
-let set_sink_file path =
-  close_sink ();
-  locked (fun () ->
-      sink := Some (open_out_gen [ Open_append; Open_creat ] 0o644 path))
 
 let event_to_json (e : event) =
   Json.Obj
@@ -100,13 +80,7 @@ let log ~kind fields =
       in
       !buf.(!head) <- Some e;
       head := (!head + 1) mod !capacity;
-      if !count < !capacity then incr count;
-      match !sink with
-      | Some oc ->
-        output_string oc (Json.to_string (event_to_json e));
-        output_char oc '\n';
-        flush oc
-      | None -> ())
+      if !count < !capacity then incr count)
 
 (* Oldest-first list of retained events. *)
 let events () =
@@ -122,6 +96,3 @@ let events () =
       !out)
 
 let to_json () = Json.List (List.map event_to_json (events ()))
-
-(* JSON-lines rendering: one object per line, oldest first. *)
-let to_lines () = List.map (fun e -> Json.to_string (event_to_json e)) (events ())

@@ -97,7 +97,6 @@ let start ?(total = 0) ~mechanism ~detail () =
   trim ();
   p)
 
-let set_total p n = p.pr_total <- n
 let set_weights p w = p.pr_weights <- w
 
 let with_active p f =

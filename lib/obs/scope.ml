@@ -105,7 +105,6 @@ let parent_id s = match s.sc_parent with None -> -1 | Some p -> p.sc_id
 let depth s = s.sc_depth
 let is_live s = s.sc_live
 let is_root s = s == root
-let current_scope () = Domain.DLS.get current
 let current_id () = (Domain.DLS.get current).sc_id
 
 let with_scope s f =
@@ -229,8 +228,6 @@ let observe h v =
     Array.iter
       (fun hg -> M.Histogram.observe hg v)
       (cached_chain h.hi_cache M.histogram_in h.hi_name s)
-
-let hist_root h = h.hi_root
 
 (* --- page-read heat ---------------------------------------------------- *)
 

@@ -84,8 +84,6 @@ let samples () =
   Array.iter (fun slot -> match slot with Some s -> out := s :: !out | None -> ()) ring.slots;
   List.sort (fun a b -> compare a.seq b.seq) !out
 
-let sample_count () = ring.taken
-
 let sample_to_json s =
   Json.Obj
     [ ("seq", Json.Int s.seq);

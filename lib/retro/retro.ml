@@ -209,10 +209,6 @@ let mark_damaged t snap_id = locked_rt t (fun () -> Hashtbl.replace t.damaged sn
 
 let is_damaged t snap_id = locked_rt t (fun () -> Hashtbl.mem t.damaged snap_id)
 
-let damaged_snapshots t =
-  let l = locked_rt t (fun () -> Hashtbl.fold (fun s () acc -> s :: acc) t.damaged []) in
-  List.sort compare l
-
 (* Fetch page [pid] as of the snapshot described by [spt].  A corrupt
    archived block fails only this snapshot (typed, and recorded as
    damaged) — never a silently-wrong page. *)
@@ -497,14 +493,6 @@ type vacuum_result = {
   vr_blocks : int;    (* pagelog blocks reclaimed *)
   vr_bytes : int;     (* = vr_blocks * page size *)
 }
-
-(* Pagelog blocks that would be reclaimed by [vacuum ~keep_from]: the
-   entries before [keep_from]'s boundary, each of which owns exactly one
-   archived block (appends are 1:1 with mappings).  This is the dry-run
-   estimate, and the live run reclaims exactly this many blocks. *)
-let reclaimable_blocks t ~keep_from =
-  (Maplog.boundary t.maplog keep_from).Maplog.pos
-  - (Maplog.boundary t.maplog (Maplog.first_live t.maplog)).Maplog.pos
 
 (* Drop every snapshot below [keep_from] and compact the archive.
    Retention is prefix-only (a snapshot's pages may be shared with every

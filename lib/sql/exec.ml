@@ -167,6 +167,12 @@ let eval_bounds fnctx bounds =
 
 (* --- aggregation -------------------------------------------------------- *)
 
+(* The one definition of the aggregate functions: SQL's GROUP BY and
+   RQL's AggregateDataInVariable / AggregateDataInTable all fold through
+   [acc_add].  NULL is skipped; every other value counts (COUNT, AVG),
+   INTEGERs sum exactly and as floats, a REAL or a numeric TEXT makes
+   the sum REAL, and a non-numeric TEXT adds 0.  MIN/MAX order values
+   by [Record.compare_value]. *)
 type agg_acc = {
   spec : agg; (* with resolved argument *)
   mutable a_count : int;
@@ -186,25 +192,12 @@ let new_acc spec =
     a_mm = R.Null;
     a_distinct = (if spec.agg_distinct then Some (Hashtbl.create 16) else None) }
 
-let acc_step fnctx acc row =
-  let v =
-    match acc.spec.agg_arg with
-    | None -> R.Int 1 (* COUNT star *)
-    | Some e -> Expr.eval fnctx ~row ~aggs:[||] e
-  in
-  let proceed =
-    match v, acc.a_distinct with
-    | R.Null, _ -> false
-    | _, None -> true
-    | _, Some tbl ->
-      let k = R.encode_row [| v |] in
-      if Hashtbl.mem tbl k then false
-      else begin
-        Hashtbl.add tbl k ();
-        true
-      end
-  in
-  if proceed then begin
+(* Fold one value into [acc].  Inlined into [acc_step], so the
+   executor's per-row path makes no extra call. *)
+let[@inline] acc_add acc (v : R.value) =
+  match v with
+  | R.Null -> ()
+  | _ -> (
     acc.a_count <- acc.a_count + 1;
     (match v with
     | R.Int i ->
@@ -223,8 +216,45 @@ let acc_step fnctx acc row =
     | ("min" | "max"), R.Null -> acc.a_mm <- v
     | "min", mm -> if R.compare_value v mm < 0 then acc.a_mm <- v
     | "max", mm -> if R.compare_value v mm > 0 then acc.a_mm <- v
-    | _ -> ()
-  end
+    | _ -> ())
+
+let acc_step fnctx acc row =
+  let v =
+    match acc.spec.agg_arg with
+    | None -> R.Int 1 (* COUNT star *)
+    | Some e -> Expr.eval fnctx ~row ~aggs:[||] e
+  in
+  match v, acc.a_distinct with
+  | R.Null, _ -> ()
+  | _, None -> acc_add acc v
+  | _, Some tbl ->
+    let k = R.encode_row [| v |] in
+    if not (Hashtbl.mem tbl k) then begin
+      Hashtbl.add tbl k ();
+      acc_add acc v
+    end
+
+(* An accumulator that continues from a stored result: [v] is the result
+   itself for MIN, MAX, SUM and COUNT.  AVG's result loses its count, so
+   it resumes from its (sum, count) pair instead, [acc_resume_avg]. *)
+let acc_resume spec (v : R.value) =
+  let acc = new_acc spec in
+  (match spec.agg_fn, v with
+  | "count", R.Int n -> acc.a_count <- n
+  | "count", _ -> ()
+  | _ -> acc_add acc v);
+  acc
+
+let acc_resume_avg spec ~sum ~count =
+  let acc = new_acc spec in
+  acc.a_sum_f <- Option.value (Expr.to_number sum) ~default:0.;
+  acc.a_count <- (match count with R.Int n -> n | _ -> 0);
+  acc
+
+(* The (sum, count) pair [acc_resume_avg] reads: the sum is NULL until a
+   value has been folded. *)
+let acc_avg_state acc =
+  ((if acc.a_count = 0 then R.Null else R.Real acc.a_sum_f), R.Int acc.a_count)
 
 let acc_final acc =
   match acc.spec.agg_fn with

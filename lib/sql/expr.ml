@@ -12,8 +12,6 @@ let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 type fn_ctx = { lookup_fn : string -> (R.value array -> R.value) option }
 
-let empty_ctx = { lookup_fn = (fun _ -> None) }
-
 (* SQL truth: NULL is unknown. *)
 let truth (v : R.value) : bool option =
   match v with

@@ -1,13 +1,14 @@
-(* The aggregate-function algebra for RQL's aggregation mechanisms.
+(* The aggregate functions RQL's aggregation mechanisms accept.
 
    The paper requires AggFunc to be definable by an abelian monoid
-   (X, op, e): op associative and commutative with identity e.  MIN, MAX,
-   SUM and COUNT qualify; AVG does not, but is supported as a special
-   case by carrying a (sum, count) pair; COUNT DISTINCT / SUM DISTINCT
-   are rejected with the paper's suggested alternative (CollateData plus
-   a SQL aggregate over the result). *)
+   (X, op, e): op associative and commutative, e its neutral element.
+   MIN, MAX, SUM and COUNT qualify; AVG does not, but is supported as a
+   special case by carrying a (sum, count) pair; COUNT DISTINCT / SUM
+   DISTINCT are rejected with the paper's suggested alternative
+   (CollateData plus a SQL aggregate over the result).
 
-module R = Storage.Record
+   This module only names the functions.  Their fold is the executor's
+   accumulator (Exec.acc_add), the one SQL's aggregates use. *)
 
 type t = Min | Max | Sum | Count | Avg
 
@@ -28,78 +29,10 @@ let of_string s =
            aggregate with SQL"))
   | s -> raise (Not_supported ("unknown aggregate function " ^ s))
 
+(* The executor's name of the function. *)
 let to_string = function
   | Min -> "min"
   | Max -> "max"
   | Sum -> "sum"
   | Count -> "count"
   | Avg -> "avg"
-
-(* Does the function satisfy the monoid requirement directly (without the
-   AVG special case)? *)
-let is_monoid = function Min | Max | Sum | Count -> true | Avg -> false
-
-(* Identity element.  NULL is the identity for MIN/MAX under [combine]'s
-   NULL handling; 0 for SUM and COUNT. *)
-let identity = function
-  | Min | Max -> R.Null
-  | Sum | Count -> R.Int 0
-  | Avg -> R.Null
-
-let add a b =
-  match a, b with
-  | R.Null, v | v, R.Null -> v
-  | R.Int x, R.Int y -> R.Int (x + y)
-  | x, y -> (
-    match Expr.to_number x, Expr.to_number y with
-    | Some fx, Some fy -> R.Real (fx +. fy)
-    | _ -> R.Null)
-
-(* First-occurrence transform: the value stored when a group is first
-   seen.  COUNT counts values, so its first occurrence is 1 (or 0 for
-   NULL), matching SQL COUNT semantics. *)
-let init t v =
-  match t with
-  | Min | Max | Sum -> v
-  | Count -> R.Int (if v = R.Null then 0 else 1)
-  | Avg -> v
-
-(* Fold a new per-snapshot value into the running value.  NULL behaves as
-   the identity: SQL aggregates ignore NULL inputs. *)
-let combine t stored v =
-  match t with
-  | Min -> (
-    match stored, v with
-    | R.Null, v -> v
-    | s, R.Null -> s
-    | s, v -> if R.compare_value v s < 0 then v else s)
-  | Max -> (
-    match stored, v with
-    | R.Null, v -> v
-    | s, R.Null -> s
-    | s, v -> if R.compare_value v s > 0 then v else s)
-  | Sum -> add stored v
-  | Count -> (
-    match stored, v with
-    | R.Null, v -> R.Int (if v = R.Null then 0 else 1)
-    | s, R.Null -> s
-    | s, _ -> add s (R.Int 1))
-  | Avg -> invalid_arg "Monoid.combine: AVG requires the (sum, count) special case"
-
-(* --- AVG special case -------------------------------------------------- *)
-
-(* Running AVG state: (sum, count) — an abelian monoid product. *)
-type avg_state = { mutable sum : float; mutable count : int }
-
-let avg_create () = { sum = 0.; count = 0 }
-
-let avg_step st v =
-  match Expr.to_number v with
-  | Some f ->
-    st.sum <- st.sum +. f;
-    st.count <- st.count + 1
-  | None -> ()
-
-let avg_current st = if st.count = 0 then R.Null else R.Real (st.sum /. float_of_int st.count)
-
-let avg_merge a b = { sum = a.sum +. b.sum; count = a.count + b.count }

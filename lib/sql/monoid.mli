@@ -1,10 +1,23 @@
-(** The aggregate-function algebra for RQL's aggregation mechanisms.
+(** The aggregate functions RQL's aggregation mechanisms accept.
 
     The paper requires AggFunc to be definable by an abelian monoid
-    (X, op, e) — op associative and commutative with identity e.  MIN,
-    MAX, SUM and COUNT qualify; AVG is supported as the paper's special
-    case via a (sum, count) product; COUNT/SUM DISTINCT are rejected
-    with the paper's suggested workaround (CollateData + SQL). *)
+    (X, op, e) — op associative and commutative, e its neutral element.
+    MIN, MAX, SUM and COUNT qualify; AVG is supported as the paper's
+    special case via a (sum, count) product; COUNT/SUM DISTINCT are
+    rejected with the paper's suggested workaround (CollateData + SQL).
+
+    This module only names the functions.  There is one fold, the
+    executor's accumulator ([Exec.acc_add], with [Exec.acc_resume] and
+    [Exec.acc_resume_avg] to continue from a stored result), so an RQL
+    aggregate equals the SQL aggregate over the snapshots' Qq answers:
+    NULL is skipped; every other value counts for COUNT and AVG; a
+    non-numeric TEXT adds 0 to SUM and AVG; a REAL or numeric TEXT makes
+    SUM REAL; MIN and MAX order values as [Record.compare_value] does.
+    Hence, for the RQL mechanisms: TEXT folds as SQL folds it;
+    AggregateDataInVariable's COUNT is 0 while Qq has returned no row;
+    its INTEGER sums beyond 2^53 mixed with REALs follow the executor's
+    float order; and AggregateDataInTable writes a row back when only a
+    value's type changed (DESIGN.md §5). *)
 
 type t = Min | Max | Sum | Count | Avg
 
@@ -14,36 +27,5 @@ exception Not_supported of string
     @raise Not_supported for non-monoid aggregations, with guidance. *)
 val of_string : string -> t
 
+(** The executor's name of the function ([Ast.agg.agg_fn]). *)
 val to_string : t -> string
-
-(** Does the function satisfy the monoid requirement directly (AVG does
-    not)? *)
-val is_monoid : t -> bool
-
-(** Identity element: neutral under {!combine} for non-null values. *)
-val identity : t -> Storage.Record.value
-
-(** NULL-tolerant numeric addition (used by the AVG hidden columns). *)
-val add : Storage.Record.value -> Storage.Record.value -> Storage.Record.value
-
-(** First-occurrence transform: the value stored when a group is first
-    seen (COUNT counts values, so its first occurrence is 1). *)
-val init : t -> Storage.Record.value -> Storage.Record.value
-
-(** Fold a new per-snapshot value into the running value; NULL inputs
-    are ignored, as SQL aggregates do.
-    @raise Invalid_argument on [Avg] (use the special case below). *)
-val combine : t -> Storage.Record.value -> Storage.Record.value -> Storage.Record.value
-
-(** {1 The AVG special case} *)
-
-(** Running (sum, count) state — itself an abelian monoid product. *)
-type avg_state = { mutable sum : float; mutable count : int }
-
-val avg_create : unit -> avg_state
-val avg_step : avg_state -> Storage.Record.value -> unit
-
-(** Current average; [Null] when no numeric value has been folded. *)
-val avg_current : avg_state -> Storage.Record.value
-
-val avg_merge : avg_state -> avg_state -> avg_state

@@ -386,15 +386,6 @@ let op_actual_to_json (a : op_actual) =
       ("pages", Obs.Json.Int a.a_pages);
       ("probes", Obs.Json.Int a.a_probes) ]
 
-let analysis_to_json (az : analysis) =
-  Obs.Json.Obj
-    [ ("sql", Obs.Json.Str az.az_sql);
-      ("rows", Obs.Json.Int az.az_rows);
-      ("elapsed_ms", Obs.Json.Float (az.az_elapsed_s *. 1000.));
-      ("snapshot",
-       match az.az_snapshot with Some sid -> Obs.Json.Int sid | None -> Obs.Json.Null);
-      ("ops", Obs.Json.List (List.map op_actual_to_json az.az_ops)) ]
-
 (* --- pretty-printing -------------------------------------------------- *)
 
 let scan_line (first : scan) =

@@ -55,6 +55,16 @@ let compare_row (a : row) (b : row) =
 
 let equal_value a b = compare_value a b = 0
 
+let same_value a b =
+  match a, b with
+  | Null, Null -> true
+  | Int x, Int y -> x = y
+  | Real x, Real y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Text x, Text y -> String.equal x y
+  | _ -> false
+
+let same_row (a : row) (b : row) = Array.length a = Array.length b && Array.for_all2 same_value a b
+
 (* --- binary codec --------------------------------------------------- *)
 
 let tag_null = 0

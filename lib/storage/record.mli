@@ -31,6 +31,10 @@ val compare_row : row -> row -> int
 
 val equal_value : value -> value -> bool
 
+(** Whether two rows encode to the same bytes: unlike {!compare_row},
+    INTEGER 1 and REAL 1.0 differ, and so do REAL 0.0 and -0.0. *)
+val same_row : row -> row -> bool
+
 (** Serialize a row to bytes (length-prefixed, little-endian). *)
 val encode_row : row -> string
 

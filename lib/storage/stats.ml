@@ -73,10 +73,11 @@ module Cost_model = struct
 
   (* When set, every archive (Pagelog) read also *spends* its modeled
      latency as real wall-clock time (Unix.sleepf outside any lock)
-     instead of only counting it.  Off by default — tests and the
-     evaluation harness keep modeled-only costs — and switched on by
-     bench/concurrency, where concurrently sleeping domains are exactly
-     the overlapped-I/O effect a real SATA SSD gives the paper's setup.
+     instead of only counting it.  Off by default — tests, the
+     evaluation harness and perfbench (which asserts it off) keep
+     modeled-only costs.  Its one setter is the AS OF scaling gate in
+     bench/gates.ml, where concurrently sleeping domains are exactly the
+     overlapped-I/O effect a real SATA SSD gives the paper's setup.
      lint: allow — calibration knob, not a metric total *)
   let real_read_latency = ref false
 end

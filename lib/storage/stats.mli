@@ -59,6 +59,7 @@ module Cost_model : sig
   (** When true, each archive read also sleeps [!ssd_read_s] of real
       wall-clock time (outside any lock), so concurrent readers overlap
       their simulated device waits like they would on a real SSD.  Off
-      by default; bench/concurrency turns it on. *)
+      by default; only the AS OF scaling gate in bench/gates.ml turns
+      it on, and perfbench asserts it off. *)
   val real_read_latency : bool ref
 end

@@ -12,8 +12,10 @@
      parallelism: it holds on one core);
    - the Domain-parallel loop returns the sequential loop's table byte
      for byte on UW15, UW30 and UW60: CollateData, and
-     AggregateDataInTable over Qq_agg with its stripes evaluating by
-     delta (at least one delta iteration);
+     AggregateDataInTable over Qq_agg and CollateDataIntoIntervals over
+     Qq_int with their stripes evaluating by delta (at least one delta
+     iteration), the latter against the naive loop (PRAGMA
+     incremental=off);
    - no archive checksum failure during any of it.
 
    The heat-partition and EXPLAIN ANALYZE checks are exact and live in
@@ -223,6 +225,24 @@ let parallel_rql uw =
   check
     (Printf.sprintf "parallel AggregateDataInTable = sequential (%s)" uw.Tpch.Workload.uname)
     (seq = rows "Apar" && deltas > 0)
+    (Printf.sprintf "%d rows, %d domains, %d delta iterations (> 0)" (List.length seq) domains
+       deltas);
+  (* the naive loop against delta-evaluated stripes *)
+  let intervals ?domains table =
+    Rql.collate_data_into_intervals ?domains ctx ~qs ~qq:Queries.qq_int ~table
+  in
+  ignore (E.exec ctx.Rql.data "PRAGMA incremental=off");
+  ignore (intervals "Iseq");
+  ignore (E.exec ctx.Rql.data "PRAGMA incremental=on");
+  let par = intervals ~domains "Ipar" in
+  let seq = rows "Iseq" in
+  let deltas =
+    List.length
+      (List.filter (fun (it : Rql.Iter_stats.iteration) -> it.eval = "delta") par.iterations)
+  in
+  check
+    (Printf.sprintf "parallel intervals = naive (%s)" uw.Tpch.Workload.uname)
+    (seq = rows "Ipar" && deltas > 0)
     (Printf.sprintf "%d rows, %d domains, %d delta iterations (> 0)" (List.length seq) domains
        deltas)
 

@@ -54,8 +54,9 @@ let mech_name = function
   | Intervals -> "CollateDataIntoIntervals"
 
 (* A CollateDataIntoIntervals result row as the loop body knows it
-   without reading T: its rid and its end_snapshot value. *)
-type interval = { rid : int; mutable last : R.value }
+   without reading T: its rid and its end_snapshot value; [closing]
+   marks an open interval a delta leaves closed, until it is applied. *)
+type interval = { rid : int; mutable last : R.value; mutable closing : bool }
 
 (* One stripe of the snapshot loop: the parameterized Qq prepared on
    one session, and the stripe's own delta evaluator (None: every
@@ -97,6 +98,12 @@ type run_state = {
      it from T before use). *)
   intervals : (string, interval list) Hashtbl.t;
   mutable intervals_at : int option;
+  (* The intervals the last iteration extended or opened, in the order
+     it did (about T's page order): while the map is trusted, exactly
+     those ending at [prev_sid], unless [prev_repeated]. *)
+  mutable open_ivs : interval array;
+  applied : (int, unit) Hashtbl.t; (* the snapshots applied so far *)
+  mutable prev_repeated : bool; (* [prev_sid] was applied more than once *)
   (* AggregateDataInVariable: the running value and its row in T *)
   var_acc : Sq.Exec.agg_acc;
   mutable var_rid : int option;
@@ -383,6 +390,9 @@ let rec add_interval (iv : interval) = function
   | x :: rest when x.rid < iv.rid -> x :: add_interval iv rest
   | l -> iv :: l
 
+(* A key's intervals, rids ascending. *)
+let intervals_of (rs : run_state) key = Option.value (Hashtbl.find_opt rs.intervals key) ~default:[]
+
 (* The map from one scan of T, read through [txn]. *)
 let rebuild_intervals (rs : run_state) txn =
   Hashtbl.reset rs.intervals;
@@ -390,34 +400,134 @@ let rebuild_intervals (rs : run_state) txn =
   Storage.Heap.iter_spans (Storage.Txn.read_ctx txn) (meta_heap rs) ~f:(fun rid p off len ->
       let row = R.decode_bytes p ~off ~len in
       let key = interval_key row n in
-      let ivs = Option.value (Hashtbl.find_opt rs.intervals key) ~default:[] in
-      Hashtbl.replace rs.intervals key (add_interval { rid; last = row.(n + 1) } ivs))
+      Hashtbl.replace rs.intervals key
+        (add_interval { rid; last = row.(n + 1); closing = false } (intervals_of rs key)))
+
+let open_at_prev (rs : run_state) iv = match iv.last with R.Int e -> e = rs.prev_sid | _ -> false
+
+(* Extend [iv], which ends at the previous snapshot, to [sid] ([last]
+   is [R.Int sid]); [heap] is T's. *)
+let extend (rs : run_state) txn heap ~sid ~last iv =
+  let patched =
+    Storage.Heap.write_span txn heap iv.rid ~f:(fun p off len ->
+        if R.int_at p (off + len - 9) = rs.prev_sid then
+          Bytes.set_int64_le p (off + len - 8) (Int64.of_int sid)
+        else error "CollateDataIntoIntervals: result rid %d does not end at %d" iv.rid rs.prev_sid)
+  in
+  if patched = None then error "CollateDataIntoIntervals: dangling result rid %d" iv.rid;
+  iv.last <- last;
+  rs.cur_updates <- rs.cur_updates + 1
+
+(* Open a new interval [sid, sid] for [row], whose key is [key] and
+   whose intervals so far are [ivs]. *)
+let open_interval (rs : run_state) txn ~sid ~key ~ivs row =
+  let iv = { rid = insert_new rs txn (first_row rs ~sid row); last = R.Int sid; closing = false } in
+  Hashtbl.replace rs.intervals key (add_interval iv ivs);
+  iv
 
 (* The paper's rule: the first row of T holding this Qq row whose
    interval ends at the previous snapshot is extended to [sid];
    otherwise a new interval starts.  The row to extend comes from the
    map, and its end_snapshot (an INTEGER: a tag and 8 payload bytes,
    the row's last) is rewritten in place, so T is never probed or
-   read. *)
+   read.  Returns the interval it extended or opened. *)
 let step_intervals (rs : run_state) txn ~sid ~first (row : R.row) =
   rs.cur_rows <- rs.cur_rows + 1;
   let key = interval_key row (Array.length row) in
-  let ivs = Option.value (Hashtbl.find_opt rs.intervals key) ~default:[] in
-  let open_at_prev iv = match iv.last with R.Int e -> e = rs.prev_sid | _ -> false in
-  match if first then None else List.find_opt open_at_prev ivs with
+  let ivs = intervals_of rs key in
+  match if first then None else List.find_opt (open_at_prev rs) ivs with
   | Some iv ->
-    let patched =
-      Storage.Heap.write_span txn (meta_heap rs) iv.rid ~f:(fun p off len ->
-          if R.int_at p (off + len - 9) = rs.prev_sid then
-            Bytes.set_int64_le p (off + len - 8) (Int64.of_int sid)
-          else error "CollateDataIntoIntervals: result rid %d does not end at %d" iv.rid rs.prev_sid)
+    extend rs txn (meta_heap rs) ~sid ~last:(R.Int sid) iv;
+    iv
+  | None -> open_interval rs txn ~sid ~key ~ivs row
+
+(* The rule applied to a delta from the previous snapshot, whose output
+   changes are [before] -> [after] (Incr.changes).  The open intervals
+   are those ending at the previous snapshot, and a key has exactly as
+   many of them as the previous snapshot had rows of the key; the rule
+   extends a key's first open intervals (rid order), one per row of the
+   key in this snapshot, and opens a new one per row beyond them.  Only
+   the net change per key matters, then:
+   - a key that lost c rows leaves its last c open intervals closed;
+   - a key that gained rows and has no open interval opens one per row,
+     and all its rows are in [after], in scan order;
+   - a key that gained rows and has open intervals would open intervals
+     for rows at positions the delta does not know: no plan.
+   Every other open interval is extended. *)
+type delta_plan = {
+  to_close : interval list; (* the open intervals left closed *)
+  net : (string, int) Hashtbl.t; (* key -> net change in its rows *)
+  after : R.row list;
+  rows : int; (* the snapshot's Qq rows *)
+}
+
+let delta_plan (rs : run_state) (ch : Sq.Incr.changes) =
+  let n = Array.length rs.header in
+  let net = Hashtbl.create 64 in
+  let count d row =
+    let key = interval_key row n in
+    Hashtbl.replace net key (d + Option.value (Hashtbl.find_opt net key) ~default:0)
+  in
+  List.iter (count (-1)) ch.Sq.Incr.before;
+  List.iter (count 1) ch.Sq.Incr.after;
+  let exception Gained_with_open in
+  match
+    Hashtbl.fold
+      (fun key d closing ->
+        if d = 0 then closing
+        else
+          let ivs = List.filter (open_at_prev rs) (intervals_of rs key) in
+          if d > 0 then if ivs = [] then closing else raise Gained_with_open
+          else begin
+            let m = List.length ivs in
+            if m < -d then
+              error "CollateDataIntoIntervals: %d rows of a key left, %d intervals were open" (-d) m;
+            List.filteri (fun i _ -> i >= m + d) ivs @ closing
+          end)
+      net []
+  with
+  | exception Gained_with_open -> None
+  | closing ->
+    let rows =
+      Array.length rs.open_ivs + List.length ch.Sq.Incr.after - List.length ch.Sq.Incr.before
     in
-    if patched = None then error "CollateDataIntoIntervals: dangling result rid %d" iv.rid;
-    iv.last <- R.Int sid;
-    rs.cur_updates <- rs.cur_updates + 1
-  | None ->
-    let rid = insert_new rs txn (first_row rs ~sid row) in
-    Hashtbl.replace rs.intervals key (add_interval { rid; last = R.Int sid } ivs)
+    Some { to_close = closing; net; after = ch.Sq.Incr.after; rows }
+
+(* Carry out [plan]: patch the end of every open interval but the
+   closing ones in place, in the open set's order, then open the new
+   intervals in scan order.  Returns the intervals now ending at [sid],
+   in that order. *)
+let apply_delta (rs : run_state) txn ~sid plan =
+  rs.cur_rows <- plan.rows;
+  let last = R.Int sid and heap = meta_heap rs and closed = ref 0 in
+  List.iter (fun iv -> iv.closing <- true) plan.to_close;
+  let extended =
+    Array.fold_left
+      (fun acc iv ->
+        if iv.closing then begin
+          iv.closing <- false;
+          incr closed;
+          acc
+        end
+        else begin
+          extend rs txn heap ~sid ~last iv;
+          iv :: acc
+        end)
+      [] rs.open_ivs
+  in
+  if !closed <> List.length plan.to_close then
+    error "CollateDataIntoIntervals: an interval to close was not open";
+  let n = Array.length rs.header in
+  let opened =
+    List.filter_map
+      (fun row ->
+        let key = interval_key row n in
+        match Hashtbl.find_opt plan.net key with
+        | Some d when d > 0 -> Some (open_interval rs txn ~sid ~key ~ivs:(intervals_of rs key) row)
+        | _ -> None)
+      plan.after
+  in
+  Array.of_list (List.rev_append extended opened)
 
 (* Fold a snapshot's Qq answer, at most one row, into the run's
    accumulator. *)
@@ -489,11 +599,11 @@ let emit_op_counters (rs : run_state) =
    PRAGMA incremental is off on [data]; the k stripes share
    {!Sq.Incr.default_max_rows}, so a run keeps no more rows than one
    stripe alone would. *)
-let make_stripe (data : Sq.Db.t) ~all_cold ~k prep =
+let make_stripe ?(changes = false) (data : Sq.Db.t) ~all_cold ~k prep =
   { prep;
     incr =
       (if all_cold || not data.Sq.Db.incremental then None
-       else Some (Sq.Incr.create ~max_rows:(Sq.Incr.default_max_rows / k) ())) }
+       else Some (Sq.Incr.create ~max_rows:(Sq.Incr.default_max_rows / k) ~changes ())) }
 
 let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table () =
   (match kind with
@@ -515,7 +625,10 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     data = ctx.data;
     meta = ctx.meta;
     eval = ctx.eval;
-    inline = make_stripe ctx.data ~all_cold ~k:1 (prepare_qq ctx.eval qq);
+    (* The intervals loop body applies a delta's output changes; only
+       on one stripe is that delta from the loop's previous snapshot. *)
+    inline =
+      make_stripe ~changes:(kind = Intervals) ctx.data ~all_cold ~k:1 (prepare_qq ctx.eval qq);
     rs_analyze = analyze;
     rs_all_cold = all_cold;
     t_start = now ();
@@ -532,6 +645,9 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     single_rid = None;
     intervals = Hashtbl.create 16;
     intervals_at = None;
+    open_ivs = [||];
+    applied = Hashtbl.create 16;
+    prev_repeated = false;
     (* only AggregateDataInVariable folds into it *)
     var_acc =
       Sq.Exec.new_acc (agg_spec (match kind with Agg_var fn -> fn | _ -> Monoid.Count));
@@ -547,7 +663,8 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
    snapshots. *)
 type eval_result = {
   ev_header : string array;
-  ev_rows : R.row list;
+  ev_rows : R.row list Lazy.t; (* see {!rows_of} *)
+  ev_changes : Sq.Incr.changes option;
   ev_pagelog_reads : int;
   ev_db_reads : int;
   ev_cache_hits : int;
@@ -555,7 +672,7 @@ type eval_result = {
   ev_spt_entries : int;
   ev_spt_build_s : float;
   ev_index_build_s : float;
-  ev_eval_s : float; (* wall-clock evaluation, SPT and index builds included *)
+  mutable ev_eval_s : float; (* wall-clock evaluation, SPT and index builds included *)
   ev_mode : string; (* "plain", or the incremental evaluator's "full" / "delta" *)
   ev_pages_evaluated : int;
   ev_pages_reused : int;
@@ -574,16 +691,25 @@ let evaluate (st : stripe) ~sid =
   let spt0 = g Sq.Exec_stats.g_spt_build_s and idx0 = g Sq.Exec_stats.g_index_build_s in
   let t0 = now () in
   let header, run = Sq.Engine.prepared_stream ~params:[| R.Int sid |] ?incr:st.incr st.prep in
-  let rows = ref [] in
-  run (fun row -> rows := row :: !rows);
+  let report = Option.bind st.incr Sq.Incr.last in
+  let collect () =
+    let rows = ref [] in
+    run (fun row -> rows := row :: !rows);
+    List.rev !rows
+  in
+  (* A delta that reports its output changes emits its rows only if the
+     loop body asks for them (before the stripe's next evaluation). *)
+  let changes = Option.bind report (fun r -> r.Sq.Incr.changes) in
+  let rows = if Option.is_none changes then Lazy.from_val (collect ()) else lazy (collect ()) in
   let eval_s = now () -. t0 in
   let mode, evaluated, reused =
-    match Option.bind st.incr Sq.Incr.last with
+    match report with
     | Some r -> (Sq.Incr.mode_to_string r.Sq.Incr.mode, r.Sq.Incr.evaluated, r.Sq.Incr.reused)
     | None -> ("plain", 0, 0)
   in
   { ev_header = header;
-    ev_rows = List.rev !rows;
+    ev_rows = rows;
+    ev_changes = changes;
     ev_pagelog_reads = c S.c_pagelog_reads - plr0;
     ev_db_reads = c S.c_db_page_reads - dbr0;
     ev_cache_hits = c S.c_snap_cache_hits - hit0;
@@ -596,6 +722,17 @@ let evaluate (st : stripe) ~sid =
     ev_pages_evaluated = evaluated;
     ev_pages_reused = reused }
 
+(* A snapshot's Qq rows.  Rows a deferred evaluation emits now count as
+   evaluation time. *)
+let rows_of ev =
+  if Lazy.is_val ev.ev_rows then Lazy.force ev.ev_rows
+  else begin
+    let t0 = now () in
+    let rows = Lazy.force ev.ev_rows in
+    ev.ev_eval_s <- ev.ev_eval_s +. (now () -. t0);
+    rows
+  end
+
 (* Apply one snapshot's Qq rows to the result table, in the
    mechanism-specific way. *)
 let apply (rs : run_state) ev ~sid =
@@ -604,10 +741,10 @@ let apply (rs : run_state) ev ~sid =
   rs.cur_inserts <- 0;
   rs.cur_updates <- 0;
   if first then init_run rs ev.ev_header;
-  let each_row f = Sq.Db.with_write_txn rs.meta (fun txn -> List.iter (f txn) ev.ev_rows) in
+  let each_row f = Sq.Db.with_write_txn rs.meta (fun txn -> List.iter (f txn) (rows_of ev)) in
   (match rs.kind with
   | Agg_var _ ->
-    fold_var rs ev.ev_rows;
+    fold_var rs (rows_of ev);
     Sq.Db.with_write_txn rs.meta (write_var_result rs)
   | Collate ->
     each_row (fun txn row ->
@@ -622,9 +759,26 @@ let apply (rs : run_state) ev ~sid =
        iteration, since the map is trusted again only below. *)
     let valid = rs.intervals_at = Some rs.meta.Sq.Db.pager.Storage.Pager.installs in
     rs.intervals_at <- None;
+    (* A delta from the previous snapshot, over a trusted map, applies
+       its changes (see [delta_plan]); anything else applies the rule
+       to the full row list. *)
+    let delta =
+      match ev.ev_changes with
+      | Some ch when valid && (not rs.prev_repeated) && ch.Sq.Incr.base = rs.prev_sid ->
+        delta_plan rs ch
+      | _ -> None
+    in
+    let rows = if Option.is_none delta then rows_of ev else [] in
     Sq.Db.with_write_txn rs.meta (fun txn ->
         if not (first || valid) then rebuild_intervals rs txn;
-        List.iter (step_intervals rs txn ~sid ~first) ev.ev_rows));
+        rs.open_ivs <-
+          (match delta with
+          | Some plan -> apply_delta rs txn ~sid plan
+          | None ->
+            let touched = List.rev_map (step_intervals rs txn ~sid ~first) rows in
+            Array.of_list (List.rev touched)));
+    rs.prev_repeated <- Hashtbl.mem rs.applied sid;
+    Hashtbl.replace rs.applied sid ());
   if first then post_first rs;
   (* Inside an explicit transaction the iteration's writes are not
      committed yet, and may be rolled back. *)
@@ -649,8 +803,9 @@ let step_body (rs : run_state) ~sid eval =
   | _ -> ());
   let cold = rs.rs_all_cold || not rs.first_done in
   let ev = eval () in
-  let t0 = now () in
+  let t0 = now () and eval_s = ev.ev_eval_s in
   apply rs ev ~sid;
+  let late_s = ev.ev_eval_s -. eval_s in
   let it =
     { Iter_stats.snap_id = sid;
       cold;
@@ -663,7 +818,7 @@ let step_body (rs : run_state) ~sid eval =
       spt_entries = ev.ev_spt_entries;
       index_build_s = ev.ev_index_build_s;
       query_eval_s = Float.max 0. (ev.ev_eval_s -. ev.ev_spt_build_s -. ev.ev_index_build_s);
-      udf_s = now () -. t0;
+      udf_s = now () -. t0 -. late_s;
       udf_rows = rs.cur_rows;
       udf_inserts = rs.cur_inserts;
       udf_updates = rs.cur_updates;

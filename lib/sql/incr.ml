@@ -1,31 +1,41 @@
-(* Delta-driven evaluation of one aggregate query over a sequence of
-   snapshots: the RQL snapshot loop's Qq, when the optimizer found it
-   delta-safe (Opt.delta_verdict — a heap scan, hash joins over heap
-   tables, filters, aggregates).
+(* Delta-driven evaluation of one query over a sequence of snapshots:
+   the RQL snapshot loop's Qq, when the optimizer found it delta-safe
+   (Opt.delta_verdict — a heap scan, hash joins over heap tables,
+   filters, and a projection or aggregates).
 
-   The query's result over a snapshot is a fold over its sources' heap
-   pages in chain order.  This evaluator keeps, per FROM source and
+   The query's result over a snapshot is a function of its sources'
+   heap pages in chain order.  This evaluator keeps, per FROM source and
    heap page, the rows of that page that pass the source's filters
    (decoded, with a key per row).  The first snapshot evaluates every
    page.  For each later snapshot, the archive names the pages modified
    between the two declarations (Retro.changed_pages); only those, and
    pages the previous snapshot did not have, are read and re-evaluated,
-   and the rest keep their rows.  The kept rows are then joined and
-   aggregated by the ordinary executor's code, so the result — same
-   groups, same order, same representative rows, same float sums — is
-   what the ordinary executor computes on the whole snapshot (Dignös et
-   al.'s snapshot reducibility; the test suite checks it against the
-   ordinary executor).
+   and the rest keep their rows.  The kept rows are then joined,
+   projected or aggregated by the ordinary executor's code, so the
+   result — same rows, same order, same groups and representative rows,
+   same float sums — is what the ordinary executor computes on the
+   whole snapshot (Dignös et al.'s snapshot reducibility; the test
+   suite checks it against the ordinary executor).
 
-   A lone source keys its rows by group, and the kept rows are
-   aggregated directly.  The inner source of a hash join keys its rows
-   by join key and keeps a covering index from each key to its rows,
-   each tagged with its page's chain position: last page first, a
-   page's rows last slot first.  A probe so lists a key's rows in
-   reverse scan order, the order in which the plain executor's build
-   conses them; re-reading a page swaps only that page's rows.  Chain
-   positions are stable while the heap only grows at its tail; when a
-   kept page moves, the index is rebuilt from the kept rows.
+   A lone aggregating source keys its rows by group, and the kept rows
+   are aggregated directly.  Any other core streams its kept driving
+   rows, in chain and slot order, through {!Exec.stream_core}.  The
+   inner source of a hash join keys its rows by join key and keeps a
+   covering index from each key to its rows, each tagged with its
+   page's chain position: last page first, a page's rows last slot
+   first.  A probe so lists a key's rows in reverse scan order, the
+   order in which the plain executor's build conses them; re-reading a
+   page swaps only that page's rows.  Chain positions are stable while
+   the heap only grows at its tail; when a kept page moves, the index
+   is rebuilt from the kept rows.
+
+   An evaluator created with [~changes:true] also says how a delta of a
+   core that does not aggregate changed its output: the output rows of
+   the driving pages it re-read or that left the chain, as the previous
+   snapshot had them, and of the pages it re-read or that joined, as
+   this one has them.  Every other output row comes from a page both
+   snapshots share (and, in a join, from inner sources that did not
+   change), so the two outputs differ by exactly that.
 
    The kept rows are bounded: an evaluation that would keep more than
    the evaluator's [max_rows], over all sources, runs the ordinary
@@ -59,15 +69,26 @@ type mode = Full | Delta
 
 let mode_to_string = function Full -> "full" | Delta -> "delta"
 
+(* How a delta from snapshot [base] changed a core's output rows:
+   [before] are the output rows of the driving pages it re-read or that
+   left the chain, as [base] had them; [after] those of the pages it
+   re-read or that joined, as this snapshot has them, in chain and slot
+   order. *)
+type changes = { base : int; before : R.row list; after : R.row list }
+
 (* What the last evaluation did. *)
 type report = {
   mode : mode;
   evaluated : int; (* heap pages read and re-evaluated, over all sources *)
   reused : int; (* heap pages whose rows carried over, over all sources *)
+  changes : changes option;
+      (* a delta of a core that does not aggregate, when the evaluator
+         reports changes and no inner source changed *)
 }
 
 type t = {
   max_rows : int; (* most rows kept across all sources' pages *)
+  changes : bool; (* report a delta's output changes *)
   mutable over_budget : bool; (* a snapshot needed more: run plain *)
   mutable plan : Plan.t option; (* the cached plan the pages belong to *)
   mutable sid : int; (* the snapshot they describe *)
@@ -83,8 +104,9 @@ type t = {
 let default_max_rows = 250_000
 
 (* One evaluator per run: its state belongs to the run's loop. *)
-let create ?(max_rows = default_max_rows) () =
+let create ?(max_rows = default_max_rows) ?(changes = false) () =
   { max_rows;
+    changes;
     over_budget = false;
     plan = None;
     sid = 0;
@@ -296,14 +318,21 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
   in
   let group =
     match joins, c.Plan.c_group with
+    | _ when not c.Plan.c_has_agg -> None
     | [], (_ :: _ as es) -> Some (Exec.key_fn fnctx es)
     | [], [] -> Some (fun _ -> "")
     | _ -> None
   in
+  (* With changes to report: the driving pages re-read, each with its
+     old record, in reverse chain order. *)
+  let diff = t.changes && Option.is_some changed && not c.Plan.c_has_agg in
+  let redone = ref [] in
+  let fresh = if diff then fun prior pg -> redone := (prior, pg) :: !redone else fun _ _ -> () in
+  let old_drive = t.drive and old_inners = t.inners in
   let t0 = if instr then Exec_stats.now () else 0. and p0 = Exec.pages_now () in
   let work () =
     let drive =
-      walk t env ~changed ~kept t.drive first.Plan.sc_src.Plan.s_tbl
+      walk t env ~changed ~kept old_drive first.Plan.sc_src.Plan.s_tbl ~fresh
         (evaluate (List.hd decoders) first.Plan.sc_filters ~group)
     in
     let t1 = if instr then Exec_stats.now () else 0. and p1 = Exec.pages_now () in
@@ -353,25 +382,60 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
     Obs.Scope.add c_evaluated evaluated;
     Obs.Scope.add c_reused reused;
     if instr then begin
-      (* The scan operator's actuals count the rows this evaluation
-         actually produced from the pages it read. *)
+      (* The scan operator hands on every kept row, as the plain scan
+         does; its pages and time are this evaluation's own. *)
       let sl = first.Plan.sc_op.Plan.op_slot in
       sl.Plan.o_loops <- sl.Plan.o_loops + 1;
       sl.Plan.o_rows <-
-        List.fold_left (fun n pg -> n + Array.length pg.pg_rows) sl.Plan.o_rows drive.w_fresh;
+        List.fold_left (fun n pg -> n + Array.length pg.pg_rows) sl.Plan.o_rows drive.w_chain;
       sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (t1 -. t0);
       sl.Plan.o_pages <- sl.Plan.o_pages + (p1 - p0)
     end;
+    let lookups = List.map (fun (i, _) -> lookup i.in_index) inners in
+    (* The output of [drive]'s rows, uninstrumented. *)
+    let output drive =
+      let _, run =
+        Exec.stream_core ~kept:{ Exec.k_drive = drive; k_lookups = lookups }
+          { env with Exec.analyze = false } c
+      in
+      let rows = ref [] in
+      run (fun r -> rows := r :: !rows);
+      List.rev !rows
+    in
+    let inners_unchanged () =
+      List.for_all2
+        (fun prev w ->
+          w.w_fresh = [] && Hashtbl.length w.w_pages = Hashtbl.length prev.in_pages)
+        old_inners walks
+    in
+    let changes =
+      if diff && inners_unchanged () then begin
+        let rows pg f = Array.iter f pg.pg_rows in
+        let departed =
+          Hashtbl.fold
+            (fun pid o acc -> if Hashtbl.mem drive.w_pages pid then acc else o :: acc)
+            old_drive []
+        in
+        let before f =
+          List.iter (fun (prior, _) -> Option.iter (fun o -> rows o f) prior) !redone;
+          List.iter (fun o -> rows o f) departed
+        in
+        let after f = List.iter (fun (_, pg) -> rows pg f) (List.rev !redone) in
+        Some { base = t.sid; before = output before; after = output after }
+      end
+      else None
+    in
     t.plan <- Some cached;
     t.sid <- sid;
     t.drive <- drive.w_pages;
     t.inners <- List.map fst inners;
     t.last <-
-      Some { mode = (match changed with Some _ -> Delta | None -> Full); evaluated; reused };
+      Some
+        { mode = (match changed with Some _ -> Delta | None -> Full); evaluated; reused; changes };
     let chain = List.rev drive.w_chain in
     match inners with
-    | [] ->
-      (* a lone source: its rows carry their group keys *)
+    | [] when c.Plan.c_has_agg ->
+      (* a lone aggregating source: its rows carry their group keys *)
       let gs = Exec.new_groups fnctx c in
       List.iter
         (fun pg ->
@@ -382,6 +446,6 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
     | _ ->
       let kept =
         { Exec.k_drive = (fun f -> List.iter (fun pg -> Array.iter f pg.pg_rows) chain);
-          k_lookups = List.map (fun (i, _) -> lookup i.in_index) inners }
+          k_lookups = lookups }
       in
       Exec.counted (Exec.stream_core ~kept env c)

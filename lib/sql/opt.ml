@@ -21,11 +21,11 @@
       the naive path would produce are preserved.
 
    3. A delta-safety verdict ([oi_delta_safe] + reason), the gate of
-      the RQL loop's incremental evaluation ([Incr]): aggregates (none
-      DISTINCT) over one sequential heap scan and hash joins over
-      heap tables, no other join, no LIMIT /
-      OFFSET / DISTINCT / UNION, no subqueries, no UDF calls, no
-      parameter outside the AS OF.
+      the RQL loop's incremental evaluation ([Incr]): a projection, or
+      aggregates (none DISTINCT), over one sequential heap scan and
+      hash joins over heap tables, no other join, no LIMIT / OFFSET /
+      DISTINCT / UNION, no ORDER BY without an aggregate, no
+      subqueries, no UDF calls, no parameter outside the AS OF.
 
    Warnings use stable W2xx codes through [Diag]:
      W201  always-false predicate; plan collapsed to an empty scan
@@ -426,10 +426,12 @@ let scan_plan_exprs (f : expr -> unit) (p : Plan.t) : unit =
 
 (* The delta-safety gate of incremental RQL evaluation ([Incr]): the
    verdict plus the first disqualifying reason.  A safe plan is one
-   heap scan, and hash joins over heap tables, feeding filters and
-   aggregates, whose result for a snapshot depends only on that
-   snapshot's heap pages — so what one snapshot's evaluation kept of a
-   page stays valid for every page the next snapshot did not change.
+   heap scan, and hash joins over heap tables, feeding filters and a
+   projection or aggregates, whose result for a snapshot depends only
+   on that snapshot's heap pages — so what one snapshot's evaluation
+   kept of a page stays valid for every page the next snapshot did not
+   change.  A core that does not aggregate must also return its rows
+   in scan order (no ORDER BY).
    Other joins stay plain: a LEFT JOIN pads unmatched rows, a nested
    loop has no key to index pages by, and an index probe reads rows in
    the persistent index's order.  [Incr] runs exactly the plans this
@@ -438,7 +440,6 @@ let delta_verdict ~pure_fn (p : Plan.t) : bool * string =
   match
     if p.Plan.p_members <> [] then raise (Unsafe "compound (UNION)");
     let c = p.Plan.p_core in
-    if not c.Plan.c_has_agg then raise (Unsafe "no aggregate to update incrementally");
     (match c.Plan.c_from with
     | Plan.From_none -> raise (Unsafe "no table")
     | Plan.From_scan { first = { Plan.sc_access = Plan.Index_search _; _ }; _ } ->
@@ -460,6 +461,9 @@ let delta_verdict ~pure_fn (p : Plan.t) : bool * string =
        || p.Plan.p_coffset <> None
     then raise (Unsafe "LIMIT/OFFSET");
     if c.Plan.c_distinct then raise (Unsafe "DISTINCT");
+    (* A row core's output must stay in scan order: a delta reports
+       its changed rows by the chain position of their pages. *)
+    if (not c.Plan.c_has_agg) && c.Plan.c_order <> [] then raise (Unsafe "ORDER BY");
     (* Every aggregate the executor has can be kept per page and
        recombined exactly — except over DISTINCT values, which one page
        cannot know are distinct overall. *)

@@ -2,7 +2,8 @@
 
    The oracle is the naive loop: the same mechanism with PRAGMA
    incremental=off, which evaluates every snapshot's Qq on the ordinary
-   executor.  Each incremental run must leave a byte-identical result
+   executor.  The Qqs aggregate, or return rows (a projection, a join)
+   for CollateData, AggregateDataInTable and CollateDataIntoIntervals.  Each incremental run must leave a byte-identical result
    table (rows in heap order) across the UW7.5-UW60 histories, on one
    stripe and on two and three (each stripe a delta from its own
    previous snapshot), after a vacuum, and for snapshot sets that skip
@@ -114,7 +115,27 @@ let mechs =
       qq =
         "SELECT SUM(b.o_totalprice) AS s FROM orders a, orders b WHERE a.o_custkey = b.o_custkey \
          AND a.o_orderstatus = 'F'";
-      run = agg_var "MAX" } ]
+      run = agg_var "MAX" };
+    (* Row Qqs: the kept driving rows, in chain and slot order, are the
+       rows; no aggregate. *)
+    { label = "filtered orders rows";
+      qq =
+        "SELECT o_orderkey, o_custkey, o_totalprice * 2 AS dbl FROM orders WHERE o_orderpriority \
+         = '1-URGENT'";
+      run = collate };
+    { label = "part lineitem rows";
+      qq =
+        "SELECT p_brand, l_orderkey, l_linenumber, l_quantity FROM part, lineitem WHERE p_partkey \
+         = l_partkey AND p_size < 6";
+      run = collate };
+    (* one row per order: the loop body sums each order's price over
+       the snapshots it is live in *)
+    { label = "rows summed by the loop body";
+      qq = "SELECT o_orderkey, o_custkey, o_totalprice FROM orders WHERE o_totalprice < 50000";
+      run = agg_table [ ("o_totalprice", "SUM") ] };
+    { label = "Qq_int as intervals";
+      qq = "SELECT o_orderkey, o_custkey FROM orders";
+      run = intervals } ]
 
 (* Run [m] naively (one stripe) and incrementally on [domains] stripes
    into two result tables; both must hold the same bytes.  Returns the
@@ -133,6 +154,15 @@ let differential ?(domains = 1) ctx ~name ~qs m =
     (fun (it : IS.iteration) ->
       Alcotest.(check string) "naive iterations are plain" "plain" it.IS.eval)
     naive.IS.iterations;
+  (* the loop body did the same work, iteration by iteration *)
+  let work run =
+    List.map
+      (fun (it : IS.iteration) -> (it.IS.udf_rows, it.IS.udf_inserts, it.IS.udf_updates))
+      run.IS.iterations
+  in
+  Alcotest.(check (list (triple int int int)))
+    (Printf.sprintf "%s, %d stripe(s): %s rows, inserts, updates" name domains m.label)
+    (work naive) (work run);
   run
 
 let evals run = List.map (fun (it : IS.iteration) -> it.IS.eval) run.IS.iterations
@@ -220,7 +250,10 @@ let uw_matrix =
                     (it.IS.pages_evaluated * 4 < pages))
                 hot
             | [] -> Alcotest.fail "no iterations")
-          [ ("Qq_io AVG", [ "orders" ]); ("Qq_cpu AVG", [ "part"; "lineitem" ]) ]);
+          [ ("Qq_io AVG", [ "orders" ]);
+            ("Qq_cpu AVG", [ "part"; "lineitem" ]);
+            ("filtered orders rows", [ "orders" ]);
+            ("part lineitem rows", [ "part"; "lineitem" ]) ]);
     Alcotest.test_case "snapshot sets that skip and run backwards" `Quick (fun () ->
         let ctx, _ = history Tpch.Workload.uw30 in
         List.iter

@@ -251,9 +251,19 @@ let delta_check name sql expect =
       Alcotest.(check bool) sql true (contains (delta_line (fresh ()) sql) expect))
 
 let delta_safety =
-  [ (* CollateData / CollateDataIntoIntervals Qq: plain row collection *)
-    delta_check "CollateData shape is not delta-safe" "SELECT a, b FROM t"
-      "DELTA-SAFE: no (no aggregate to update incrementally)";
+  [ (* CollateData / CollateDataIntoIntervals Qq: plain row collection,
+       in scan order *)
+    delta_check "CollateData shape is delta-safe" "SELECT a, b FROM t" "DELTA-SAFE: yes";
+    delta_check "filtered row Qq is delta-safe" "SELECT a, c FROM t WHERE c > 1.5"
+      "DELTA-SAFE: yes";
+    delta_check "row Qq with ORDER BY is rejected" "SELECT a, b FROM t ORDER BY b"
+      "DELTA-SAFE: no (ORDER BY)";
+    delta_check "row Qq with LIMIT is rejected" "SELECT a, b FROM t LIMIT 2"
+      "DELTA-SAFE: no (LIMIT/OFFSET)";
+    delta_check "row Qq with DISTINCT is rejected" "SELECT DISTINCT b FROM t"
+      "DELTA-SAFE: no (DISTINCT)";
+    delta_check "row hash join is delta-safe" "SELECT t.b, u.d FROM t, u WHERE t.a = u.a"
+      "DELTA-SAFE: yes";
     (* AggregateDataInVariable Qq: single monoid aggregate *)
     delta_check "AggregateDataInVariable shape is delta-safe" "SELECT COUNT(*) FROM t"
       "DELTA-SAFE: yes";
@@ -293,7 +303,7 @@ let delta_safety =
     Alcotest.test_case "sys_plans counts delta-safe cached plans" `Quick (fun () ->
         let db = fresh () in
         ignore (E.exec db "SELECT COUNT(*) FROM t");
-        ignore (E.exec db "SELECT a FROM t");
+        ignore (E.exec db "SELECT a FROM t ORDER BY a");
         let r = E.exec db "SELECT delta_safe FROM sys_plans" in
         Alcotest.(check (list row)) "one delta-safe plan" [ [ R.Int 1 ] ] (rows_of r)) ]
 

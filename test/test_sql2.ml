@@ -151,23 +151,26 @@ let casts =
         let db = fresh () in
         Alcotest.(check value) "null" R.Null (E.scalar db "SELECT CAST(NULL AS INTEGER)")) ]
 
-(* Every optimized plan ends with its delta-safety verdict; plain
-   row-returning selects are never delta-safe. *)
-let no_delta = "DELTA-SAFE: no (no aggregate to update incrementally)"
+(* Every optimized plan ends with its delta-safety verdict: a row
+   select over a sequential scan is delta-safe, and anything that sorts
+   its rows or reads them in index order is not. *)
+let delta_yes = "DELTA-SAFE: yes"
+let delta_no reason = Printf.sprintf "DELTA-SAFE: no (%s)" reason
 
 let explain =
   [ Alcotest.test_case "seq scan reported" `Quick (fun () ->
         let db = fresh () in
         let res = E.exec db "EXPLAIN SELECT * FROM emp" in
         Alcotest.(check (list row)) "scan"
-          [ [ R.Text "SCAN emp" ]; [ R.Text no_delta ] ]
+          [ [ R.Text "SCAN emp" ]; [ R.Text delta_yes ] ]
           (rows_of res));
     Alcotest.test_case "index search reported" `Quick (fun () ->
         let db = fresh () in
         ignore (E.exec db "CREATE INDEX ie ON emp (id)");
         let res = E.exec db "EXPLAIN SELECT * FROM emp WHERE id = 2" in
         Alcotest.(check (list row)) "search"
-          [ [ R.Text "SEARCH emp USING INDEX ie" ]; [ R.Text no_delta ] ]
+          [ [ R.Text "SEARCH emp USING INDEX ie" ];
+            [ R.Text (delta_no "index search (rows arrive in index order)") ] ]
           (rows_of res));
     Alcotest.test_case "automatic hash index reported for joins" `Quick (fun () ->
         let db = fresh () in
@@ -176,7 +179,7 @@ let explain =
         in
         Alcotest.(check (list row)) "join plan"
           [ [ R.Text "SCAN emp" ]; [ R.Text "JOIN dept USING AUTOMATIC HASH INDEX" ];
-            [ R.Text "USE TEMP B-TREE FOR ORDER BY" ]; [ R.Text no_delta ] ]
+            [ R.Text "USE TEMP B-TREE FOR ORDER BY" ]; [ R.Text (delta_no "ORDER BY") ] ]
           (rows_of res));
     Alcotest.test_case "native index join reported" `Quick (fun () ->
         let db = fresh () in
@@ -184,7 +187,7 @@ let explain =
         let res = E.exec db "EXPLAIN SELECT * FROM emp, dept WHERE emp.dept = dept.did" in
         Alcotest.(check (list row)) "join plan"
           [ [ R.Text "SCAN emp" ]; [ R.Text "SEARCH dept USING INDEX idd (join)" ];
-            [ R.Text no_delta ] ]
+            [ R.Text (delta_no "index probe join") ] ]
           (rows_of res)) ]
 
 (* Equi-joins match exactly the pairs where SQL [=] is true, whatever

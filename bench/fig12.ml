@@ -2,8 +2,9 @@
    AggregateDataInTable on the same Qq_agg (UW30).
 
    The AggTable cold iteration also builds the result-table index; its
-   hot iterations do one index probe per Qq row plus occasional
-   inserts/updates, while CollateData does one plain insert per row. *)
+   hot iterations look up one group in the run's map of T per Qq row
+   and fold into it, plus occasional inserts/updates, while CollateData
+   does one plain insert per row. *)
 
 module IS = Rql.Iter_stats
 
@@ -11,7 +12,7 @@ let run () =
   Util.section "Figure 12 — Single-iteration cost: CollateData vs AggregateDataInTable";
   Util.expectation
     "AggTable cold > Collate cold (result-table index creation); AggTable hot > Collate \
-     hot (a probe per row, few updates vs an insert per row)";
+     hot (a lookup and a fold per row, few updates vs an insert per row)";
   let p = Params.p () in
   let n = p.Params.agg_snapshots in
   let uw = Tpch.Workload.uw30 in
@@ -40,5 +41,5 @@ let run () =
   let cr, ci, cu = ops collate and ar, ai, au = ops agg in
   Printf.printf
     "per hot iteration — Collate: %d rows -> %d inserts, %d updates; AggTable: %d rows -> \
-     %d probes, %d inserts, %d updates\n"
+     %d lookups, %d inserts, %d updates\n"
     cr ci cu ar ar ai au

@@ -1,9 +1,9 @@
 (* Figure 13: AggregateDataInTable with MAX vs SUM (Qq_agg, UW30).
 
    Cold iterations are identical (same inserts, same index creation).
-   Hot iterations probe the result table once per Qq row in both cases,
-   but SUM must update the accumulator for every row whereas MAX only
-   updates when the maximum actually moves. *)
+   Hot iterations look up and fold into one group of the result table
+   per Qq row in both cases, but SUM must update the accumulator for
+   every row whereas MAX only updates when the maximum actually moves. *)
 
 module IS = Rql.Iter_stats
 
@@ -11,7 +11,7 @@ let run () =
   Util.section "Figure 13 — AggregateDataInTable: MAX vs SUM aggregation";
   Util.expectation
     "cold iterations equal; SUM hot iterations cost more than MAX because nearly every \
-     probed row is also updated";
+     row looked up is also updated";
   let p = Params.p () in
   let n = p.Params.agg_snapshots in
   let uw = Tpch.Workload.uw30 in

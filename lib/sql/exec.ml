@@ -986,10 +986,28 @@ let delete_rows env txn (tbl : Catalog.table) rows =
     rows;
   List.length rows
 
+(* Rewrite row [rid], which holds [row], as [row']: the counterpart of
+   {!insert_row_raw}.  Every index entry whose key or rid changed follows
+   the row, which may have moved to another page.  Returns its rid. *)
+let update_row_raw env txn (tbl : Catalog.table) ~rid (row : R.row) (row' : R.row) =
+  let rid' =
+    match Storage.Heap.update txn (Db.heap_handle env.db tbl.theap) rid (R.encode_row row') with
+    | `Same -> rid
+    | `Moved r -> r
+  in
+  List.iter
+    (fun idx ->
+      let bt = Storage.Btree.open_existing idx.Catalog.iroot in
+      let k = index_key tbl idx row and k' = index_key tbl idx row' in
+      if rid <> rid' || R.compare_row k k' <> 0 then begin
+        ignore (Storage.Btree.delete txn bt k rid);
+        Storage.Btree.insert txn bt k' rid'
+      end)
+    (Catalog.indexes_of_table env.cat tbl.tname);
+  rid'
+
 let update_rows env txn (tbl : Catalog.table) sets rows =
   let fnctx = Db.fn_ctx env.db in
-  let heap = Db.heap_handle env.db tbl.theap in
-  let indexes = Catalog.indexes_of_table env.cat tbl.tname in
   let sets =
     List.map
       (fun (c, e) -> (col_pos tbl c, Planner.resolve_against_table tbl (expand_sub env e)))
@@ -999,19 +1017,6 @@ let update_rows env txn (tbl : Catalog.table) sets rows =
     (fun (rid, row) ->
       let row' = Array.copy row in
       List.iter (fun (i, e) -> row'.(i) <- Expr.eval fnctx ~row ~aggs:[||] e) sets;
-      let rid' =
-        match Storage.Heap.update txn heap rid (R.encode_row row') with
-        | `Same -> rid
-        | `Moved r -> r
-      in
-      List.iter
-        (fun idx ->
-          let bt = Storage.Btree.open_existing idx.Catalog.iroot in
-          let k = index_key tbl idx row and k' = index_key tbl idx row' in
-          if rid <> rid' || R.compare_row k k' <> 0 then begin
-            ignore (Storage.Btree.delete txn bt k rid);
-            Storage.Btree.insert txn bt k' rid'
-          end)
-        indexes)
+      ignore (update_row_raw env txn tbl ~rid row row'))
     rows;
   List.length rows

@@ -137,6 +137,14 @@ let mechs =
       qq = "SELECT o_orderkey, o_custkey FROM orders";
       run = intervals } ]
 
+(* A Qq that repeats its group (o_custkey) within a snapshot: the loop
+   body folds the repeats into one row per group, and two runs must
+   agree.  At UW7.5 only, which has the most repeats per snapshot. *)
+let repeated_groups =
+  { label = "repeated groups MAX";
+    qq = "SELECT o_custkey, o_totalprice, o_orderstatus FROM orders WHERE o_totalprice > 1000";
+    run = agg_table [ ("o_totalprice", "MAX") ] }
+
 (* Run [m] naively (one stripe) and incrementally on [domains] stripes
    into two result tables; both must hold the same bytes.  Returns the
    incremental run. *)
@@ -189,7 +197,7 @@ let uw_matrix =
                   (Printf.sprintf "%s: %s modes" name m.label)
                   ("full" :: List.map (fun _ -> "delta") (List.tl sids))
                   (evals run))
-              mechs)
+              (if uw == Tpch.Workload.uw7_5 then mechs @ [ repeated_groups ] else mechs))
           Tpch.Workload.[ uw7_5; uw15; uw30; uw60 ]);
     Alcotest.test_case "k stripes are byte-identical to the naive loop" `Quick (fun () ->
         List.iter

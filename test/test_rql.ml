@@ -353,7 +353,10 @@ let same ~setting fn rql sql =
 
 (* Snapshot reducibility: every function, over a value column holding
    NULL, INTEGER, REAL and TEXT, equals SQL's GROUP BY over the
-   collected per-snapshot answers, encoding included. *)
+   collected per-snapshot answers, encoding included: grouped by a
+   column unique within a snapshot (u), by one that repeats within a
+   snapshot (g), and by none, where T has a row only if CollateData
+   collected one. *)
 let prop_aggtable_equals_collate =
   QCheck.Test.make ~name:"AggregateDataInTable == CollateData + SQL GROUP BY" ~count:15
     (* no shrinking: it would try fewer than 2 rounds, where Qs has no
@@ -361,17 +364,27 @@ let prop_aggtable_equals_collate =
     QCheck.(set_shrink Shrink.nil (pair (int_bound 10_000) (int_range 2 8)))
     (fun (seed, rounds) ->
       let ctx = random_history seed rounds in
-      let qq = "SELECT u, v FROM ev" in
+      let grouped g =
+        ( "SELECT " ^ g ^ ", v FROM ev",
+          g ^ ", v",
+          fun fn -> Printf.sprintf "SELECT %s, %s(v) FROM Col GROUP BY %s" g fn g )
+      in
+      let ungrouped =
+        ("SELECT v FROM ev", "v", Printf.sprintf "SELECT %s(v) FROM Col HAVING COUNT(*) > 0")
+      in
       each_setting ctx (fun ~setting run ->
-          run `Collate ~qq ~table:"Col";
           List.iter
-            (fun fn ->
-              let table = "Agg_" ^ fn in
-              run ~fn `Table ~qq ~table;
-              same ~setting fn
-                (q ctx ("SELECT u, v FROM " ^ table))
-                (q ctx (Printf.sprintf "SELECT u, %s(v) FROM Col GROUP BY u" fn)))
-            agg_fns);
+            (fun (qq, cols, sql) ->
+              run `Collate ~qq ~table:"Col";
+              List.iter
+                (fun fn ->
+                  let table = "Agg_" ^ fn in
+                  run ~fn `Table ~qq ~table;
+                  same ~setting (qq ^ ", " ^ fn)
+                    (q ctx (Printf.sprintf "SELECT %s FROM %s" cols table))
+                    (q ctx (sql fn)))
+                agg_fns)
+            [ grouped "u"; grouped "g"; ungrouped ]);
       true)
 
 (* The same for the single value, with a Qq that returns no row at the

@@ -329,6 +329,34 @@ let stale_tests =
                Alcotest.(check (list string)) (label ^ ": T in heap order")
                  [ "1,aa,1,4"; "2,bb,1,1"; "3,cc,1,4"; "2,bbbb,2,4"; "5,ee,4,4" ]
                  (rendered (t_rows ctx table));
+               sql_run ctx table)));
+    Alcotest.test_case "T edited in an open transaction before a statement" `Quick (fun () ->
+        let ctx = small_history () in
+        let m sql = ignore (E.exec ctx.Rql.meta sql) in
+        ignore
+          (both ~label:"edited in a transaction" ctx (fun ~label ->
+               let table = fresh () in
+               let run where =
+                 m
+                   (Printf.sprintf
+                      "SELECT CollateDataIntoIntervals(snap_id, 'SELECT u FROM t', '%s') FROM \
+                       SnapIds WHERE %s"
+                      table where)
+               in
+               run "snap_id <= 2";
+               (* the edits are uncommitted when the run continues: it
+                  reads T as the transaction does, as between two
+                  autocommitted statements *)
+               m "BEGIN";
+               m (Printf.sprintf "DELETE FROM %s WHERE u = 2" table);
+               m (Printf.sprintf "INSERT INTO %s VALUES (9, 1, 2)" table);
+               run "snap_id >= 3";
+               m "COMMIT";
+               Alcotest.(check (list string)) (label ^ ": T in heap order")
+                 [ "1,1,4"; "9,1,2"; "3,1,4"; "4,1,4"; "2,3,4" ]
+                 (rendered (t_rows ctx table));
+               Alcotest.(check (list string)) (label ^ ": meta db integrity") []
+                 (Sqldb.Integrity.check ctx.Rql.meta);
                sql_run ctx table))) ]
 
 (* --- the delta and its fallbacks ------------------------------------------ *)

@@ -38,6 +38,8 @@ type run = {
   mechanism : string;
   qq : string;
   iterations : iteration list; (* in execution order *)
+  ops : Sqldb.Plan.op_actual list; (* an analyzed run's Qq operator actuals, summed
+                                      over its iterations; [] otherwise *)
   result_rows : int;
   result_bytes : int;          (* approximate result-table footprint *)
   finalize_s : float;          (* post-loop work: the scan of T behind result_rows/bytes *)

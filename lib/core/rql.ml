@@ -53,9 +53,9 @@ let mech_name = function
   | Agg_table _ -> "AggregateDataInTable"
   | Intervals -> "CollateDataIntoIntervals"
 
-(* A row of T as the keyed loop bodies (AggregateDataInTable and
-   CollateDataIntoIntervals) know it without reading T: its rid and its
-   stored values.  [closing] marks an open interval a delta leaves
+(* A row of T as the loop bodies that rewrite rows (every mechanism but
+   CollateData) know it without reading T: its rid and its stored
+   values.  [closing] marks an open interval a delta leaves
    closed, until it is applied. *)
 type slot = { mutable rid : int; mutable row : R.row; mutable closing : bool }
 
@@ -83,15 +83,12 @@ type run_state = {
   rs_all_cold : bool; (* every iteration starts from an empty page cache *)
   t_start : float; (* wall-clock run start; anchors the modeled trace track *)
   mutable iterations : Iter_stats.iteration list; (* reversed *)
-  mutable first_done : bool;
-  mutable prev_sid : int;
-  mutable last_sid : int option;
+  mutable last_sid : int option; (* the last applied snapshot; None before the first *)
   mutable header : string array;
-  mutable tbl : Sq.Catalog.table option;
-  mutable env_meta : Sq.Exec.env option;
   mutable group_pos : int array;             (* grouping column positions (Qq output) *)
   mutable agg_cols : agg_col list;           (* Agg_table's aggregates *)
-  (* The keyed mechanisms' map: every row of T by its grouping columns
+  (* The map of the rows of T that the run rewrites (every mechanism
+     but CollateData): every row of T by its grouping columns
      ([row_key]), rids ascending; and the meta pager's install count
      when the map last matched T's committed state (None: rebuild it
      from T before use). *)
@@ -99,13 +96,11 @@ type run_state = {
   mutable slots_at : int option;
   (* The intervals the last iteration extended or opened, in the order
      it did (about T's page order): while the map is trusted, exactly
-     those ending at [prev_sid], unless [prev_repeated]. *)
+     those ending at [last_sid], unless [prev_repeated]. *)
   mutable open_ivs : slot array;
   applied : (int, unit) Hashtbl.t; (* the snapshots applied so far *)
-  mutable prev_repeated : bool; (* [prev_sid] was applied more than once *)
-  (* AggregateDataInVariable: the running value and its row in T *)
-  var_acc : Sq.Exec.agg_acc;
-  mutable var_slot : slot option;
+  mutable prev_repeated : bool; (* [last_sid] was applied more than once *)
+  var_acc : Sq.Exec.agg_acc; (* AggregateDataInVariable's running value *)
   (* per-iteration loop-body operation counters *)
   mutable cur_rows : int;
   mutable cur_inserts : int;
@@ -156,56 +151,45 @@ let prepare_qq sess qq =
   | _ -> error "Qq must be a SELECT statement"
   | exception Sq.Engine.Error msg -> error "Qq rejected: %s" msg
 
-let meta_env (rs : run_state) =
-  match rs.env_meta with
-  | Some env -> env
-  | None ->
-    let env = Sq.Exec.current_env rs.meta in
-    rs.env_meta <- Some env;
-    env
-
-let refresh_meta_env (rs : run_state) =
-  rs.env_meta <- None;
-  ignore (meta_env rs)
-
-let table_exn (rs : run_state) =
-  match rs.tbl with
-  | Some t -> t
-  | None -> error "%s: result table %s not initialized" (mech_name rs.kind) rs.table
-
-let meta_heap (rs : run_state) = Sq.Db.heap_handle rs.meta (table_exn rs).Sq.Catalog.theap
-
 let create_result_table (rs : run_state) cols =
   ignore (Sq.Engine.drop_table rs.meta ~name:rs.table ~if_exists:true);
   ignore (Sq.Engine.drop_index rs.meta ~name:(rs.table ^ "__rql_key") ~if_exists:true);
-  (match Sq.Engine.create_table rs.meta ~name:rs.table ~cols ~if_not_exists:false with
-  | Some tbl -> rs.tbl <- Some tbl
-  | None -> error "could not create result table %s" rs.table);
-  refresh_meta_env rs
+  if Sq.Engine.create_table rs.meta ~name:rs.table ~cols ~if_not_exists:false = None then
+    error "could not create result table %s" rs.table
 
 let norm = String.lowercase_ascii
 
 let agg_spec fn = { Sq.Ast.agg_fn = Monoid.to_string fn; agg_arg = None; agg_distinct = false }
+
+(* T's columns, as the run's header and aggregates lay them out. *)
+let result_cols (rs : run_state) =
+  let visible = Array.to_list (Array.map (fun h -> (h, "")) rs.header) in
+  match rs.kind with
+  | Collate -> visible
+  | Agg_var _ -> [ ((if rs.header.(0) = "" then "value" else rs.header.(0)), "") ]
+  | Agg_table _ ->
+    (* visible columns, then hidden (sum, count) pairs for AVG *)
+    visible
+    @ List.concat_map
+        (fun c ->
+          if c.avg = None then []
+          else
+            [ (Printf.sprintf "__avg_sum_%s" rs.header.(c.pos), "");
+              (Printf.sprintf "__avg_cnt_%s" rs.header.(c.pos), "") ])
+        rs.agg_cols
+  | Intervals -> visible @ [ ("start_snapshot", ""); ("end_snapshot", "") ]
 
 (* --- first-iteration initialization --------------------------------- *)
 
 let init_run (rs : run_state) (header : string array) =
   rs.header <- header;
   Hashtbl.reset rs.slots;
-  match rs.kind with
-  | Collate ->
-    create_result_table rs (Array.to_list (Array.map (fun h -> (h, "")) header))
+  (match rs.kind with
+  | Collate -> ()
   | Agg_var _ ->
     if Array.length header <> 1 then
       error "AggregateDataInVariable: Qq must return a single column (got %d)"
-        (Array.length header);
-    let col = if header.(0) = "" then "value" else header.(0) in
-    create_result_table rs [ (col, "") ];
-    let env = meta_env rs and row = [| R.Null |] in
-    let rid =
-      Sq.Db.with_write_txn rs.meta (fun txn -> Sq.Exec.insert_row_raw env txn (table_exn rs) row)
-    in
-    rs.var_slot <- Some { rid; row; closing = false }
+        (Array.length header)
   | Agg_table pairs ->
     let find_pos c =
       let rec go i =
@@ -216,7 +200,6 @@ let init_run (rs : run_state) (header : string array) =
       in
       go 0
     in
-    (* visible columns, then hidden (sum, count) pairs for AVG *)
     let next = ref (Array.length header) in
     rs.agg_cols <-
       List.map
@@ -235,25 +218,9 @@ let init_run (rs : run_state) (header : string array) =
       Array.of_list
         (List.filter
            (fun i -> not (List.mem i agg_pos))
-           (List.init (Array.length header) (fun i -> i)));
-    let visible = Array.to_list (Array.map (fun h -> (h, "")) header) in
-    let hidden =
-      List.concat_map
-        (fun c ->
-          if c.avg = None then []
-          else
-            [ (Printf.sprintf "__avg_sum_%s" header.(c.pos), "");
-              (Printf.sprintf "__avg_cnt_%s" header.(c.pos), "") ])
-        rs.agg_cols
-    in
-    create_result_table rs (visible @ hidden)
-  | Intervals ->
-    rs.group_pos <- Array.init (Array.length header) (fun i -> i);
-    let cols =
-      Array.to_list (Array.map (fun h -> (h, "")) header)
-      @ [ ("start_snapshot", ""); ("end_snapshot", "") ]
-    in
-    create_result_table rs cols
+           (List.init (Array.length header) (fun i -> i)))
+  | Intervals -> rs.group_pos <- Array.init (Array.length header) (fun i -> i));
+  create_result_table rs (result_cols rs)
 
 (* Index creation at the end of the first iteration (paper §3): the key
    is the grouping columns of the result table. *)
@@ -261,13 +228,40 @@ let post_first (rs : run_state) =
   match rs.kind with
   | Collate | Agg_var _ -> ()
   | Agg_table _ | Intervals ->
-    if rs.group_pos <> [||] then begin
+    if rs.group_pos <> [||] then
       Sq.Engine.create_index rs.meta ~name:(rs.table ^ "__rql_key") ~table:rs.table
         ~columns:(Array.to_list (Array.map (fun i -> rs.header.(i)) rs.group_pos))
-        ~if_not_exists:false;
-      refresh_meta_env rs;
-      rs.tbl <- Sq.Catalog.find_table (meta_env rs).Sq.Exec.cat rs.table
-    end
+        ~if_not_exists:false
+
+(* --- T, as one iteration finds it ---------------------------------------- *)
+
+(* T resolved from the meta catalog: the executor env every write of the
+   iteration goes through (its catalog lists T's indexes), T's entry and
+   its heap, and whether an interval's end_snapshot may be patched in
+   place, which holds while no index of T covers it.  Each iteration
+   resolves T afresh: between two SQL-form statements the user may have
+   indexed, dropped or re-created it. *)
+type target = {
+  env : Sq.Exec.env;
+  tbl : Sq.Catalog.table;
+  heap : Storage.Heap.t;
+  patch : bool;
+}
+
+let resolve (rs : run_state) =
+  let env = Sq.Exec.current_env rs.meta in
+  let width = List.length (result_cols rs) in
+  match Sq.Catalog.find_table env.Sq.Exec.cat rs.table with
+  | None -> error "%s: result table %s does not exist" (mech_name rs.kind) rs.table
+  | Some tbl when Array.length tbl.Sq.Catalog.tcols <> width ->
+    error "%s: result table %s has %d columns, the run writes %d" (mech_name rs.kind) rs.table
+      (Array.length tbl.Sq.Catalog.tcols) width
+  | Some tbl ->
+    let covers_end (ix : Sq.Catalog.index) = List.exists (fun c -> norm c = "end_snapshot") ix.icols in
+    { env;
+      tbl;
+      heap = Sq.Db.heap_handle rs.meta tbl.Sq.Catalog.theap;
+      patch = not (List.exists covers_end (Sq.Catalog.indexes_of_table env.Sq.Exec.cat rs.table)) }
 
 (* --- the map of T's rows ------------------------------------------------ *)
 
@@ -295,24 +289,24 @@ let rec add_slot (s : slot) = function
 let slots_of (rs : run_state) key = Option.value (Hashtbl.find_opt rs.slots key) ~default:[]
 
 (* The map from one scan of T, read through [txn]. *)
-let rebuild_slots (rs : run_state) txn =
+let rebuild_slots (rs : run_state) (t : target) txn =
   Hashtbl.reset rs.slots;
-  Storage.Heap.iter_spans (Storage.Txn.read_ctx txn) (meta_heap rs) ~f:(fun rid p off len ->
+  Storage.Heap.iter_spans (Storage.Txn.read_ctx txn) t.heap ~f:(fun rid p off len ->
       let row = R.decode_bytes p ~off ~len in
       let key = row_key rs row in
       Hashtbl.replace rs.slots key (add_slot { rid; row; closing = false } (slots_of rs key)))
 
 (* Store [t_row] as a new row of T, filed under [key] beside the key's
    [slots]. *)
-let insert_new (rs : run_state) txn ~key ~slots (t_row : R.row) =
-  let s =
-    { rid = Sq.Exec.insert_row_raw (meta_env rs) txn (table_exn rs) t_row;
-      row = t_row;
-      closing = false }
-  in
-  rs.cur_inserts <- rs.cur_inserts + 1;
+let add_row (rs : run_state) (t : target) txn ~key ~slots (t_row : R.row) =
+  let s = { rid = Sq.Exec.insert_row_raw t.env txn t.tbl t_row; row = t_row; closing = false } in
   Hashtbl.replace rs.slots key (add_slot s slots);
   s
+
+(* [add_row], counted as an insert of the loop body. *)
+let insert_new (rs : run_state) t txn ~key ~slots t_row =
+  rs.cur_inserts <- rs.cur_inserts + 1;
+  add_row rs t txn ~key ~slots t_row
 
 (* --- row processing --------------------------------------------------- *)
 
@@ -356,14 +350,14 @@ let combined_row (rs : run_state) (stored : R.row) (row : R.row) : R.row =
   out
 
 (* Rewrite T row [s] as [row']. *)
-let write_back (rs : run_state) txn (s : slot) (row' : R.row) =
-  s.rid <- Sq.Exec.update_row_raw (meta_env rs) txn (table_exn rs) ~rid:s.rid s.row row';
+let write_back (t : target) txn (s : slot) (row' : R.row) =
+  s.rid <- Sq.Exec.update_row_raw t.env txn t.tbl ~rid:s.rid s.row row';
   s.row <- row'
 
 (* Fold a Qq row into its group's row of T, the first one if T holds
    several (the map's and the index's first), or store a new row: T
    holds one row per group, as GROUP BY over CollateData's rows would. *)
-let step_agg_table (rs : run_state) txn ~sid (row : R.row) =
+let step_agg_table (rs : run_state) t txn ~sid (row : R.row) =
   rs.cur_rows <- rs.cur_rows + 1;
   let key = row_key rs row in
   match slots_of rs key with
@@ -375,45 +369,58 @@ let step_agg_table (rs : run_state) txn ~sid (row : R.row) =
        is a change. *)
     if not (R.same_row row' s.row) then begin
       let rid = s.rid in
-      write_back rs txn s row';
+      write_back t txn s row';
       if s.rid <> rid then Hashtbl.replace rs.slots key (add_slot s rest);
       rs.cur_updates <- rs.cur_updates + 1
     end
-  | [] -> ignore (insert_new rs txn ~key ~slots:[] (first_row rs ~sid row))
+  | [] -> ignore (insert_new rs t txn ~key ~slots:[] (first_row rs ~sid row))
 
 (* An interval's end_snapshot, its row's last value. *)
 let end_of (iv : slot) = iv.row.(Array.length iv.row - 1)
 
-let open_at_prev (rs : run_state) iv = match end_of iv with R.Int e -> e = rs.prev_sid | _ -> false
+(* The previous snapshot of the run, -1 before the first. *)
+let prev_sid (rs : run_state) = Option.value rs.last_sid ~default:(-1)
+
+let open_at_prev (rs : run_state) iv = match end_of iv with R.Int e -> e = prev_sid rs | _ -> false
 
 (* Extend [iv], which ends at the previous snapshot, to [sid] ([last]
-   is [R.Int sid]); [heap] is T's. *)
-let extend (rs : run_state) txn heap ~sid ~last iv =
-  let patched =
-    Storage.Heap.write_span txn heap iv.rid ~f:(fun p off len ->
-        if R.int_at p (off + len - 9) = rs.prev_sid then
-          Bytes.set_int64_le p (off + len - 8) (Int64.of_int sid)
-        else error "CollateDataIntoIntervals: result rid %d does not end at %d" iv.rid rs.prev_sid)
-  in
-  if patched = None then error "CollateDataIntoIntervals: dangling result rid %d" iv.rid;
-  iv.row.(Array.length iv.row - 1) <- last;
+   is [R.Int sid]).  While no index of T covers end_snapshot, its 8
+   payload bytes are patched in place; otherwise the row is rewritten
+   through the executor, which moves the index entries. *)
+let extend (rs : run_state) (t : target) txn ~sid ~last iv =
+  let prev = prev_sid rs in
+  if t.patch then begin
+    let patched =
+      Storage.Heap.write_span txn t.heap iv.rid ~f:(fun p off len ->
+          if R.int_at p (off + len - 9) = prev then
+            Bytes.set_int64_le p (off + len - 8) (Int64.of_int sid)
+          else error "CollateDataIntoIntervals: result rid %d does not end at %d" iv.rid prev)
+    in
+    if patched = None then error "CollateDataIntoIntervals: dangling result rid %d" iv.rid;
+    iv.row.(Array.length iv.row - 1) <- last
+  end
+  else begin
+    let row' = Array.copy iv.row in
+    row'.(Array.length row' - 1) <- last;
+    write_back t txn iv row'
+  end;
   rs.cur_updates <- rs.cur_updates + 1
 
 (* The paper's rule: the first row of T holding this Qq row whose
    interval ends at the previous snapshot is extended to [sid];
    otherwise a new interval starts.  The row to extend comes from the
    map, and its end_snapshot (an INTEGER: a tag and 8 payload bytes,
-   the row's last) is rewritten in place, so T is never searched or
+   the row's last) is rewritten ([extend]), so T is never searched or
    read.  Returns the interval it extended or opened. *)
-let step_intervals (rs : run_state) txn ~sid ~first (row : R.row) =
+let step_intervals (rs : run_state) t txn ~sid ~first (row : R.row) =
   rs.cur_rows <- rs.cur_rows + 1;
   let key = row_key rs row in
   let slots = slots_of rs key in
   match if first then None else List.find_opt (open_at_prev rs) slots with
   | Some iv ->
-    extend rs txn (meta_heap rs) ~sid ~last:(R.Int sid) iv;
+    extend rs t txn ~sid ~last:(R.Int sid) iv;
     iv
-  | None -> insert_new rs txn ~key ~slots (first_row rs ~sid row)
+  | None -> insert_new rs t txn ~key ~slots (first_row rs ~sid row)
 
 (* The rule applied to a delta from the previous snapshot, whose output
    changes are [before] -> [after] (Incr.changes).  The open intervals
@@ -470,9 +477,9 @@ let delta_plan (rs : run_state) (ch : Sq.Incr.changes) =
    closing ones in place, in the open set's order, then open the new
    intervals in scan order.  Returns the intervals now ending at [sid],
    in that order. *)
-let apply_delta (rs : run_state) txn ~sid plan =
+let apply_delta (rs : run_state) t txn ~sid plan =
   rs.cur_rows <- plan.rows;
-  let last = R.Int sid and heap = meta_heap rs and closed = ref 0 in
+  let last = R.Int sid and closed = ref 0 in
   List.iter (fun iv -> iv.closing <- true) plan.to_close;
   let extended =
     Array.fold_left
@@ -483,7 +490,7 @@ let apply_delta (rs : run_state) txn ~sid plan =
           acc
         end
         else begin
-          extend rs txn heap ~sid ~last iv;
+          extend rs t txn ~sid ~last iv;
           iv :: acc
         end)
       [] rs.open_ivs
@@ -496,7 +503,7 @@ let apply_delta (rs : run_state) txn ~sid plan =
         let key = row_key rs row in
         match Hashtbl.find_opt plan.net key with
         | Some d when d > 0 ->
-          Some (insert_new rs txn ~key ~slots:(slots_of rs key) (first_row rs ~sid row))
+          Some (insert_new rs t txn ~key ~slots:(slots_of rs key) (first_row rs ~sid row))
         | _ -> None)
       plan.after
   in
@@ -512,31 +519,19 @@ let fold_var (rs : run_state) (rows : R.row list) =
     Sq.Exec.acc_add rs.var_acc row.(0)
   | _ -> error "AggregateDataInVariable: Qq returned more than one row for a snapshot"
 
-(* Keep the single-row result table current after every iteration so the
-   SQL-form UDF needs no end-of-run signal. *)
-let write_var_result (rs : run_state) txn =
-  Option.iter (fun s -> write_back rs txn s [| Sq.Exec.acc_final rs.var_acc |]) rs.var_slot
+(* Keep T's row, the map's one key (no grouping column), holding the
+   running value after every iteration, so the SQL-form UDF needs no
+   end-of-run signal.  A T without a row (the first iteration, or the
+   user deleted it) gets a NULL row first, which the value rewrites;
+   neither write counts as the loop body's. *)
+let write_var_result (rs : run_state) t txn =
+  let key = row_key rs [||] in
+  let s =
+    match slots_of rs key with s :: _ -> s | [] -> add_row rs t txn ~key ~slots:[] [| R.Null |]
+  in
+  write_back t txn s [| Sq.Exec.acc_final rs.var_acc |]
 
-(* --- run reports (EXPLAIN ANALYZE over the loop) ----------------------- *)
-
-(* Per-mechanism run report of an analyzed run.  The prepared Qq's plan
-   is shared across every iteration (plan-cache slot sharing), so its
-   operator slots accumulate actuals over the whole snapshot loop; the
-   report snapshots them once the loop finishes. *)
-type run_report = {
-  rr_mechanism : string;
-  rr_qq : string;
-  rr_iterations : int;
-  rr_ops : Sq.Plan.op_actual list; (* accumulated across all iterations *)
-  rr_evals : (int * string * int) list;
-      (* per iteration: snapshot, "plain" | "full" | "delta", heap pages
-         the incremental evaluator read *)
-}
-
-(* lint: allow — written by [run_mechanism] on the driving domain only;
-   stripe domains never touch the report *)
-let last_run_report : run_report option ref = ref None
-let run_report () = !last_run_report
+(* --- analyzed runs (EXPLAIN ANALYZE over the loop) ---------------------- *)
 
 (* The prepared Qq's cached plan, when present and fresh. *)
 let qq_plan (rs : run_state) = Sq.Engine.cached_plan rs.eval ~key:(qq_key rs.qq)
@@ -597,12 +592,8 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     rs_all_cold = all_cold;
     t_start = now ();
     iterations = [];
-    first_done = false;
-    prev_sid = -1;
     last_sid = None;
     header = [||];
-    tbl = None;
-    env_meta = None;
     group_pos = [||];
     agg_cols = [];
     slots = Hashtbl.create 16;
@@ -613,31 +604,22 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     (* only AggregateDataInVariable folds into it *)
     var_acc =
       Sq.Exec.new_acc (agg_spec (match kind with Agg_var fn -> fn | _ -> Monoid.Count));
-    var_slot = None;
     cur_rows = 0;
     cur_inserts = 0;
     cur_updates = 0;
     rs_progress = None }
 
-(* A snapshot's Qq rows with the evaluating session scope's counter and
+(* A snapshot's Qq rows, and its iteration's record as far as the
+   evaluation fills it in: the evaluating session scope's counter and
    gauge deltas around the evaluation.  One domain drives a session, so
    the deltas are exact even while other stripes evaluate other
-   snapshots. *)
+   snapshots.  The loop body completes the record ({!step_body}). *)
 type eval_result = {
   ev_header : string array;
   ev_rows : R.row list Lazy.t; (* see {!rows_of} *)
   ev_changes : Sq.Incr.changes option;
-  ev_pagelog_reads : int;
-  ev_db_reads : int;
-  ev_cache_hits : int;
-  ev_cache_misses : int;
-  ev_spt_entries : int;
-  ev_spt_build_s : float;
-  ev_index_build_s : float;
   mutable ev_eval_s : float; (* wall-clock evaluation, SPT and index builds included *)
-  ev_mode : string; (* "plain", or the incremental evaluator's "full" / "delta" *)
-  ev_pages_evaluated : int;
-  ev_pages_reused : int;
+  ev_it : Iter_stats.iteration;
 }
 
 (* Evaluate stripe [st]'s Qq over snapshot [sid] on the session it was
@@ -669,20 +651,30 @@ let evaluate (st : stripe) ~sid =
     | Some r -> (Sq.Incr.mode_to_string r.Sq.Incr.mode, r.Sq.Incr.evaluated, r.Sq.Incr.reused)
     | None -> ("plain", 0, 0)
   in
+  let pagelog_reads = c S.c_pagelog_reads - plr0 in
   { ev_header = header;
     ev_rows = rows;
     ev_changes = changes;
-    ev_pagelog_reads = c S.c_pagelog_reads - plr0;
-    ev_db_reads = c S.c_db_page_reads - dbr0;
-    ev_cache_hits = c S.c_snap_cache_hits - hit0;
-    ev_cache_misses = c S.c_snap_cache_misses - mis0;
-    ev_spt_entries = c S.c_maplog_scanned - mls0;
-    ev_spt_build_s = g Sq.Exec_stats.g_spt_build_s -. spt0;
-    ev_index_build_s = g Sq.Exec_stats.g_index_build_s -. idx0;
     ev_eval_s = eval_s;
-    ev_mode = mode;
-    ev_pages_evaluated = evaluated;
-    ev_pages_reused = reused }
+    ev_it =
+      { Iter_stats.snap_id = sid;
+        cold = false;
+        pagelog_reads;
+        db_reads = c S.c_db_page_reads - dbr0;
+        cache_hits = c S.c_snap_cache_hits - hit0;
+        cache_misses = c S.c_snap_cache_misses - mis0;
+        io_s = float_of_int pagelog_reads *. !Storage.Stats.Cost_model.ssd_read_s;
+        spt_build_s = g Sq.Exec_stats.g_spt_build_s -. spt0;
+        spt_entries = c S.c_maplog_scanned - mls0;
+        index_build_s = g Sq.Exec_stats.g_index_build_s -. idx0;
+        query_eval_s = 0.;
+        udf_s = 0.;
+        udf_rows = 0;
+        udf_inserts = 0;
+        udf_updates = 0;
+        eval = mode;
+        pages_evaluated = evaluated;
+        pages_reused = reused } }
 
 (* A snapshot's Qq rows.  Rows a deferred evaluation emits now count as
    evaluation time. *)
@@ -698,24 +690,22 @@ let rows_of ev =
 (* Apply one snapshot's Qq rows to the result table, in the
    mechanism-specific way. *)
 let apply (rs : run_state) ev ~sid =
-  let first = not rs.first_done in
+  let first = rs.last_sid = None in
   rs.cur_rows <- 0;
   rs.cur_inserts <- 0;
   rs.cur_updates <- 0;
   if first then init_run rs ev.ev_header;
+  let t = resolve rs in
   (match rs.kind with
-  | Agg_var _ ->
-    fold_var rs (rows_of ev);
-    Sq.Db.with_write_txn rs.meta (write_var_result rs)
   | Collate ->
     Sq.Db.with_write_txn rs.meta (fun txn ->
         List.iter
           (fun row ->
             rs.cur_rows <- rs.cur_rows + 1;
             rs.cur_inserts <- rs.cur_inserts + 1;
-            ignore (Sq.Exec.insert_row_raw (meta_env rs) txn (table_exn rs) row))
+            ignore (Sq.Exec.insert_row_raw t.env txn t.tbl row))
           (rows_of ev))
-  | Agg_table _ | Intervals ->
+  | Agg_var _ | Agg_table _ | Intervals ->
     (* The map is committed state: anything else that changed a page
        since this run last committed (a statement between SQL-form
        invocations, say) forces a rebuild, and so does a failed
@@ -732,31 +722,30 @@ let apply (rs : run_state) ev ~sid =
        else applies the rule to the full row list. *)
     let delta =
       match rs.kind, ev.ev_changes with
-      | Intervals, Some ch when valid && (not rs.prev_repeated) && ch.Sq.Incr.base = rs.prev_sid
+      | Intervals, Some ch when valid && (not rs.prev_repeated) && ch.Sq.Incr.base = prev_sid rs
         ->
         delta_plan rs ch
       | _ -> None
     in
     let rows = if Option.is_none delta then rows_of ev else [] in
     Sq.Db.with_write_txn rs.meta (fun txn ->
-        if not (first || valid) then rebuild_slots rs txn;
+        if not (first || valid) then rebuild_slots rs t txn;
         match rs.kind, delta with
-        | Intervals, Some plan -> rs.open_ivs <- apply_delta rs txn ~sid plan
+        | Intervals, Some plan -> rs.open_ivs <- apply_delta rs t txn ~sid plan
         | Intervals, None ->
-          let touched = List.rev_map (step_intervals rs txn ~sid ~first) rows in
+          let touched = List.rev_map (step_intervals rs t txn ~sid ~first) rows in
           rs.open_ivs <- Array.of_list (List.rev touched)
-        | _, _ -> List.iter (step_agg_table rs txn ~sid) rows);
+        | Agg_var _, _ ->
+          fold_var rs rows;
+          write_var_result rs t txn
+        | _, _ -> List.iter (step_agg_table rs t txn ~sid) rows);
     rs.prev_repeated <- Hashtbl.mem rs.applied sid;
-    Hashtbl.replace rs.applied sid ());
-  if first then post_first rs;
-  (* Inside an explicit transaction the iteration's writes are not
-     committed yet, and may be rolled back. *)
-  (match rs.kind with
-  | (Agg_table _ | Intervals) when not (Sq.Db.in_txn rs.meta) ->
-    rs.slots_at <- Some rs.meta.Sq.Db.pager.Storage.Pager.installs
-  | _ -> ());
-  rs.first_done <- true;
-  rs.prev_sid <- sid;
+    Hashtbl.replace rs.applied sid ();
+    if first then post_first rs;
+    (* Inside an explicit transaction the iteration's writes are not
+       committed yet, and may be rolled back. *)
+    if not (Sq.Db.in_txn rs.meta) then
+      rs.slots_at <- Some rs.meta.Sq.Db.pager.Storage.Pager.installs);
   rs.last_sid <- Some sid
 
 (* One RQL iteration over snapshot [sid]: [eval] yields the snapshot's
@@ -770,30 +759,20 @@ let step_body (rs : run_state) ~sid eval =
   (match Sq.Db.(rs.data.retro) with
   | Some retro when rs.rs_all_cold -> Retro.clear_cache retro
   | _ -> ());
-  let cold = rs.rs_all_cold || not rs.first_done in
+  let cold = rs.rs_all_cold || rs.last_sid = None in
   let ev = eval () in
   let t0 = now () and eval_s = ev.ev_eval_s in
   apply rs ev ~sid;
   let late_s = ev.ev_eval_s -. eval_s in
+  let e = ev.ev_it in
   let it =
-    { Iter_stats.snap_id = sid;
-      cold;
-      pagelog_reads = ev.ev_pagelog_reads;
-      db_reads = ev.ev_db_reads;
-      cache_hits = ev.ev_cache_hits;
-      cache_misses = ev.ev_cache_misses;
-      io_s = float_of_int ev.ev_pagelog_reads *. !Storage.Stats.Cost_model.ssd_read_s;
-      spt_build_s = ev.ev_spt_build_s;
-      spt_entries = ev.ev_spt_entries;
-      index_build_s = ev.ev_index_build_s;
-      query_eval_s = Float.max 0. (ev.ev_eval_s -. ev.ev_spt_build_s -. ev.ev_index_build_s);
+    { e with
+      Iter_stats.cold;
+      query_eval_s = Float.max 0. (ev.ev_eval_s -. e.spt_build_s -. e.index_build_s);
       udf_s = now () -. t0 -. late_s;
       udf_rows = rs.cur_rows;
       udf_inserts = rs.cur_inserts;
-      udf_updates = rs.cur_updates;
-      eval = ev.ev_mode;
-      pages_evaluated = ev.ev_pages_evaluated;
-      pages_reused = ev.ev_pages_reused }
+      udf_updates = rs.cur_updates }
   in
   Obs.Trace.set_attrs
     [ ("cold", Obs.Trace.Bool it.Iter_stats.cold);
@@ -875,27 +854,30 @@ let iterate (rs : run_state) ~sid eval =
    the ctx's evaluation session. *)
 let step (rs : run_state) ~sid = iterate rs ~sid (fun () -> evaluate rs.inline ~sid)
 
-(* Result-table footprint (rows and approximate bytes). *)
+(* Result-table footprint (rows and approximate bytes), of T as the
+   meta catalog finds it now; a run that applied no snapshot has none. *)
 let result_metrics (rs : run_state) =
-  match rs.tbl with
-  | None -> (0, 0)
-  | Some tbl ->
-    let read = Sq.Db.read_current rs.meta in
+  match Sq.Catalog.find_table (Sq.Db.catalog rs.meta) rs.table with
+  | Some tbl when rs.last_sid <> None ->
     let rows = ref 0 and bytes = ref 0 in
-    Storage.Heap.iter_spans read (Storage.Heap.open_existing tbl.Sq.Catalog.theap)
-      ~f:(fun _rid _page _off len ->
+    Storage.Heap.iter_spans (Sq.Db.read_current rs.meta)
+      (Storage.Heap.open_existing tbl.Sq.Catalog.theap) ~f:(fun _rid _page _off len ->
         incr rows;
         bytes := !bytes + len);
     (!rows, !bytes)
+  | _ -> (0, 0)
 
 (* The run's record so far.  The scan of T behind the footprint is
-   post-loop work, timed into [finalize_s]. *)
+   post-loop work, timed into [finalize_s].  An analyzed run's prepared
+   Qq plan is shared by every iteration (plan-cache slot sharing), so
+   its operator slots hold actuals accumulated over the whole loop. *)
 let run_record (rs : run_state) : Iter_stats.run =
   let t0 = now () in
   let result_rows, result_bytes = result_metrics rs in
   { Iter_stats.mechanism = mech_name rs.kind;
     qq = rs.qq;
     iterations = List.rev rs.iterations;
+    ops = (match qq_plan rs with Some p when rs.rs_analyze -> Sq.Plan.actuals p | _ -> []);
     result_rows;
     result_bytes;
     finalize_s = now () -. t0 }
@@ -904,18 +886,6 @@ let finish (rs : run_state) : Iter_stats.run =
   let run = run_record rs in
   (* Modeled-attribution track: only worth emitting when tracing is on. *)
   if Obs.Trace.is_enabled () then Iter_stats.emit_trace ~start_s:rs.t_start run;
-  if rs.rs_analyze then
-    last_run_report :=
-      Some
-        { rr_mechanism = mech_name rs.kind;
-          rr_qq = rs.qq;
-          rr_iterations = List.length run.Iter_stats.iterations;
-          rr_ops = (match qq_plan rs with Some p -> Sq.Plan.actuals p | None -> []);
-          rr_evals =
-            List.map
-              (fun (it : Iter_stats.iteration) ->
-                (it.Iter_stats.snap_id, it.Iter_stats.eval, it.Iter_stats.pages_evaluated))
-              run.Iter_stats.iterations };
   run
 
 (* --- snapshot management ---------------------------------------------- *)

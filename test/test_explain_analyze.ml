@@ -9,6 +9,7 @@ module R = Storage.Record
 module E = Sqldb.Engine
 module P = Sqldb.Plan
 module F = Sqldb.Fingerprint
+module IS = Rql.Iter_stats
 
 let e db sql = ignore (E.exec db sql)
 
@@ -201,23 +202,19 @@ let run_report =
         ignore (Rql.declare_snapshot ctx);
         ignore (Rql.declare_snapshot ctx);
         (* identical data in both snapshots *)
-        ignore
-          (Rql.collate_data ~analyze:true ctx ~qs:"SELECT snap_id FROM SnapIds"
-             ~qq:"SELECT a FROM t" ~table:"Out");
-        (match Rql.run_report () with
-        | None -> Alcotest.fail "no run report"
-        | Some r ->
-          Alcotest.(check string) "mechanism" "CollateData" r.Rql.rr_mechanism;
-          Alcotest.(check int) "iterations" 2 r.Rql.rr_iterations;
-          let scan =
-            match
-              List.filter (fun (a : P.op_actual) -> a.P.a_kind = "scan") r.Rql.rr_ops
-            with
-            | [ a ] -> a
-            | l -> Alcotest.failf "expected one scan op, got %d" (List.length l)
-          in
-          Alcotest.(check int) "scan rows sum over iterations" 20 scan.P.a_rows;
-          Alcotest.(check int) "scan loops = iterations" 2 scan.P.a_loops);
+        let run =
+          Rql.collate_data ~analyze:true ctx ~qs:"SELECT snap_id FROM SnapIds"
+            ~qq:"SELECT a FROM t" ~table:"Out"
+        in
+        Alcotest.(check string) "mechanism" "CollateData" run.IS.mechanism;
+        Alcotest.(check int) "iterations" 2 (List.length run.IS.iterations);
+        let scan =
+          match List.filter (fun (a : P.op_actual) -> a.P.a_kind = "scan") run.IS.ops with
+          | [ a ] -> a
+          | l -> Alcotest.failf "expected one scan op, got %d" (List.length l)
+        in
+        Alcotest.(check int) "scan rows sum over iterations" 20 scan.P.a_rows;
+        Alcotest.(check int) "scan loops = iterations" 2 scan.P.a_loops;
         Alcotest.(check bool) "instrumentation restored off" false db.Sqldb.Db.analyze);
     Alcotest.test_case "analyzed run emits a counter track when tracing is on" `Quick
       (fun () ->

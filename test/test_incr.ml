@@ -398,15 +398,12 @@ let observability =
           Rql.aggregate_data_in_variable ~analyze:true ctx ~qs:all_snapshots ~qq:m.qq ~table:"A"
             ~fn:"AVG"
         in
-        (match Rql.run_report () with
-        | Some r ->
-          Alcotest.(check (list string)) "report modes" [ "full"; "delta"; "delta" ]
-            (List.map (fun (_, mode, _) -> mode) r.Rql.rr_evals);
-          let scan =
-            List.find (fun (a : Sqldb.Plan.op_actual) -> a.Sqldb.Plan.a_kind = "scan") r.Rql.rr_ops
-          in
-          Alcotest.(check int) "one scan loop per iteration" 3 scan.Sqldb.Plan.a_loops
-        | None -> Alcotest.fail "no run report");
+        Alcotest.(check (list string)) "report modes" [ "full"; "delta"; "delta" ]
+          (List.map (fun (it : IS.iteration) -> it.IS.eval) run.IS.iterations);
+        let scan =
+          List.find (fun (a : Sqldb.Plan.op_actual) -> a.Sqldb.Plan.a_kind = "scan") run.IS.ops
+        in
+        Alcotest.(check int) "one scan loop per iteration" 3 scan.Sqldb.Plan.a_loops;
         match IS.json_of_iteration (List.nth run.IS.iterations 1) with
         | Obs.Json.Obj fields ->
           Alcotest.(check bool) "eval field" true
@@ -417,30 +414,28 @@ let observability =
         let ctx, _ = history ~snapshots:3 Tpch.Workload.uw30 in
         let m = List.find (fun m -> m.label = "join groups with tied keys") mechs in
         let analyzed table =
-          ignore
-            (Rql.aggregate_data_in_table ~analyze:true ctx ~qs:all_snapshots ~qq:m.qq ~table
-               ~aggs:[ ("n", "MAX") ]);
-          match Rql.run_report () with
-          | Some r ->
-            let join =
-              List.find
-                (fun (a : Sqldb.Plan.op_actual) -> a.Sqldb.Plan.a_kind = "hash_join")
-                r.Rql.rr_ops
-            in
-            (r, join)
-          | None -> Alcotest.fail "no run report"
+          let run =
+            Rql.aggregate_data_in_table ~analyze:true ctx ~qs:all_snapshots ~qq:m.qq ~table
+              ~aggs:[ ("n", "MAX") ]
+          in
+          let join =
+            List.find
+              (fun (a : Sqldb.Plan.op_actual) -> a.Sqldb.Plan.a_kind = "hash_join")
+              run.IS.ops
+          in
+          (run, join)
         in
         set_incremental ctx false;
         let _, plain = analyzed "N" in
         set_incremental ctx true;
-        let r, delta = analyzed "D" in
+        let run, delta = analyzed "D" in
         Alcotest.(check (list string)) "modes" [ "full"; "delta"; "delta" ]
-          (List.map (fun (_, mode, _) -> mode) r.Rql.rr_evals);
+          (List.map (fun (it : IS.iteration) -> it.IS.eval) run.IS.iterations);
         Alcotest.(check int) "join rows" plain.Sqldb.Plan.a_rows delta.Sqldb.Plan.a_rows;
         Alcotest.(check int) "join probes" plain.Sqldb.Plan.a_probes delta.Sqldb.Plan.a_probes;
         (* part and lineitem pages: more than lineitem alone holds *)
-        match r.Rql.rr_evals with
-        | (sid, _, pages) :: _ ->
+        match run.IS.iterations with
+        | { IS.snap_id = sid; pages_evaluated = pages; _ } :: _ ->
           let env = Sqldb.Exec.snapshot_env ctx.Rql.data sid in
           let count t =
             let tbl = Option.get (Sqldb.Catalog.find_table env.Sqldb.Exec.cat t) in

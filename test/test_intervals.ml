@@ -357,7 +357,52 @@ let stale_tests =
                  (rendered (t_rows ctx table));
                Alcotest.(check (list string)) (label ^ ": meta db integrity") []
                  (Sqldb.Integrity.check ctx.Rql.meta);
-               sql_run ctx table))) ]
+               sql_run ctx table)));
+    Alcotest.test_case "an index on end_snapshot created between two statements" `Quick
+      (fun () ->
+        (* s (k, v): (1, 10) and (2, 20) in snapshot 1, (3, 30) joins in
+           2, and k = 1's v is 11 in 3 *)
+        let ctx = Rql.create () in
+        let e sql = ignore (E.exec ctx.Rql.data sql) in
+        e "CREATE TABLE s (k INTEGER, v INTEGER)";
+        e "INSERT INTO s VALUES (1, 10), (2, 20)";
+        ignore (Rql.declare_snapshot ctx);
+        e "BEGIN";
+        e "INSERT INTO s VALUES (3, 30)";
+        ignore (Rql.declare_snapshot ctx);
+        e "BEGIN";
+        e "UPDATE s SET v = 11 WHERE k = 1";
+        ignore (Rql.declare_snapshot ctx);
+        let qq = "SELECT k FROM s" in
+        let its =
+          both ~label:"end_snapshot indexed" ctx (fun ~label ->
+              let table = fresh () in
+              let m sql = ignore (E.exec ctx.Rql.meta sql) in
+              let run where =
+                m
+                  (Printf.sprintf
+                     "SELECT CollateDataIntoIntervals(snap_id, '%s', '%s') FROM SnapIds WHERE %s"
+                     qq table where)
+              in
+              run "snap_id <= 1";
+              m (Printf.sprintf "CREATE INDEX %s_e ON %s (end_snapshot)" table table);
+              run "snap_id >= 2";
+              (* every extension is an UPDATE of end_snapshot that the
+                 new index follows *)
+              let md = model () in
+              List.iter (fun sid -> model_step md ~sid (qq_rows ctx qq sid)) [ 1; 2; 3 ];
+              agrees ~label ctx table md;
+              Alcotest.(check (list string)) (label ^ ": through the new index")
+                [ "1,1,3"; "2,1,3"; "3,2,3" ]
+                (rendered
+                   (E.query ctx.Rql.meta
+                      (Printf.sprintf "SELECT * FROM %s WHERE end_snapshot = 3" table)));
+              Alcotest.(check (list string)) (label ^ ": meta db integrity") []
+                (Sqldb.Integrity.check ctx.Rql.meta);
+              sql_run ctx table)
+        in
+        (* snapshot 3 applies a delta from 2 *)
+        Alcotest.(check (list string)) "modes" [ "full"; "delta"; "delta" ] (evals its)) ]
 
 (* --- the delta and its fallbacks ------------------------------------------ *)
 

@@ -221,6 +221,44 @@ let render rows = List.map (fun r -> String.concat "," (List.map R.value_to_stri
 (* T in heap chain order. *)
 let t_rows ctx table = render (q ctx ("SELECT * FROM " ^ table))
 
+(* s (k, v) holds (1, 10) and (2, 20) in snapshot 1; (3, 30) joins in
+   snapshot 2, and k = 1's v is 11 in snapshot 3. *)
+let s_history () =
+  let ctx = Rql.create () in
+  let e sql = ignore (E.exec ctx.Rql.data sql) in
+  e "CREATE TABLE s (k INTEGER, v INTEGER)";
+  e "INSERT INTO s VALUES (1, 10), (2, 20)";
+  ignore (Rql.declare_snapshot ctx);
+  e "BEGIN";
+  e "INSERT INTO s VALUES (3, 30)";
+  ignore (Rql.declare_snapshot ctx);
+  e "BEGIN";
+  e "UPDATE s SET v = 11 WHERE k = 1";
+  ignore (Rql.declare_snapshot ctx);
+  ctx
+
+let mentions msg word =
+  let n = String.length word in
+  let rec go i = i + n <= String.length msg && (String.sub msg i n = word || go (i + 1)) in
+  go 0
+
+(* An SQL-form AggregateDataInVariable run of SUM(v)'s SUM into
+   [table]: snapshot 1, then [between] on the meta database, then
+   snapshots 2 and 3. *)
+let agg_var_around ctx ~table between =
+  let m sql = ignore (E.exec ctx.Rql.meta sql) in
+  let run where =
+    m
+      (Printf.sprintf
+         "SELECT AggregateDataInVariable(snap_id, 'SELECT SUM(v) FROM s', '%s', 'sum') FROM \
+          SnapIds WHERE %s"
+         table where)
+  in
+  run "snap_id <= 1";
+  List.iter (fun sql -> m (Printf.sprintf sql table)) between;
+  run "snap_id >= 2";
+  sql_run ctx table
+
 let stale_map =
   [ Alcotest.test_case "AggTable: T edited between two statements of one SQL-form run" `Quick
       (fun () ->
@@ -363,7 +401,82 @@ let stale_map =
             Alcotest.(check (list string)) (label ^ ": T in heap order")
               [ "g2,900,a"; "g3,900,a"; "g4,900,a"; "g1,1,d"; "g1,1500,b" ]
               (render (q ctx ("SELECT g, length(m), substr(m, 1, 1) FROM " ^ table)));
-            sql_run ctx table)) ]
+            sql_run ctx table));
+    Alcotest.test_case "AggTable: an index the user creates on T between two statements" `Quick
+      (fun () ->
+        let ctx = s_history () in
+        both ctx (fun ~label ~table ->
+            let m sql = ignore (E.exec ctx.Rql.meta sql) in
+            let run where =
+              m
+                (Printf.sprintf
+                   "SELECT AggregateDataInTable(snap_id, 'SELECT k, v FROM s', '%s', '(v,sum)') \
+                    FROM SnapIds WHERE %s"
+                   table where)
+            in
+            run "snap_id <= 1";
+            m (Printf.sprintf "CREATE INDEX %s_v ON %s (v)" table table);
+            run "snap_id >= 2";
+            (* the run's later writes keep the new index current *)
+            Alcotest.(check (list string)) (label ^ ": T in heap order") [ "1,31"; "2,60"; "3,60" ]
+              (t_rows ctx table);
+            Alcotest.(check (list string)) (label ^ ": through the new index") [ "2"; "3" ]
+              (render (q ctx (Printf.sprintf "SELECT k FROM %s WHERE v = 60" table)));
+            Alcotest.(check (list string)) (label ^ ": meta db integrity") []
+              (Sqldb.Integrity.check ctx.Rql.meta);
+            sql_run ctx table));
+    Alcotest.test_case "Collate: T dropped or re-created between two statements" `Quick
+      (fun () ->
+        let ctx = s_history () in
+        let m sql = ignore (E.exec ctx.Rql.meta sql) in
+        let run where =
+          m
+            (Printf.sprintf
+               "SELECT CollateData(snap_id, 'SELECT k, v FROM s', 'C1') FROM SnapIds WHERE %s"
+               where)
+        in
+        let fails what =
+          match run "snap_id >= 2" with
+          | () -> Alcotest.failf "%s: the run went on" what
+          | exception Rql.Error msg ->
+            Alcotest.(check bool) (what ^ ": the error names C1") true (mentions msg "C1")
+        in
+        run "snap_id <= 1";
+        (* Z may take the pages C1 freed: the run must not write there *)
+        m "DROP TABLE C1";
+        m "CREATE TABLE Z (a INTEGER, b TEXT)";
+        m "INSERT INTO Z VALUES (1, 'zzz')";
+        fails "C1 dropped";
+        Alcotest.(check (list string)) "Z as written" [ "1,zzz" ] (t_rows ctx "Z");
+        Alcotest.(check (list string)) "meta db integrity" [] (Sqldb.Integrity.check ctx.Rql.meta);
+        m "CREATE TABLE C1 (k INTEGER, v INTEGER, w INTEGER)";
+        fails "C1 re-created with three columns";
+        (* a C1 of the run's shape: the run goes on into it *)
+        m "DROP TABLE C1";
+        m "CREATE TABLE C1 (k INTEGER, v INTEGER)";
+        run "snap_id >= 2";
+        Alcotest.(check (list string)) "the new C1" [ "1,10"; "2,20"; "3,30"; "1,11"; "2,20"; "3,30" ]
+          (t_rows ctx "C1");
+        Alcotest.(check (list string)) "meta db integrity after" []
+          (Sqldb.Integrity.check ctx.Rql.meta));
+    Alcotest.test_case "AggVar: T's row deleted between two statements" `Quick (fun () ->
+        let ctx = s_history () in
+        both ctx (fun ~label ~table ->
+            let its = agg_var_around ctx ~table [ "DELETE FROM %s" ] in
+            Alcotest.(check (list string)) (label ^ ": T") [ "151" ] (t_rows ctx table);
+            its));
+    Alcotest.test_case "AggVar: T's row deleted and two rows inserted between two statements"
+      `Quick (fun () ->
+        let ctx = s_history () in
+        both ctx (fun ~label ~table ->
+            let its =
+              agg_var_around ctx ~table [ "DELETE FROM %s"; "INSERT INTO %s VALUES (997), (998)" ]
+            in
+            (* 997 takes the deleted row's slot, the lowest rid: the run
+               writes its value there *)
+            Alcotest.(check (list string)) (label ^ ": T in heap order") [ "151"; "998" ]
+              (t_rows ctx table);
+            its)) ]
 
 let intervals =
   [ Alcotest.test_case "multi-column interval keys" `Quick (fun () ->

@@ -1,11 +1,13 @@
 (* Static semantic analysis: the pass between Parser and Planner.
 
-   Every statement path — exec, exec_script, exec_rows, prepare, the
-   shell, and all four RQL loop mechanisms — runs this analysis before
-   any planning or page access.  It mirrors the planner's and
-   executor's name-resolution and evaluation rules without reading any
-   data, so a statement it rejects would have failed at plan or eval
-   time anyway, only later (possibly mid-loop, after SPT builds and
+   Every statement path runs this analysis before any planning or page
+   access: the engine's statement wrapper behind exec, exec_script,
+   exec_rows and exec_prepared (a prepared statement is analyzed once,
+   by prepare or prepare_select), hence the shell, and the Qq / Qs
+   front doors of all four RQL loop mechanisms.  It mirrors the
+   planner's and executor's name-resolution and evaluation rules without
+   reading any data, so a statement it rejects would have failed at plan
+   or eval time anyway, only later (possibly mid-loop, after SPT builds and
    page I/O, or mid-DML after rows were already touched).
 
    The checks are deliberately *sound with respect to execution*: the

@@ -1,8 +1,8 @@
 (* Public SQL engine API: parse and execute statements against a
    database handle, in the style of the sqlite3 C API the paper builds
    on.  [exec_rows] is the analogue of sqlite3_exec: it invokes a
-   callback for every result row, which is how RQL mechanisms process
-   snapshot-query output. *)
+   callback for every result row.  RQL mechanisms process
+   snapshot-query output the same way, through [prepared_stream]. *)
 
 module R = Storage.Record
 open Ast
@@ -184,48 +184,32 @@ let analyzer_gate db ?sql ?mode (s : stmt) : unit =
    constants) from growing the cache without bound. *)
 let plan_cache_cap = 512
 
-(* Plan [sel] for execution against [env], through the per-handle plan
-   cache when [key] (normally the statement text) is given.  A cache
-   entry is valid while the handle's catalog generation is unchanged;
-   DDL and rollback advance the generation, so stale plans re-plan on
-   next use and are counted as invalidations. *)
-(* Plan and run the abstract-interpretation optimizer over the result
-   (unless PRAGMA optimize=off disabled it on this handle).  Everything
-   downstream — execution, EXPLAIN rendering, the plan cache — sees the
-   optimized tree, so cached plans are cached *optimized*. *)
-let plan_optimized db ~cat (sel : select) : Plan.t =
-  let plan = Planner.plan ~cat ~fnctx:(Db.fn_ctx db) sel in
-  if db.Db.optimize then
-    fst (Opt.optimize ~fnctx:(Db.fn_ctx db) ~is_udf:(fun n -> Db.is_udf db n) plan)
-  else plan
-
 (* PRAGMA optimize: cached plans were built under the old setting, so a
    change drops them and the next use replans under the new one. *)
 let set_optimize db on =
   if db.Db.optimize <> on then Hashtbl.reset db.Db.plan_cache;
   db.Db.optimize <- on
 
-(* Optimizer diagnostics (W2xx) for lint paths: plan the select against
-   the current catalog and collect what the optimizer would warn about.
-   Planning failures are the analyzer's department, not lint's, so any
-   error here just yields no extra diagnostics. *)
+(* Optimizer diagnostics (W2xx) for lint paths: the warnings of planning
+   the select against the current catalog.  Planning failures are the
+   analyzer's department, not lint's, so any error here just yields no
+   extra diagnostics. *)
 let opt_diags db (s : stmt) : Diag.t list =
-  if not db.Db.optimize then []
-  else
-    let of_sel sel =
-      match
-        let plan = Planner.plan ~cat:(Db.catalog db) ~fnctx:(Db.fn_ctx db) sel in
-        snd (Opt.optimize ~fnctx:(Db.fn_ctx db) ~is_udf:(fun n -> Db.is_udf db n) plan)
-      with
-      | ds -> ds
-      | exception (Planner.Error _ | Exec.Error _ | Db.Error _ | Expr.Error _) -> []
-    in
-    match s with
-    | Select sel | Explain sel | Explain_analyze sel | Explain_profile sel -> of_sel sel
-    | _ -> []
+  match s with
+  | Select sel | Explain sel | Explain_analyze sel | Explain_profile sel -> (
+    match snd (Opt.plan db ~cat:(Db.catalog db) sel) with
+    | ds -> ds
+    | exception (Planner.Error _ | Exec.Error _ | Db.Error _ | Expr.Error _) -> [])
+  | _ -> []
 
+(* Plan [sel] for execution against [env], through the per-handle plan
+   cache when [key] (normally the statement text) is given.  A cache
+   entry is valid while the handle's catalog generation is unchanged;
+   DDL and rollback advance the generation, so stale plans re-plan on
+   next use and are counted as invalidations.  Cached plans are
+   optimized ones ([Opt.plan]). *)
 let plan_for db ?key (env : Exec.env) (sel : select) : Plan.t =
-  let build () = plan_optimized db ~cat:env.Exec.cat sel in
+  let build () = fst (Opt.plan db ~cat:env.Exec.cat sel) in
   match key with
   | None -> build ()
   | Some key -> (
@@ -308,6 +292,11 @@ let stmt_takes_read_lock db = function
   | Drop_table _ | Drop_index _ | Begin_txn | Commit _ | Rollback
   | Checkpoint -> false
 
+(* Run [f] holding the pager's read lock when [read_lock] (the verdict
+   of [stmt_takes_read_lock]) asks for it. *)
+let locked db ~read_lock f =
+  if read_lock then Storage.Pager.with_read_lock db.Db.pager f else f ()
+
 let stmt_kind = function
   | Select _ -> "select"
   | Explain _ -> "explain"
@@ -337,16 +326,28 @@ let parse_many sql =
   Exec_stats.time_into (fun dt -> Obs.Scope.observe h_parse dt) (fun () ->
       Parser.parse_many sql)
 
+(* The table a DML statement writes, with the current-state environment
+   it is read and written through. *)
+let dml_target db table =
+  check_not_virtual table;
+  let env = Exec.current_env db in
+  match Catalog.find_table env.Exec.cat table with
+  | Some tbl -> (env, tbl)
+  | None -> error "no such table: %s" table
+
+(* Append [rows] to [tbl] in one write transaction. *)
+let insert_rows db env tbl rows =
+  let n =
+    Db.with_write_txn db (fun txn ->
+        List.iter (fun row -> ignore (Exec.insert_row_raw env txn tbl row)) rows;
+        List.length rows)
+  in
+  { empty_result with rows_affected = n }
+
 let run_insert db (i : stmt) =
   match i with
   | Insert { table; columns; values; from_select } ->
-    check_not_virtual table;
-    let env = Exec.current_env db in
-    let tbl =
-      match Catalog.find_table env.Exec.cat table with
-      | Some t -> t
-      | None -> error "no such table: %s" table
-    in
+    let env, tbl = dml_target db table in
     let ncols = Array.length tbl.Catalog.tcols in
     let positions =
       match columns with
@@ -374,22 +375,29 @@ let run_insert db (i : stmt) =
         let _, rows = Exec.select_all senv sel in
         List.map (fun r -> make_row (Array.to_list r)) rows
     in
-    let n =
-      Db.with_write_txn db (fun txn ->
-          List.iter (fun row -> ignore (Exec.insert_row_raw env txn tbl row)) rows;
-          List.length rows)
-    in
-    { empty_result with rows_affected = n }
+    insert_rows db env tbl rows
   | s -> raise (Internal_error ("run_insert dispatched on " ^ stmt_kind s))
 
-let run_stmt_core db ?key (s : stmt) : result =
+(* Execute one statement.  With [sink], a SELECT pushes its rows to it
+   instead of collecting them; the result then keeps only their count,
+   as [rows_affected]. *)
+let run_stmt_core db ?key ?params ?sink (s : stmt) : result =
   match s with
-  | Select sel -> collect (run_select db ?key sel)
+  | Select sel -> (
+    let header, run = run_select db ?key ?params sel in
+    match sink with
+    | None -> collect (header, run)
+    | Some f ->
+      let n = ref 0 in
+      run (fun row ->
+          incr n;
+          f header row);
+      { empty_result with columns = header; rows_affected = !n })
   | Explain sel ->
     (* Render the real plan tree (the one execution would use), built
        fresh against the statement's environment. *)
     let env = Exec.env_of_select db sel in
-    let plan = plan_optimized db ~cat:env.Exec.cat sel in
+    let plan = fst (Opt.plan db ~cat:env.Exec.cat sel) in
     { empty_result with
       columns = [| "detail" |];
       rows = List.map (fun n -> [| R.Text n |]) (Plan.render plan) }
@@ -399,7 +407,7 @@ let run_stmt_core db ?key (s : stmt) : result =
        plan is built fresh (not through the cache), so its slots start
        at zero and the actuals belong to exactly this execution. *)
     let env0 = Exec.env_of_select db sel in
-    let plan = plan_optimized db ~cat:env0.Exec.cat sel in
+    let plan = fst (Opt.plan db ~cat:env0.Exec.cat sel) in
     let was = db.Db.analyze in
     db.Db.analyze <- true;
     let env = { env0 with Exec.analyze = true } in
@@ -473,7 +481,7 @@ let run_stmt_core db ?key (s : stmt) : result =
       columns = [| "profile" |];
       rows = List.map (fun l -> [| R.Text l |]) lines }
   | Explain_lint inner ->
-    (* Analyze only — nothing plans or executes.  Rendered as rows so
+    (* Analyze and plan only — nothing executes.  Rendered as rows so
        every client (shell, exec_rows, tests) consumes diagnostics like
        any other result set; zero rows means the statement is clean. *)
     let diags = analyze_stmt db ?sql:key inner @ opt_diags db inner in
@@ -491,24 +499,12 @@ let run_stmt_core db ?key (s : stmt) : result =
           diags }
   | Insert _ -> run_insert db s
   | Delete { table; where } ->
-    check_not_virtual table;
-    let env = Exec.current_env db in
-    let tbl =
-      match Catalog.find_table env.Exec.cat table with
-      | Some t -> t
-      | None -> error "no such table: %s" table
-    in
+    let env, tbl = dml_target db table in
     let rows = Exec.matching_rows env tbl where in
     let n = Db.with_write_txn db (fun txn -> Exec.delete_rows env txn tbl rows) in
     { empty_result with rows_affected = n }
   | Update { table; sets; where } ->
-    check_not_virtual table;
-    let env = Exec.current_env db in
-    let tbl =
-      match Catalog.find_table env.Exec.cat table with
-      | Some t -> t
-      | None -> error "no such table: %s" table
-    in
+    let env, tbl = dml_target db table in
     let rows = Exec.matching_rows env tbl where in
     let n = Db.with_write_txn db (fun txn -> Exec.update_rows env txn tbl sets rows) in
     { empty_result with rows_affected = n }
@@ -524,14 +520,7 @@ let run_stmt_core db ?key (s : stmt) : result =
     let cols = Array.to_list (Array.map (fun c -> (c, "")) columns) in
     (match create_table db ~name:table ~cols ~if_not_exists with
     | None -> empty_result
-    | Some tbl ->
-      let env = Exec.current_env db in
-      let n =
-        Db.with_write_txn db (fun txn ->
-            List.iter (fun row -> ignore (Exec.insert_row_raw env txn tbl row)) rows;
-            List.length rows)
-      in
-      { empty_result with rows_affected = n })
+    | Some tbl -> insert_rows db (Exec.current_env db) tbl rows)
   | Create_index { index; table; columns; if_not_exists } ->
     create_index db ~name:index ~table ~columns ~if_not_exists;
     empty_result
@@ -633,6 +622,9 @@ let run_stmt_core db ?key (s : stmt) : result =
         rows = [ [| R.Text (if db.Db.optimize then "on" else "off") |] ] }
     | ("optimize=on" | "optimize=1" | "optimize=true" | "optimize=off" | "optimize=0"
       | "optimize=false") as kv ->
+      (* Off also turns delta-driven RQL iterations off, whatever PRAGMA
+         incremental says: the delta-safety verdict is the optimizer's,
+         and an unoptimized plan carries none (DESIGN §16, §18). *)
       let on = match kv with
         | "optimize=on" | "optimize=1" | "optimize=true" -> true
         | _ -> false
@@ -727,15 +719,20 @@ let observe_stmt db ?key ?(params = [||]) ~(s : stmt) ~plan_hit ~elapsed_s (res 
     Obs.Eventlog.log ~kind:"slow_query" fields
   | _ -> ()
 
-(* Every statement passes the analyzer gate first (errors raise before
-   any planning or page access), then is counted, its end-to-end
-   latency observed, and — when tracing is on — wrapped in a
-   [sql.stmt] span.  The handle's metric scope is active for the whole
-   statement, so every counter increment, page read and slow-query
-   event below is attributed to it. *)
-let run_stmt db ?key (s : stmt) : result =
+(* The one statement wrapper: [exec], [exec_script], [exec_rows] and
+   [exec_prepared] all run a statement through it, in this order: the
+   handle's metric scope is made active (every counter increment, page
+   read and slow-query event below is attributed to it); the analyzer
+   gate raises on errors before any planning or page access (a prepared
+   statement passed it when it was prepared: [~gated:true]); the
+   statement is counted in [sql.statements] and a timeseries sample is
+   ticked; its end-to-end latency goes to [sql.stmt_latency], inside a
+   [sql.stmt] span when tracing is on; it runs under the read lock when
+   [stmt_takes_read_lock] says so; and [observe_stmt] records it.  With
+   [sink], a SELECT streams its rows to [sink]. *)
+let run_stmt db ?key ?params ?sink ?(gated = false) (s : stmt) : result =
   Obs.Scope.with_scope db.Db.scope (fun () ->
-      analyzer_gate db ?sql:key s;
+      if not gated then analyzer_gate db ?sql:key s;
       Obs.Scope.incr c_statements;
       Obs.Timeseries.tick ();
       let hits0 = db.Db.plan_hits in
@@ -747,12 +744,10 @@ let run_stmt db ?key (s : stmt) : result =
             Obs.Trace.with_span ~name:"sql.stmt"
               ~attrs:[ ("kind", Obs.Trace.Str (stmt_kind s)) ]
               (fun () ->
-                if stmt_takes_read_lock db s then
-                  Storage.Pager.with_read_lock db.Db.pager (fun () ->
-                      run_stmt_core db ?key s)
-                else run_stmt_core db ?key s))
+                locked db ~read_lock:(stmt_takes_read_lock db s) (fun () ->
+                    run_stmt_core db ?key ?params ?sink s)))
       in
-      observe_stmt db ?key ~s ~plan_hit:(db.Db.plan_hits > hits0)
+      observe_stmt db ?key ?params ~s ~plan_hit:(db.Db.plan_hits > hits0)
         ~elapsed_s:(Unix.gettimeofday () -. t0)
         res;
       res)
@@ -793,19 +788,7 @@ let exec_script db sql : result =
 (* sqlite3_exec analogue: stream result rows of a SELECT through [f].
    Non-SELECT statements execute normally and invoke [f] zero times. *)
 let exec_rows db sql ~(f : string array -> R.row -> unit) : unit =
-  wrap_errors (fun () ->
-      match parse_one sql with
-      | Select sel ->
-        Obs.Scope.with_scope db.Db.scope (fun () ->
-            analyzer_gate db ~sql (Select sel);
-            let locked g =
-              if select_calls_udf db sel then g ()
-              else Storage.Pager.with_read_lock db.Db.pager g
-            in
-            locked (fun () ->
-                let header, run = run_select db ~key:sql sel in
-                run (fun row -> f header row)))
-      | other -> ignore (run_stmt db other))
+  wrap_errors (fun () -> ignore (run_stmt db ~key:sql ~sink:f (parse_one sql)))
 
 (* --- prepared statements --------------------------------------------- *)
 
@@ -818,75 +801,54 @@ type prepared = {
   pr_db : db;
   pr_key : string; (* plan-cache key *)
   pr_sel : select;
-  pr_read_lock : bool; (* false when the select calls a UDF (may write) *)
 }
 
-let prepare_select db ~key (sel : select) : prepared =
-  analyzer_gate db (Select sel);
+(* Prepare passes the analyzer gate once; executions skip it.  [sql],
+   the text [sel] was parsed from, lets diagnostics carry positions. *)
+let prepare_sel db ?sql ~key (sel : select) : prepared =
+  analyzer_gate db ?sql (Select sel);
   Db.note_prepared db;
-  { pr_db = db; pr_key = key; pr_sel = sel;
-    pr_read_lock = not (select_calls_udf db sel) }
+  { pr_db = db; pr_key = key; pr_sel = sel }
+
+let prepare_select db ~key sel = prepare_sel db ~key sel
 
 let prepared_db (p : prepared) = p.pr_db
 
 let prepare db sql : prepared =
   wrap_errors (fun () ->
       match parse_one sql with
-      | Select sel ->
-        analyzer_gate db ~sql (Select sel);
-        Db.note_prepared db;
-        { pr_db = db; pr_key = sql; pr_sel = sel;
-          pr_read_lock = not (select_calls_udf db sel) }
+      | Select sel -> prepare_sel db ~sql ~key:sql sel
       | _ -> error "only SELECT statements can be prepared")
 
-let prepared_locked (p : prepared) g =
-  if p.pr_read_lock then Storage.Pager.with_read_lock p.pr_db.Db.pager g
-  else g ()
-
-(* Stream a prepared statement's rows (no statement accounting).  Both
-   planning and the returned runner activate the handle's scope — the
-   runner is invoked later, outside this call.  With [incr], a
-   delta-safe AS OF statement runs through that incremental evaluator
-   (the RQL snapshot loop passes one per run); {!Incr.last} then tells
-   what the evaluation reused. *)
+(* Stream a prepared statement's rows.  Unlike every other entry point
+   this does no statement accounting (no [sql.statements], latency,
+   span or [sys_statements] record): its caller is the RQL snapshot
+   loop, which accounts each evaluation as an iteration
+   ([Rql.Iter_stats]) instead.  It still takes the read lock by
+   [stmt_takes_read_lock]'s rule.  Both planning and the returned runner
+   activate the handle's scope — the runner is invoked later, outside
+   this call.  With [incr], a delta-safe AS OF statement runs through
+   that incremental evaluator (the RQL snapshot loop passes one per
+   run); {!Incr.last} then tells what the evaluation reused. *)
 let prepared_stream ?(params = [||]) ?incr (p : prepared) :
     string array * ((R.row -> unit) -> unit) =
   wrap_errors (fun () ->
+      let db = p.pr_db in
+      let read_lock = stmt_takes_read_lock db (Select p.pr_sel) in
       let header, run =
-        Obs.Scope.with_scope p.pr_db.Db.scope (fun () ->
-            prepared_locked p (fun () ->
-                run_select p.pr_db ~key:p.pr_key ~params ?incr p.pr_sel))
+        Obs.Scope.with_scope db.Db.scope (fun () ->
+            locked db ~read_lock (fun () ->
+                run_select db ~key:p.pr_key ~params ?incr p.pr_sel))
       in
       ( header,
         fun f ->
-          Obs.Scope.with_scope p.pr_db.Db.scope (fun () ->
-              prepared_locked p (fun () -> run f)) ))
+          Obs.Scope.with_scope db.Db.scope (fun () -> locked db ~read_lock (fun () -> run f)) ))
 
 (* Execute a prepared statement with full statement accounting, like
    [exec] minus the parse. *)
 let exec_prepared ?(params = [||]) (p : prepared) : result =
   wrap_errors (fun () ->
-      Obs.Scope.with_scope p.pr_db.Db.scope (fun () ->
-      Obs.Scope.incr c_statements;
-      Obs.Timeseries.tick ();
-      let db = p.pr_db in
-      let hits0 = db.Db.plan_hits in
-      let t0 = Unix.gettimeofday () in
-      let res =
-        Exec_stats.time_into
-          (fun dt -> Obs.Scope.observe h_stmt dt)
-          (fun () ->
-            Obs.Trace.with_span ~name:"sql.stmt"
-              ~attrs:[ ("kind", Obs.Trace.Str "select") ]
-              (fun () ->
-                prepared_locked p (fun () ->
-                    collect (run_select db ~key:p.pr_key ~params p.pr_sel))))
-      in
-      observe_stmt db ~key:p.pr_key ~params ~s:(Select p.pr_sel)
-        ~plan_hit:(db.Db.plan_hits > hits0)
-        ~elapsed_s:(Unix.gettimeofday () -. t0)
-        res;
-      res))
+      run_stmt p.pr_db ~key:p.pr_key ~params ~gated:true (Select p.pr_sel))
 
 (* Parse a single statement (timed into sql.parse_latency) without
    executing it; used by callers that prepare from a larger text. *)
@@ -953,7 +915,8 @@ let set_analyze db on = db.Db.analyze <- on
 
 (* The plan currently cached for [key], when present and fresh.  Gives
    structural access to accumulated operator actuals of prepared /
-   repeated statements (the RQL run report reads its Qq plan here). *)
+   repeated statements (an analyzed RQL run's [Iter_stats.run.ops] reads
+   the actuals of its Qq plan here). *)
 let cached_plan db ~key : Plan.t option =
   match Hashtbl.find_opt db.Db.plan_cache key with
   | Some c when c.Plan.cp_gen = Db.generation db -> Some c.Plan.cp_plan

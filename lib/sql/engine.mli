@@ -1,7 +1,8 @@
 (** Public SQL engine API, in the style of the sqlite3 C API the paper
     builds on: parse and execute statements against a database handle;
     {!exec_rows} is the analogue of [sqlite3_exec], invoking a callback
-    per result row — the interface the RQL loop bodies use.
+    per result row; the RQL loop streams a prepared Qq's rows the same
+    way ({!prepared_stream}).
 
     The dialect covers the SQLite subset the paper's programs need plus
     Retro's extensions: SELECT with joins (incl. LEFT JOIN), GROUP
@@ -36,7 +37,13 @@ val create : ?snapshots:bool -> unit -> db
 (** Register (or replace) a scalar function / UDF. *)
 val register_fn : db -> string -> (Storage.Record.row -> Storage.Record.value) -> unit
 
-(** {1 Statement execution} *)
+(** {1 Statement execution}
+
+    {!exec}, {!exec_script}, {!exec_rows} and {!exec_prepared} run a
+    statement the same way: the analyzer gate, one count in
+    [sql.statements], a [sql.stmt_latency] sample, a [sql.stmt] span,
+    the read lock for statements that only read, and a
+    [sys_statements] record. *)
 
 (** Execute a single SQL statement.
     @raise Error on parse, resolution or execution failure. *)
@@ -78,7 +85,9 @@ val prepared_db : prepared -> db
 val exec_prepared : ?params:Storage.Record.value array -> prepared -> result
 
 (** Streaming variant of {!exec_prepared}: returns the header and a
-    row-push runner (no per-statement accounting).  With [incr], a
+    row-push runner.  It does no per-statement accounting on purpose:
+    the RQL snapshot loop, its caller, accounts each evaluation as an
+    iteration.  With [incr], a
     delta-safe AS OF statement is evaluated incrementally from that
     evaluator's previous snapshot ({!Incr}); other statements run the
     ordinary executor and reset it. *)
@@ -92,10 +101,12 @@ val parse : string -> Ast.stmt
 
 (** {1 Static analysis}
 
-    Every execution path — {!exec}, {!exec_script}, {!exec_rows},
-    {!prepare}, {!prepare_select}, and (via {!analyze_qq} /
-    {!analyze_qs}) all four RQL loop mechanisms — runs the static
-    analyzer between parsing and planning.  Statements with E-coded
+    Every execution path runs the static analyzer between parsing and
+    planning: {!exec}, {!exec_script} and {!exec_rows} on each
+    statement; {!prepare} and {!prepare_select} once per prepared
+    statement, so {!exec_prepared} and {!prepared_stream} run analyzed
+    statements; and (via {!analyze_qq} / {!analyze_qs}) all four RQL
+    loop mechanisms.  Statements with E-coded
     diagnostics raise {!Error} before any page is touched; counts land
     in the [sql.analyzer_errors] / [sql.analyzer_warnings] metrics. *)
 
@@ -174,5 +185,6 @@ val set_optimize : db -> bool -> unit
 
 (** The plan currently cached for [key], when present and fresh —
     structural access to the accumulated operator actuals of prepared /
-    repeated statements (the RQL run report reads its Qq plan here). *)
+    repeated statements (an analyzed RQL run's [Iter_stats.run.ops]
+    reads the actuals of its Qq plan here). *)
 val cached_plan : db -> key:string -> Plan.t option

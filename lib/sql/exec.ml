@@ -1,12 +1,13 @@
 (* Plan execution.
 
-   Planning lives in Planner (producing typed Plan.t values); this
-   module evaluates plan values against an [env] — the current database
-   state or any snapshot environment — as push-style iterators.  Because
-   a plan contains no executor state and all value positions are
-   expressions, the same compiled plan can be executed repeatedly with
-   different parameter bindings and against different snapshots; only
-   uncorrelated subqueries are (re-)expanded per execution.
+   Planning lives in [Opt.plan] (Planner, then the optimizer, producing
+   typed Plan.t values); this module evaluates plan values against an
+   [env] — the current database state or any snapshot environment — as
+   push-style iterators.  Because a plan contains no executor state and
+   all value positions are expressions, the same compiled plan can be
+   executed repeatedly with different parameter bindings and against
+   different snapshots; only uncorrelated subqueries are (re-)expanded
+   per execution.
 
    The ephemeral hash indexes built for equi-joins (SQLite's
    automatic-index analogue, whose construction cost the paper's Fig 9
@@ -630,7 +631,7 @@ and expand_sub env e =
 
 (* Plan and run a SELECT against [env] (the unprepared path). *)
 and select_stream env (sel : select) : string array * ((R.row -> unit) -> unit) =
-  stream_plan env (Planner.plan ~cat:env.cat ~fnctx:(Db.fn_ctx env.db) sel)
+  stream_plan env (fst (Opt.plan env.db ~cat:env.cat sel))
 
 and select_all env sel : string array * R.row list =
   let header, run = select_stream env sel in
@@ -676,7 +677,7 @@ and stream_compound env (p : Plan.t) =
           | None -> (env, m)
           | Some _ ->
             let menv = env_of_select env.db m.Plan.p_src in
-            (menv, Planner.plan ~cat:menv.cat ~fnctx:(Db.fn_ctx env.db) m.Plan.p_src)
+            (menv, fst (Opt.plan env.db ~cat:menv.cat m.Plan.p_src))
         in
         let mh, mrows = collect (stream_plan menv mplan) in
         if Array.length mh <> Array.length header then

@@ -516,3 +516,14 @@ let optimize ~fnctx ~is_udf (p : Plan.t) : Plan.t * Diag.t list =
       oi_notes = List.rev st.notes }
   in
   ({ p' with Plan.p_opt = Some oi }, List.rev st.diags)
+
+(* The one way a SELECT is planned, at the top of a statement and
+   inside it (subqueries, INSERT ... SELECT, CREATE TABLE ... AS
+   SELECT, a UNION member with its own AS OF): [Planner.plan] against
+   [cat], then [optimize] unless PRAGMA optimize=off turned the pass
+   off on [db].  The W2xx warnings are what EXPLAIN LINT reports;
+   execution drops them. *)
+let plan (db : Db.t) ~cat (sel : select) : Plan.t * Diag.t list =
+  let fnctx = Db.fn_ctx db in
+  let p = Planner.plan ~cat ~fnctx sel in
+  if db.Db.optimize then optimize ~fnctx ~is_udf:(Db.is_udf db) p else (p, [])

@@ -127,7 +127,7 @@ type core = {
 
 (* What the optimizer did to (and concluded about) a plan.  Attached by
    [Opt.optimize]; [None] means the plan never went through the pass
-   (PRAGMA optimize=off, or a bare [Planner.plan] call). *)
+   (PRAGMA optimize=off). *)
 type opt_info = {
   oi_folds : int;           (* expressions replaced by literals *)
   oi_pruned : int;          (* always-true/false predicate conjuncts removed *)

@@ -9,7 +9,9 @@
    BY, HAVING, UNION, LIMIT, subqueries), and unit tests pin down each
    W2xx diagnostic, the EXPLAIN annotations, the delta-safety verdicts
    for the four RQL mechanisms' Qq shapes, and folds hoisted out of the
-   RQL loop. *)
+   RQL loop.  Every SELECT a statement plans (subqueries, INSERT ...
+   SELECT, CREATE TABLE ... AS SELECT, a UNION member with its own AS
+   OF) goes through the optimizer, so the matrix covers those too. *)
 
 module R = Storage.Record
 module E = Sqldb.Engine
@@ -29,8 +31,8 @@ let contains hay needle =
 (* Fixture: typed columns (INTEGER / TEXT / REAL) with NULLs in every
    column, so folded identities meet every runtime type; an index on a
    for bound-tightening; a second table for joins. *)
-let fresh () =
-  let db = E.create ~snapshots:false () in
+let fresh ?(snapshots = false) () =
+  let db = E.create ~snapshots () in
   let e sql = ignore (E.exec db sql) in
   e "CREATE TABLE t (a INTEGER, b TEXT, c REAL)";
   e "CREATE INDEX ta ON t (a)";
@@ -48,11 +50,12 @@ let fresh () =
 let set_opt db on =
   ignore (E.exec db (if on then "PRAGMA optimize=on" else "PRAGMA optimize=off"))
 
-(* Run [sql] under both optimizer settings; both must agree exactly
-   (same rows in the same order, or the same error). *)
+(* Run [sql] (one statement, or a script whose last statement's rows
+   count) under both optimizer settings; both must agree exactly (same
+   rows in the same order, or the same error). *)
 let run_both db sql =
   let attempt () =
-    try Ok (rows_of (E.exec db sql)) with E.Error m -> Error m
+    try Ok (rows_of (E.exec_script db sql)) with E.Error m -> Error m
   in
   set_opt db false;
   let off = attempt () in
@@ -158,6 +161,16 @@ let matrix_queries =
     "SELECT a FROM t WHERE a IN (SELECT a FROM u WHERE 1 = 1) ORDER BY a";
     "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.a = t.a) ORDER BY a";
     "SELECT (SELECT MAX(a) FROM u) + 0 FROM t";
+    "SELECT a FROM t WHERE a IN (SELECT a FROM u WHERE a = 1 + 1) ORDER BY a";
+    "SELECT a FROM t WHERE a IN (SELECT a FROM u WHERE a = 1 + 2 AND 1 = 1) ORDER BY a";
+    "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE a > 0 + 1) ORDER BY a";
+    "SELECT a FROM t WHERE NOT EXISTS (SELECT 1 FROM u WHERE 1 = 2) ORDER BY a";
+    "SELECT a, (SELECT MAX(d) FROM u WHERE a < 2 * 2) FROM t ORDER BY a";
+    "DROP TABLE IF EXISTS g; CREATE TABLE g (x INTEGER); \
+     INSERT INTO g SELECT a + (1 + 1) FROM t WHERE 1 = 1; SELECT x FROM g ORDER BY x";
+    "DROP TABLE IF EXISTS g2; \
+     CREATE TABLE g2 AS SELECT a * (1 + 1), b || '' FROM t WHERE a > 0 + 1; \
+     SELECT * FROM g2 ORDER BY 1";
     "SELECT a FROM t UNION SELECT a FROM u ORDER BY a";
     "SELECT a FROM t WHERE 1 = 2 UNION SELECT a FROM u ORDER BY a";
     "SELECT DISTINCT typeof(a) FROM t ORDER BY 1";
@@ -165,10 +178,22 @@ let matrix_queries =
     "SELECT CASE WHEN 1 = 2 THEN 'dead' WHEN a > 1 THEN 'big' ELSE 'small' END FROM t";
     "SELECT CASE WHEN 1 = 1 THEN b ELSE upper(b) END FROM t" ]
 
+(* UNION members with their own AS OF, over a database whose snapshot 1
+   differs from its current state. *)
+let as_of_queries =
+  [ "SELECT a FROM t WHERE a > 1 UNION SELECT AS OF 1 a FROM t WHERE a > 0 + 1 ORDER BY a";
+    "SELECT a FROM t UNION ALL SELECT AS OF 1 a * (2 - 1) FROM t WHERE 1 = 1 ORDER BY a";
+    "SELECT a FROM u UNION SELECT AS OF 1 a FROM t WHERE a > 5 AND a < 3 ORDER BY a" ]
+
 let matrix =
   [ Alcotest.test_case "fixed matrix on/off identical" `Quick (fun () ->
         let db = fresh () in
-        List.iter (check_identical db) matrix_queries) ]
+        List.iter (check_identical db) matrix_queries);
+    Alcotest.test_case "AS OF UNION members on/off identical" `Quick (fun () ->
+        let db = fresh ~snapshots:true () in
+        ignore (E.exec db "COMMIT WITH SNAPSHOT");
+        ignore (E.exec db "UPDATE t SET a = a + 10 WHERE a = 3");
+        List.iter (check_identical db) as_of_queries) ]
 
 (* --- diagnostics ------------------------------------------------------- *)
 
@@ -357,7 +382,19 @@ let invariance =
         ignore
           (Rql.collate_data ctx ~qs:"SELECT snap_id FROM SnapIds"
              ~qq:"SELECT 2 * 2 AS four" ~table:"Result");
-        Alcotest.(check bool) "hoists advanced" true (M.Counter.get c_hoists > h0)) ]
+        Alcotest.(check bool) "hoists advanced" true (M.Counter.get c_hoists > h0));
+    Alcotest.test_case "subqueries and INSERT ... SELECT are optimized" `Quick (fun () ->
+        let db = fresh () in
+        let folds sql =
+          let f0 = M.Counter.get c_folds in
+          ignore (E.exec db sql);
+          M.Counter.get c_folds - f0
+        in
+        Alcotest.(check bool) "IN (SELECT ...) folds" true
+          (folds "SELECT a FROM t WHERE a IN (SELECT a FROM u WHERE a = 1 + 1)" > 0);
+        ignore (E.exec db "CREATE TABLE g (x INTEGER)");
+        Alcotest.(check bool) "INSERT ... SELECT folds" true
+          (folds "INSERT INTO g SELECT a + (1 + 1) FROM t WHERE 1 = 1" > 0)) ]
 
 (* --- fold-aware fingerprints ------------------------------------------- *)
 

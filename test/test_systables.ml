@@ -51,6 +51,34 @@ let metrics =
         Alcotest.(check (list row)) "kind column"
           [ [ R.Text "counter" ] ]
           (q db "SELECT kind FROM sys_metrics WHERE name = 'sql.statements'"));
+    Alcotest.test_case "exec_rows counts a SELECT like exec" `Quick (fun () ->
+        let db = E.create () in
+        ignore (E.exec db "CREATE TABLE er (x INTEGER)");
+        ignore (E.exec db "INSERT INTO er VALUES (1), (2), (3)");
+        let statements () =
+          match E.query db "SELECT value FROM sys_metrics WHERE name = 'sql.statements'" with
+          | [ [| v |] ] -> int_of v
+          | _ -> Alcotest.fail "expected one row"
+        in
+        let calls sql =
+          q db
+            (Printf.sprintf "SELECT calls, rows FROM sys_statements WHERE query = '%s'"
+               (Sqldb.Fingerprint.normalize sql))
+        in
+        List.iter
+          (fun (how, run, sql) ->
+            let before = statements () in
+            let n = ref 0 in
+            run sql (fun () -> incr n);
+            (* the probe reading [before] counts too *)
+            Alcotest.(check int) (how ^ ": sql.statements") (before + 2) (statements ());
+            Alcotest.(check int) (how ^ ": rows delivered") 2 !n;
+            Alcotest.(check (list row)) (how ^ ": sys_statements")
+              [ [ R.Int 1; R.Int 2 ] ] (calls sql))
+          [ ("exec", (fun sql k -> List.iter (fun _ -> k ()) (E.query db sql)),
+             "SELECT x FROM er WHERE x > 1");
+            ("exec_rows", (fun sql k -> E.exec_rows db sql ~f:(fun _ _ -> k ())),
+             "SELECT x + 0 FROM er WHERE x < 3") ]);
     Alcotest.test_case "sys_histograms reports ordered quantiles" `Quick (fun () ->
         let db = E.create () in
         for i = 1 to 10 do

@@ -94,6 +94,9 @@ type run_state = {
      from T before use). *)
   slots : (string, slot list) Hashtbl.t;
   mutable slots_at : int option;
+  (* The rows the first iteration stored, newest first, until it builds
+     __rql_key from them ([post_first]). *)
+  mutable first_rows : slot list;
   (* The intervals the last iteration extended or opened, in the order
      it did (about T's page order): while the map is trusted, exactly
      those ending at [last_sid], unless [prev_repeated]. *)
@@ -184,6 +187,7 @@ let result_cols (rs : run_state) =
 let init_run (rs : run_state) (header : string array) =
   rs.header <- header;
   Hashtbl.reset rs.slots;
+  rs.first_rows <- [];
   (match rs.kind with
   | Collate -> ()
   | Agg_var _ ->
@@ -223,28 +227,31 @@ let init_run (rs : run_state) (header : string array) =
   create_result_table rs (result_cols rs)
 
 (* Index creation at the end of the first iteration (paper §3): the key
-   is the grouping columns of the result table. *)
+   is the grouping columns of the result table.  The first iteration
+   created T and stored every row it holds, so the index is built from
+   those rows and their current rids, in the order they were stored
+   (about Qq's order, so nearly sorted), without reading T. *)
 let post_first (rs : run_state) =
+  let rows = Array.of_list (List.rev_map (fun (s : slot) -> (s.row, s.rid)) rs.first_rows) in
+  rs.first_rows <- [];
   match rs.kind with
   | Collate | Agg_var _ -> ()
   | Agg_table _ | Intervals ->
     if rs.group_pos <> [||] then
-      Sq.Engine.create_index rs.meta ~name:(rs.table ^ "__rql_key") ~table:rs.table
+      Sq.Engine.create_index_of_rows rs.meta ~name:(rs.table ^ "__rql_key") ~table:rs.table
         ~columns:(Array.to_list (Array.map (fun i -> rs.header.(i)) rs.group_pos))
-        ~if_not_exists:false
+        rows
 
 (* --- T, as one iteration finds it ---------------------------------------- *)
 
-(* T resolved from the meta catalog: the executor env every write of the
-   iteration goes through (its catalog lists T's indexes), T's entry and
-   its heap, and whether an interval's end_snapshot may be patched in
-   place, which holds while no index of T covers it.  Each iteration
+(* T resolved from the meta catalog: the writer every write of the
+   iteration goes through (T's entry, its heap and its indexes), and
+   whether an interval's end_snapshot may be patched in place, which
+   holds while no index of T covers it.  Each iteration
    resolves T afresh: between two SQL-form statements the user may have
    indexed, dropped or re-created it. *)
 type target = {
-  env : Sq.Exec.env;
-  tbl : Sq.Catalog.table;
-  heap : Storage.Heap.t;
+  w : Sq.Exec.writer;
   patch : bool;
 }
 
@@ -258,9 +265,7 @@ let resolve (rs : run_state) =
       (Array.length tbl.Sq.Catalog.tcols) width
   | Some tbl ->
     let covers_end (ix : Sq.Catalog.index) = List.exists (fun c -> norm c = "end_snapshot") ix.icols in
-    { env;
-      tbl;
-      heap = Sq.Db.heap_handle rs.meta tbl.Sq.Catalog.theap;
+    { w = Sq.Exec.writer env tbl;
       patch = not (List.exists covers_end (Sq.Catalog.indexes_of_table env.Sq.Exec.cat rs.table)) }
 
 (* --- the map of T's rows ------------------------------------------------ *)
@@ -291,7 +296,7 @@ let slots_of (rs : run_state) key = Option.value (Hashtbl.find_opt rs.slots key)
 (* The map from one scan of T, read through [txn]. *)
 let rebuild_slots (rs : run_state) (t : target) txn =
   Hashtbl.reset rs.slots;
-  Storage.Heap.iter_spans (Storage.Txn.read_ctx txn) t.heap ~f:(fun rid p off len ->
+  Storage.Heap.iter_spans (Storage.Txn.read_ctx txn) t.w.Sq.Exec.w_heap ~f:(fun rid p off len ->
       let row = R.decode_bytes p ~off ~len in
       let key = row_key rs row in
       Hashtbl.replace rs.slots key (add_slot { rid; row; closing = false } (slots_of rs key)))
@@ -299,8 +304,9 @@ let rebuild_slots (rs : run_state) (t : target) txn =
 (* Store [t_row] as a new row of T, filed under [key] beside the key's
    [slots]. *)
 let add_row (rs : run_state) (t : target) txn ~key ~slots (t_row : R.row) =
-  let s = { rid = Sq.Exec.insert_row_raw t.env txn t.tbl t_row; row = t_row; closing = false } in
+  let s = { rid = Sq.Exec.insert_row txn t.w t_row; row = t_row; closing = false } in
   Hashtbl.replace rs.slots key (add_slot s slots);
+  if rs.last_sid = None then rs.first_rows <- s :: rs.first_rows;
   s
 
 (* [add_row], counted as an insert of the loop body. *)
@@ -351,7 +357,7 @@ let combined_row (rs : run_state) (stored : R.row) (row : R.row) : R.row =
 
 (* Rewrite T row [s] as [row']. *)
 let write_back (t : target) txn (s : slot) (row' : R.row) =
-  s.rid <- Sq.Exec.update_row_raw t.env txn t.tbl ~rid:s.rid s.row row';
+  s.rid <- Sq.Exec.update_row txn t.w ~rid:s.rid s.row row';
   s.row <- row'
 
 (* Fold a Qq row into its group's row of T, the first one if T holds
@@ -391,7 +397,7 @@ let extend (rs : run_state) (t : target) txn ~sid ~last iv =
   let prev = prev_sid rs in
   if t.patch then begin
     let patched =
-      Storage.Heap.write_span txn t.heap iv.rid ~f:(fun p off len ->
+      Storage.Heap.write_span txn t.w.Sq.Exec.w_heap iv.rid ~f:(fun p off len ->
           if R.int_at p (off + len - 9) = prev then
             Bytes.set_int64_le p (off + len - 8) (Int64.of_int sid)
           else error "CollateDataIntoIntervals: result rid %d does not end at %d" iv.rid prev)
@@ -598,6 +604,7 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     agg_cols = [];
     slots = Hashtbl.create 16;
     slots_at = None;
+    first_rows = [];
     open_ivs = [||];
     applied = Hashtbl.create 16;
     prev_repeated = false;
@@ -703,7 +710,7 @@ let apply (rs : run_state) ev ~sid =
           (fun row ->
             rs.cur_rows <- rs.cur_rows + 1;
             rs.cur_inserts <- rs.cur_inserts + 1;
-            ignore (Sq.Exec.insert_row_raw t.env txn t.tbl row))
+            ignore (Sq.Exec.insert_row txn t.w row))
           (rows_of ev))
   | Agg_var _ | Agg_table _ | Intervals ->
     (* The map is committed state: anything else that changed a page

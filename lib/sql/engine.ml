@@ -78,7 +78,12 @@ let create_table db ~name ~cols ~if_not_exists =
     Db.schema_changed db;
     Some tbl
 
-let create_index db ~name ~table ~columns ~if_not_exists =
+(* The one index build: create index [name] on [table]'s [columns] in
+   one write transaction and fill it from [entries txn tbl ~want ~key],
+   every row's [(key row, rid)], where a row need hold only the columns
+   [want] marks; then one sort (cheap when the rows come nearly in key
+   order) and one bottom-up build. *)
+let build_index db ~name ~table ~columns ~if_not_exists entries =
   let cat = Db.catalog db in
   match Catalog.find_index cat name with
   | Some _ -> if if_not_exists then () else error "index %s already exists" name
@@ -98,19 +103,24 @@ let create_index db ~name ~table ~columns ~if_not_exists =
             iroot = Storage.Btree.root bt }
         in
         Catalog.add_index txn idx;
-        (* populate from existing rows: one scan decoding only the key
-           columns, one sort, one bottom-up build *)
-        let read = Storage.Txn.read_ctx txn in
-        let entries = ref [] in
-        Storage.Heap.iter_spans read (Storage.Heap.open_existing tbl.Catalog.theap)
-          ~f:(fun rid p off len ->
-            let row = R.decode_cols want p ~off ~len in
-            entries := (Array.map (fun i -> row.(i)) pos, rid) :: !entries);
-        let entries = Array.of_list !entries in
-        (* merge sort: far fewer comparisons than [Array.sort]'s heap sort *)
-        Array.stable_sort Storage.Btree.compare_composite entries;
+        let entries = entries txn tbl ~want ~key:(Exec.key_at pos) in
+        Storage.Btree.sort entries;
         Storage.Btree.build txn bt entries);
     Db.schema_changed db
+
+(* CREATE INDEX: the entries come from one scan of the table decoding
+   only the key columns. *)
+let create_index db ~name ~table ~columns ~if_not_exists =
+  build_index db ~name ~table ~columns ~if_not_exists (fun txn tbl ~want ~key ->
+      let entries = ref [] in
+      Storage.Heap.iter_spans (Storage.Txn.read_ctx txn)
+        (Storage.Heap.open_existing tbl.Catalog.theap) ~f:(fun rid p off len ->
+          entries := (key (R.decode_cols want p ~off ~len), rid) :: !entries);
+      Array.of_list (List.rev !entries))
+
+let create_index_of_rows db ~name ~table ~columns rows =
+  build_index db ~name ~table ~columns ~if_not_exists:false (fun _ _ ~want:_ ~key ->
+      Array.map (fun (row, rid) -> (key row, rid)) rows)
 
 let drop_table db ~name ~if_exists =
   let cat = Db.catalog db in
@@ -339,7 +349,8 @@ let dml_target db table =
 let insert_rows db env tbl rows =
   let n =
     Db.with_write_txn db (fun txn ->
-        List.iter (fun row -> ignore (Exec.insert_row_raw env txn tbl row)) rows;
+        let w = Exec.writer env tbl in
+        List.iter (fun row -> ignore (Exec.insert_row txn w row)) rows;
         List.length rows)
   in
   { empty_result with rows_affected = n }
@@ -482,8 +493,8 @@ let run_stmt_core db ?key ?params ?sink (s : stmt) : result =
       rows = List.map (fun l -> [| R.Text l |]) lines }
   | Explain_lint inner ->
     (* Analyze and plan only — nothing executes.  Rendered as rows so
-       every client (shell, exec_rows, tests) consumes diagnostics like
-       any other result set; zero rows means the statement is clean. *)
+       every client (shell, exec, tests) consumes diagnostics like any
+       other result set; zero rows means the statement is clean. *)
     let diags = analyze_stmt db ?sql:key inner @ opt_diags db inner in
     { empty_result with
       columns = [| "severity"; "code"; "pos"; "message" |];
@@ -501,7 +512,7 @@ let run_stmt_core db ?key ?params ?sink (s : stmt) : result =
   | Delete { table; where } ->
     let env, tbl = dml_target db table in
     let rows = Exec.matching_rows env tbl where in
-    let n = Db.with_write_txn db (fun txn -> Exec.delete_rows env txn tbl rows) in
+    let n = Db.with_write_txn db (fun txn -> Exec.delete_rows txn (Exec.writer env tbl) rows) in
     { empty_result with rows_affected = n }
   | Update { table; sets; where } ->
     let env, tbl = dml_target db table in
@@ -541,7 +552,7 @@ let run_stmt_core db ?key ?params ?sink (s : stmt) : result =
     empty_result
   | Analyze_archive ->
     (* Archive health report (also the producer behind sys_snapshots);
-       rendered as rows so every client — shell, exec_rows, RQL — can
+       rendered as rows so every client — shell, exec, RQL — can
        consume it like any other result set. *)
     let a = Retro.analyze (Db.retro_exn db) in
     { empty_result with

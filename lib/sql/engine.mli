@@ -138,6 +138,15 @@ val create_table :
 val create_index :
   db -> name:string -> table:string -> columns:string list -> if_not_exists:bool -> unit
 
+(** {!create_index} filled from [rows], every row of the table with its
+    rid (in any order, best nearly in key order), instead of a scan of
+    the table: the same index, page for page.  The caller vouches that
+    [rows] are the table's rows as its transaction would read them.
+    @raise Error if the index exists or the table does not. *)
+val create_index_of_rows :
+  db -> name:string -> table:string -> columns:string list ->
+  (Storage.Record.row * int) array -> unit
+
 (** Returns the number of tables dropped (0 or 1). *)
 val drop_table : db -> name:string -> if_exists:bool -> int
 

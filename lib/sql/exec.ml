@@ -935,16 +935,36 @@ and stream_core ?kept env (c : Plan.core) : string array * ((R.row -> unit) -> u
 
 (* --- DML ------------------------------------------------------------------ *)
 
-let insert_row_raw env txn (tbl : Catalog.table) (row : R.row) =
+(* A table as its row writers need it, resolved once for a batch of
+   writes: its entry, its heap handle, and each index with the row
+   positions of its key. *)
+type writer = {
+  w_tbl : Catalog.table;
+  w_heap : Storage.Heap.t;
+  w_indexes : (Storage.Btree.t * int array) list;
+}
+
+let writer env (tbl : Catalog.table) =
+  { w_tbl = tbl;
+    w_heap = Db.heap_handle env.db tbl.theap;
+    w_indexes =
+      List.map
+        (fun idx ->
+          ( Storage.Btree.open_existing idx.Catalog.iroot,
+            Array.of_list (List.map (col_pos tbl) idx.Catalog.icols) ))
+        (Catalog.indexes_of_table env.cat tbl.tname) }
+
+let key_at pos (row : R.row) = Array.map (fun i -> row.(i)) pos
+
+(* Store [row] in the writer's table, its index entries right after it;
+   returns its rid. *)
+let insert_row txn w (row : R.row) =
+  let tbl = w.w_tbl in
   if Array.length row <> Array.length tbl.tcols then
     error "table %s expects %d values, got %d" tbl.tname (Array.length tbl.tcols)
       (Array.length row);
-  let rid = Storage.Heap.insert txn (Db.heap_handle env.db tbl.theap) (R.encode_row row) in
-  List.iter
-    (fun idx ->
-      let bt = Storage.Btree.open_existing idx.Catalog.iroot in
-      Storage.Btree.insert txn bt (index_key tbl idx row) rid)
-    (Catalog.indexes_of_table env.cat tbl.tname);
+  let rid = Storage.Heap.insert txn w.w_heap (R.encode_row row) in
+  List.iter (fun (bt, pos) -> Storage.Btree.insert txn bt (key_at pos row) rid) w.w_indexes;
   rid
 
 (* Rows (with rids) matching [where] on a single table, using an index
@@ -973,38 +993,33 @@ let matching_rows env (tbl : Catalog.table) (where : expr option) =
     scan_heap env tbl ~decode ~f:(fun rid row -> if keep row then out := (rid, row) :: !out));
   List.rev !out
 
-let delete_rows env txn (tbl : Catalog.table) rows =
-  let heap = Db.heap_handle env.db tbl.theap in
-  let indexes = Catalog.indexes_of_table env.cat tbl.tname in
+let delete_rows txn w rows =
   List.iter
     (fun (rid, row) ->
-      ignore (Storage.Heap.delete txn heap rid);
+      ignore (Storage.Heap.delete txn w.w_heap rid);
       List.iter
-        (fun idx ->
-          let bt = Storage.Btree.open_existing idx.Catalog.iroot in
-          ignore (Storage.Btree.delete txn bt (index_key tbl idx row) rid))
-        indexes)
+        (fun (bt, pos) -> ignore (Storage.Btree.delete txn bt (key_at pos row) rid))
+        w.w_indexes)
     rows;
   List.length rows
 
 (* Rewrite row [rid], which holds [row], as [row']: the counterpart of
-   {!insert_row_raw}.  Every index entry whose key or rid changed follows
+   {!insert_row}.  Every index entry whose key or rid changed follows
    the row, which may have moved to another page.  Returns its rid. *)
-let update_row_raw env txn (tbl : Catalog.table) ~rid (row : R.row) (row' : R.row) =
+let update_row txn w ~rid (row : R.row) (row' : R.row) =
   let rid' =
-    match Storage.Heap.update txn (Db.heap_handle env.db tbl.theap) rid (R.encode_row row') with
+    match Storage.Heap.update txn w.w_heap rid (R.encode_row row') with
     | `Same -> rid
     | `Moved r -> r
   in
   List.iter
-    (fun idx ->
-      let bt = Storage.Btree.open_existing idx.Catalog.iroot in
-      let k = index_key tbl idx row and k' = index_key tbl idx row' in
+    (fun (bt, pos) ->
+      let k = key_at pos row and k' = key_at pos row' in
       if rid <> rid' || R.compare_row k k' <> 0 then begin
         ignore (Storage.Btree.delete txn bt k rid);
         Storage.Btree.insert txn bt k' rid'
       end)
-    (Catalog.indexes_of_table env.cat tbl.tname);
+    w.w_indexes;
   rid'
 
 let update_rows env txn (tbl : Catalog.table) sets rows =
@@ -1014,10 +1029,11 @@ let update_rows env txn (tbl : Catalog.table) sets rows =
       (fun (c, e) -> (col_pos tbl c, Planner.resolve_against_table tbl (expand_sub env e)))
       sets
   in
+  let w = writer env tbl in
   List.iter
     (fun (rid, row) ->
       let row' = Array.copy row in
       List.iter (fun (i, e) -> row'.(i) <- Expr.eval fnctx ~row ~aggs:[||] e) sets;
-      ignore (update_row_raw env txn tbl ~rid row row'))
+      ignore (update_row txn w ~rid row row'))
     rows;
   List.length rows

@@ -209,6 +209,100 @@ let compare_composite (ka, ra) (kb, rb) =
   let c = Record.compare_row ka kb in
   if c <> 0 then c else Int.compare ra rb
 
+(* The first position in [lo, hi) of [a] where [holds] fails ([hi] if
+   none), [holds] being true on a prefix of it: exponential probes from
+   [lo], then a binary search, so a prefix of length m costs about
+   2 log2 m tests. *)
+let prefix_end a lo hi holds =
+  let good = ref lo and bad = ref hi and step = ref 1 in
+  while lo + !step - 1 < !bad do
+    let p = lo + !step - 1 in
+    if holds a.(p) then begin
+      good := p + 1;
+      step := 2 * !step
+    end
+    else bad := p
+  done;
+  while !good < !bad do
+    let m = (!good + !bad) / 2 in
+    if holds a.(m) then good := m + 1 else bad := m
+  done;
+  !good
+
+(* Natural merge sort: split [a] at every descent into ascending runs,
+   then merge neighbouring runs pass by pass.  A merge that takes
+   [gallop] entries in a row from one run finds the rest of that stretch
+   by [prefix_end] and copies it whole.  So rows that arrive nearly in
+   key order (the first write of a result table, a heap written in key
+   order) sort in a few cheap passes, and sorted input in one scan. *)
+let gallop = 7
+
+let sort (a : (Record.row * int) array) =
+  let n = Array.length a in
+  let bounds = ref [ n ] in
+  for i = n - 1 downto 1 do
+    if compare_composite a.(i - 1) a.(i) > 0 then bounds := i :: !bounds
+  done;
+  (* [b] holds the runs' starts and then [n]: run j is [b.(j), b.(j+1)) *)
+  let b = Array.of_list (0 :: !bounds) in
+  if Array.length b > 2 then begin
+    let merge src dst lo mid hi =
+      let i = ref lo and j = ref mid and k = ref lo in
+      let take_run from upto =
+        Array.blit src !from dst !k (upto - !from);
+        k := !k + (upto - !from);
+        from := upto
+      in
+      let streak_a = ref 0 and streak_b = ref 0 in
+      while !i < mid && !j < hi do
+        if compare_composite src.(!i) src.(!j) <= 0 then begin
+          dst.(!k) <- src.(!i);
+          incr i;
+          incr k;
+          incr streak_a;
+          streak_b := 0;
+          if !streak_a >= gallop then begin
+            let y = src.(!j) in
+            take_run i (prefix_end src !i mid (fun x -> compare_composite x y <= 0));
+            streak_a := 0
+          end
+        end
+        else begin
+          dst.(!k) <- src.(!j);
+          incr j;
+          incr k;
+          incr streak_b;
+          streak_a := 0;
+          if !streak_b >= gallop then begin
+            let x = src.(!i) in
+            take_run j (prefix_end src !j hi (fun y -> compare_composite y x < 0));
+            streak_b := 0
+          end
+        end
+      done;
+      take_run i mid;
+      take_run j hi
+    in
+    let rec pass src dst b =
+      let runs = Array.length b - 1 in
+      if runs = 1 then (if src != a then Array.blit src 0 a 0 n)
+      else begin
+        let b' = Array.make (((runs + 1) / 2) + 1) n in
+        for j = 0 to (runs / 2) - 1 do
+          merge src dst b.(2 * j) b.((2 * j) + 1) b.((2 * j) + 2);
+          b'.(j) <- b.(2 * j)
+        done;
+        if runs land 1 = 1 then begin
+          let lo = b.(runs - 1) in
+          Array.blit src lo dst lo (n - lo);
+          b'.(runs / 2) <- lo
+        end;
+        pass dst src b'
+      end
+    in
+    pass a (Array.copy a) b
+  end
+
 (* A node of a level under construction, seen from the level above: its
    first composite, that composite's encoded entry (a leaf entry, or the
    separator for [pid]) and its page id (-1 for a leaf entry). *)
@@ -277,7 +371,7 @@ let build txn t (entries : (Record.row * int) array) =
   if Array.length entries > 0 then
     level Page.Btree_leaf
       (Array.map
-         (fun (key, rid) -> { first = (key, rid); enc = encode_entry { key; aux = rid }; pid = -1 })
+         (fun ((key, rid) as first) -> { first; enc = encode_entry { key; aux = rid }; pid = -1 })
          entries)
 
 let rec leaf_for read pid c =

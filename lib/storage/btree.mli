@@ -22,6 +22,11 @@ val insert : Txn.t -> t -> Record.row -> int -> unit
     rids. *)
 val compare_composite : Record.row * int -> Record.row * int -> int
 
+(** Sort entries by {!compare_composite}, in place: a natural merge
+    sort, so input made of r ascending runs costs about n log2 r
+    comparisons. *)
+val sort : (Record.row * int) array -> unit
+
 (** Fill an empty tree (fresh from {!create}) from [(key, rid)] entries
     sorted by {!compare_composite}, bottom up: packed leaves chained in
     order, interior levels of first-composite separators, the top node

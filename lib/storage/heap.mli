@@ -26,7 +26,9 @@ val pid_of_rid : int -> int
 val slot_of_rid : int -> int
 
 (** Insert a row, reusing freed space when possible, extending the
-    chain otherwise.  Returns the new rid.
+    chain otherwise.  Returns the new rid.  Inserts that follow one
+    another onto a page in one transaction share its transaction copy
+    and one scan of its slot directory.
     @raise Invalid_argument if the record exceeds a page. *)
 val insert : Txn.t -> t -> string -> int
 
@@ -41,7 +43,8 @@ val get_span : Pager.read -> t -> int -> f:(Page.t -> int -> int -> 'a) -> 'a op
 (** {!get_span} on the transaction's own copy of the row's page, for
     edits that rewrite bytes in place and keep the row's length (the
     bytes a same-length {!update} would leave); [None] when the rid's
-    slot is dead. *)
+    slot is dead.  Edits that follow one another on a page share one
+    lookup of its copy. *)
 val write_span : Txn.t -> t -> int -> f:(Page.t -> int -> int -> 'a) -> 'a option
 
 (** Delete by rid; returns whether the row existed. *)

@@ -126,35 +126,52 @@ let scan_slots p =
 
 let dead_bytes p = snd (scan_slots p)
 
+(* An insert's view of a page's slot directory, kept across inserts
+   into the page so that only the first one scans it: the first dead
+   slot ([nslots] when every slot is live) and the bytes [compact] would
+   reclaim, with the slot count and content start they were seen with.
+   An insert without compaction leaves the dead bytes as they were (the
+   record and its slot are live), one with compaction leaves none; the
+   next dead slot after a reused one is the first dead slot above it. *)
+type fill = {
+  mutable first_dead : int;
+  mutable dead : int;
+  mutable seen_nslots : int;
+  mutable seen_content : int;
+}
+
+let fill p =
+  let first_dead, dead = scan_slots p in
+  { first_dead; dead; seen_nslots = nslots p; seen_content = content p }
+
+let fill_current p f = nslots p = f.seen_nslots && content p = f.seen_content
+
+let fill_free p f = free_space p + f.dead
+
 (* Would [insert] of a record of [len] bytes succeed (possibly after
    compaction)?  Room for the record and a new slot answers yes without
-   a directory scan: [dead_bytes] is never negative and a reused slot
-   costs nothing. *)
-let can_insert p len =
+   looking at [f]: dead bytes are never negative and a reused slot costs
+   nothing. *)
+let fill_fits p f len =
   free_space p >= len + slot_bytes
-  ||
-  let slot, dead = scan_slots p in
-  free_space p + dead >= len + if slot = nslots p then slot_bytes else 0
+  || free_space p + f.dead >= len + if f.first_dead = nslots p then slot_bytes else 0
+
+(* [fill_fits] scanning the directory only when that answer needs it. *)
+let can_insert p len = free_space p >= len + slot_bytes || fill_fits p (fill p) len
 
 (* Insert a record into the first dead slot (a new one when none is
-   dead), returning its slot index and the page's [free_space +
-   dead_bytes] afterwards, or [None] if the page is full even after
-   compaction.  The directory is read once: an insert without
-   compaction leaves [dead_bytes] as it was, one with compaction leaves
-   none. *)
-let insert_free p data =
+   dead), compacting first when only that makes room, and bring [f] up
+   to date; [None] if the page is full even after compaction. *)
+let fill_insert p f data =
   let len = String.length data in
   if len > size - header - slot_bytes then None
   else begin
-    let slot, dead = scan_slots p in
+    let slot = f.first_dead in
     let slot_cost = if slot = nslots p then slot_bytes else 0 in
-    let dead =
-      if free_space p < len + slot_cost && free_space p + dead >= len + slot_cost then begin
-        compact p;
-        0
-      end
-      else dead
-    in
+    if free_space p < len + slot_cost && free_space p + f.dead >= len + slot_cost then begin
+      compact p;
+      f.dead <- 0
+    end;
     if free_space p < len + slot_cost then None
     else begin
       if slot = nslots p then set_nslots p (slot + 1);
@@ -162,9 +179,23 @@ let insert_free p data =
       Bytes.blit_string data 0 p off len;
       set_content p off;
       set_slot p slot off len;
-      Some (slot, free_space p + dead)
+      let n = nslots p in
+      let i = ref (slot + 1) in
+      while !i < n && live p !i do
+        incr i
+      done;
+      f.first_dead <- !i;
+      f.seen_nslots <- n;
+      f.seen_content <- off;
+      Some slot
     end
   end
+
+(* [fill_insert] on a page's own [fill], also returning the page's
+   [free_space + dead_bytes] afterwards. *)
+let insert_free p data =
+  let f = fill p in
+  Option.map (fun slot -> (slot, fill_free p f)) (fill_insert p f data)
 
 let insert p data = Option.map fst (insert_free p data)
 

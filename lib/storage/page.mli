@@ -73,6 +73,34 @@ val insert : t -> string -> int option
     after the insert; one pass over the slot directory computes both. *)
 val insert_free : t -> string -> (int * int) option
 
+(** {2 Repeated inserts into one page}
+
+    What {!insert} learns from its directory scan (the first dead slot
+    and the reclaimable bytes), kept up to date by the inserts made
+    through it, so that a run of inserts into one page scans its
+    directory once.  {!fill_insert} places a record exactly where
+    {!insert} would. *)
+
+type fill
+
+(** Scan [p]'s slot directory once. *)
+val fill : t -> fill
+
+(** Whether [p]'s slot count and content start are still those [fill]
+    last saw: false after any insert, compaction or growing update made
+    without it.  (A delete or a shrinking update leaves both alone; the
+    caller drops its [fill] after those.) *)
+val fill_current : t -> fill -> bool
+
+(** [free_space + dead_bytes]. *)
+val fill_free : t -> fill -> int
+
+(** {!can_insert}, without a directory scan. *)
+val fill_fits : t -> fill -> int -> bool
+
+(** {!insert}, without a directory scan, updating [fill]. *)
+val fill_insert : t -> fill -> string -> int option
+
 (** Kill slot [i]; returns whether it was live. *)
 val delete : t -> int -> bool
 

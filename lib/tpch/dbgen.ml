@@ -178,7 +178,8 @@ let bulk_insert db name rows =
         split 0 [] rows
       in
       Sq.Db.with_write_txn db (fun txn ->
-          List.iter (fun row -> ignore (Sq.Exec.insert_row_raw env txn tbl row)) now);
+          let w = Sq.Exec.writer env tbl in
+          List.iter (fun row -> ignore (Sq.Exec.insert_row txn w row)) now);
       go rest
   in
   go rows

@@ -49,7 +49,7 @@ let delete_by_key db ~table ~keycol keys =
   let victims = ref [] in
   Sq.Exec.scan_heap env tbl ~decode ~f:(fun rid row ->
       if Array.length row > 0 then victims := (rid, row) :: !victims);
-  Sq.Db.with_write_txn db (fun txn -> Sq.Exec.delete_rows env txn tbl !victims)
+  Sq.Db.with_write_txn db (fun txn -> Sq.Exec.delete_rows txn (Sq.Exec.writer env tbl) !victims)
 
 (* RF2: delete the [count] oldest live orders and their lineitems. *)
 let rf2 st db ~count =

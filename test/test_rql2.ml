@@ -506,6 +506,174 @@ let intervals =
           [ [ R.Text "u3"; R.Int 1; R.Int 3 ] ]
           (q ctx "SELECT * FROM T")) ]
 
+(* --- __rql_key from the first iteration's rows ---------------------------
+
+   The first iteration of AggregateDataInTable and
+   CollateDataIntoIntervals builds T's key index from the rows it stored
+   and their rids, without reading T.  Right after that iteration the
+   index must be the one CREATE INDEX builds over the same T: the same
+   pages byte for byte once every page id in them (a leaf's next link,
+   an interior node's children) is replaced by the page's position in a
+   breadth-first walk, since the two trees sit on different pages. *)
+
+module Pg = Storage.Page
+
+let index_pages ctx name =
+  let meta = ctx.Rql.meta in
+  let root =
+    match Sqldb.Catalog.find_index (Sqldb.Db.catalog meta) name with
+    | Some ix -> ix.Sqldb.Catalog.iroot
+    | None -> Alcotest.failf "no index %s" name
+  in
+  let read = Sqldb.Db.read_current meta in
+  let pos = Hashtbl.create 16 and queue = Queue.create () and pages = ref [] in
+  let visit pid =
+    if not (Hashtbl.mem pos pid) then begin
+      Hashtbl.replace pos pid (Hashtbl.length pos);
+      Queue.add pid queue
+    end
+  in
+  (* a separator's child is its entry's last value, an INTEGER: the
+     record's last 8 bytes *)
+  let child p i = Pg.slot_off p i + Pg.slot_len p i - 8 in
+  visit root;
+  while not (Queue.is_empty queue) do
+    let p = read (Queue.pop queue) in
+    pages := p :: !pages;
+    if Pg.kind p = Pg.Btree_interior then begin
+      visit (Pg.aux p);
+      for i = 0 to Pg.nslots p - 1 do
+        visit (R.int_at p (child p i - 1))
+      done
+    end
+  done;
+  let at pid = if pid < 0 then pid else Hashtbl.find pos pid in
+  List.rev_map
+    (fun p ->
+      let c = Bytes.copy p in
+      Pg.set_next c (at (Pg.next p));
+      if Pg.kind p = Pg.Btree_interior then begin
+        Pg.set_aux c (at (Pg.aux p));
+        for i = 0 to Pg.nslots p - 1 do
+          Bytes.set_int64_le c (child p i) (Int64.of_int (at (R.int_at p (child p i - 1))))
+        done
+      end;
+      c)
+    !pages
+
+let same_index ~label ctx a b =
+  let pa = index_pages ctx a and pb = index_pages ctx b in
+  Alcotest.(check int) (label ^ ": pages") (List.length pb) (List.length pa);
+  Alcotest.(check bool) (label ^ ": page bytes") true (List.for_all2 Bytes.equal pa pb)
+
+let meta_ok ~label ctx =
+  Alcotest.(check (list string))
+    (label ^ ": meta integrity") [] (Sqldb.Integrity.check ctx.Rql.meta)
+
+(* Run [kind] over every snapshot one iteration at a time; after the
+   first, [check] T. *)
+let first_then_rest ctx ~kind ~qq ~table check =
+  let rs = Rql.make_run ctx ~kind ~qq ~table () in
+  match Rql.snapshot_set ctx qs_all with
+  | [] -> Alcotest.fail "no snapshots"
+  | sid :: rest ->
+    Rql.step rs ~sid;
+    check ();
+    List.iter (fun sid -> Rql.step rs ~sid) rest;
+    ignore (Rql.finish rs)
+
+(* The first iteration's __rql_key against CREATE INDEX on [cols]. *)
+let rql_key_is_create_index ~label ctx ~table ~cols () =
+  ignore (E.exec ctx.Rql.meta (Printf.sprintf "CREATE INDEX %s_chk ON %s (%s)" table table cols));
+  same_index ~label ctx (table ^ "__rql_key") (table ^ "_chk");
+  meta_ok ~label ctx
+
+(* s(k, t): texts of widths 0 to 600, a repeated key, and churn between
+   the three snapshots. *)
+let widths_history () =
+  let ctx = Rql.create () in
+  let e sql = ignore (E.exec ctx.Rql.data sql) in
+  e "CREATE TABLE s (k INTEGER, t TEXT)";
+  for k = 1 to 400 do
+    e (Printf.sprintf "INSERT INTO s VALUES (%d, '%s')" (k * 7919 mod 401)
+         (String.make (k * 37 mod 601) (Char.chr (97 + (k mod 26)))))
+  done;
+  e "INSERT INTO s SELECT k, t FROM s WHERE k < 40";
+  ignore (Rql.declare_snapshot ctx);
+  ignore (E.exec ctx.Rql.data "BEGIN");
+  e "DELETE FROM s WHERE k % 5 = 0";
+  e "INSERT INTO s VALUES (1000, 'new'), (3, 'three')";
+  ignore (Rql.declare_snapshot ctx);
+  ignore (E.exec ctx.Rql.data "BEGIN");
+  e "UPDATE s SET t = 'changed' WHERE k % 7 = 0";
+  ignore (Rql.declare_snapshot ctx);
+  ctx
+
+let index_from_rows =
+  [ Alcotest.test_case "intervals over rows of several widths" `Quick (fun () ->
+        let ctx = widths_history () in
+        first_then_rest ctx ~kind:Rql.Intervals ~qq:"SELECT k, t FROM s" ~table:"W"
+          (rql_key_is_create_index ~label:"intervals" ctx ~table:"W" ~cols:"k, t");
+        meta_ok ~label:"intervals, last iteration" ctx);
+    Alcotest.test_case "AggregateDataInTable with a TEXT MAX that moves its row" `Quick
+      (fun () ->
+        (* 300 groups fill T's first pages; the snapshot's last row grows
+           group 1's MAX to 1 500 bytes, which no longer fits on T's
+           first page: the row moves within the first iteration *)
+        let ctx = Rql.create () in
+        let e sql = ignore (E.exec ctx.Rql.data sql) in
+        e "CREATE TABLE a (g INTEGER, v TEXT)";
+        for g = 1 to 300 do
+          e (Printf.sprintf "INSERT INTO a VALUES (%d, 'v%020d')" g g)
+        done;
+        e (Printf.sprintf "INSERT INTO a VALUES (1, '%s')" (String.make 1500 'z'));
+        ignore (Rql.declare_snapshot ctx);
+        ignore (E.exec ctx.Rql.data "BEGIN");
+        e "UPDATE a SET v = 'w' || v WHERE g % 3 = 0";
+        ignore (Rql.declare_snapshot ctx);
+        first_then_rest ctx
+          ~kind:(Rql.Agg_table [ ("v", Rql.Monoid.Max) ])
+          ~qq:"SELECT g, v FROM a" ~table:"A"
+          (fun () ->
+            let tbl =
+              match Sqldb.Catalog.find_table (Sqldb.Db.catalog ctx.Rql.meta) "A" with
+              | Some t -> t
+              | None -> Alcotest.fail "no result table"
+            in
+            let first = tbl.Sqldb.Catalog.theap in
+            Alcotest.(check (option string)) "group 1's first slot is dead: its row moved" None
+              (Storage.Heap.get (Sqldb.Db.read_current ctx.Rql.meta)
+                 (Storage.Heap.open_existing first)
+                 (Storage.Heap.rid_of ~pid:first ~slot:0));
+            rql_key_is_create_index ~label:"aggregate" ctx ~table:"A" ~cols:"g" ());
+        Alcotest.(check (list row)) "group 1's MAX"
+          [ [ R.Text (String.make 1500 'z') ] ]
+          (q ctx "SELECT v FROM A WHERE g = 1");
+        meta_ok ~label:"aggregate, last iteration" ctx);
+    Alcotest.test_case "CollateData with TEXT values: the index build's two sources" `Quick
+      (fun () ->
+        (* CollateData builds no key index; CREATE INDEX over its T (a
+           scan) and the same index built from T's rows and rids must
+           be one index *)
+        let ctx = widths_history () in
+        first_then_rest ctx ~kind:Rql.Collate ~qq:"SELECT t, k FROM s" ~table:"C" (fun () ->
+            let meta = ctx.Rql.meta in
+            let tbl =
+              match Sqldb.Catalog.find_table (Sqldb.Db.catalog meta) "C" with
+              | Some t -> t
+              | None -> Alcotest.fail "no result table"
+            in
+            let rows = ref [] in
+            Storage.Heap.iter (Sqldb.Db.read_current meta)
+              (Storage.Heap.open_existing tbl.Sqldb.Catalog.theap) ~f:(fun rid data ->
+                rows := (R.decode_row data, rid) :: !rows);
+            ignore (E.exec meta "CREATE INDEX C_scan ON C (t, k)");
+            E.create_index_of_rows meta ~name:"C_rows" ~table:"C" ~columns:[ "t"; "k" ]
+              (Array.of_list !rows);
+            same_index ~label:"collate" ctx "C_rows" "C_scan";
+            meta_ok ~label:"collate" ctx);
+        meta_ok ~label:"collate, last iteration" ctx) ]
+
 let isolation =
   [ Alcotest.test_case "meta database rows are not snapshotted" `Quick (fun () ->
         let ctx = history () in
@@ -547,4 +715,5 @@ let () =
       ("single-row", single_row);
       ("stale-map", stale_map);
       ("intervals", intervals);
+      ("index-from-rows", index_from_rows);
       ("isolation", isolation) ]

@@ -169,7 +169,8 @@ let model_delete_by_key db ~table ~keycol keys =
   let victims = ref [] in
   Sqldb.Exec.scan_heap env tbl ~decode ~f:(fun rid row ->
       if victim row.(kpos) then victims := (rid, row) :: !victims);
-  Sqldb.Db.with_write_txn db (fun txn -> Sqldb.Exec.delete_rows env txn tbl !victims)
+  Sqldb.Db.with_write_txn db (fun txn ->
+      Sqldb.Exec.delete_rows txn (Sqldb.Exec.writer env tbl) !victims)
 
 let model_rf2 st db ~count =
   let keys = Tpch.Dbgen.take_oldest_live st count in

@@ -48,19 +48,6 @@ type run = {
 let total_s run =
   List.fold_left (fun acc it -> acc +. iteration_total it) run.finalize_s run.iterations
 
-let pp_iteration ppf it =
-  Fmt.pf ppf
-    "snap=%d %s io=%.4fs (%d pagelog reads) spt=%.4fs (%d entries) idx=%.4fs \
-     query=%.4fs udf=%.4fs total=%.4fs"
-    it.snap_id
-    (if it.cold then "cold" else "hot ")
-    it.io_s it.pagelog_reads it.spt_build_s it.spt_entries it.index_build_s it.query_eval_s
-    it.udf_s (iteration_total it);
-  if it.udf_rows > 0 then
-    Fmt.pf ppf " rows=%d ins=%d upd=%d" it.udf_rows it.udf_inserts it.udf_updates;
-  if it.eval <> "plain" then
-    Fmt.pf ppf " %s(evaluated=%d reused=%d)" it.eval it.pages_evaluated it.pages_reused
-
 (* Aggregate breakdown over a run's iterations (for bar charts). *)
 type breakdown = {
   b_io : float;

@@ -162,7 +162,7 @@ let create_result_table (rs : run_state) cols =
 
 let norm = String.lowercase_ascii
 
-let agg_spec fn = { Sq.Ast.agg_fn = Monoid.to_string fn; agg_arg = None; agg_distinct = false }
+let agg_spec fn = { Sq.Ast.agg_fn = fn; agg_arg = None; agg_distinct = false }
 
 (* T's columns, as the run's header and aggregates lay them out. *)
 let result_cols (rs : run_state) =

@@ -87,22 +87,16 @@ let ty_num =
 let ty_text_null =
   { can_int = false; can_real = false; can_text = true; can_null = true; boolish = false }
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-(* Result type of CAST, mirroring [Expr.cast_to]'s affinity dispatch;
-   an unrecognized target type is a no-op cast, hence Top. *)
+(* Result type of CAST, by [Expr.cast_class]; a cast that leaves the
+   value unchanged is Top. *)
 let cast_ty ty =
-  let ty = String.uppercase_ascii (String.trim ty) in
-  let has sub = contains_sub ty sub in
-  if has "INT" then
+  match Expr.cast_class ty with
+  | Expr.To_int ->
     { can_int = true; can_real = false; can_text = false; can_null = true; boolish = false }
-  else if has "REAL" || has "FLOA" || has "DOUB" then
+  | Expr.To_real ->
     { can_int = false; can_real = true; can_text = false; can_null = true; boolish = false }
-  else if has "CHAR" || has "TEXT" || has "CLOB" then ty_text_null
-  else ty_top
+  | Expr.To_text -> ty_text_null
+  | Expr.Unchanged -> ty_top
 
 (* Over-approximate the runtime types of [e].  Pure and cheap: used by
    the strength reductions to check identities like [x * 1 -> x]. *)

@@ -4,11 +4,13 @@
    access: the engine's statement wrapper behind exec, exec_script,
    exec_rows and exec_prepared (a prepared statement is analyzed once,
    by prepare or prepare_select), hence the shell, and the Qq / Qs
-   front doors of all four RQL loop mechanisms.  It mirrors the
-   planner's and executor's name-resolution and evaluation rules without
-   reading any data, so a statement it rejects would have failed at plan
-   or eval time anyway, only later (possibly mid-loop, after SPT builds and
-   page I/O, or mid-DML after rows were already touched).
+   front doors of all four RQL loop mechanisms.  It resolves names with
+   the planner's own functions (Planner.lookup_table, match_col,
+   col_pos, alias_subst, order_target) and types CAST by the evaluator's
+   Expr.cast_class, without reading any data, so a statement it rejects
+   would have failed at plan or eval time anyway, only later (possibly
+   mid-loop, after SPT builds and page I/O, or mid-DML after rows were
+   already touched).
 
    The checks are deliberately *sound with respect to execution*: the
    analyzer never rejects a statement the engine would execute
@@ -23,7 +25,7 @@
      E003 ambiguous column name          E012 UNION members differ in width
      E004 no such function               E013 sys_ namespace is reserved
      E005 wrong builtin arity            E020 current_snapshot() outside a loop
-     E006 malformed aggregate            E021 Qs must project one snapshot id
+     E006 nested aggregate               E021 Qs must project one snapshot id
      E007 aggregate not allowed here     E022 Qq must be a SELECT
      E008 subquery must be one column
      E009 INSERT arity mismatch
@@ -70,24 +72,15 @@ let join a b =
   | (Tint | Treal), (Tint | Treal) -> Treal
   | _ -> Tany
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-(* SQLite-style affinity from a declared column type; "" (RQL result
-   tables, CTAS) means untyped. *)
+(* SQLite-style affinity from a declared column type, a heuristic for
+   W103/W105 (DEC and NUM count as real); "" (RQL result tables, CTAS)
+   means untyped. *)
 let affinity decl =
-  if decl = "" then Tany
-  else
-    let u = String.uppercase_ascii decl in
-    if contains_sub u "INT" then Tint
-    else if contains_sub u "CHAR" || contains_sub u "TEXT" || contains_sub u "CLOB" then Ttext
-    else if
-      contains_sub u "REAL" || contains_sub u "FLOA" || contains_sub u "DOUB"
-      || contains_sub u "DEC" || contains_sub u "NUM"
-    then Treal
-    else Tany
+  let has = Expr.contains_sub (String.uppercase_ascii decl) in
+  if has "INT" then Tint
+  else if has "CHAR" || has "TEXT" || has "CLOB" then Ttext
+  else if has "REAL" || has "FLOA" || has "DOUB" || has "DEC" || has "NUM" then Treal
+  else Tany
 
 let ty_of_value = function
   | R.Null -> Tnull
@@ -119,8 +112,6 @@ let describe_arity lo hi =
   if hi = max_int then Printf.sprintf "at least %d argument%s" lo (if lo = 1 then "" else "s")
   else if lo = hi then Printf.sprintf "%d argument%s" lo (if lo = 1 then "" else "s")
   else Printf.sprintf "%d to %d arguments" lo hi
-
-let aggregate_fns = [ "count"; "sum"; "avg"; "min"; "max"; "total" ]
 
 (* --- analysis state ---------------------------------------------------- *)
 
@@ -173,49 +164,26 @@ let span_map sql =
 
 (* --- name resolution --------------------------------------------------- *)
 
-(* A FROM source: alias (lowercased) + resolved table. *)
-type source = { a_alias : string; a_tbl : Catalog.table }
-
 (* scope of one SELECT core: its sources, whether they all resolved
    (unresolved FROM suppresses column-level diagnostics to avoid
    cascades), and whether name diagnostics apply at all (they do not
    under AS OF: a snapshot's catalog may differ from the current one,
    and tables dropped since are still legally queryable there). *)
-type scope = { sources : source list; resolved : bool; strict : bool }
+type scope = { sources : Plan.source list; resolved : bool; strict : bool }
 
 let no_sources = { sources = []; resolved = true; strict = true }
 
 let lookup_table ctx name =
-  match Catalog.find_table ctx.cat name with
-  | Some t -> Some t
-  | None -> Systables.lookup name
+  match Planner.lookup_table ctx.cat name with
+  | t -> Some t
+  | exception Planner.Error _ -> None
+
+let has_col tbl c =
+  match Planner.col_pos tbl c with
+  | _ -> true
+  | exception Planner.Error _ -> false
 
 let col_ty (t : Catalog.table) i = affinity (snd t.Catalog.tcols.(i))
-
-(* Mirror of Planner.find_col: qualified references filter by alias,
-   duplicates across remaining sources are ambiguous. *)
-let find_col sources q n =
-  let n = lc n in
-  let matches =
-    List.concat_map
-      (fun s ->
-        match q with
-        | Some q when lc q <> s.a_alias -> []
-        | _ ->
-          let hits = ref [] in
-          Array.iteri
-            (fun i (cn, _) -> if lc cn = n then hits := (s, i) :: !hits)
-            s.a_tbl.Catalog.tcols;
-          !hits)
-      sources
-  in
-  match matches with
-  | [ (s, i) ] -> `One (col_ty s.a_tbl i)
-  | [] -> `None
-  | _ -> `Many
-
-let table_has_col (tbl : Catalog.table) c =
-  Array.exists (fun (cn, _) -> lc cn = lc c) tbl.Catalog.tcols
 
 (* --- expression scanners ----------------------------------------------- *)
 
@@ -274,10 +242,20 @@ let builtin_ctx = { Expr.lookup_fn = Func.find }
 let rec check_expr ctx (sc : scope) ~agg_ok (e : expr) : ty =
   match e with
   | Lit v -> ty_of_value v
-  | Param _ | Colidx _ | Aggref _ | In_set _ -> Tany
+  | Param _ | Aggref _ | In_set _ -> Tany
+  | Colidx i -> (
+    (* a column of a star-expanded output item *)
+    match
+      List.find_opt
+        (fun (s : Plan.source) ->
+          i >= s.s_offset && i < s.s_offset + Array.length s.s_tbl.Catalog.tcols)
+        sc.sources
+    with
+    | Some s -> col_ty s.s_tbl (i - s.s_offset)
+    | None -> Tany)
   | Col (q, n) -> (
-    match find_col sc.sources q n with
-    | `One t -> t
+    match Planner.match_col sc.sources q n with
+    | `One (s, i) -> col_ty s.s_tbl i
     | `None ->
       if sc.strict && sc.resolved then
         errf ctx ~at:n "E002" "no such column: %s%s"
@@ -351,29 +329,21 @@ let rec check_expr ctx (sc : scope) ~agg_ok (e : expr) : ty =
       if not (ctx.has_fn name) then errf ctx ~at:name "E004" "no such function: %s" name;
       Tany)
   | Agg a -> (
-    let fn = lc a.agg_fn in
+    let name = agg_fn_name a.agg_fn in
     if not agg_ok then
-      errf ctx ~at:a.agg_fn "E007" "aggregate %s(...) is not allowed in this clause"
-        a.agg_fn;
-    if not (List.mem fn aggregate_fns) then
-      errf ctx ~at:a.agg_fn "E006" "no such aggregate function: %s" a.agg_fn;
+      errf ctx ~at:name "E007" "aggregate %s(...) is not allowed in this clause" name;
     match a.agg_arg with
-    | None ->
-      if fn <> "count" then
-        errf ctx ~at:a.agg_fn "E006" "%s requires an argument" a.agg_fn;
-      Tint
+    | None -> Tint (* COUNT star *)
     | Some arg -> (
-      if Expr.has_aggregate arg then
-        errf ctx ~at:a.agg_fn "E006" "aggregate calls cannot nest";
+      if Expr.has_aggregate arg then errf ctx ~at:name "E006" "aggregate calls cannot nest";
       (* agg_ok:true so a nested aggregate reports E006 once, not an
          extra E007 *)
       let t = check_expr ctx sc ~agg_ok:true arg in
-      match fn with
-      | "count" -> Tint
-      | "avg" | "total" -> Treal
-      | "sum" -> ( match t with Tint -> Tint | Treal -> Treal | _ -> Tany)
-      | "min" | "max" -> t
-      | _ -> Tany))
+      match a.agg_fn with
+      | Count -> Tint
+      | Avg | Total -> Treal
+      | Sum -> ( match t with Tint -> Tint | Treal -> Treal | _ -> Tany)
+      | Min | Max -> t))
   | Case { branches; else_ } ->
     let t =
       List.fold_left
@@ -385,9 +355,15 @@ let rec check_expr ctx (sc : scope) ~agg_ok (e : expr) : ty =
     (match else_ with
     | Some e1 -> join t (check_expr ctx sc ~agg_ok e1)
     | None -> t)
-  | Cast (e1, tyname) ->
+  | Cast (e1, tyname) -> (
     ignore (check_expr ctx sc ~agg_ok e1);
-    affinity tyname
+    (* a cast that leaves the value unchanged is unknown, as it is to
+       the optimizer (Absint.cast_ty) *)
+    match Expr.cast_class tyname with
+    | Expr.To_int -> Tint
+    | Expr.To_real -> Treal
+    | Expr.To_text -> Ttext
+    | Expr.Unchanged -> Tany)
   | Subquery sub -> (
     match check_select ctx ~outer_strict:sc.strict sub with
     | Some [ (_, t) ] -> t
@@ -417,18 +393,18 @@ and col_is_indexed ctx sc q n =
   let ln = lc n in
   let srcs =
     match q with
-    | Some q -> List.filter (fun s -> s.a_alias = lc q) sc.sources
+    | Some q -> List.filter (fun (s : Plan.source) -> s.s_alias = lc q) sc.sources
     | None -> sc.sources
   in
   List.exists
-    (fun s ->
-      table_has_col s.a_tbl n
+    (fun (s : Plan.source) ->
+      has_col s.s_tbl n
       && List.exists
            (fun (ix : Catalog.index) ->
              match ix.Catalog.icols with
              | lead :: _ -> lc lead = ln
              | [] -> false)
-           (Catalog.indexes_of_table ctx.cat s.a_tbl.Catalog.tname))
+           (Catalog.indexes_of_table ctx.cat s.s_tbl.Catalog.tname))
     srcs
 
 (* WHERE-conjunct warnings: W102 (constant false/NULL) and W101 (the
@@ -494,20 +470,14 @@ and check_select ctx ~outer_strict (sel : select) : (string * ty) list option =
               (List.length o) (List.length m)
           | _ -> ())
         member_outs;
-      let hdr = List.map (fun (n, _) -> lc n) o in
+      let header = Planner.header (List.map fst o) in
       List.iter
         (fun oi ->
-          match oi.ord_expr with
-          | Lit (R.Int k) when k >= 1 && k <= List.length o -> ()
-          | Lit (R.Int k) ->
-            errf ctx "E002" "compound ORDER BY position %d is out of range (1..%d)" k
-              (List.length o)
-          | Col (None, n) when List.mem (lc n) hdr -> ()
-          | Col (_, n) ->
-            errf ctx ~at:n "E002" "no such output column in compound ORDER BY: %s" n
-          | _ ->
-            errf ctx "E002"
-              "compound ORDER BY must reference output columns by name or position")
+          match Planner.compound_order_index header oi with
+          | _ -> ()
+          | exception Planner.Error m ->
+            let at = match oi.ord_expr with Col (_, n) -> Some n | _ -> None in
+            errf ctx ?at "E002" "%s" m)
         sel.order_by
     | None -> ());
     check_limit_offset ctx sel;
@@ -544,16 +514,15 @@ and check_core ctx ~outer_strict (sel : select) : (string * ty) list option =
   in
   let width_known = ref true in
   let sources =
-    List.filter_map
-      (fun (tr : table_ref) ->
+    List.fold_left
+      (fun sources (tr : table_ref) ->
         match lookup_table ctx tr.tbl_name with
-        | Some t ->
-          Some { a_alias = lc (Option.value tr.tbl_alias ~default:tr.tbl_name); a_tbl = t }
+        | Some t -> sources @ [ Planner.source sources tr t ]
         | None ->
           width_known := false;
           if strict then errf ctx ~at:tr.tbl_name "E001" "no such table: %s" tr.tbl_name;
-          None)
-      refs
+          sources)
+      [] refs
   in
   let sc = { sources; resolved = !width_known; strict } in
   (* ON clauses: checked against the full source list — necessary but
@@ -567,86 +536,33 @@ and check_core ctx ~outer_strict (sel : select) : (string * ty) list option =
     ignore (check_expr ctx sc ~agg_ok:false w);
     if sc.strict && sc.resolved then check_predicate_warnings ctx sc w
   | None -> ());
-  (* output items, star-expanded so the width is static *)
-  let outs =
+  (* output items, star-expanded so the width is static, with their
+     types *)
+  let typed =
     List.concat_map
       (fun item ->
-        match item with
-        | Star ->
-          List.concat_map
-            (fun s ->
-              Array.to_list
-                (Array.map (fun (n, d) -> (n, affinity d)) s.a_tbl.Catalog.tcols))
-            sc.sources
-        | Table_star a -> (
-          match List.find_opt (fun s -> s.a_alias = lc a) sc.sources with
-          | Some s ->
-            Array.to_list
-              (Array.map (fun (n, d) -> (n, affinity d)) s.a_tbl.Catalog.tcols)
-          | None ->
-            width_known := false;
-            if sc.strict && sc.resolved then errf ctx ~at:a "E001" "no such table: %s" a;
-            [])
-        | Sel_expr (e, alias) ->
-          let t = check_expr ctx sc ~agg_ok:true e in
-          let name =
-            match alias, e with
-            | Some a, _ -> a
-            | None, Col (_, n) -> n
-            | None, _ -> ""
-          in
-          [ (name, t) ])
+        match Planner.expand_items sc.sources [ item ] with
+        | items -> List.map (fun (e, name) -> ((e, name), check_expr ctx sc ~agg_ok:true e)) items
+        | exception Planner.Error _ ->
+          let a = match item with Table_star a -> a | _ -> "" in
+          width_known := false;
+          if sc.strict && sc.resolved then errf ctx ~at:a "E001" "no such table: %s" a;
+          [])
       sel.items
   in
-  (* GROUP BY / HAVING / ORDER BY may reference output aliases when the
-     name is not a FROM column (SQLite rule, mirrored from the
-     planner's alias_subst). *)
-  let named_items =
-    List.filter_map
-      (function
-        | Sel_expr (e, alias) ->
-          let name =
-            match alias, e with
-            | Some a, _ -> a
-            | None, Col (_, n) -> n
-            | None, _ -> ""
-          in
-          if name = "" then None else Some (lc name, e)
-        | _ -> None)
-      sel.items
-  in
-  let alias_subst e =
-    Expr.map
-      (function
-        | Col (None, n) as c
-          when (match find_col sc.sources None n with `One _ -> false | _ -> true) -> (
-          match List.assoc_opt (lc n) named_items with
-          | Some aliased -> aliased
-          | None -> c)
-        | e -> e)
-      e
-  in
+  let items = List.map fst typed in
+  let outs = List.map (fun ((_, name), t) -> (name, t)) typed in
+  let alias_subst = Planner.alias_subst sc.sources items in
   List.iter (fun e -> ignore (check_expr ctx sc ~agg_ok:false (alias_subst e))) sel.group_by;
   Option.iter
     (fun e -> ignore (check_expr ctx sc ~agg_ok:true (alias_subst e)))
     sel.having;
-  (* ORDER BY: positional literals and pure output-alias references
-     resolve to output columns; everything else resolves against the
-     FROM columns (no alias substitution — same as the planner). *)
-  let hdr_lc =
-    List.mapi
-      (fun i (n, _) -> lc (if n = "" then Printf.sprintf "expr_%d" (i + 1) else n))
-      outs
-  in
+  let header = Planner.header (List.map snd items) in
   List.iter
     (fun o ->
-      match o.ord_expr with
-      | Lit (R.Int k) when k >= 1 && k <= List.length outs -> ()
-      | Col (None, n)
-        when List.mem (lc n) hdr_lc
-             && (match find_col sc.sources None n with `One _ -> false | _ -> true) ->
-        ()
-      | e -> ignore (check_expr ctx sc ~agg_ok:true e))
+      match Planner.order_target sc.sources header o with
+      | `Out _ -> ()
+      | `Key e -> ignore (check_expr ctx sc ~agg_ok:true e))
     sel.order_by;
   check_limit_offset ctx sel;
   if !width_known then Some outs else None
@@ -654,9 +570,7 @@ and check_core ctx ~outer_strict (sel : select) : (string * ty) list option =
 (* --- statement checking ------------------------------------------------ *)
 
 let dml_scope (tbl : Catalog.table) =
-  { sources = [ { a_alias = lc tbl.Catalog.tname; a_tbl = tbl } ];
-    resolved = true;
-    strict = true }
+  { sources = [ Planner.source_of_table tbl ]; resolved = true; strict = true }
 
 let check_values_exprs ctx exprs =
   (* INSERT ... VALUES expressions evaluate with no row in scope;
@@ -681,7 +595,7 @@ let rec check_stmt ctx (s : stmt) : unit =
           | Some cols ->
             List.iter
               (fun c ->
-                if not (table_has_col tbl c) then
+                if not (has_col tbl c) then
                   errf ctx ~at:c "E002" "table %s has no column %s" table c)
               cols;
             List.length cols
@@ -724,7 +638,7 @@ let rec check_stmt ctx (s : stmt) : unit =
         let sc = dml_scope tbl in
         List.iter
           (fun (c, e) ->
-            if not (table_has_col tbl c) then
+            if not (has_col tbl c) then
               errf ctx ~at:c "E002" "table %s has no column %s" table c;
             ignore (check_expr ctx sc ~agg_ok:false e))
           sets;
@@ -735,7 +649,7 @@ let rec check_stmt ctx (s : stmt) : unit =
           where
       end)
   | Create_table { table; cols; as_select; if_not_exists = _ } ->
-    if String.length (lc table) >= 4 && String.sub (lc table) 0 4 = "sys_" then
+    if Systables.is_reserved_name table then
       errf ctx ~at:table "E013" "%s: the sys_ prefix is reserved for system tables" table;
     let seen = Hashtbl.create 8 in
     List.iter
@@ -759,7 +673,7 @@ let rec check_stmt ctx (s : stmt) : unit =
     | Some tbl ->
       List.iter
         (fun c ->
-          if not (table_has_col tbl c) then
+          if not (has_col tbl c) then
             errf ctx ~at:c "E002" "table %s has no column %s" table c)
         columns)
   | Drop_table { table; if_exists } ->

@@ -42,10 +42,12 @@ type expr =
     }
 
 and agg = {
-  agg_fn : string;            (* count, sum, avg, min, max, total *)
+  agg_fn : agg_fn;
   agg_arg : expr option;      (* None = COUNT star *)
   agg_distinct : bool;
 }
+
+and agg_fn = Count | Sum | Total | Avg | Min | Max
 
 and sel_item =
   | Star
@@ -115,3 +117,12 @@ type stmt =
     } (* VACUUM SNAPSHOTS: drop an archive prefix and compact the Pagelog *)
   | Checkpoint (* CHECKPOINT: materialize the WAL into an image and truncate it *)
   | Pragma of string (* PRAGMA integrity_check etc. *)
+
+(* The aggregate functions' SQL names, the one list of them: the parser
+   reads a call's name through it, and messages print it back. *)
+let agg_names =
+  [ ("count", Count); ("sum", Sum); ("total", Total); ("avg", Avg); ("min", Min); ("max", Max) ]
+
+let agg_fn_of_name name = List.assoc_opt (String.lowercase_ascii name) agg_names
+
+let agg_fn_name fn = fst (List.find (fun (_, f) -> f = fn) agg_names)

@@ -44,12 +44,8 @@ let sanitize_cols cols =
       (name, ty))
     cols
 
-(* The sys_ namespace belongs to the virtual system tables; reserving
-   the whole prefix keeps future additions from colliding with user
-   tables created under older versions. *)
 let check_not_reserved name =
-  let l = String.lowercase_ascii name in
-  if String.length l >= 4 && String.sub l 0 4 = "sys_" then
+  if Systables.is_reserved_name name then
     error "%s: the sys_ prefix is reserved for system tables" name
 
 let check_not_virtual name =
@@ -93,7 +89,7 @@ let build_index db ~name ~table ~columns ~if_not_exists entries =
       | Some t -> t
       | None -> error "no such table: %s" table
     in
-    let pos = Array.of_list (List.map (Exec.col_pos tbl) columns) in
+    let pos = Array.of_list (List.map (Planner.col_pos tbl) columns) in
     let want = Array.make (Array.length tbl.Catalog.tcols) false in
     Array.iter (fun i -> want.(i) <- true) pos;
     Db.with_write_txn db (fun txn ->
@@ -363,7 +359,7 @@ let run_insert db (i : stmt) =
     let positions =
       match columns with
       | None -> Array.init ncols (fun i -> i)
-      | Some cols -> Array.of_list (List.map (Exec.col_pos tbl) cols)
+      | Some cols -> Array.of_list (List.map (Planner.col_pos tbl) cols)
     in
     let make_row (vals : R.value list) =
       if List.length vals <> Array.length positions then

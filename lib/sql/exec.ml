@@ -126,17 +126,8 @@ let fetch_row env (tbl : Catalog.table) ~(decode : decoder) rid =
       Storage.Heap.get_span env.read (heap_of env tbl) rid ~f:(fun p off len ->
           decode p ~off ~len))
 
-let col_pos (tbl : Catalog.table) name =
-  let n = String.lowercase_ascii name in
-  let rec go i =
-    if i >= Array.length tbl.tcols then error "table %s has no column %s" tbl.tname name
-    else if String.lowercase_ascii (fst tbl.tcols.(i)) = n then i
-    else go (i + 1)
-  in
-  go 0
-
 let index_key (tbl : Catalog.table) (idx : Catalog.index) (row : R.row) : R.row =
-  Array.of_list (List.map (fun c -> row.(col_pos tbl c)) idx.Catalog.icols)
+  Array.of_list (List.map (fun c -> row.(Planner.col_pos tbl c)) idx.Catalog.icols)
 
 (* Iterate rids of [tbl] matching the (evaluated) leading-column bounds
    via [idx]. *)
@@ -214,10 +205,10 @@ let[@inline] acc_add acc (v : R.value) =
         acc.a_sum_f <- acc.a_sum_f +. f
       | None -> ()));
     match acc.spec.agg_fn, acc.a_mm with
-    | ("min" | "max"), R.Null -> acc.a_mm <- v
-    | "min", mm -> if R.compare_value v mm < 0 then acc.a_mm <- v
-    | "max", mm -> if R.compare_value v mm > 0 then acc.a_mm <- v
-    | _ -> ())
+    | (Min | Max), R.Null -> acc.a_mm <- v
+    | Min, mm -> if R.compare_value v mm < 0 then acc.a_mm <- v
+    | Max, mm -> if R.compare_value v mm > 0 then acc.a_mm <- v
+    | (Count | Sum | Total | Avg), _ -> ())
 
 let acc_step fnctx acc row =
   let v =
@@ -241,9 +232,9 @@ let acc_step fnctx acc row =
 let acc_resume spec (v : R.value) =
   let acc = new_acc spec in
   (match spec.agg_fn, v with
-  | "count", R.Int n -> acc.a_count <- n
-  | "count", _ -> ()
-  | _ -> acc_add acc v);
+  | Count, R.Int n -> acc.a_count <- n
+  | Count, _ -> ()
+  | (Sum | Total | Avg | Min | Max), _ -> acc_add acc v);
   acc
 
 let acc_resume_avg spec ~sum ~count =
@@ -259,15 +250,14 @@ let acc_avg_state acc =
 
 let acc_final acc =
   match acc.spec.agg_fn with
-  | "count" -> R.Int acc.a_count
-  | "sum" ->
+  | Count -> R.Int acc.a_count
+  | Sum ->
     if acc.a_count = 0 then R.Null
     else if acc.a_real then R.Real acc.a_sum_f
     else R.Int acc.a_sum_i
-  | "total" -> R.Real acc.a_sum_f
-  | "avg" -> if acc.a_count = 0 then R.Null else R.Real (acc.a_sum_f /. float_of_int acc.a_count)
-  | "min" | "max" -> acc.a_mm
-  | fn -> error "unknown aggregate function %s" fn
+  | Total -> R.Real acc.a_sum_f
+  | Avg -> if acc.a_count = 0 then R.Null else R.Real (acc.a_sum_f /. float_of_int acc.a_count)
+  | Min | Max -> acc.a_mm
 
 (* --- grouping ---------------------------------------------------------- *)
 
@@ -951,7 +941,7 @@ let writer env (tbl : Catalog.table) =
       List.map
         (fun idx ->
           ( Storage.Btree.open_existing idx.Catalog.iroot,
-            Array.of_list (List.map (col_pos tbl) idx.Catalog.icols) ))
+            Array.of_list (List.map (Planner.col_pos tbl) idx.Catalog.icols) ))
         (Catalog.indexes_of_table env.cat tbl.tname) }
 
 let key_at pos (row : R.row) = Array.map (fun i -> row.(i)) pos
@@ -1026,7 +1016,7 @@ let update_rows env txn (tbl : Catalog.table) sets rows =
   let fnctx = Db.fn_ctx env.db in
   let sets =
     List.map
-      (fun (c, e) -> (col_pos tbl c, Planner.resolve_against_table tbl (expand_sub env e)))
+      (fun (c, e) -> (Planner.col_pos tbl c, Planner.resolve_against_table tbl (expand_sub env e)))
       sets
   in
   let w = writer env tbl in

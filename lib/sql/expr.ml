@@ -123,27 +123,40 @@ let numeric_prefix s =
   end;
   float_of_string_opt (String.sub s 0 !i)
 
-(* CAST with SQLite affinity rules (simplified): INTEGER truncates,
-   REAL parses the numeric prefix, TEXT renders, anything else is a
-   no-op. *)
+(* Whether [sub] occurs in [s]: type names are classed by substrings. *)
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+type cast_class = To_int | To_real | To_text | Unchanged
+
+(* What CAST(e AS [ty]) converts to, by SQLite's affinity substrings
+   (simplified): any other type name (NUMERIC, DECIMAL, BLOB, ...)
+   leaves the value as it is.  The optimizer's and the analyzer's
+   typing of CAST read this. *)
+let cast_class ty =
+  let has = contains_sub (String.uppercase_ascii (String.trim ty)) in
+  if has "INT" then To_int
+  else if has "REAL" || has "FLOA" || has "DOUB" then To_real
+  else if has "CHAR" || has "TEXT" || has "CLOB" then To_text
+  else Unchanged
+
+(* CAST: INTEGER truncates, REAL parses the numeric prefix, TEXT
+   renders. *)
 let cast_to ty v =
-  let ty = String.uppercase_ascii (String.trim ty) in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let num v =
     match v with
     | R.Text s -> Option.value (numeric_prefix s) ~default:0.
     | v -> Option.value (to_number v) ~default:0.
   in
   if v = R.Null then R.Null
-  else if contains ty "INT" then R.Int (int_of_float (num v))
-  else if contains ty "REAL" || contains ty "FLOA" || contains ty "DOUB" then R.Real (num v)
-  else if contains ty "CHAR" || contains ty "TEXT" || contains ty "CLOB" then
-    R.Text (R.value_to_string v)
-  else v
+  else
+    match cast_class ty with
+    | To_int -> R.Int (int_of_float (num v))
+    | To_real -> R.Real (num v)
+    | To_text -> R.Text (R.value_to_string v)
+    | Unchanged -> v
 
 (* Evaluate [e] over [row]; [aggs] supplies values for resolved
    aggregate slots. *)

@@ -8,10 +8,6 @@ exception Error = Expr.Error
 
 let error = Expr.error
 
-let arg_string = function
-  | R.Null -> None
-  | v -> Some (R.value_to_string v)
-
 let builtins : (string * (R.value array -> R.value)) list =
   [ ( "abs",
       fun args ->
@@ -56,6 +52,7 @@ let builtins : (string * (R.value array -> R.value)) list =
         | _ -> error "substr expects (text, start [, length])" );
     ( "coalesce",
       fun args ->
+        if args = [||] then error "coalesce expects at least 1 argument";
         let rec go i =
           if i >= Array.length args then R.Null
           else if args.(i) <> R.Null then args.(i)
@@ -146,5 +143,3 @@ let builtins : (string * (R.value array -> R.value)) list =
   ]
 
 let find name = List.assoc_opt (String.lowercase_ascii name) builtins
-
-let _ = arg_string

@@ -7,32 +7,24 @@
    DISTINCT are rejected with the paper's suggested alternative
    (CollateData plus a SQL aggregate over the result).
 
-   This module only names the functions.  Their fold is the executor's
-   accumulator (Exec.acc_add), the one SQL's aggregates use. *)
+   A function is SQL's own aggregate variant, and its fold the
+   executor's accumulator (Exec.acc_add), the one SQL's aggregates use.
+   This module only holds AggFunc's naming rules. *)
 
-type t = Min | Max | Sum | Count | Avg
+type t = Ast.agg_fn = Count | Sum | Total | Avg | Min | Max
 
 exception Not_supported of string
 
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
-  | "min" -> Min
-  | "max" -> Max
-  | "sum" -> Sum
-  | "count" -> Count
-  | "avg" | "average" -> Avg
+  | "average" -> Avg
   | ("count distinct" | "count_distinct" | "sum distinct" | "sum_distinct") as d ->
     raise
       (Not_supported
          (d
         ^ " is not an abelian monoid; use CollateData to collect the elements and \
            aggregate with SQL"))
-  | s -> raise (Not_supported ("unknown aggregate function " ^ s))
-
-(* The executor's name of the function. *)
-let to_string = function
-  | Min -> "min"
-  | Max -> "max"
-  | Sum -> "sum"
-  | Count -> "count"
-  | Avg -> "avg"
+  | name -> (
+    match Ast.agg_fn_of_name name with
+    | Some Total | None -> raise (Not_supported ("unknown aggregate function " ^ name))
+    | Some fn -> fn)

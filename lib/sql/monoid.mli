@@ -19,13 +19,12 @@
     float order; and AggregateDataInTable writes a row back when only a
     value's type changed (DESIGN.md §5). *)
 
-type t = Min | Max | Sum | Count | Avg
+(** SQL's aggregate variant; {!of_string} never gives [Total]. *)
+type t = Ast.agg_fn = Count | Sum | Total | Avg | Min | Max
 
 exception Not_supported of string
 
-(** Parse a function name (case-insensitive).
+(** Parse a function name (case-insensitive): SQL's names but TOTAL,
+    and "average" for AVG.
     @raise Not_supported for non-monoid aggregations, with guidance. *)
 val of_string : string -> t
-
-(** The executor's name of the function ([Ast.agg.agg_fn]). *)
-val to_string : t -> string

@@ -469,7 +469,7 @@ let delta_verdict ~pure_fn (p : Plan.t) : bool * string =
        cannot know are distinct overall. *)
     List.iter
       (fun (a : agg) ->
-        if a.agg_distinct then raise (Unsafe ("DISTINCT aggregate " ^ a.agg_fn)))
+        if a.agg_distinct then raise (Unsafe ("DISTINCT aggregate " ^ agg_fn_name a.agg_fn)))
       c.Plan.c_aggs;
     (* The AS OF expression is the snapshot binding itself; anywhere
        else a parameter (current_snapshot() in a Qq) makes every row's

@@ -62,8 +62,6 @@ let reserved =
 
 let is_reserved s = List.mem (String.uppercase_ascii s) reserved
 
-let aggregate_names = [ "COUNT"; "SUM"; "AVG"; "MIN"; "MAX"; "TOTAL" ]
-
 (* MIN/MAX with one argument are aggregates (SQLite rule); with several
    arguments they are scalar functions. *)
 let rec parse_expr st = parse_or st
@@ -302,7 +300,7 @@ and parse_primary st =
     if upper = "COUNT" && peek st = Lexer.Star then begin
       advance st;
       expect st Lexer.Rparen;
-      Agg { agg_fn = "count"; agg_arg = None; agg_distinct = false }
+      Agg { agg_fn = Count; agg_arg = None; agg_distinct = false }
     end
     else begin
       let distinct = accept_kw st "DISTINCT" in
@@ -321,17 +319,11 @@ and parse_primary st =
         end
       in
       expect st Lexer.Rparen;
-      let is_agg =
-        List.mem upper aggregate_names
-        && (List.length args = 1 || (upper = "COUNT" && args = []))
-      in
-      if is_agg then
-        Agg
-          { agg_fn = String.lowercase_ascii upper;
-            agg_arg = (match args with [ a ] -> Some a | _ -> None);
-            agg_distinct = distinct }
-      else if distinct then error st "DISTINCT is only valid in aggregate functions"
-      else Call (String.lowercase_ascii id, args)
+      match agg_fn_of_name id, args with
+      | Some fn, [ a ] -> Agg { agg_fn = fn; agg_arg = Some a; agg_distinct = distinct }
+      | Some Count, [] -> Agg { agg_fn = Count; agg_arg = None; agg_distinct = distinct }
+      | _ when distinct -> error st "DISTINCT is only valid in aggregate functions"
+      | _ -> Call (String.lowercase_ascii id, args)
     end
   | Lexer.Ident id when peek2 st = Lexer.Dot && (match peek3 st with Lexer.Ident _ -> true | _ -> false) ->
     advance st;

@@ -24,29 +24,51 @@ let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 let c_plans_built = Obs.Metrics.counter "sql.plans_built"
 
-(* --- column resolution ------------------------------------------------ *)
+(* --- name resolution ---------------------------------------------------
 
-let col_names (t : Catalog.table) =
-  Array.map (fun (n, _) -> String.lowercase_ascii n) t.Catalog.tcols
+   Each rule below is stated once: the analyzer checks a statement by
+   calling these functions, so it rejects a name exactly when planning
+   would. *)
 
-let find_col (sources : Plan.source list) q n =
-  let n = String.lowercase_ascii n in
-  let matches =
+let lc = String.lowercase_ascii
+
+(* A FROM table's source: its alias (or name), lowercased, and its
+   columns' place in the row after [sources]'. *)
+let source (sources : Plan.source list) (tr : table_ref) tbl =
+  { Plan.s_tbl = tbl;
+    s_alias = lc (Option.value tr.tbl_alias ~default:tr.tbl_name);
+    s_offset =
+      List.fold_left
+        (fun acc (s : Plan.source) -> acc + Array.length s.Plan.s_tbl.Catalog.tcols)
+        0 sources }
+
+(* The (source, column) pairs a reference names: a qualified reference
+   looks only at the source of that alias, and a name met twice is
+   ambiguous. *)
+let match_col (sources : Plan.source list) q n =
+  let n = lc n in
+  let hits =
     List.concat_map
       (fun (s : Plan.source) ->
         match q with
-        | Some q when String.lowercase_ascii q <> s.Plan.s_alias -> []
+        | Some q when lc q <> s.Plan.s_alias -> []
         | _ ->
-          let names = col_names s.Plan.s_tbl in
           let hits = ref [] in
-          Array.iteri (fun i cn -> if cn = n then hits := (s.Plan.s_offset + i) :: !hits) names;
+          Array.iteri
+            (fun i (cn, _) -> if lc cn = n then hits := (s, i) :: !hits)
+            s.Plan.s_tbl.Catalog.tcols;
           !hits)
       sources
   in
-  match matches with
-  | [ i ] -> i
-  | [] -> error "no such column: %s%s" (match q with Some q -> q ^ "." | None -> "") n
-  | _ -> error "ambiguous column name: %s" n
+  match hits with [ hit ] -> `One hit | [] -> `None | _ -> `Many
+
+let find_col sources q n =
+  match match_col sources q n with
+  | `One ((s : Plan.source), i) -> s.Plan.s_offset + i
+  | `None -> error "no such column: %s%s" (match q with Some q -> q ^ "." | None -> "") (lc n)
+  | `Many -> error "ambiguous column name: %s" (lc n)
+
+let is_from_col sources n = match match_col sources None n with `One _ -> true | _ -> false
 
 (* Rewrite Col nodes to positional Colidx against [sources]. *)
 let resolve sources e =
@@ -56,18 +78,31 @@ let resolve sources e =
    other columns. *)
 let try_resolve sources e = try Some (resolve sources e) with Error _ -> None
 
+(* A column's position in its table, by name (DML targets, index
+   columns). *)
 let col_pos (tbl : Catalog.table) name =
-  let n = String.lowercase_ascii name in
+  let n = lc name in
   let rec go i =
     if i >= Array.length tbl.Catalog.tcols then
       error "table %s has no column %s" tbl.Catalog.tname name
-    else if String.lowercase_ascii (fst tbl.Catalog.tcols.(i)) = n then i
+    else if lc (fst tbl.Catalog.tcols.(i)) = n then i
     else go (i + 1)
   in
   go 0
 
+(* A FROM table: the catalog's, else a sys_* virtual table, resolved
+   the same under AS OF (they reflect current process state, not
+   history). *)
+let lookup_table cat name =
+  match Catalog.find_table cat name with
+  | Some t -> t
+  | None -> (
+    match Systables.lookup name with
+    | Some t -> t
+    | None -> error "no such table: %s" name)
+
 let source_of_table (tbl : Catalog.table) =
-  { Plan.s_tbl = tbl; s_alias = String.lowercase_ascii tbl.Catalog.tname; s_offset = 0 }
+  source [] { tbl_name = tbl.Catalog.tname; tbl_alias = None } tbl
 
 (* Resolve an expression against a single table (DML helper). *)
 let resolve_against_table (tbl : Catalog.table) e = resolve [ source_of_table tbl ] e
@@ -141,16 +176,6 @@ let pick_index cat (tbl : Catalog.table) (bounds : Plan.bound list) =
   in
   go indexes
 
-let lookup_table cat name =
-  match Catalog.find_table cat name with
-  | Some t -> t
-  | None -> (
-    (* catalog miss: sys_* virtual tables, resolved the same under
-       AS OF (they reflect current process state, not history) *)
-    match Systables.lookup name with
-    | Some t -> t
-    | None -> error "no such table: %s" name)
-
 (* --- FROM planning ---------------------------------------------------- *)
 
 type conjunct = { mutable used : bool; cexpr : expr }
@@ -164,9 +189,6 @@ let plan_from ~cat ~fnctx (sel : select) : Plan.from_plan * Plan.source list =
   match sel.from with
   | None -> (Plan.From_none, [])
   | Some (first_ref, joins) ->
-    let alias_of (tr : table_ref) =
-      String.lowercase_ascii (Option.value tr.tbl_alias ~default:tr.tbl_name)
-    in
     let pool =
       List.map
         (fun e -> { used = false; cexpr = e })
@@ -178,7 +200,7 @@ let plan_from ~cat ~fnctx (sel : select) : Plan.from_plan * Plan.source list =
     in
     (* first table *)
     let t0 = lookup_table cat first_ref.tbl_name in
-    let st0 = { Plan.s_tbl = t0; s_alias = alias_of first_ref; s_offset = 0 } in
+    let st0 = source [] first_ref t0 in
     let local0 = [ st0 ] in
     let bounds0 =
       List.filter_map
@@ -206,13 +228,8 @@ let plan_from ~cat ~fnctx (sel : select) : Plan.from_plan * Plan.source list =
     in
     (* fold joins *)
     let add_join (sources, steps) (j : join_clause) =
-      let t = lookup_table cat j.join_table.tbl_name in
-      let offset =
-        List.fold_left
-          (fun acc (s : Plan.source) -> acc + Array.length s.Plan.s_tbl.Catalog.tcols)
-          0 sources
-      in
-      let st = { Plan.s_tbl = t; s_alias = alias_of j.join_table; s_offset = offset } in
+      let st = source sources j.join_table (lookup_table cat j.join_table.tbl_name) in
+      let t = st.Plan.s_tbl in
       let local = [ { st with Plan.s_offset = 0 } ] in
       let sources' = sources @ [ st ] in
       if j.join_kind = Join_left then begin
@@ -294,7 +311,7 @@ let plan_from ~cat ~fnctx (sel : select) : Plan.from_plan * Plan.source list =
                 List.find_opt
                   (fun (idx : Catalog.index) ->
                     match idx.Catalog.icols with
-                    | [ c ] -> String.lowercase_ascii c = String.lowercase_ascii cname
+                    | [ c ] -> lc c = lc cname
                     | _ -> false)
                   (Catalog.indexes_of_table cat t.Catalog.tname)
               | _ -> None
@@ -328,7 +345,7 @@ let expand_items sources (items : sel_item list) =
                  s.Plan.s_tbl.Catalog.tcols))
           sources
       | Table_star a ->
-        let a = String.lowercase_ascii a in
+        let a = lc a in
         let s =
           match List.find_opt (fun (s : Plan.source) -> s.Plan.s_alias = a) sources with
           | Some s -> s
@@ -345,6 +362,52 @@ let expand_items sources (items : sel_item list) =
         in
         [ (e, name) ])
     items
+
+(* Output column names; an anonymous expression is expr_<position>. *)
+let header names =
+  Array.of_list
+    (List.mapi (fun i n -> if n = "" then Printf.sprintf "expr_%d" (i + 1) else n) names)
+
+(* SQLite lets GROUP BY / HAVING / ORDER BY reference output aliases: a
+   bare name that is not a FROM column stands for the expression of the
+   first output item ([expand_items]'s pairs) of that name. *)
+let alias_subst sources items e =
+  Expr.map
+    (function
+      | Col (None, n) as c when not (is_from_col sources n) -> (
+        let n = lc n in
+        match List.find_opt (fun (_, name) -> lc name = n) items with
+        | Some (aliased, _) -> aliased
+        | None -> c)
+      | e -> e)
+    e
+
+(* The last output column named [n], or -1. *)
+let out_col header n =
+  let idx = ref (-1) in
+  Array.iteri (fun i h -> if lc h = lc n then idx := i) header;
+  !idx
+
+(* An ORDER BY item's target: a position, or the name of an output
+   column that is not a FROM column, picks that output column; anything
+   else is a key expression over the FROM columns. *)
+let order_target sources header (o : order_item) =
+  match o.ord_expr with
+  | Lit (R.Int k) when k >= 1 && k <= Array.length header -> `Out (k - 1)
+  | Col (None, n) when out_col header n >= 0 && not (is_from_col sources n) ->
+    `Out (out_col header n)
+  | e -> `Key e
+
+(* A compound SELECT's ORDER BY item: an output column by position or
+   name. *)
+let compound_order_index header (o : order_item) =
+  let width = Array.length header in
+  match o.ord_expr with
+  | Lit (R.Int k) when k >= 1 && k <= width -> k - 1
+  | Lit (R.Int k) -> error "compound ORDER BY position %d is out of range (1..%d)" k width
+  | Col (None, n) when out_col header n >= 0 -> out_col header n
+  | Col (_, n) -> error "no such output column in compound ORDER BY: %s" n
+  | _ -> error "compound ORDER BY must reference output columns by name or position"
 
 (* Replace Agg nodes with Aggref slots, collecting specs (deduplicated
    structurally). *)
@@ -367,50 +430,21 @@ let lift_aggs specs e =
 let plan_core ~cat ~fnctx (sel : select) : Plan.core =
   let c_from, sources = plan_from ~cat ~fnctx sel in
   let items = expand_items sources sel.items in
-  (* name anonymous expression columns *)
-  let header =
-    Array.of_list
-      (List.mapi (fun i (_, n) -> if n = "" then Printf.sprintf "expr_%d" (i + 1) else n) items)
-  in
+  let header = header (List.map snd items) in
   let raw_exprs = List.map fst items in
-  (* SQLite lets GROUP BY / HAVING / ORDER BY reference output aliases;
-     substitute the aliased expression when the name is not a FROM
-     column. *)
-  let alias_subst e =
-    Expr.map
-      (function
-        | Col (None, n) as c
-          when (try ignore (find_col sources None n); false with Error _ -> true) -> (
-          let n = String.lowercase_ascii n in
-          match List.find_opt (fun (_, name) -> String.lowercase_ascii name = n) items with
-          | Some (aliased, _) -> aliased
-          | None -> c)
-        | e -> e)
-      e
-  in
+  let alias_subst = alias_subst sources items in
   let specs = ref [] in
   let out_exprs = List.map (fun e -> lift_aggs specs (resolve sources e)) raw_exprs in
   let group_exprs = List.map (fun e -> resolve sources (alias_subst e)) sel.group_by in
   let having_expr =
     Option.map (fun e -> lift_aggs specs (resolve sources (alias_subst e))) sel.having
   in
-  (* ORDER BY: positional literals and output aliases resolve to output
-     columns; anything else resolves against the FROM columns. *)
   let order_resolved =
     List.map
       (fun o ->
-        match o.ord_expr with
-        | Lit (R.Int k) when k >= 1 && k <= List.length out_exprs ->
-          (Plan.Out_col (k - 1), o.ord_desc)
-        | Col (None, n)
-          when Array.exists (fun h -> String.lowercase_ascii h = String.lowercase_ascii n) header
-               && (try ignore (find_col sources None n); false with Error _ -> true) ->
-          let idx = ref 0 in
-          Array.iteri
-            (fun i h -> if String.lowercase_ascii h = String.lowercase_ascii n then idx := i)
-            header;
-          (Plan.Out_col !idx, o.ord_desc)
-        | e -> (Plan.Key_expr (lift_aggs specs (resolve sources e)), o.ord_desc))
+        match order_target sources header o with
+        | `Out i -> (Plan.Out_col i, o.ord_desc)
+        | `Key e -> (Plan.Key_expr (lift_aggs specs (resolve sources e)), o.ord_desc))
       sel.order_by
   in
   let has_agg =
@@ -452,24 +486,12 @@ let rec plan_select ~cat ~fnctx (sel : select) : Plan.t =
     let base = { sel with union_with = []; order_by = []; limit = None; offset = None } in
     let core = plan_core ~cat ~fnctx base in
     let members = List.map (fun (all, m) -> (all, plan_select ~cat ~fnctx m)) sel.union_with in
-    let header = core.Plan.c_header in
-    let out_index (o : order_item) =
-      match o.ord_expr with
-      | Lit (R.Int k) when k >= 1 && k <= Array.length header -> k - 1
-      | Col (None, n) ->
-        let found = ref (-1) in
-        Array.iteri
-          (fun i h -> if String.lowercase_ascii h = String.lowercase_ascii n then found := i)
-          header;
-        if !found < 0 then error "no such output column in compound ORDER BY: %s" n;
-        !found
-      | _ -> error "compound ORDER BY must reference output columns by name or position"
-    in
     { Plan.p_src = sel;
       p_as_of = sel.as_of;
       p_core = core;
       p_members = members;
-      p_corder = List.map (fun o -> (out_index o, o.ord_desc)) sel.order_by;
+      p_corder =
+        List.map (fun o -> (compound_order_index core.Plan.c_header o, o.ord_desc)) sel.order_by;
       p_climit = sel.limit;
       p_coffset = sel.offset;
       p_opt = None }

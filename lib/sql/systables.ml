@@ -370,6 +370,12 @@ let names () = List.map (fun vt -> vt.vname) all
 
 let is_virtual_name name = find name <> None
 
+(* The whole sys_ prefix is reserved, so that tables added here later
+   cannot collide with user tables created under older versions. *)
+let is_reserved_name name =
+  let l = String.lowercase_ascii name in
+  String.length l >= 4 && String.sub l 0 4 = "sys_"
+
 (* The planner-facing catalog entry: same shape as a real table, with
    the sentinel heap.  Virtual tables never have indexes, so every
    index-based access path naturally passes them by. *)

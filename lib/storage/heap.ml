@@ -118,6 +118,20 @@ let drop_index t =
     t.index <- None
   | None -> ()
 
+(* Once the transaction that last wrote through the handle has aborted,
+   the map, its index and the tail hint may name pages the abort gave
+   back to the free list, which another structure can take: the handle
+   forgets them, and the cursor, before its next use.  The cursor names
+   that transaction, as every write through the handle sets it. *)
+let forget_aborted t =
+  match t.cursor with
+  | Some c when Txn.aborted c.c_txn ->
+    t.fsm <- None;
+    drop_index t;
+    t.tail_hint <- t.first_page;
+    t.cursor <- None
+  | _ -> ()
+
 (* Set leaf [i]'s free bytes (-1: cleared) and re-max its ancestors. *)
 let set_leaf ix i free =
   let tree = ix.tree in
@@ -159,6 +173,7 @@ let build_fsm (read : Pager.read) t =
 let get_fsm read t = match t.fsm with Some f -> f | None -> build_fsm read t
 
 let fsm_bindings read t =
+  forget_aborted t;
   List.sort compare (Hashtbl.fold (fun pid free acc -> (pid, free) :: acc) (get_fsm read t) [])
 
 let fsm_note t pid free =
@@ -240,6 +255,7 @@ let fill_of c =
    after the tail.  Inserts that follow one another onto a page take its
    transaction copy and scan its slot directory once (the cursor). *)
 let insert txn t data =
+  forget_aborted t;
   let read pid = match cached txn t pid with Some c -> c.c_page | None -> Txn.read txn pid in
   let fsm = get_fsm read t in
   let len = String.length data in
@@ -291,9 +307,12 @@ let get read t rid = get_span read t rid ~f:(fun p off len -> Bytes.sub_string p
 
 (* Rows patched one after another on a page share one lookup of its
    transaction copy (the cursor). *)
-let write_span txn t rid ~f = get_span (fun pid -> (write_page txn t pid).c_page) t rid ~f
+let write_span txn t rid ~f =
+  forget_aborted t;
+  get_span (fun pid -> (write_page txn t pid).c_page) t rid ~f
 
 let delete txn t rid =
+  forget_aborted t;
   let pid = pid_of_rid rid and slot = slot_of_rid rid in
   let c = write_page txn t pid in
   let ok = Page.delete c.c_page slot in
@@ -305,6 +324,7 @@ let delete txn t rid =
 
 (* In-place when possible; otherwise delete + reinsert (rid changes). *)
 let update txn t rid data =
+  forget_aborted t;
   let pid = pid_of_rid rid and slot = slot_of_rid rid in
   let c = write_page txn t pid in
   let p = c.c_page in

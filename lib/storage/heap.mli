@@ -7,7 +7,10 @@
 
     A handle carries an advisory in-memory free-space map so deleted
     space is found by later inserts; correctness never depends on it
-    (pages are re-checked before use). *)
+    (pages are re-checked before use).  Once the transaction that last
+    wrote through a handle aborts, the handle forgets the map and its
+    tail hint before its next use: they may name pages the abort gave
+    back. *)
 
 type t
 

@@ -3,12 +3,6 @@
    Implemented as a hashtable over a doubly-linked list; all operations
    are O(1). *)
 
-(* System-wide hit/miss counters over every LRU instance (the snapshot
-   page cache is the only hot one today); per-instance counts stay in
-   the [hits]/[misses] fields. *)
-let c_hits = Obs.Metrics.counter "storage.lru_hits"
-let c_misses = Obs.Metrics.counter "storage.lru_misses"
-
 type 'a node = {
   key : int;
   mutable value : 'a;
@@ -49,11 +43,9 @@ let find t key =
   match Hashtbl.find_opt t.tbl key with
   | None ->
     t.misses <- t.misses + 1;
-    Obs.Metrics.Counter.incr c_misses;
     None
   | Some n ->
     t.hits <- t.hits + 1;
-    Obs.Metrics.Counter.incr c_hits;
     unlink t n;
     push_front t n;
     Some n.value
@@ -91,8 +83,6 @@ let set_capacity t capacity =
   while Hashtbl.length t.tbl > capacity do
     evict_lru t
   done
-
-let stats t = (t.hits, t.misses)
 
 (* Per-instance view for the introspection layer (sys_cache). *)
 type stat_record = {

@@ -8,7 +8,7 @@ val create : int -> 'a t
 
 val length : 'a t -> int
 
-(** Lookup; a hit refreshes recency.  Counts into {!stats}. *)
+(** Lookup; a hit refreshes recency.  Counts into {!stat_record}. *)
 val find : 'a t -> int -> 'a option
 
 (** Membership without touching recency or stats. *)
@@ -22,9 +22,6 @@ val clear : 'a t -> unit
 
 (** Shrink or grow the capacity, evicting as needed. *)
 val set_capacity : 'a t -> int -> unit
-
-(** (hits, misses) accumulated by {!find}. *)
-val stats : 'a t -> int * int
 
 (** Per-instance statistics for the introspection layer (sys_cache). *)
 type stat_record = {

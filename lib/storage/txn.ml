@@ -99,6 +99,8 @@ let abort t =
 
 let is_active t = t.state = Active
 
+let aborted t = t.state = Aborted
+
 (* Run [f] in a fresh transaction, committing on success and aborting if
    [f] raises. *)
 let with_txn pager f =

@@ -37,6 +37,9 @@ val abort : t -> unit
 
 val is_active : t -> bool
 
+(** Whether {!abort} ended the transaction. *)
+val aborted : t -> bool
+
 (** Run [f] in a fresh transaction: commit on return, abort if [f]
     raises. *)
 val with_txn : Pager.t -> (t -> 'a) -> 'a

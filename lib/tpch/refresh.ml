@@ -39,7 +39,7 @@ module Keys = Hashtbl.Make (Int)
 let delete_by_key db ~table ~keycol keys =
   let env = Sq.Exec.current_env db in
   let tbl = Dbgen.find_table env table in
-  let kpos = Sq.Exec.col_pos tbl keycol in
+  let kpos = Sq.Planner.col_pos tbl keycol in
   let keyset = Keys.create (Array.length keys) in
   Array.iter (fun k -> Keys.replace keyset k ()) keys;
   let victim = Keys.mem keyset in

@@ -11,6 +11,7 @@ type t = {
   first_page : int;
   mutable tail_hint : int;                 (* last page of the chain, as last observed *)
   mutable fsm : (int, int) Hashtbl.t option; (* pid -> free-byte estimate *)
+  mutable last_txn : Txn.t option;         (* the transaction that last wrote through it *)
 }
 
 let fsm_threshold = 64 (* pages with at least this much space are insert candidates *)
@@ -21,13 +22,28 @@ let slot_of_rid rid = rid land 0xfff
 
 let create txn =
   let pid = Txn.alloc txn Page.Heap_page in
-  { first_page = pid; tail_hint = pid; fsm = None }
+  { first_page = pid; tail_hint = pid; fsm = None; last_txn = None }
 
-let open_existing first_page = { first_page; tail_hint = first_page; fsm = None }
+let open_existing first_page = { first_page; tail_hint = first_page; fsm = None; last_txn = None }
 
 let first_page t = t.first_page
 
 let page_free p = Page.free_space p + Page.dead_bytes p
+
+(* Once the transaction that last wrote through the handle has
+   aborted, the handle forgets its map and tail hint, as the heap
+   does. *)
+let forget_aborted t =
+  match t.last_txn with
+  | Some last when Txn.aborted last ->
+    t.fsm <- None;
+    t.tail_hint <- t.first_page;
+    t.last_txn <- None
+  | _ -> ()
+
+let touch txn t =
+  forget_aborted t;
+  t.last_txn <- Some txn
 
 (* Build the FSM with one chain walk; also refreshes the tail hint. *)
 let build_fsm (read : Pager.read) t =
@@ -46,6 +62,7 @@ let build_fsm (read : Pager.read) t =
 let get_fsm read t = match t.fsm with Some f -> f | None -> build_fsm read t
 
 let fsm_bindings read t =
+  forget_aborted t;
   List.sort compare (Hashtbl.fold (fun pid free acc -> (pid, free) :: acc) (get_fsm read t) [])
 
 let fsm_note t pid free =
@@ -75,6 +92,7 @@ let candidate fsm len =
   with Found pid -> Some pid
 
 let insert txn t (data : string) =
+  touch txn t;
   let len = String.length data in
   let try_page pid =
     let image = Txn.read txn pid in
@@ -125,9 +143,12 @@ let get_span (read : Pager.read) _t rid ~f =
 
 let get read t rid = get_span read t rid ~f:(fun p off len -> Bytes.sub_string p off len)
 
-let write_span txn t rid ~f = get_span (Txn.write txn) t rid ~f
+let write_span txn t rid ~f =
+  touch txn t;
+  get_span (Txn.write txn) t rid ~f
 
 let delete txn t rid =
+  touch txn t;
   let pid = pid_of_rid rid and slot = slot_of_rid rid in
   let p = Txn.write txn pid in
   let ok = Page.delete p slot in
@@ -136,6 +157,7 @@ let delete txn t rid =
 
 (* In-place when possible; otherwise delete + reinsert (rid changes). *)
 let update txn t rid data =
+  touch txn t;
   let pid = pid_of_rid rid and slot = slot_of_rid rid in
   let p = Txn.write txn pid in
   (* a record rewritten at its own length leaves the page's free space
@@ -203,4 +225,5 @@ let drop txn t =
     if next >= 0 then go next
   in
   go t.first_page;
-  t.fsm <- None
+  t.fsm <- None;
+  t.last_txn <- None

@@ -89,6 +89,61 @@ let catalogue =
     case "clean join" "SELECT t.a, u.c FROM t, u WHERE t.a = u.a" [];
     case "clean aggregate" "SELECT b, COUNT(*) FROM t GROUP BY b HAVING COUNT(*) > 0" [] ]
 
+(* The analyzer never rejects a statement the executor runs: CAST to a
+   type name the evaluator leaves the value unchanged under keeps the
+   operand's type, and a builtin's E005 range is the argument counts
+   Func accepts. *)
+let soundness =
+  [ Alcotest.test_case "LIMIT, OFFSET and AS OF over a value-preserving CAST run" `Quick
+      (fun () ->
+        let db = E.create () in
+        ignore (E.exec db "CREATE TABLE t (a INTEGER)");
+        ignore (E.exec db "INSERT INTO t VALUES (1), (2), (3)");
+        ignore (E.exec db "COMMIT WITH SNAPSHOT");
+        List.iter
+          (fun ty ->
+            List.iter
+              (fun (sql, rows) ->
+                let sql = Printf.sprintf sql ty in
+                Alcotest.(check (list string)) sql []
+                  (List.filter_map
+                     (fun d -> if D.is_error d then Some d.D.code else None)
+                     (E.analyze db sql));
+                Alcotest.(check int) sql rows (List.length (E.exec db sql).E.rows))
+              [ ("SELECT a FROM t LIMIT CAST(2 AS %s)", 2);
+                ("SELECT a FROM t LIMIT 5 OFFSET CAST(1 AS %s)", 2);
+                ("SELECT AS OF CAST(1 AS %s) COUNT(*) FROM t", 1) ])
+          [ "NUMERIC"; "DECIMAL"; "BLOB"; "WIDGET" ]);
+    Alcotest.test_case "no W103 on a CAST that leaves its operand unchanged" `Quick (fun () ->
+        Alcotest.(check (list string)) "text stays text" []
+          (codes (fresh ()) "SELECT a FROM t WHERE CAST(b AS NUMERIC) = 'x'"));
+    Alcotest.test_case "E005 arity ranges are the counts Func accepts" `Quick (fun () ->
+        (* lo - 1, lo, hi and hi + 1 arguments, where the bound is
+           finite; MIN(1) and MAX(1) parse as aggregates, which the
+           analyzer accepts as Func accepts one argument.  An engine
+           error or an Invalid_argument (which the engine reports as an
+           error) is a rejection. *)
+        let db = fresh () in
+        List.iter
+          (fun (name, (lo, hi, _)) ->
+            let f = Option.get (Sqldb.Func.find name) in
+            let counts =
+              List.filter (fun n -> n >= 0) [ lo - 1; lo ]
+              @ if hi = max_int then [] else [ hi; hi + 1 ]
+            in
+            List.iter
+              (fun n ->
+                let args = String.concat ", " (List.init n (fun _ -> "1")) in
+                let sql = Printf.sprintf "SELECT %s(%s)" name args in
+                let runs =
+                  match f (Array.make n (R.Int 1)) with
+                  | _ -> true
+                  | exception (Sqldb.Expr.Error _ | Invalid_argument _) -> false
+                in
+                Alcotest.(check bool) sql runs (not (List.mem "E005" (codes db sql))))
+              counts)
+          Sqldb.Analyzer.builtin_sigs) ]
+
 let diag_detail =
   [ Alcotest.test_case "diagnostics carry positions" `Quick (fun () ->
         match E.analyze (fresh ()) "SELECT zzz FROM t" with
@@ -252,6 +307,7 @@ let rql_gate =
 let () =
   Alcotest.run "analyzer"
     [ ("catalogue", catalogue);
+      ("soundness", soundness);
       ("diagnostics", diag_detail);
       ("explain-lint", explain_lint);
       ("gate", gate);

@@ -195,6 +195,43 @@ let pragma_tests =
         Alcotest.(check (list string)) "the duplicate is the one problem"
           [ Printf.sprintf "snapshot 2's epoch archives page %d twice" first.Retro.Maplog.pid ]
           rows);
+    Alcotest.test_case "a heap handle forgets the pages of an aborted transaction" `Quick
+      (fun () ->
+        (* the abort gives the pages it allocated for [t] back; the index
+           on [u] takes them, and [t]'s next insert must not follow a
+           stale tail hint or map entry into the index's page *)
+        let x = String.make 2000 'x' and y = String.make 5000 'y' in
+        let insert_x = Printf.sprintf "INSERT INTO t VALUES ('%s')" x in
+        List.iter
+          (fun (what, abort) ->
+            let db = E.create () in
+            ignore (E.exec db "CREATE TABLE t (a TEXT)");
+            ignore (E.exec db "CREATE TABLE u (b TEXT)");
+            ignore (E.exec db insert_x);
+            abort db;
+            ignore (E.exec db "CREATE INDEX ix ON u (b)");
+            ignore (E.exec db "INSERT INTO u VALUES ('k1')");
+            ignore (E.exec db "INSERT INTO u VALUES ('k2')");
+            ignore (E.exec db insert_x);
+            Alcotest.(check bool) (what ^ ": integrity ok") true
+              ((E.exec db "PRAGMA integrity_check").E.rows = [ [| R.Text "ok" |] ]);
+            Alcotest.(check bool) (what ^ ": two rows") true
+              ((E.exec db "SELECT COUNT(*) FROM t").E.rows = [ [| R.Int 2 |] ]))
+          [ ( "ROLLBACK",
+              fun db ->
+                ignore (E.exec db "BEGIN");
+                for _ = 1 to 3 do
+                  ignore (E.exec db insert_x)
+                done;
+                ignore (E.exec db "ROLLBACK") );
+            ( "failed INSERT",
+              fun db ->
+                match
+                  E.exec db
+                    (Printf.sprintf "INSERT INTO t VALUES ('%s'), ('%s'), ('%s'), ('%s')" x x x y)
+                with
+                | _ -> Alcotest.fail "a row larger than a page was inserted"
+                | exception E.Error _ -> () ) ]);
     Alcotest.test_case "unknown pragma is a typed error" `Quick (fun () ->
         let db = E.create () in
         Alcotest.(check bool) "raises" true

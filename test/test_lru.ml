@@ -49,8 +49,8 @@ let basic =
         L.add c 1 "a";
         ignore (L.find c 1);
         ignore (L.find c 2);
-        let hits, misses = L.stats c in
-        Alcotest.(check (pair int int)) "stats" (1, 1) (hits, misses));
+        let s = L.stat_record c in
+        Alcotest.(check (pair int int)) "stats" (1, 1) (s.L.s_hits, s.L.s_misses));
     Alcotest.test_case "stat_record counts evictions and occupancy" `Quick (fun () ->
         let c = L.create 2 in
         L.add c 1 "a";

@@ -19,7 +19,7 @@ let value = Alcotest.testable R.pp_value R.equal_value
 (* The value exactly: INTEGER 1 and REAL 1.0 differ. *)
 let exact = Alcotest.testable R.pp_value (fun a b -> R.encode_row [| a |] = R.encode_row [| b |])
 
-let spec fn = { Sqldb.Ast.agg_fn = M.to_string fn; agg_arg = None; agg_distinct = false }
+let spec fn = { Sqldb.Ast.agg_fn = fn; agg_arg = None; agg_distinct = false }
 
 (* The result of folding [vs], in order. *)
 let fold fn vs =
@@ -39,7 +39,11 @@ let basic =
         Alcotest.(check bool) "max" true (M.of_string "max" = M.Max);
         Alcotest.(check bool) "sum" true (M.of_string " Sum " = M.Sum);
         Alcotest.(check bool) "count" true (M.of_string "count" = M.Count);
-        Alcotest.(check bool) "avg" true (M.of_string "avg" = M.Avg));
+        Alcotest.(check bool) "avg" true (M.of_string "avg" = M.Avg);
+        Alcotest.(check bool) "average" true (M.of_string "Average" = M.Avg);
+        (* SQL's TOTAL is not one of AggFunc's functions *)
+        Alcotest.(check bool) "total" true
+          (match M.of_string "total" with _ -> false | exception M.Not_supported _ -> true));
     Alcotest.test_case "distinct aggregations rejected with guidance" `Quick (fun () ->
         List.iter
           (fun s ->
@@ -101,7 +105,7 @@ let arb_value = QCheck.make ~print:R.value_to_string gen_value
 let fns = [ M.Min; M.Max; M.Sum ]
 
 (* Identity element of [combine] on non-null values. *)
-let identity = function M.Sum -> R.Int 0 | M.Min | M.Max | M.Count | M.Avg -> R.Null
+let identity = function M.Sum | M.Total -> R.Int 0 | M.Min | M.Max | M.Count | M.Avg -> R.Null
 
 (* Equality for combined values: numeric tolerance for float sums. *)
 let veq a b =

@@ -157,7 +157,7 @@ let tests =
 let model_delete_by_key db ~table ~keycol keys =
   let env = Sqldb.Exec.current_env db in
   let tbl = Tpch.Dbgen.find_table env table in
-  let kpos = Sqldb.Exec.col_pos tbl keycol in
+  let kpos = Sqldb.Planner.col_pos tbl keycol in
   let keyset = Hashtbl.create (Array.length keys) in
   Array.iter (fun k -> Hashtbl.replace keyset k ()) keys;
   let victim = function R.Int k -> Hashtbl.mem keyset k | _ -> false in

@@ -155,7 +155,7 @@ let history uw ~snapshots =
    throughput(1) isolates the overlap win. *)
 let read_throughput ctx sids ~readers ~rounds =
   let reader () =
-    Sqldb.Session.with_session ctx.Rql.data (fun s ->
+    Sqldb.Db.with_session ctx.Rql.data (fun s ->
         for _ = 1 to rounds do
           List.iter
             (fun sid ->

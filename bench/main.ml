@@ -97,7 +97,7 @@ let main full only skip_micro json_path prom_path sample_every =
   (match json_path with Some path -> Util.write_json path | None -> ());
   (match prom_path with
   | Some path ->
-    Obs.Metrics.write_prometheus ~path;
+    Obs.Scope.write_prometheus ~path;
     Printf.printf "wrote Prometheus exposition to %s\n" path
   | None -> ());
   Printf.printf "\nall experiments done in %.1fs\n" (Unix.gettimeofday () -. t0);

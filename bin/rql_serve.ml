@@ -2,7 +2,7 @@
 
    A single process owns the shared immutable core (both the data and
    the meta database); every accepted connection gets its own
-   [Sqldb.Session] pair and its own domain, so concurrent clients read
+   [Sqldb.Db] session pair and its own domain, so concurrent clients read
    in parallel under the pager's reader lock while writes serialize
    through commit (DESIGN.md §15).
 
@@ -24,7 +24,7 @@
 
 module E = Sqldb.Engine
 module R = Storage.Record
-module S = Sqldb.Session
+module Db = Sqldb.Db
 
 let send oc fmt = Printf.ksprintf (fun s -> output_string oc s; output_char oc '\n') fmt
 
@@ -51,9 +51,9 @@ let reply_error oc msg =
 let serve_client (ctx : Rql.ctx) fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  S.with_session ctx.Rql.data (fun data ->
-      S.with_session ctx.Rql.meta (fun meta ->
-          send oc "rql %d" (S.id data);
+  Db.with_session ctx.Rql.data (fun data ->
+      Db.with_session ctx.Rql.meta (fun meta ->
+          send oc "rql %d" (Db.session_id data);
           flush oc;
           let rec loop () =
             match input_line ic with

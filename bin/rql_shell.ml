@@ -101,9 +101,9 @@ let run_stats (ctx : Rql.ctx) =
 let run_metrics args =
   match String.split_on_char ' ' (String.trim args) |> List.filter (( <> ) "") with
   | [] -> Fmt.pr "%a@." Obs.Metrics.pp ()
-  | [ "prom" ] -> print_string (Obs.Metrics.to_prometheus ())
+  | [ "prom" ] -> print_string (Obs.Scope.to_prometheus ())
   | [ "prom"; path ] ->
-    Obs.Metrics.write_prometheus ~path;
+    Obs.Scope.write_prometheus ~path;
     Printf.printf "wrote Prometheus exposition to %s\n" path
   | _ -> print_endline "usage: .metrics [prom [PATH]]"
 

@@ -5,12 +5,12 @@
    slow-query hook (kind "slow_query"); the log is generic so future
    subsystems (recovery, checkpointing) can reuse it.
 
-   Events render as JSON objects, suitable for `grep`/`jq`.  The ring
-   is bounded (default 1024 events); older events are dropped
-   silently. *)
+   Events render as JSON objects, suitable for `grep`/`jq`.  The newest
+   [capacity] events are kept in a {!Ring} (shared by every session and
+   domain); older events are dropped silently. *)
 
 type event = {
-  ev_seq : int;                       (* monotonic, never reused *)
+  ev_seq : int;                       (* from 1, never reused *)
   ev_ts : float;                      (* unix epoch seconds *)
   ev_kind : string;
   ev_scope : int;                     (* owning metric scope at log time *)
@@ -18,40 +18,10 @@ type event = {
   ev_fields : (string * Json.t) list;
 }
 
-let default_capacity = 1024
+let capacity = 1_024
+let ring : event Ring.t = Ring.create capacity
 
-(* lint: allow — guarded by [mu] below (every read/write goes through [locked]) *)
-let capacity = ref default_capacity
-
-(* Ring storage: [buf] holds the most recent [count] events ending at
-   position [head - 1] (mod capacity).
-   lint: allow — ring state guarded by [mu] below, accessed via [locked] *)
-let buf : event option array ref = ref (Array.make default_capacity None)
-let head = ref 0
-(* lint: allow — guarded by [mu] below *)
-let count = ref 0
-let seq = ref 0
-
-(* The ring is shared across sessions and domains: every producer and
-   reader serializes on this lock, so interleaved slow-query events from
-   concurrent connections cannot tear the ring indices. *)
-let mu = Mutex.create ()
-
-let locked f = Mutex.lock mu; Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
-let clear () =
-  locked (fun () ->
-      Array.fill !buf 0 (Array.length !buf) None;
-      head := 0;
-      count := 0)
-
-let set_capacity n =
-  let n = max 1 n in
-  locked (fun () ->
-      capacity := n;
-      buf := Array.make n None;
-      head := 0;
-      count := 0)
+let clear () = Ring.clear ring
 
 let event_to_json (e : event) =
   Json.Obj
@@ -68,31 +38,16 @@ let event_to_json (e : event) =
 let log ~kind fields =
   (* Ambient ids are domain-local: resolve them outside the lock. *)
   let scope_id = Scope.current_id () and run_id = Progress.current_run_id () in
-  locked (fun () ->
-      incr seq;
-      let e =
-        { ev_seq = !seq;
-          ev_ts = Unix.gettimeofday ();
-          ev_kind = kind;
-          ev_scope = scope_id;
-          ev_run = run_id;
-          ev_fields = fields }
-      in
-      !buf.(!head) <- Some e;
-      head := (!head + 1) mod !capacity;
-      if !count < !capacity then incr count)
+  ignore
+    (Ring.push ring (fun seq ->
+         { ev_seq = seq;
+           ev_ts = Unix.gettimeofday ();
+           ev_kind = kind;
+           ev_scope = scope_id;
+           ev_run = run_id;
+           ev_fields = fields }))
 
-(* Oldest-first list of retained events. *)
-let events () =
-  locked (fun () ->
-      let cap = !capacity in
-      let start = (!head - !count + cap * 2) mod cap in
-      let out = ref [] in
-      for k = !count - 1 downto 0 do
-        match !buf.((start + k) mod cap) with
-        | Some e -> out := e :: !out
-        | None -> ()
-      done;
-      !out)
+(* Oldest-first list of kept events. *)
+let events () = Ring.to_list ring
 
 let to_json () = Json.List (List.map event_to_json (events ()))

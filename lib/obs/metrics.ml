@@ -272,17 +272,6 @@ let reset_table (tbl : table) =
       | M_histogram h -> Histogram.reset h)
     tbl
 
-(* Layers above (the scope tree) register here so a registry-wide reset
-   also zeroes their derived state instead of leaving it stale. *)
-(* lint: allow — registration happens at module init on the main domain *)
-let reset_hooks : (unit -> unit) list ref = ref []
-
-let on_reset f = reset_hooks := f :: !reset_hooks
-
-let reset_all () =
-  reset_table registry;
-  List.iter (fun f -> f ()) !reset_hooks
-
 (* --- export ----------------------------------------------------------- *)
 
 let metric_to_json = function
@@ -300,111 +289,6 @@ let metric_to_json = function
         ("p99", Json.Float (Histogram.quantile h 0.99)) ]
 
 let to_json () = Json.Obj (List.map (fun (k, m) -> (k, metric_to_json m)) (sorted_items ()))
-
-(* --- Prometheus text exposition ---------------------------------------- *)
-
-(* Registry names are dotted ("sql.stmt_latency"); Prometheus names are
-   [a-zA-Z_:][a-zA-Z0-9_:]*.  Dots (and any other illegal character)
-   become underscores, and everything is prefixed "rql_". *)
-let prom_name name =
-  let b = Bytes.of_string name in
-  Bytes.iteri
-    (fun i c ->
-      let ok =
-        (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
-      in
-      if not ok then Bytes.set b i '_')
-    b;
-  "rql_" ^ Bytes.to_string b
-
-(* Label values are free-form (scope and table names): the text
-   exposition format requires backslash, double-quote and newline to be
-   escaped inside the quoted value. *)
-let prom_label_value v =
-  let buf = Buffer.create (String.length v + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
-(* Render a label set as [{k="v",...}]; label *names* share the metric-
-   name grammar, so they go through the same sanitizer (minus the
-   prefix). *)
-let prom_labels = function
-  | [] -> ""
-  | kvs ->
-    let clean_key k =
-      let pk = prom_name k in
-      String.sub pk 4 (String.length pk - 4)
-    in
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (clean_key k) (prom_label_value v)) kvs)
-    ^ "}"
-
-let prom_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-(* Extra sections appended to the exposition by higher layers (the
-   scope tree adds scope-labeled series and the page-heat matrix). *)
-(* lint: allow — registration happens at module init on the main domain *)
-let prom_exporters : (Buffer.t -> unit) list ref = ref []
-
-let add_prom_exporter f = prom_exporters := !prom_exporters @ [ f ]
-
-(* Extra labeled samples emitted inside a metric's family, keyed by
-   registry name — how per-scope values appear under the same family as
-   the root sample (the exposition format groups a family's samples). *)
-(* lint: allow — registration happens at module init on the main domain *)
-let prom_extra_samples : (string -> ((string * string) list * float) list) ref = ref (fun _ -> [])
-
-let set_prom_extra_samples f = prom_extra_samples := f
-
-(* The registry in Prometheus text exposition format: counters and
-   gauges as single samples, histograms with cumulative [_bucket]
-   series at decade bounds plus [_sum]/[_count]. *)
-let to_prometheus () =
-  let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  List.iter
-    (fun (name, m) ->
-      let pn = prom_name name in
-      let extra () =
-        List.iter
-          (fun (labels, v) -> line "%s%s %s" pn (prom_labels labels) (prom_float v))
-          (!prom_extra_samples name)
-      in
-      match m with
-      | M_counter c ->
-        line "# TYPE %s counter" pn;
-        line "%s %d" pn (Counter.get c);
-        extra ()
-      | M_gauge g ->
-        line "# TYPE %s gauge" pn;
-        line "%s %s" pn (prom_float (Gauge.get g));
-        extra ()
-      | M_histogram h ->
-        line "# TYPE %s histogram" pn;
-        List.iter
-          (fun (bound, cum) -> line "%s_bucket{le=\"%s\"} %d" pn (prom_float bound) cum)
-          (Histogram.cumulative_buckets h);
-        line "%s_bucket{le=\"+Inf\"} %d" pn (Histogram.count h);
-        line "%s_sum %s" pn (prom_float (Histogram.sum h));
-        line "%s_count %d" pn (Histogram.count h))
-    (sorted_items ());
-  List.iter (fun f -> f buf) !prom_exporters;
-  Buffer.contents buf
-
-let write_prometheus ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      output_string oc (to_prometheus ()))
 
 let pp ppf () =
   List.iter

@@ -43,20 +43,12 @@ type t = {
 }
 
 (* Bounded retention: finished runs stay visible in sys_progress until
-   pushed out by newer ones. *)
-let max_retained = 64
-
-(* lint: allow — both guarded by [mu] below, accessed via [locked] *)
-let runs_newest_first : t list ref = ref []
-let next_id = ref 1
-
-(* Guards the registry list and id allocation; per-run mutable fields
-   are written only by the domain driving that run, so they stay
-   unlocked (sys_progress may read an iteration count one step stale,
-   never a torn value). *)
-let mu = Mutex.create ()
-
-let locked f = Mutex.lock mu; Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
+   pushed out by newer ones.  A run's id is its number in the ring.
+   Per-run mutable fields are written only by the domain driving that
+   run, so they stay unlocked (sys_progress may read an iteration count
+   one step stale, never a torn value). *)
+let capacity = 64
+let ring : t Ring.t = Ring.create capacity
 
 (* The run currently executing an iteration, per domain: event-log
    lines produced during an iteration carry its id.  Parallel RQL
@@ -66,36 +58,22 @@ let active : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let current_run_id () =
   match Domain.DLS.get active with Some p -> p.pr_id | None -> -1
 
-let trim () =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | p :: rest -> p :: take (n - 1) rest
-  in
-  if List.length !runs_newest_first > max_retained then
-    runs_newest_first := take max_retained !runs_newest_first
-
 let start ?(total = 0) ~mechanism ~detail () =
-  locked (fun () ->
-  let p =
-    { pr_id = !next_id;
-      pr_mechanism = mechanism;
-      pr_detail = detail;
-      pr_scope = Scope.current_id ();
-      pr_total = total;
-      pr_done = 0;
-      pr_pages = 0;
-      pr_started = Unix.gettimeofday ();
-      pr_elapsed = 0.;
-      pr_eta = 0.;
-      pr_status = Running;
-      pr_cancel = false;
-      pr_weights = [||] }
-  in
-  incr next_id;
-  runs_newest_first := p :: !runs_newest_first;
-  trim ();
-  p)
+  let scope = Scope.current_id () in
+  Ring.push ring (fun id ->
+      { pr_id = id;
+        pr_mechanism = mechanism;
+        pr_detail = detail;
+        pr_scope = scope;
+        pr_total = total;
+        pr_done = 0;
+        pr_pages = 0;
+        pr_started = Unix.gettimeofday ();
+        pr_elapsed = 0.;
+        pr_eta = 0.;
+        pr_status = Running;
+        pr_cancel = false;
+        pr_weights = [||] })
 
 let set_weights p w = p.pr_weights <- w
 
@@ -160,15 +138,14 @@ let request_cancel ?id () =
         p.pr_cancel <- true;
         incr n
       end)
-    (locked (fun () -> !runs_newest_first));
+    (Ring.to_list ring);
   !n
 
 (* Oldest-first, so sys_progress reads chronologically. *)
-let runs () = List.rev (locked (fun () -> !runs_newest_first))
+let runs () = Ring.to_list ring
 
-let find id =
-  List.find_opt (fun p -> p.pr_id = id) (locked (fun () -> !runs_newest_first))
+let find id = List.find_opt (fun p -> p.pr_id = id) (runs ())
 
 let clear () =
-  locked (fun () -> runs_newest_first := []);
+  Ring.clear ring;
   Domain.DLS.set active None

@@ -27,9 +27,11 @@
    Scope lifecycle: {!drop} detaches a scope from the tree; its
    distribution is folded (via {!Metrics.merge}) into a synthetic
    "(dropped)" bucket under its parent so the roll-up keeps the detail
-   without retaining stale child rows.  A registry-wide
-   {!Metrics.reset_all} zeroes every scope's local table and heat via a
-   reset hook. *)
+   without retaining stale child rows.  {!reset_all} zeroes the
+   registry, every scope's local table and all heat cells, and
+   {!to_prometheus} exports the registry with per-scope samples and the
+   heat matrix: this is the one module that sees both the registry and
+   the scope tree. *)
 
 module M = Metrics
 
@@ -186,8 +188,8 @@ let add h n =
 let incr h = add h 1
 let get h = M.Counter.get h.cn_root
 
-(* Root-level assignment; scope locals are zeroed by the registry-wide
-   reset hook, not here. *)
+(* Root-level assignment; scope locals are zeroed by [reset_all], not
+   here. *)
 let set h n = M.Counter.set h.cn_root n
 
 (* [h]'s local total in scope [s]: subtree-inclusive for a child scope,
@@ -302,17 +304,18 @@ let drop s =
       if Domain.DLS.get current == s then Domain.DLS.set current root
     end
 
-let rec reset_scope s =
-  if s != root then M.reset_table s.sc_metrics;
-  Hashtbl.reset s.sc_heat;
-  List.iter reset_scope s.sc_children
+(* Registry-wide reset: the root registry, every scope's local table
+   and all heat cells, so sys_scopes reports zeroed children after a
+   reset, never stale totals. *)
+let reset_all () =
+  let rec zero s =
+    M.reset_table s.sc_metrics;
+    Hashtbl.reset s.sc_heat;
+    List.iter zero s.sc_children
+  in
+  locked (fun () -> zero root)
 
-(* Registry-wide reset (Metrics.reset_all) also zeroes every scope's
-   local table and all heat cells: sys_scopes reports zeroed children
-   after a reset, never stale totals. *)
-let () = M.on_reset (fun () -> reset_scope root)
-
-(* --- introspection (sys_scopes / sys_heat / Prometheus) ---------------- *)
+(* --- introspection (sys_scopes / sys_heat) -------------------------------- *)
 
 let rec fold_scopes f acc s = List.fold_left (fold_scopes f) (f acc s) s.sc_children
 
@@ -335,41 +338,128 @@ let heat_total s =
 
 let page_reads_total () = get c_page_reads
 
-(* --- Prometheus integration -------------------------------------------- *)
+(* --- Prometheus text exposition ---------------------------------------- *)
+
+(* Registry names are dotted ("sql.stmt_latency"); Prometheus names are
+   [a-zA-Z_:][a-zA-Z0-9_:]*.  Dots (and any other illegal character)
+   become underscores, and everything is prefixed "rql_". *)
+let prom_name name =
+  let b = Bytes.of_string name in
+  Bytes.iteri
+    (fun i c ->
+      let ok =
+        (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+      in
+      if not ok then Bytes.set b i '_')
+    b;
+  "rql_" ^ Bytes.to_string b
+
+(* Label values are free-form (scope and table names): the text
+   exposition format requires backslash, double-quote and newline to be
+   escaped inside the quoted value. *)
+let prom_label_value v =
+  let buf = Buffer.create (String.length v + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    v;
+  Buffer.contents buf
+
+(* Render a label set as [{k="v",...}]; label *names* share the metric-
+   name grammar, so they go through the same sanitizer (minus the
+   prefix). *)
+let prom_labels = function
+  | [] -> ""
+  | kvs ->
+    let clean_key k =
+      let pk = prom_name k in
+      String.sub pk 4 (String.length pk - 4)
+    in
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (clean_key k) (prom_label_value v)) kvs)
+    ^ "}"
+
+let prom_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.9g" f
 
 let scope_labels s =
   [ ("scope", s.sc_name); ("scope_id", string_of_int s.sc_id) ]
 
-let () =
-  (* Scope-local counters and gauges as labeled samples inside the
-     metric's own family (grouping keeps the exposition parseable). *)
-  M.set_prom_extra_samples (fun name ->
-      List.concat_map
-        (fun s ->
-          if s == root then []
-          else
-            match Hashtbl.find_opt s.sc_metrics name with
-            | Some (M.M_counter c) -> [ (scope_labels s, float_of_int (M.Counter.get c)) ]
-            | Some (M.M_gauge g) -> [ (scope_labels s, M.Gauge.get g) ]
-            | _ -> [])
-        (scopes ()));
-  (* The heat matrix as its own family. *)
-  M.add_prom_exporter (fun buf ->
-      Buffer.add_string buf "# TYPE rql_page_reads_heat counter\n";
+(* A child scope's own value of a counter or gauge. *)
+let local_value s name =
+  match Hashtbl.find_opt s.sc_metrics name with
+  | Some (M.M_counter c) -> Some (float_of_int (M.Counter.get c))
+  | Some (M.M_gauge g) -> Some (M.Gauge.get g)
+  | Some (M.M_histogram _) | None -> None
+
+(* The registry in Prometheus text exposition format: counters and
+   gauges as one root sample followed by one scope-labeled sample per
+   child scope that holds the metric (inside the family: the format
+   groups a family's samples); histograms with cumulative [_bucket]
+   series at decade bounds plus [_sum]/[_count]; then the heat matrix
+   as its own family. *)
+let to_prometheus () =
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
+  let all = scopes () in
+  let children = List.filter (fun s -> s != root) all in
+  List.iter
+    (fun (name, m) ->
+      let pn = prom_name name in
+      let scoped () =
+        List.iter
+          (fun s ->
+            Option.iter
+              (fun v -> line "%s%s %s" pn (prom_labels (scope_labels s)) (prom_float v))
+              (local_value s name))
+          children
+      in
+      match m with
+      | M.M_counter c ->
+        line "# TYPE %s counter" pn;
+        line "%s %d" pn (M.Counter.get c);
+        scoped ()
+      | M.M_gauge g ->
+        line "# TYPE %s gauge" pn;
+        line "%s %s" pn (prom_float (M.Gauge.get g));
+        scoped ()
+      | M.M_histogram h ->
+        line "# TYPE %s histogram" pn;
+        List.iter
+          (fun (bound, cum) -> line "%s_bucket{le=\"%s\"} %d" pn (prom_float bound) cum)
+          (M.Histogram.cumulative_buckets h);
+        line "%s_bucket{le=\"+Inf\"} %d" pn (M.Histogram.count h);
+        line "%s_sum %s" pn (prom_float (M.Histogram.sum h));
+        line "%s_count %d" pn (M.Histogram.count h))
+    (M.sorted_items ());
+  line "# TYPE rql_page_reads_heat counter";
+  List.iter
+    (fun s ->
       List.iter
-        (fun s ->
-          List.iter
-            (fun ((tbl, snap), db, pl) ->
-              let labels device =
-                M.prom_labels
-                  (scope_labels s
-                  @ [ ("table", (if tbl = "" then "-" else tbl));
-                      ("snapshot", string_of_int snap); ("device", device) ])
-              in
-              if db > 0 then
-                Buffer.add_string buf (Printf.sprintf "rql_page_reads_heat%s %d\n" (labels "db") db);
-              if pl > 0 then
-                Buffer.add_string buf
-                  (Printf.sprintf "rql_page_reads_heat%s %d\n" (labels "pagelog") pl))
-            (heat_items s))
-        (scopes ()))
+        (fun ((tbl, snap), db, pl) ->
+          let sample device n =
+            if n > 0 then
+              line "rql_page_reads_heat%s %d"
+                (prom_labels
+                   (scope_labels s
+                   @ [ ("table", if tbl = "" then "-" else tbl);
+                       ("snapshot", string_of_int snap);
+                       ("device", device) ]))
+                n
+          in
+          sample "db" db;
+          sample "pagelog" pl)
+        (heat_items s))
+    all;
+  Buffer.contents buf
+
+let write_prometheus ~path =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+      output_string oc (to_prometheus ()))

@@ -2,52 +2,36 @@
 
    A sample is a flat (name -> float) snapshot of every counter and
    gauge, plus count / sum / p99 summaries of every histogram, stamped
-   with a wall-clock timestamp and a monotone sequence number.  Samples
-   land in a bounded ring (oldest overwritten), so a long-running
-   process carries a fixed-size perf trajectory that the engine can
-   query back out through the [sys_timeseries] virtual table and the
-   benchmark harness embeds in its --json report.
+   with a wall-clock timestamp and the {!Ring}'s sequence number.  The
+   newest [capacity] samples are kept, so a long-running process
+   carries a fixed-size perf trajectory that the engine can query back
+   out through the [sys_timeseries] virtual table and the benchmark
+   harness embeds in its --json report.
 
-   Sampling is driven by [tick], called once per executed SQL statement:
-   every [interval] ticks one sample is taken.  [interval = 0] disables
-   automatic sampling; [sample_now] always works. *)
+   Sampling is driven by [tick], called once per executed SQL statement
+   (from any domain): every [interval]-th tick takes one sample.
+   [interval = 0] disables automatic sampling; [sample_now] always
+   works. *)
 
 type sample = {
-  seq : int;                      (* monotone sample number *)
+  seq : int;                      (* from 1, never reused *)
   ts : float;                     (* Unix.gettimeofday at capture *)
   values : (string * float) list; (* sorted by name *)
 }
 
-let default_capacity = 512
-
-type ring = {
-  mutable slots : sample option array;
-  mutable taken : int;        (* total samples ever taken *)
-  mutable interval : int;     (* sample every N ticks; 0 = off *)
-  mutable ticks : int;        (* statements since the last sample *)
-}
-
-let ring =
-  { slots = Array.make default_capacity None; taken = 0; interval = 0; ticks = 0 }
-
-let capacity () = Array.length ring.slots
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Timeseries.set_capacity";
-  ring.slots <- Array.make n None;
-  ring.taken <- 0
-
-let interval () = ring.interval
+let capacity = 512
+let ring : sample Ring.t = Ring.create capacity
+let interval = Atomic.make 0 (* sample every N ticks; 0 = off *)
+let ticks = Atomic.make 0 (* ticks since [set_interval] or [clear] *)
 
 let set_interval n =
   if n < 0 then invalid_arg "Timeseries.set_interval";
-  ring.interval <- n;
-  ring.ticks <- 0
+  Atomic.set interval n;
+  Atomic.set ticks 0
 
 let clear () =
-  Array.fill ring.slots 0 (Array.length ring.slots) None;
-  ring.taken <- 0;
-  ring.ticks <- 0
+  Ring.clear ring;
+  Atomic.set ticks 0
 
 (* Flatten the registry into (name, float) pairs. *)
 let capture_values () =
@@ -63,26 +47,16 @@ let capture_values () =
     (Metrics.sorted_items ())
 
 let sample_now () =
-  let s = { seq = ring.taken; ts = Unix.gettimeofday (); values = capture_values () } in
-  ring.slots.(ring.taken mod Array.length ring.slots) <- Some s;
-  ring.taken <- ring.taken + 1;
-  s
+  let ts = Unix.gettimeofday () and values = capture_values () in
+  Ring.push ring (fun seq -> { seq; ts; values })
 
-(* One statement executed; samples when the interval elapses. *)
+(* One statement executed; samples on every [interval]-th tick. *)
 let tick () =
-  if ring.interval > 0 then begin
-    ring.ticks <- ring.ticks + 1;
-    if ring.ticks >= ring.interval then begin
-      ring.ticks <- 0;
-      ignore (sample_now ())
-    end
-  end
+  let n = Atomic.get interval in
+  if n > 0 && (Atomic.fetch_and_add ticks 1 + 1) mod n = 0 then ignore (sample_now ())
 
-(* Buffered samples, oldest first. *)
-let samples () =
-  let out = ref [] in
-  Array.iter (fun slot -> match slot with Some s -> out := s :: !out | None -> ()) ring.slots;
-  List.sort (fun a b -> compare a.seq b.seq) !out
+(* Kept samples, oldest first. *)
+let samples () = Ring.to_list ring
 
 let sample_to_json s =
   Json.Obj

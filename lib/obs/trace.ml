@@ -1,16 +1,18 @@
-(* Hierarchical tracing with a bounded ring buffer of completed spans.
+(* Hierarchical tracing with a bounded ring of completed spans.
 
    Design constraints:
    - disabled tracing must be a no-op guarded by one flag check, with no
      allocation on per-page / per-row hot paths (those paths only bump
      Metrics counters; spans are taken at statement / SPT-build /
      RQL-iteration granularity);
-   - spans nest: an open-span stack links children to parents, and
-     [with_span] records the span even when the body raises;
-   - the buffer is bounded: the most recent [capacity] completed spans
-     are kept, older ones are overwritten (wraparound);
-   - the whole buffer exports as Chrome trace_event JSON, so a dump
-     opens directly in chrome://tracing or Perfetto.
+   - spans nest: each domain keeps its own stack of open spans, which
+     links children to parents (parallel RQL stripes record spans on
+     worker domains), and [with_span] records the span even when the
+     body raises;
+   - the log is bounded: the newest [span_capacity] completed spans are
+     kept in a {!Ring}, older ones are overwritten;
+   - the whole log exports as Chrome trace_event JSON, so a dump opens
+     directly in chrome://tracing or Perfetto.
 
    Spans carry a [tid] (Chrome track id).  Track 1 holds wall-clock
    spans; track 2 holds the RQL layer's modeled per-iteration cost
@@ -31,35 +33,35 @@ type span = {
   ts_us : float; (* start, microseconds since the trace epoch *)
   mutable dur_us : float;
   mutable attrs : (string * attr) list;
-  mutable seq : int; (* completion order; -1 while open *)
+  mutable seq : int; (* completion order, from 1; -1 while open *)
 }
 
 let tid_wall = 1
 let tid_modeled = 2
 
-(* lint: allow — span tracing is a main-domain profiling facility (shell
-   .profile); worker domains do not record spans *)
-let enabled = ref false
-let is_enabled () = !enabled
-let set_enabled on = enabled := on
+(* One flag for every domain: EXPLAIN PROFILE in one session turns
+   tracing on for all of them. *)
+let enabled = Atomic.make false
+let is_enabled () = Atomic.get enabled
+let set_enabled on = Atomic.set enabled on
 
 (* Trace epoch: set when the first event is recorded, so timestamps are
    small and the dump starts near t=0. *)
-(* lint: allow — main-domain profiling facility (see [enabled]) *)
-let epoch = ref Float.nan
+let epoch = Atomic.make Float.nan
 
 let now_s = Unix.gettimeofday
 
 let us_of_s s =
-  if Float.is_nan !epoch then epoch := s;
-  (s -. !epoch) *. 1e6
+  let e = Atomic.get epoch in
+  if Float.is_nan e then ignore (Atomic.compare_and_set epoch e s);
+  (s -. Atomic.get epoch) *. 1e6
 
 let now_us () = us_of_s (now_s ())
 
 (* Chrome "C" (counter) events: a named set of values sampled over time,
    rendered by chrome://tracing as stacked counter tracks.  The RQL loop
    exports cumulative per-operator row counts here, one sample per
-   iteration.  Bounded like the span ring; drops when tracing is off. *)
+   iteration.  Bounded like the span log; dropped when tracing is off. *)
 type counter_event = {
   c_name : string;
   c_tid : int;
@@ -67,78 +69,40 @@ type counter_event = {
   c_values : (string * float) list;
 }
 
-let counter_capacity = 4096
-let counter_slots : counter_event option array = Array.make counter_capacity None
-(* lint: allow — main-domain profiling facility (see [enabled]) *)
-let counters_recorded = ref 0
-
-let clear_counters () =
-  Array.fill counter_slots 0 counter_capacity None;
-  counters_recorded := 0
-
-(* --- ring buffer of completed spans ----------------------------------- *)
-
-let default_capacity = 1 lsl 16
-
-type ring = {
-  mutable slots : span option array;
-  mutable completed : int; (* total spans ever completed *)
-}
-
-let ring = { slots = Array.make default_capacity None; completed = 0 }
-
-let capacity () = Array.length ring.slots
+let span_capacity = 65_536
+let counter_capacity = 4_096
+let span_log : span Ring.t = Ring.create span_capacity
+let counter_log : counter_event Ring.t = Ring.create counter_capacity
 
 let clear () =
-  Array.fill ring.slots 0 (Array.length ring.slots) None;
-  ring.completed <- 0;
-  epoch := Float.nan;
-  clear_counters ()
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Trace.set_capacity";
-  ring.slots <- Array.make n None;
-  ring.completed <- 0
-
-let push_completed sp =
-  sp.seq <- ring.completed;
-  ring.slots.(ring.completed mod Array.length ring.slots) <- Some sp;
-  ring.completed <- ring.completed + 1
+  Ring.clear span_log;
+  Ring.clear counter_log;
+  Atomic.set epoch Float.nan
 
 (* A position in the completion sequence; [spans_since] returns every
-   still-buffered span completed at or after the mark. *)
-let mark () = ring.completed
+   still-kept span completed at or after the mark. *)
+let mark () = Ring.mark span_log
 
 let spans_since m =
-  let out = ref [] in
-  Array.iter
-    (fun slot ->
-      match slot with
-      | Some sp when sp.seq >= m -> out := sp :: !out
-      | _ -> ())
-    ring.slots;
   List.sort
     (fun a b ->
       let c = compare a.ts_us b.ts_us in
       if c <> 0 then c else compare a.id b.id)
-    !out
+    (Ring.since span_log m)
 
 let spans () = spans_since 0
 
+let push_completed sp = ignore (Ring.push span_log (fun n -> sp.seq <- n; sp))
+
 (* --- span recording ---------------------------------------------------- *)
 
-(* lint: allow — main-domain profiling facility (see [enabled]) *)
-let next_id = ref 0
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
 
-let fresh_id () =
-  incr next_id;
-  !next_id
+(* This domain's open spans, innermost first. *)
+let stack : span list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
-(* Stack of open spans (innermost first).
-   lint: allow — main-domain profiling facility (see [enabled]) *)
-let stack : span list ref = ref []
-
-let current_parent () = match !stack with sp :: _ -> sp.id | [] -> -1
+let current_parent () = match Domain.DLS.get stack with sp :: _ -> sp.id | [] -> -1
 
 let start_span ?(tid = tid_wall) ?(attrs = []) name =
   let sp =
@@ -151,26 +115,26 @@ let start_span ?(tid = tid_wall) ?(attrs = []) name =
       attrs;
       seq = -1 }
   in
-  stack := sp :: !stack;
+  Domain.DLS.set stack (sp :: Domain.DLS.get stack);
   sp
 
 let finish_span sp =
   sp.dur_us <- now_us () -. sp.ts_us;
-  (match !stack with
-  | top :: rest when top == sp -> stack := rest
-  | _ -> stack := List.filter (fun s -> not (s == sp)) !stack);
+  (match Domain.DLS.get stack with
+  | top :: rest when top == sp -> Domain.DLS.set stack rest
+  | l -> Domain.DLS.set stack (List.filter (fun s -> not (s == sp)) l));
   push_completed sp
 
 (* Attach attributes to the innermost open span (no-op when disabled or
    outside any span). *)
 let set_attrs attrs =
-  if !enabled then
-    match !stack with
+  if is_enabled () then
+    match Domain.DLS.get stack with
     | sp :: _ -> sp.attrs <- sp.attrs @ attrs
     | [] -> ()
 
 let with_span ?attrs ~name f =
-  if not !enabled then f ()
+  if not (is_enabled ()) then f ()
   else begin
     let sp = start_span ?attrs name in
     match f () with
@@ -187,7 +151,7 @@ let with_span ?attrs ~name f =
    Returns the span id so callers can parent further synthetic spans
    under it; returns -1 when tracing is disabled. *)
 let emit ?(tid = tid_wall) ?parent ?(attrs = []) ~name ~ts_us ~dur_us () =
-  if not !enabled then -1
+  if not (is_enabled ()) then -1
   else begin
     let parent = match parent with Some p -> p | None -> current_parent () in
     let sp = { id = fresh_id (); parent; tid; name; ts_us; dur_us; attrs; seq = -1 } in
@@ -198,24 +162,13 @@ let emit ?(tid = tid_wall) ?parent ?(attrs = []) ~name ~ts_us ~dur_us () =
 (* --- counter tracks ----------------------------------------------------- *)
 
 let emit_counter ?(tid = tid_modeled) ~name values =
-  if !enabled then begin
+  if is_enabled () then begin
     let ev = { c_name = name; c_tid = tid; c_ts_us = now_us (); c_values = values } in
-    counter_slots.(!counters_recorded mod counter_capacity) <- Some ev;
-    incr counters_recorded
+    ignore (Ring.push counter_log (fun _ -> ev))
   end
 
-(* Retained counter events, oldest first. *)
-let counter_events () =
-  let total = !counters_recorded in
-  let kept = min total counter_capacity in
-  let out = ref [] in
-  for k = kept - 1 downto 0 do
-    match counter_slots.((total - 1 - k) mod counter_capacity) with
-    | Some ev -> out := ev :: !out
-    | None -> ()
-  done;
-  List.rev !out
-
+(* Kept counter events, oldest first. *)
+let counter_events () = Ring.to_list counter_log
 (* --- Chrome trace_event export ----------------------------------------- *)
 
 let attr_to_json = function

@@ -90,28 +90,23 @@ let ty_of_value = function
 
 (* --- builtin signatures ------------------------------------------------ *)
 
-(* (min arity, max arity, result type); must agree with Func.builtins. *)
+(* Result types; the argument ranges are Func's ([Func.arity]). *)
 let builtin_sigs =
-  [ ("abs", (1, 1, Tany));
-    ("length", (1, 1, Tint));
-    ("lower", (1, 1, Ttext));
-    ("upper", (1, 1, Ttext));
-    ("substr", (2, 3, Ttext));
-    ("coalesce", (1, max_int, Tany));
-    ("ifnull", (2, 2, Tany));
-    ("nullif", (2, 2, Tany));
-    ("typeof", (1, 1, Ttext));
-    ("round", (1, 2, Treal));
-    ("min", (2, max_int, Tany));
-    ("max", (2, max_int, Tany));
-    ("instr", (2, 2, Tint));
-    ("trim", (1, 1, Ttext));
-    ("replace", (3, 3, Ttext)) ]
-
-let describe_arity lo hi =
-  if hi = max_int then Printf.sprintf "at least %d argument%s" lo (if lo = 1 then "" else "s")
-  else if lo = hi then Printf.sprintf "%d argument%s" lo (if lo = 1 then "" else "s")
-  else Printf.sprintf "%d to %d arguments" lo hi
+  [ ("abs", Tany);
+    ("length", Tint);
+    ("lower", Ttext);
+    ("upper", Ttext);
+    ("substr", Ttext);
+    ("coalesce", Tany);
+    ("ifnull", Tany);
+    ("nullif", Tany);
+    ("typeof", Ttext);
+    ("round", Treal);
+    ("min", Tany);
+    ("max", Tany);
+    ("instr", Tint);
+    ("trim", Ttext);
+    ("replace", Ttext) ]
 
 (* --- analysis state ---------------------------------------------------- *)
 
@@ -320,11 +315,10 @@ let rec check_expr ctx (sc : scope) ~agg_ok (e : expr) : ty =
   | Call (name, args) -> (
     let n = List.length args in
     List.iter (fun a -> ignore (check_expr ctx sc ~agg_ok a)) args;
-    match List.assoc_opt (lc name) builtin_sigs with
-    | Some (lo, hi, ret) ->
-      if n < lo || n > hi then
-        errf ctx ~at:name "E005" "%s expects %s, got %d" name (describe_arity lo hi) n;
-      ret
+    match Func.arity name with
+    | Some ((lo, hi) as range) ->
+      if n < lo || n > hi then errf ctx ~at:name "E005" "%s" (Func.arity_message name range n);
+      Option.value ~default:Tany (List.assoc_opt (lc name) builtin_sigs)
     | None ->
       if not (ctx.has_fn name) then errf ctx ~at:name "E004" "no such function: %s" name;
       Tany)

@@ -170,6 +170,11 @@ let close_session t =
         List.filter (fun si -> si.si_id <> t.session_id) t.core.c_sessions);
   if not (Obs.Scope.is_root t.scope) then Obs.Scope.drop t.scope
 
+(* Run [f] on a fresh session over [t]'s core, closed on every exit. *)
+let with_session t f =
+  let s = session t in
+  Fun.protect ~finally:(fun () -> close_session s) (fun () -> f s)
+
 let generation t = t.core.c_generation
 
 let create ?(snapshots = true) () =

@@ -72,10 +72,12 @@ let ends_value t =
       && (let c = t.[0] in (c >= 'a' && c <= 'z') || c = '_')
       && not (List.mem t keywords))
 
-(* Binding strength; 0 = not a binary operator. *)
+(* Binding strength, as the parser binds: [||] tighter than [*];
+   0 = not a binary operator. *)
 let prec = function
+  | "||" -> 6
   | "*" | "/" | "%" -> 5
-  | "+" | "-" | "||" -> 4
+  | "+" | "-" -> 4
   | "=" | "<>" | "<" | "<=" | ">" | ">=" -> 3
   | "and" -> 2
   | "or" -> 1

@@ -1,6 +1,11 @@
 (* Builtin scalar functions (the SQLite core-function subset the paper's
    workloads use).  User-defined functions registered on a database
-   handle live in the same namespace and shadow nothing here. *)
+   handle live in the same namespace and shadow nothing here.
+
+   Each builtin states the range of argument counts it accepts, once:
+   the call checks it and raises a typed [Error] before the body runs
+   (so a body may index every argument in range), and the analyzer's
+   E005 reads the same range through [arity]. *)
 
 module R = Storage.Record
 
@@ -8,36 +13,45 @@ exception Error = Expr.Error
 
 let error = Expr.error
 
-let builtins : (string * (R.value array -> R.value)) list =
-  [ ( "abs",
-      fun args ->
-        match args with
-        | [| R.Null |] -> R.Null
-        | [| R.Int i |] -> R.Int (abs i)
-        | [| R.Real f |] -> R.Real (Float.abs f)
-        | [| v |] -> (
-          match Expr.to_number v with Some f -> R.Real (Float.abs f) | None -> R.Null)
-        | _ -> error "abs expects 1 argument" );
-    ( "length",
-      fun args ->
-        match args with
-        | [| R.Null |] -> R.Null
-        | [| v |] -> R.Int (String.length (R.value_to_string v))
-        | _ -> error "length expects 1 argument" );
-    ( "lower",
-      fun args ->
-        match args with
-        | [| R.Null |] -> R.Null
-        | [| v |] -> R.Text (String.lowercase_ascii (R.value_to_string v))
-        | _ -> error "lower expects 1 argument" );
-    ( "upper",
-      fun args ->
-        match args with
-        | [| R.Null |] -> R.Null
-        | [| v |] -> R.Text (String.uppercase_ascii (R.value_to_string v))
-        | _ -> error "upper expects 1 argument" );
-    ( "substr",
-      fun args ->
+type builtin = { arity : int * int; fn : R.value array -> R.value }
+
+let describe_arity (lo, hi) =
+  if hi = max_int then Printf.sprintf "at least %d argument%s" lo (if lo = 1 then "" else "s")
+  else if lo = hi then Printf.sprintf "%d argument%s" lo (if lo = 1 then "" else "s")
+  else Printf.sprintf "%d to %d arguments" lo hi
+
+let arity_message name range n =
+  Printf.sprintf "%s expects %s, got %d" name (describe_arity range) n
+
+(* [most] = [max_int] for no upper bound. *)
+let builtin name ((lo, hi) as arity) body =
+  let fn args =
+    let n = Array.length args in
+    if n < lo || n > hi then raise (Error (arity_message name arity n));
+    body args
+  in
+  (name, { arity; fn })
+
+let builtins : (string * builtin) list =
+  [ builtin "abs" (1, 1) (fun a ->
+        match a.(0) with
+        | R.Null -> R.Null
+        | R.Int i -> R.Int (abs i)
+        | R.Real f -> R.Real (Float.abs f)
+        | v -> ( match Expr.to_number v with Some f -> R.Real (Float.abs f) | None -> R.Null));
+    builtin "length" (1, 1) (fun a ->
+        match a.(0) with
+        | R.Null -> R.Null
+        | v -> R.Int (String.length (R.value_to_string v)));
+    builtin "lower" (1, 1) (fun a ->
+        match a.(0) with
+        | R.Null -> R.Null
+        | v -> R.Text (String.lowercase_ascii (R.value_to_string v)));
+    builtin "upper" (1, 1) (fun a ->
+        match a.(0) with
+        | R.Null -> R.Null
+        | v -> R.Text (String.uppercase_ascii (R.value_to_string v)));
+    builtin "substr" (2, 3) (fun a ->
         let sub s start len =
           let n = String.length s in
           (* SQL substr is 1-based; negative start counts from the end *)
@@ -45,82 +59,57 @@ let builtins : (string * (R.value array -> R.value)) list =
           let len = max 0 (min len (n - start)) in
           if start >= n then "" else String.sub s start len
         in
-        match args with
-        | [| R.Null; _ |] | [| R.Null; _; _ |] -> R.Null
-        | [| v; R.Int start |] -> R.Text (sub (R.value_to_string v) start max_int)
-        | [| v; R.Int start; R.Int len |] -> R.Text (sub (R.value_to_string v) start len)
-        | _ -> error "substr expects (text, start [, length])" );
-    ( "coalesce",
-      fun args ->
-        if args = [||] then error "coalesce expects at least 1 argument";
+        match (a.(0), a.(1), if Array.length a = 3 then a.(2) else R.Int max_int) with
+        | R.Null, _, _ -> R.Null
+        | v, R.Int start, R.Int len -> R.Text (sub (R.value_to_string v) start len)
+        | _ -> error "substr expects integer start and length");
+    builtin "coalesce" (1, max_int) (fun a ->
         let rec go i =
-          if i >= Array.length args then R.Null
-          else if args.(i) <> R.Null then args.(i)
-          else go (i + 1)
+          if i >= Array.length a then R.Null else if a.(i) <> R.Null then a.(i) else go (i + 1)
         in
-        go 0 );
-    ( "ifnull",
-      fun args ->
-        match args with
-        | [| a; b |] -> if a = R.Null then b else a
-        | _ -> error "ifnull expects 2 arguments" );
-    ( "nullif",
-      fun args ->
-        match args with
-        | [| a; b |] -> if R.equal_value a b then R.Null else a
-        | _ -> error "nullif expects 2 arguments" );
-    ( "typeof",
-      fun args ->
-        match args with
-        | [| v |] -> R.Text (String.lowercase_ascii (R.type_name v))
-        | _ -> error "typeof expects 1 argument" );
-    ( "round",
-      fun args ->
+        go 0);
+    builtin "ifnull" (2, 2) (fun a -> if a.(0) = R.Null then a.(1) else a.(0));
+    builtin "nullif" (2, 2) (fun a -> if R.equal_value a.(0) a.(1) then R.Null else a.(0));
+    builtin "typeof" (1, 1) (fun a -> R.Text (String.lowercase_ascii (R.type_name a.(0))));
+    builtin "round" (1, 2) (fun a ->
         let round1 f d =
           let m = 10. ** float_of_int d in
           Float.round (f *. m) /. m
         in
-        match args with
-        | [| R.Null |] | [| R.Null; _ |] -> R.Null
-        | [| v |] -> (
-          match Expr.to_number v with Some f -> R.Real (round1 f 0) | None -> R.Null)
-        | [| v; R.Int d |] -> (
+        match (a.(0), if Array.length a = 2 then a.(1) else R.Int 0) with
+        | R.Null, _ -> R.Null
+        | v, R.Int d -> (
           match Expr.to_number v with Some f -> R.Real (round1 f d) | None -> R.Null)
-        | _ -> error "round expects (number [, digits])" );
-    ( "min",
-      fun args ->
-        (* scalar form: smallest of 2+ arguments; NULL if any is NULL *)
-        if Array.exists (fun v -> v = R.Null) args then R.Null
-        else Array.fold_left (fun acc v -> if R.compare_value v acc < 0 then v else acc) args.(0) args );
-    ( "max",
-      fun args ->
-        if Array.exists (fun v -> v = R.Null) args then R.Null
-        else Array.fold_left (fun acc v -> if R.compare_value v acc > 0 then v else acc) args.(0) args );
-    ( "instr",
-      fun args ->
-        match args with
-        | [| R.Null; _ |] | [| _; R.Null |] -> R.Null
-        | [| hay; needle |] ->
+        | _ -> error "round expects integer digits");
+    (* Scalar forms: NULL if any argument is NULL.  SQL spells MIN(x)
+       and MAX(x) with one argument as the aggregates, so only a direct
+       call reaches the one-argument form here. *)
+    builtin "min" (1, max_int) (fun a ->
+        if Array.exists (fun v -> v = R.Null) a then R.Null
+        else Array.fold_left (fun acc v -> if R.compare_value v acc < 0 then v else acc) a.(0) a);
+    builtin "max" (1, max_int) (fun a ->
+        if Array.exists (fun v -> v = R.Null) a then R.Null
+        else Array.fold_left (fun acc v -> if R.compare_value v acc > 0 then v else acc) a.(0) a);
+    builtin "instr" (2, 2) (fun a ->
+        match (a.(0), a.(1)) with
+        | R.Null, _ | _, R.Null -> R.Null
+        | hay, needle ->
           let h = R.value_to_string hay and nd = R.value_to_string needle in
           let hn = String.length h and nn = String.length nd in
           let rec go i =
             if i + nn > hn then 0 else if String.sub h i nn = nd then i + 1 else go (i + 1)
           in
-          R.Int (go 0)
-        | _ -> error "instr expects 2 arguments" );
-    ( "trim",
-      fun args ->
-        match args with
-        | [| R.Null |] -> R.Null
-        | [| v |] -> R.Text (String.trim (R.value_to_string v))
-        | _ -> error "trim expects 1 argument" );
-    ( "replace",
-      fun args ->
-        match args with
-        | [| R.Null; _; _ |] -> R.Null
-        | [| s; from_; to_ |] ->
+          R.Int (go 0));
+    builtin "trim" (1, 1) (fun a ->
+        match a.(0) with
+        | R.Null -> R.Null
+        | v -> R.Text (String.trim (R.value_to_string v)));
+    builtin "replace" (3, 3) (fun a ->
+        match a.(0) with
+        | R.Null -> R.Null
+        | s ->
           let s = R.value_to_string s in
-          let f = R.value_to_string from_ and t = R.value_to_string to_ in
+          let f = R.value_to_string a.(1) and t = R.value_to_string a.(2) in
           if f = "" then R.Text s
           else begin
             let buf = Buffer.create (String.length s) in
@@ -138,8 +127,8 @@ let builtins : (string * (R.value array -> R.value)) list =
             done;
             Buffer.add_string buf (String.sub s !i (String.length s - !i));
             R.Text (Buffer.contents buf)
-          end
-        | _ -> error "replace expects 3 arguments" );
-  ]
+          end) ]
 
-let find name = List.assoc_opt (String.lowercase_ascii name) builtins
+let lookup name = List.assoc_opt (String.lowercase_ascii name) builtins
+let find name = Option.map (fun b -> b.fn) (lookup name)
+let arity name = Option.map (fun b -> b.arity) (lookup name)

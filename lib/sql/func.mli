@@ -6,5 +6,13 @@
 
 exception Error of string
 
-(** Lookup by (case-insensitive) name. *)
+(** Lookup by (case-insensitive) name.  A call with an argument count
+    outside the builtin's {!arity} raises {!Error} before the body runs. *)
 val find : string -> (Storage.Record.row -> Storage.Record.value) option
+
+(** The (fewest, most) argument counts a builtin accepts; [most] is
+    [max_int] when unbounded. *)
+val arity : string -> (int * int) option
+
+(** The one wording of an arity error: "[name] expects [range], got [n]". *)
+val arity_message : string -> int * int -> int -> string

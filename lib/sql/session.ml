@@ -1,47 +1,9 @@
-(* A per-connection session over a shared database.
+(* Three session entry points under their older names: [create] is
+   [Db.session], [scope] a session's metric scope and [close]
+   [Db.close_session].  The engine, the server and the tests call [Db]
+   directly; perfbench's AS OF reader (perfbench/asof_mixed.ml) names
+   these. *)
 
-   The engine splits a database into a shared immutable core (committed
-   pages, snapshot archive, catalog, function registry, the explicit-
-   transaction slot) and per-connection session state: prepared
-   statements, the plan cache with its hit/miss accounting, the
-   slow-query threshold, the EXPLAIN ANALYZE toggle and a private
-   metric scope.  [Db.t] already carries exactly the per-session half —
-   the root handle returned by [Db.create] is itself the first session
-   — so a session here is a thin, intention-revealing wrapper: it
-   derives a fresh session from any existing handle and scopes its
-   lifetime.
-
-   Concurrency contract (DESIGN.md §15): any number of sessions may
-   execute read statements in parallel (each wrapped in the pager's
-   read lock); writes serialize through the pager's writer lock inside
-   transaction commit.  A session itself is NOT thread-safe — one
-   domain drives one session at a time, which is what the server and
-   the parallel RQL loop do. *)
-
-type t = Db.t
-
-(* Derive a new session sharing [db]'s core.  O(1); registered in the
-   core's session table until [close]. *)
-let create (db : Db.t) : t = Db.session db
-
-let id = Db.session_id
-
-(* The session's private metric scope: statements executed on this
-   session charge it (plus the root), so sys_sessions and sys_scopes
-   can attribute load per connection. *)
-let scope (t : t) = t.Db.scope
-
-let set_slow_query_threshold (t : t) s = t.Db.slow_query_s <- s
-let set_analyze (t : t) on = t.Db.analyze <- on
-
-(* Sessions currently registered on [db]'s core, oldest first
-   (including the root handle). *)
-let all = Db.sessions
-
-(* Unregister [t].  Close is idempotent; the root session of a handle
-   created by [Db.create] may also be closed, the core outlives it. *)
+let create = Db.session
+let scope (t : Db.t) = t.Db.scope
 let close = Db.close_session
-
-let with_session (db : Db.t) (f : t -> 'a) : 'a =
-  let s = create db in
-  Fun.protect ~finally:(fun () -> close s) (fun () -> f s)

@@ -120,13 +120,13 @@ let soundness =
     Alcotest.test_case "E005 arity ranges are the counts Func accepts" `Quick (fun () ->
         (* lo - 1, lo, hi and hi + 1 arguments, where the bound is
            finite; MIN(1) and MAX(1) parse as aggregates, which the
-           analyzer accepts as Func accepts one argument.  An engine
-           error or an Invalid_argument (which the engine reports as an
-           error) is a rejection. *)
+           analyzer accepts as Func accepts one argument.  A count out
+           of range must raise a typed Expr.Error. *)
         let db = fresh () in
         List.iter
-          (fun (name, (lo, hi, _)) ->
+          (fun (name, _) ->
             let f = Option.get (Sqldb.Func.find name) in
+            let lo, hi = Option.get (Sqldb.Func.arity name) in
             let counts =
               List.filter (fun n -> n >= 0) [ lo - 1; lo ]
               @ if hi = max_int then [] else [ hi; hi + 1 ]
@@ -138,7 +138,7 @@ let soundness =
                 let runs =
                   match f (Array.make n (R.Int 1)) with
                   | _ -> true
-                  | exception (Sqldb.Expr.Error _ | Invalid_argument _) -> false
+                  | exception Sqldb.Expr.Error _ -> false
                 in
                 Alcotest.(check bool) sql runs (not (List.mem "E005" (codes db sql))))
               counts)

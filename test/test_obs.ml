@@ -103,7 +103,7 @@ let prometheus =
         let h = M.histogram "test.prom_h" in
         M.Histogram.reset h;
         List.iter (M.Histogram.observe h) [ 1e-8; 0.002; 0.004; 0.5; 5e4 ];
-        let text = M.to_prometheus () in
+        let text = Obs.Scope.to_prometheus () in
         let lines = String.split_on_char '\n' text |> List.filter (( <> ) "") in
         Alcotest.(check bool) "non-empty" true (lines <> []);
         let sample_re line =
@@ -211,26 +211,70 @@ let spans =
             Alcotest.(check bool) "error attr attached" true
               (List.mem_assoc "error" sp.T.attrs)));
     Alcotest.test_case "ring buffer wraps around" `Quick (fun () ->
-        T.set_capacity 8;
-        Fun.protect
-          ~finally:(fun () ->
-            T.set_capacity 65536;
-            T.set_enabled false)
-          (fun () ->
-            T.set_enabled true;
-            for i = 1 to 20 do
-              T.with_span ~name:(Printf.sprintf "s%d" i) (fun () -> ())
+        (* the span log keeps its constant capacity; a mark taken now
+           sees only spans completed after it *)
+        with_tracing (fun () ->
+            let n = T.span_capacity + 20 in
+            for i = 1 to n do
+              ignore (T.emit ~name:(Printf.sprintf "s%d" i) ~ts_us:(float_of_int i) ~dur_us:0. ())
             done;
             let sps = T.spans () in
-            Alcotest.(check int) "only the capacity is kept" 8 (List.length sps);
-            Alcotest.(check (list string)) "the 8 most recent survive"
-              [ "s13"; "s14"; "s15"; "s16"; "s17"; "s18"; "s19"; "s20" ]
-              (span_names sps);
-            (* a mark taken now sees only spans completed after it *)
+            Alcotest.(check int) "only the capacity is kept" T.span_capacity (List.length sps);
+            Alcotest.(check string) "the oldest kept" "s21" (List.hd sps).T.name;
+            Alcotest.(check string) "the newest kept" (Printf.sprintf "s%d" n)
+              (List.nth sps (T.span_capacity - 1)).T.name;
             let m = T.mark () in
             T.with_span ~name:"tail" (fun () -> ());
             Alcotest.(check (list string)) "spans_since mark" [ "tail" ]
-              (span_names (T.spans_since m)))) ]
+              (span_names (T.spans_since m))));
+    Alcotest.test_case "two domains nest spans without losing or misparenting any" `Quick
+      (fun () ->
+        (* parallel RQL stripes record spans on worker domains: each
+           domain keeps its own open-span stack, ids stay unique *)
+        let per_domain = 10_000 in
+        with_tracing (fun () ->
+            let record d () =
+              for i = 1 to per_domain do
+                T.with_span ~name:(Printf.sprintf "o%d.%d" d i) (fun () ->
+                    T.with_span ~name:(Printf.sprintf "i%d.%d" d i) (fun () -> ()))
+              done
+            in
+            List.iter Domain.join [ Domain.spawn (record 1); Domain.spawn (record 2) ];
+            let sps = T.spans () in
+            Alcotest.(check int) "every span kept" (4 * per_domain) (List.length sps);
+            let by_id = Hashtbl.create (4 * per_domain) in
+            List.iter (fun sp -> Hashtbl.replace by_id sp.T.id sp) sps;
+            Alcotest.(check int) "no duplicate ids" (List.length sps) (Hashtbl.length by_id);
+            let wrong =
+              List.filter
+                (fun sp ->
+                  sp.T.name.[0] = 'i'
+                  &&
+                  match Hashtbl.find_opt by_id sp.T.parent with
+                  | Some p -> p.T.name <> "o" ^ String.sub sp.T.name 1 (String.length sp.T.name - 1)
+                  | None -> true)
+                sps
+            in
+            Alcotest.(check int) "no wrong parents" 0 (List.length wrong))) ]
+
+let ring =
+  [ Alcotest.test_case "keeps the newest entries; numbering survives clear" `Quick (fun () ->
+        let r = Obs.Ring.create 8 in
+        for _ = 1 to 20 do
+          ignore (Obs.Ring.push r (fun n -> n))
+        done;
+        Alcotest.(check (list int)) "the 8 newest" [ 13; 14; 15; 16; 17; 18; 19; 20 ]
+          (Obs.Ring.to_list r);
+        Alcotest.(check (list int)) "since a kept number" [ 18; 19; 20 ] (Obs.Ring.since r 18);
+        Alcotest.(check (list int)) "since an overwritten number" (Obs.Ring.to_list r)
+          (Obs.Ring.since r 3);
+        let m = Obs.Ring.mark r in
+        Alcotest.(check int) "mark is the next number" 21 m;
+        Alcotest.(check (list int)) "nothing since the mark" [] (Obs.Ring.since r m);
+        Obs.Ring.clear r;
+        Alcotest.(check (list int)) "clear empties" [] (Obs.Ring.to_list r);
+        Alcotest.(check int) "push after clear continues" 21 (Obs.Ring.push r (fun n -> n));
+        Alcotest.(check (list int)) "the mark sees it" [ 21 ] (Obs.Ring.since r m)) ]
 
 let counters =
   [ Alcotest.test_case "delta attribution via counters diff" `Quick (fun () ->
@@ -409,7 +453,8 @@ let timeseries =
             Alcotest.(check int) "one sample per 2 ticks" 3 (List.length samples);
             (* sequence numbers are monotone and values carry the registry *)
             let seqs = List.map (fun s -> s.TS.seq) samples in
-            Alcotest.(check (list int)) "monotone seq" [ 0; 1; 2 ] seqs;
+            let first = List.hd seqs in
+            Alcotest.(check (list int)) "consecutive seq" [ first; first + 1; first + 2 ] seqs;
             List.iter
               (fun s ->
                 Alcotest.(check (option (float 0.))) "counter value captured" (Some 5.)
@@ -417,17 +462,16 @@ let timeseries =
               samples));
     Alcotest.test_case "bounded ring keeps the newest samples" `Quick (fun () ->
         let module TS = Obs.Timeseries in
-        TS.set_capacity 4;
-        Fun.protect
-          ~finally:(fun () -> TS.set_capacity 512)
-          (fun () ->
-            for _ = 1 to 10 do
-              ignore (TS.sample_now ())
-            done;
-            let samples = TS.samples () in
-            Alcotest.(check int) "capacity bound" 4 (List.length samples);
-            Alcotest.(check (list int)) "newest survive" [ 6; 7; 8; 9 ]
-              (List.map (fun s -> s.TS.seq) samples))) ]
+        TS.clear ();
+        let last = ref (TS.sample_now ()) in
+        for _ = 1 to TS.capacity + 9 do
+          last := TS.sample_now ()
+        done;
+        let samples = TS.samples () in
+        Alcotest.(check int) "capacity bound" TS.capacity (List.length samples);
+        Alcotest.(check (list int)) "newest survive"
+          (List.init TS.capacity (fun k -> !last.TS.seq - TS.capacity + 1 + k))
+          (List.map (fun s -> s.TS.seq) samples)) ]
 
 let () =
   Alcotest.run "obs"
@@ -435,6 +479,7 @@ let () =
       ("prometheus", prometheus);
       ("timeseries", timeseries);
       ("spans", spans);
+      ("ring", ring);
       ("counters", counters);
       ("chrome-json", chrome_json);
       ("rql-hierarchy", rql_hierarchy) ]

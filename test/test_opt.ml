@@ -421,7 +421,10 @@ let fingerprints =
     Alcotest.test_case "operator precedence keeps distinct shapes apart" `Quick (fun () ->
         diff_fp "SELECT 1 + 2 * a FROM t" "SELECT 3 * a FROM t";
         diff_fp "SELECT a + 1 + 1 FROM t" "SELECT a + 2 FROM t";
-        diff_fp "SELECT a - 1 FROM t" "SELECT a FROM t") ]
+        diff_fp "SELECT a - 1 FROM t" "SELECT a FROM t";
+        (* the parser binds || tighter than *: 2 * 3 || a is 2 * (3 || a) *)
+        diff_fp "SELECT 2 * 3 || a FROM t" "SELECT 6 || a FROM t";
+        same_fp "SELECT a * 2 || 3 FROM t" "SELECT a * 23 FROM t") ]
 
 (* --- the escape hatch --------------------------------------------------- *)
 

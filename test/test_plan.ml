@@ -186,8 +186,8 @@ let session_tests =
   [ Alcotest.test_case "DDL in one session invalidates another session's plan" `Quick
       (fun () ->
         let db = fresh_emp () in
-        Sqldb.Session.with_session db (fun a ->
-            Sqldb.Session.with_session db (fun b ->
+        Sqldb.Db.with_session db (fun a ->
+            Sqldb.Db.with_session db (fun b ->
                 let sql = "SELECT name FROM emp WHERE id = 3" in
                 exec a sql;
                 exec a sql;
@@ -201,8 +201,8 @@ let session_tests =
     Alcotest.test_case "prepared statement survives DDL from a sibling session" `Quick
       (fun () ->
         let db = fresh_emp () in
-        Sqldb.Session.with_session db (fun a ->
-            Sqldb.Session.with_session db (fun b ->
+        Sqldb.Db.with_session db (fun a ->
+            Sqldb.Db.with_session db (fun b ->
                 let p = E.prepare a "SELECT name FROM emp WHERE id = ?" in
                 Alcotest.(check (list string)) "before" [ "bob" ]
                   (texts (E.exec_prepared ~params:[| R.Int 2 |] p).E.rows);
@@ -212,8 +212,8 @@ let session_tests =
                   (texts (E.exec_prepared ~params:[| R.Int 6 |] p).E.rows))));
     Alcotest.test_case "sessions keep independent hit/miss accounting" `Quick (fun () ->
         let db = fresh_emp () in
-        Sqldb.Session.with_session db (fun a ->
-            Sqldb.Session.with_session db (fun b ->
+        Sqldb.Db.with_session db (fun a ->
+            Sqldb.Db.with_session db (fun b ->
                 let sql = "SELECT COUNT(*) FROM emp" in
                 exec a sql;
                 exec a sql;

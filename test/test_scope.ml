@@ -170,7 +170,7 @@ let lifecycle_tests =
         with_child "resettable" (fun child ->
             S.with_scope child (fun () -> S.add h 9);
             Alcotest.(check int) "charged" 9 (local_counter child "test.scope_reset");
-            M.reset_all ();
+            S.reset_all ();
             (* the scope survives the reset; its values are zero, not stale *)
             Alcotest.(check bool) "scope still in the tree" true
               (List.exists (fun s -> s == child) (S.scopes ()));
@@ -211,7 +211,7 @@ let make_snapshot_ctx () =
 
 let heat_tests =
   [ Alcotest.test_case "root heat partitions storage.page_reads exactly" `Quick (fun () ->
-        Obs.Metrics.reset_all ();
+        Obs.Scope.reset_all ();
         let ctx = make_snapshot_ctx () in
         ignore
           (Rql.collate_data ctx ~qs:"SELECT snap_id FROM SnapIds"
@@ -262,7 +262,7 @@ let heat_tests =
             Alcotest.(check int) "child heat = child page_reads counter"
               (local_counter child "storage.page_reads") child_total));
     Alcotest.test_case "RQL run under a child scope on the eval session" `Quick (fun () ->
-        Obs.Metrics.reset_all ();
+        Obs.Scope.reset_all ();
         let ctx = make_snapshot_ctx () in
         (* a sequential Qq runs on ctx.eval, so that is where the scope
            that charges it is set, not on ctx.data *)
@@ -481,13 +481,29 @@ let prometheus_tests =
         S.set h 0;
         with_child "quo\"te\\back\nline" (fun child ->
             S.with_scope child (fun () -> S.incr h);
-            let text = M.to_prometheus () in
+            let text = S.to_prometheus () in
             Alcotest.(check bool) "escaped scope label" true
               (contains ~needle:"scope=\"quo\\\"te\\\\back\\nline\"" text)));
+    Alcotest.test_case "a child scope's sample follows the root sample in its family" `Quick
+      (fun () ->
+        let h = S.counter "test.prom_family" in
+        S.set h 0;
+        with_child "fam" (fun child ->
+            S.with_scope child (fun () -> S.add h 4);
+            let rec family = function
+              | "# TYPE rql_test_prom_family counter" :: root :: scoped :: _ -> (root, scoped)
+              | _ :: rest -> family rest
+              | [] -> Alcotest.fail "family missing"
+            in
+            let root, scoped = family (String.split_on_char '\n' (S.to_prometheus ())) in
+            Alcotest.(check string) "root sample" "rql_test_prom_family 4" root;
+            Alcotest.(check string) "scope sample"
+              (Printf.sprintf "rql_test_prom_family{scope=\"fam\",scope_id=\"%d\"} 4" (S.id child))
+              scoped));
     Alcotest.test_case "metric names with . and - are sanitized" `Quick (fun () ->
         let h = S.counter "test.weird-name" in
         S.set h 3;
-        let text = M.to_prometheus () in
+        let text = S.to_prometheus () in
         Alcotest.(check bool) "sanitized family name" true
           (contains ~needle:"rql_test_weird_name 3" text);
         Alcotest.(check bool) "no raw dot/dash names" false
@@ -495,7 +511,7 @@ let prometheus_tests =
     Alcotest.test_case "heat matrix exports as its own labeled family" `Quick (fun () ->
         let ctx = make_snapshot_ctx () in
         ignore (E.exec ctx.Rql.data "SELECT AS OF 1 COUNT(a) FROM t");
-        let text = M.to_prometheus () in
+        let text = S.to_prometheus () in
         Alcotest.(check bool) "family present" true
           (contains ~needle:"rql_page_reads_heat{" text);
         Alcotest.(check bool) "table label" true (contains ~needle:"table=\"t\"" text);

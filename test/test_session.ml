@@ -5,7 +5,7 @@
 
 module R = Storage.Record
 module E = Sqldb.Engine
-module S = Sqldb.Session
+module Db = Sqldb.Db
 module IS = Rql.Iter_stats
 
 let value = Alcotest.testable R.pp_value R.equal_value
@@ -21,7 +21,7 @@ let lifecycle =
         let db = Sqldb.Db.create () in
         ignore (E.exec db "CREATE TABLE t (k INTEGER, v TEXT)");
         ignore (E.exec db "INSERT INTO t VALUES (1,'a'), (2,'b')");
-        S.with_session db (fun s ->
+        Db.with_session db (fun s ->
             Alcotest.(check (list row)) "reads committed data"
               [ [ R.Int 1; R.Text "a" ]; [ R.Int 2; R.Text "b" ] ]
               (q s "SELECT * FROM t ORDER BY k");
@@ -30,25 +30,25 @@ let lifecycle =
           (match E.scalar db "SELECT COUNT(*) FROM t" with R.Int n -> n | _ -> -1));
     Alcotest.test_case "session ids are distinct; close unregisters" `Quick (fun () ->
         let db = Sqldb.Db.create () in
-        let a = S.create db and b = S.create db in
-        Alcotest.(check bool) "distinct ids" true (S.id a <> S.id b);
-        Alcotest.(check int) "three live sessions" 3 (List.length (S.all db));
-        S.close a;
-        Alcotest.(check int) "two after close" 2 (List.length (S.all db));
-        S.close a (* idempotent *);
-        Alcotest.(check int) "still two" 2 (List.length (S.all db));
-        S.close b);
+        let a = Db.session db and b = Db.session db in
+        Alcotest.(check bool) "distinct ids" true (Db.session_id a <> Db.session_id b);
+        Alcotest.(check int) "three live sessions" 3 (List.length (Db.sessions db));
+        Db.close_session a;
+        Alcotest.(check int) "two after close" 2 (List.length (Db.sessions db));
+        Db.close_session a (* idempotent *);
+        Alcotest.(check int) "still two" 2 (List.length (Db.sessions db));
+        Db.close_session b);
     Alcotest.test_case "prepared statements and plan cache are per-session" `Quick (fun () ->
         let db = Sqldb.Db.create () in
         ignore (E.exec db "CREATE TABLE t (k INTEGER)");
-        S.with_session db (fun s ->
+        Db.with_session db (fun s ->
             let p = E.prepare s "SELECT k FROM t" in
             ignore (E.exec_prepared p);
             Alcotest.(check int) "session prepared one" 1 s.Sqldb.Db.prepared_count;
             Alcotest.(check int) "root prepared none" 0 db.Sqldb.Db.prepared_count));
     Alcotest.test_case "sys_sessions lists every live session" `Quick (fun () ->
         let db = Sqldb.Db.create () in
-        S.with_session db (fun s ->
+        Db.with_session db (fun s ->
             ignore s;
             let ids =
               List.map
@@ -56,13 +56,13 @@ let lifecycle =
                 (q db "SELECT session_id FROM sys_sessions ORDER BY session_id")
             in
             Alcotest.(check (list int)) "root + derived"
-              (List.map S.id (S.all db) |> List.sort compare)
+              (List.map Db.session_id (Db.sessions db) |> List.sort compare)
               ids));
     Alcotest.test_case "explicit transaction is core-owned: second BEGIN errors" `Quick
       (fun () ->
         let db = Sqldb.Db.create () in
         ignore (E.exec db "CREATE TABLE t (k INTEGER)");
-        S.with_session db (fun s ->
+        Db.with_session db (fun s ->
             ignore (E.exec db "BEGIN");
             Alcotest.check_raises "nested begin rejected"
               (E.Error "transaction already open") (fun () ->
@@ -90,7 +90,7 @@ let parallel_asof =
         let doms =
           List.init readers (fun w ->
               Domain.spawn (fun () ->
-                  S.with_session db (fun s ->
+                  Db.with_session db (fun s ->
                       results.(w) <- List.map (fun sid -> (sid, q s (query sid))) sids)))
         in
         List.iter Domain.join doms;
@@ -264,16 +264,16 @@ let accounting =
           (List.length (Obs.Scope.scopes ()));
         (* Dropping folds a session's totals away without touching the
            root's; closing twice is harmless. *)
-        let s = S.create ctx.Rql.data in
+        let s = Db.session ctx.Rql.data in
         ignore (E.exec s "SELECT AS OF 1 COUNT(*) FROM t");
         let root () =
           List.map Obs.Scope.get
             [ Storage.Stats.c_db_page_reads; Storage.Stats.c_pagelog_reads; Obs.Scope.c_page_reads ]
         in
         let before = root () in
-        S.close s;
-        S.close s;
-        Alcotest.(check bool) "scope dropped" false (Obs.Scope.is_live (S.scope s));
+        Db.close_session s;
+        Db.close_session s;
+        Alcotest.(check bool) "scope dropped" false (Obs.Scope.is_live s.Db.scope);
         Alcotest.(check (list int)) "root totals unchanged" before (root ()));
     Alcotest.test_case "both loops follow PRAGMA optimize on the data handle" `Quick
       (fun () ->

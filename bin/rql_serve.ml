@@ -71,8 +71,7 @@ let serve_client (ctx : Rql.ctx) fd =
                    in
                    match E.exec db sql with
                    | res -> reply oc res
-                   | exception E.Error msg -> reply_error oc msg
-                   | exception Failure msg -> reply_error oc msg);
+                   | exception E.Error msg -> reply_error oc msg);
                 loop ()
               end
           in
@@ -130,7 +129,9 @@ let accept_loop ctx sock ~max_conns =
 
 (* Build a small snapshot history, serve it, and drive [clients]
    concurrent connections each reading every snapshot AS OF; verify all
-   replies against the single-threaded oracle. *)
+   replies against the single-threaded oracle.  One more client goes
+   first and sends SQL-form calls that fail: each must get an error
+   reply, and the server must go on serving the clients after it. *)
 let self_test ~clients =
   let ctx = Rql.create () in
   ignore (E.exec ctx.Rql.data "CREATE TABLE ev (u TEXT, v INTEGER)");
@@ -153,15 +154,44 @@ let self_test ~clients =
   in
   let sock = listen_socket 0 in
   let port = bound_port sock in
-  let server = Domain.spawn (fun () -> accept_loop ctx sock ~max_conns:clients) in
-  let client _i () =
+  let server = Domain.spawn (fun () -> accept_loop ctx sock ~max_conns:(clients + 1)) in
+  (* A reply that never comes (a server that died) fails the test
+     instead of hanging it. *)
+  let connect () =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
     let banner = input_line ic in
     if String.length banner < 4 || String.sub banner 0 4 <> "rql " then
       failwith ("bad banner: " ^ banner);
+    (fd, ic, oc)
+  in
+  let quit fd oc =
+    send oc ".quit";
+    flush oc;
+    Unix.close fd
+  in
+  let failing () =
+    let fd, ic, oc = connect () in
+    let errors =
+      List.for_all
+        (fun sql ->
+          send oc "%s" sql;
+          flush oc;
+          let status = input_line ic in
+          let blank = input_line ic in
+          String.starts_with ~prefix:"error " status && blank = "")
+        [ "@meta SELECT CollateData(snap_id, 'SELECT nope FROM ev', 'T') FROM SnapIds";
+          "@meta SELECT AggregateDataInVariable(snap_id, 'SELECT v FROM ev', 'T', 'median') \
+           FROM SnapIds" ]
+    in
+    quit fd oc;
+    errors
+  in
+  let client _i () =
+    let fd, ic, oc = connect () in
     let got =
       List.map
         (fun sid ->
@@ -178,17 +208,22 @@ let self_test ~clients =
           [ String.split_on_char '\t' row ])
         sids
     in
-    send oc ".quit";
-    flush oc;
-    Unix.close fd;
+    quit fd oc;
     got = oracle
   in
+  let errors = failing () in
   let doms = List.init clients (fun i -> Domain.spawn (client i)) in
   let oks = List.map Domain.join doms in
   Domain.join server;
   Unix.close sock;
-  if List.for_all Fun.id oks then begin
-    Printf.printf "self-test ok: %d clients x %d snapshots match the oracle\n"
+  if not errors then begin
+    prerr_endline "self-test FAILED: a failing SQL-form call got no error reply";
+    exit 1
+  end
+  else if List.for_all Fun.id oks then begin
+    Printf.printf
+      "self-test ok: failing SQL-form calls answered with errors; %d clients x %d snapshots \
+       match the oracle\n"
       clients (List.length sids);
     exit 0
   end

@@ -374,12 +374,11 @@ let repl ctx =
        | None -> raise Exit
        | Some line -> (
          try run_line ctx_ref line with
-         | E.Error msg | Rql.Error msg -> Printf.printf "error: %s\n" msg
+         | E.Error msg -> Printf.printf "error: %s\n" msg
          | Rql.Cancelled { mechanism; iterations_done; run_id } ->
            Printf.printf "run %d (%s) cancelled after %d iteration%s (.progress for details)\n"
              run_id mechanism iterations_done
-             (if iterations_done = 1 then "" else "s")
-         | Rql.Monoid.Not_supported msg -> Printf.printf "error: %s\n" msg)
+             (if iterations_done = 1 then "" else "s"))
      done
    with Exit -> ());
   print_endline "bye"

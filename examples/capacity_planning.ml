@@ -64,6 +64,6 @@ let () =
   (match
      Rql.aggregate_data_in_table ctx ~qs ~qq ~table:"bad" ~aggs:[ ("orders", "count distinct") ]
    with
-  | exception Rql.Monoid.Not_supported msg -> Printf.printf "\nrejected as expected: %s\n" msg
+  | exception Rql.Error msg -> Printf.printf "\nrejected as expected: %s\n" msg
   | _ -> assert false);
   print_endline "\ncapacity planning done."

@@ -92,6 +92,15 @@ let spans_since m =
 
 let spans () = spans_since 0
 
+(* The spans of [spans] under span [id], that one included. *)
+let subtree id spans =
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun sp -> Hashtbl.replace by_id sp.id sp) spans;
+  let rec under sp =
+    sp.id = id || Option.fold ~none:false ~some:under (Hashtbl.find_opt by_id sp.parent)
+  in
+  List.filter under spans
+
 let push_completed sp = ignore (Ring.push span_log (fun n -> sp.seq <- n; sp))
 
 (* --- span recording ---------------------------------------------------- *)

@@ -168,7 +168,7 @@ let fold ctx e =
   | v ->
     ctx.folds <- ctx.folds + 1;
     Lit v
-  | exception (Expr.Error _ | Func.Error _) -> e
+  | exception Sql_error.Error _ -> e
 
 let reduced ctx e =
   ctx.folds <- ctx.folds + 1;

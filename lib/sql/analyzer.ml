@@ -138,7 +138,7 @@ let warnf ctx ?at code fmt =
 
 (* Identifier -> first source position, from re-tokenizing the
    statement text.  Tokenization already succeeded once to parse the
-   statement, so the Lexer.Error guard is belt-and-braces for callers
+   statement, so the error guard is belt-and-braces for callers
    analyzing an AST under unrelated text. *)
 let span_map sql =
   match sql with
@@ -154,7 +154,7 @@ let span_map sql =
              if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key pos
            | _ -> ())
          (Lexer.tokenize_pos sql)
-     with Lexer.Error _ -> ());
+     with Sql_error.Error _ -> ());
     fun name -> Hashtbl.find_opt tbl (lc name)
 
 (* --- name resolution --------------------------------------------------- *)
@@ -171,12 +171,12 @@ let no_sources = { sources = []; resolved = true; strict = true }
 let lookup_table ctx name =
   match Planner.lookup_table ctx.cat name with
   | t -> Some t
-  | exception Planner.Error _ -> None
+  | exception Sql_error.Error _ -> None
 
 let has_col tbl c =
   match Planner.col_pos tbl c with
   | _ -> true
-  | exception Planner.Error _ -> false
+  | exception Sql_error.Error _ -> false
 
 let col_ty (t : Catalog.table) i = affinity (snd t.Catalog.tcols.(i))
 
@@ -410,7 +410,7 @@ and check_predicate_warnings ctx sc w =
     (fun conj ->
       (if row_independent conj then
          match
-           try Some (Expr.eval_const builtin_ctx conj) with Expr.Error _ -> None
+           try Some (Expr.eval_const builtin_ctx conj) with Sql_error.Error _ -> None
          with
          | Some v -> (
            match Expr.truth v with
@@ -469,7 +469,7 @@ and check_select ctx ~outer_strict (sel : select) : (string * ty) list option =
         (fun oi ->
           match Planner.compound_order_index header oi with
           | _ -> ()
-          | exception Planner.Error m ->
+          | exception Sql_error.Error m ->
             let at = match oi.ord_expr with Col (_, n) -> Some n | _ -> None in
             errf ctx ?at "E002" "%s" m)
         sel.order_by
@@ -537,7 +537,7 @@ and check_core ctx ~outer_strict (sel : select) : (string * ty) list option =
       (fun item ->
         match Planner.expand_items sc.sources [ item ] with
         | items -> List.map (fun (e, name) -> ((e, name), check_expr ctx sc ~agg_ok:true e)) items
-        | exception Planner.Error _ ->
+        | exception Sql_error.Error _ ->
           let a = match item with Table_star a -> a | _ -> "" in
           width_known := false;
           if sc.strict && sc.resolved then errf ctx ~at:a "E001" "no such table: %s" a;

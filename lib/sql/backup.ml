@@ -9,12 +9,10 @@
    not part of the image and must be re-registered by the caller
    (Rql.load does). *)
 
-exception Error = Image.Error
-
 (* Capture a consistent image of the committed state. *)
 let snapshot_image (db : Db.t) =
   if Db.in_txn db then
-    raise (Error "cannot back up a database with an open transaction");
+    Sql_error.error "cannot back up a database with an open transaction";
   Image.capture db.Db.pager db.Db.retro
 
 (* Materialize an image as a fresh database handle. *)

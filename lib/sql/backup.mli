@@ -8,11 +8,8 @@
     Registered functions are not part of the image; callers re-register
     them (Rql.load does). *)
 
-(** The same exception as {!Image.Error}. *)
-exception Error of string
-
 (** Capture a consistent image.
-    @raise Error if a transaction is open. *)
+    @raise Sql_error.Error if a transaction is open. *)
 val snapshot_image : Db.t -> Image.t
 
 (** Materialize an image as a fresh handle. *)
@@ -23,5 +20,5 @@ val restore_image : Image.t -> Db.t
 val save : Db.t -> path:string -> unit
 
 (** Load a database saved by {!save}.
-    @raise Error on a malformed or foreign file. *)
+    @raise Sql_error.Error on an unreadable, malformed or foreign file. *)
 val load : path:string -> Db.t

@@ -88,9 +88,15 @@ let indexes_of_table t name =
 
 let table_names t = Hashtbl.fold (fun _ (tbl, _) acc -> tbl.tname :: acc) t.tables []
 
-let add_table txn (tbl : table) = ignore (Storage.Heap.insert txn (heap ()) (encode_table tbl))
+(* One catalog heap row: a definition no page holds is the statement's error. *)
+let store txn name entry =
+  let n = String.length entry and most = Storage.Heap.max_record in
+  if n > most then Sql_error.error "definition of %s too large: %d bytes (at most %d)" name n most;
+  ignore (Storage.Heap.insert txn (heap ()) entry)
 
-let add_index txn (idx : index) = ignore (Storage.Heap.insert txn (heap ()) (encode_index idx))
+let add_table txn (tbl : table) = store txn tbl.tname (encode_table tbl)
+
+let add_index txn (idx : index) = store txn idx.iname (encode_index idx)
 
 let remove_table t txn name =
   match Hashtbl.find_opt t.tables (key name) with

@@ -49,7 +49,7 @@ let promote ~tick ~path =
 let load file =
   match Image.read Image.checkpoint ~path:file with
   | ck -> Some ck
-  | exception (Image.Error _ | Sys_error _) -> None
+  | exception Sql_error.Error _ -> None
 
 (* The image matching WAL checkpoint frame [seq]: the live file or, in
    the window between the WAL swap and the final promote, the .new

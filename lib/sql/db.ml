@@ -21,9 +21,7 @@
 
 module R = Storage.Record
 
-exception Error of string
-
-let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+let error = Sql_error.error
 
 type fn = R.value array -> R.value
 

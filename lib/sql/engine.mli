@@ -11,6 +11,7 @@
     DML, DDL, EXPLAIN (plus EXPLAIN PROFILE / ANALYZE / LINT),
     [SELECT AS OF sid] and [COMMIT WITH SNAPSHOT]. *)
 
+(** Every statement failure: {!Sql_error.Error} under its public name. *)
 exception Error of string
 
 (** Raised when an internal dispatch invariant is violated (a bug in

@@ -6,9 +6,7 @@
 module R = Storage.Record
 open Ast
 
-exception Error of string
-
-let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+let error = Sql_error.error
 
 type fn_ctx = { lookup_fn : string -> (R.value array -> R.value) option }
 

@@ -111,9 +111,11 @@ let collapse_folds (toks : string list) : string list =
       | "?" :: op :: "?" :: rest when prec op > 0 ->
         (* Collapse only when this application really is one constant
            subtree: a tighter operator on either side would have been
-           parsed inside it. *)
+           parsed inside it, and the AND right after BETWEEN belongs to
+           BETWEEN. *)
         let nextp = match rest with nx :: _ -> prec nx | [] -> 0 in
-        if prec prev >= prec op || nextp > prec op then "?" :: rw "?" (op :: "?" :: rest)
+        if prec prev >= prec op || nextp > prec op || (prev = "between" && op = "and")
+        then "?" :: rw "?" (op :: "?" :: rest)
         else begin
           changed := true;
           rw prev ("?" :: rest)
@@ -130,7 +132,7 @@ let collapse_folds (toks : string list) : string list =
 let normalize (sql : string) : string =
   match Lexer.tokenize sql with
   | toks -> String.concat " " (collapse_folds (List.filter_map token_norm toks))
-  | exception Lexer.Error _ -> collapse_ws sql
+  | exception Sql_error.Error _ -> collapse_ws sql
 
 (* 64-bit FNV-1a. *)
 let fingerprint_of (norm : string) : string =

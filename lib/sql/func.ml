@@ -3,15 +3,13 @@
    handle live in the same namespace and shadow nothing here.
 
    Each builtin states the range of argument counts it accepts, once:
-   the call checks it and raises a typed [Error] before the body runs
+   the call checks it and raises {!Sql_error.Error} before the body runs
    (so a body may index every argument in range), and the analyzer's
    E005 reads the same range through [arity]. *)
 
 module R = Storage.Record
 
-exception Error = Expr.Error
-
-let error = Expr.error
+let error = Sql_error.error
 
 type builtin = { arity : int * int; fn : R.value array -> R.value }
 
@@ -27,7 +25,7 @@ let arity_message name range n =
 let builtin name ((lo, hi) as arity) body =
   let fn args =
     let n = Array.length args in
-    if n < lo || n > hi then raise (Error (arity_message name arity n));
+    if n < lo || n > hi then error "%s" (arity_message name arity n);
     body args
   in
   (name, { arity; fn })

@@ -4,10 +4,8 @@
     replace).  User-defined functions registered on a handle live in the
     same namespace and take precedence. *)
 
-exception Error of string
-
 (** Lookup by (case-insensitive) name.  A call with an argument count
-    outside the builtin's {!arity} raises {!Error} before the body runs. *)
+    outside the builtin's {!arity} raises {!Sql_error.Error} before the body runs. *)
 val find : string -> (Storage.Record.row -> Storage.Record.value) option
 
 (** The (fewest, most) argument counts a builtin accepts; [most] is

@@ -16,15 +16,13 @@
    The magic names the kind (a backup loaded as a context file fails
    typed), the length must match the file exactly, and the CRC vouches
    for the payload before Marshal sees it — a truncated, padded or
-   bit-flipped file fails with {!Error}, never decodes into garbage.
+   bit-flipped file fails with {!Sql_error.Error}, never decodes into garbage.
 
    Files are written to a temporary name, flushed and closed (so an I/O
    error raises) and only then renamed over the destination: a failed
    or interrupted write never leaves a torn file under the real name. *)
 
-exception Error of string
-
-let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+let error = Sql_error.error
 
 type t = {
   pager : Storage.Pager.image;
@@ -78,21 +76,23 @@ let parse_header kind ~path file =
 let write ?(tick = ignore) ?tmp kind ~path v =
   let payload = Marshal.to_string v [] in
   let tmp = Option.value tmp ~default:(path ^ ".tmp") in
-  let oc = open_out_bin tmp in
   let half = String.length payload / 2 in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (header kind payload);
-      output_substring oc payload 0 half;
-      tick ();
-      output_substring oc payload half (String.length payload - half);
-      close_out oc);
-  tick ();
-  Sys.rename tmp path
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc (header kind payload);
+        output_substring oc payload 0 half;
+        tick ();
+        output_substring oc payload half (String.length payload - half);
+        close_out oc);
+    tick ();
+    Sys.rename tmp path
+  with Sys_error m -> error "%s" m
 
 let read kind ~path =
-  let file = In_channel.with_open_bin path In_channel.input_all in
+  let file = try In_channel.with_open_bin path In_channel.input_all with Sys_error m -> error "%s" m in
   let len, crc = parse_header kind ~path file in
   if Storage.Crc32.update 0 (Bytes.unsafe_of_string file) header_size len <> crc then
     error "%s: image checksum mismatch (corrupt or bit-flipped)" path;

@@ -7,8 +7,6 @@
     u32 payload length | u32 CRC32(payload) | payload]; files are
     written to a temporary name and renamed into place. *)
 
-exception Error of string
-
 (** One database: its committed pages and, when snapshottable, its
     archive. *)
 type t = {
@@ -38,11 +36,11 @@ val checkpoint : (int * t) kind
 (** Write [v] to [tmp] (default [path ^ ".tmp"]), close it, then rename
     it to [path].  [tick] runs once mid-write and once before the
     rename (fault-injection points).
-    @raise Sys_error on an I/O error; [path] is then untouched. *)
+    @raise Sql_error.Error on an I/O error; [path] is then untouched. *)
 val write : ?tick:(unit -> unit) -> ?tmp:string -> 'a kind -> path:string -> 'a -> unit
 
 (** Read an image written by {!write} with the same kind.
-    @raise Error on a wrong magic or version, a length mismatch, a
-    checksum mismatch or a payload that does not unmarshal.
-    @raise Sys_error when [path] cannot be read. *)
+    @raise Sql_error.Error when [path] cannot be read, on a wrong magic
+    or version, a length mismatch, a checksum mismatch or a payload that
+    does not unmarshal. *)
 val read : 'a kind -> path:string -> 'a

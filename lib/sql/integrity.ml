@@ -216,4 +216,4 @@ let check_exn db =
   match check db with
   | [] -> ()
   | problems ->
-    raise (Db.Error ("integrity check failed:\n  " ^ String.concat "\n  " problems))
+    Sql_error.error "integrity check failed:\n  %s" (String.concat "\n  " problems)

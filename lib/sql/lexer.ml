@@ -23,9 +23,7 @@ type pos = { line : int; col : int }
 
 let pos_to_string p = Printf.sprintf "%d:%d" p.line p.col
 
-exception Error of string
-
-let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+let error fmt = Printf.ksprintf (Sql_error.error "SQL lexer: %s") fmt
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
@@ -92,11 +90,12 @@ let tokenize_pos (s : string) : (token * pos) list =
         while !i < n && is_digit s.[!i] do advance () done
       end;
       let text = String.sub s start (!i - start) in
-      if !is_float then push_at start_pos (Float_lit (float_of_string text))
-      else
-        match int_of_string_opt text with
-        | Some v -> push_at start_pos (Int_lit v)
-        | None -> push_at start_pos (Float_lit (float_of_string text))
+      match if !is_float then None else int_of_string_opt text with
+      | Some v -> push_at start_pos (Int_lit v)
+      | None -> (
+        match float_of_string_opt text with (* None: an exponent without digits *)
+        | Some f -> push_at start_pos (Float_lit f)
+        | None -> error "malformed number %s at %s" text (pos_to_string start_pos))
     end
     else if c = '\'' then begin
       advance ();

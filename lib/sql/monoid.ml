@@ -13,18 +13,13 @@
 
 type t = Ast.agg_fn = Count | Sum | Total | Avg | Min | Max
 
-exception Not_supported of string
-
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "average" -> Avg
   | ("count distinct" | "count_distinct" | "sum distinct" | "sum_distinct") as d ->
-    raise
-      (Not_supported
-         (d
-        ^ " is not an abelian monoid; use CollateData to collect the elements and \
-           aggregate with SQL"))
+    Sql_error.error
+      "%s is not an abelian monoid; use CollateData to collect the elements and aggregate with SQL" d
   | name -> (
     match Ast.agg_fn_of_name name with
-    | Some Total | None -> raise (Not_supported ("unknown aggregate function " ^ name))
+    | Some Total | None -> Sql_error.error "unknown aggregate function %s" name
     | Some fn -> fn)

@@ -22,9 +22,7 @@
 (** SQL's aggregate variant; {!of_string} never gives [Total]. *)
 type t = Ast.agg_fn = Count | Sum | Total | Avg | Min | Max
 
-exception Not_supported of string
-
 (** Parse a function name (case-insensitive): SQL's names but TOTAL,
     and "average" for AVG.
-    @raise Not_supported for non-monoid aggregations, with guidance. *)
+    @raise Sql_error.Error for non-monoid aggregations, with guidance. *)
 val of_string : string -> t

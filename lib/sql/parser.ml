@@ -3,8 +3,6 @@
 
 open Ast
 
-exception Error of string
-
 type state = {
   toks : Lexer.token array;
   poss : Lexer.pos array; (* parallel to [toks]: each token's source span *)
@@ -20,9 +18,7 @@ let advance st = st.pos <- st.pos + 1
 (* Raise a parse error positioned at the current token. *)
 let error st fmt =
   let p = st.poss.(min st.pos (Array.length st.poss - 1)) in
-  Printf.ksprintf
-    (fun s -> raise (Error (Printf.sprintf "parse error at %s: %s" (Lexer.pos_to_string p) s)))
-    fmt
+  Printf.ksprintf (Sql_error.error "SQL parser: parse error at %s: %s" (Lexer.pos_to_string p)) fmt
 
 let expect st tok =
   if peek st = tok then advance st

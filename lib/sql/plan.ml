@@ -278,7 +278,7 @@ let bind_expr (params : R.value array) (e : expr) : expr =
       (function
         | Param i ->
           if i >= Array.length params then
-            raise (Invalid_argument (Printf.sprintf "missing binding for parameter ?%d" (i + 1)))
+            Sql_error.error "missing binding for parameter ?%d" (i + 1)
           else Lit params.(i)
         | e -> e)
       e

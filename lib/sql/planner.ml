@@ -18,11 +18,9 @@
 module R = Storage.Record
 open Ast
 
-exception Error of string
+let error = Sql_error.error
 
-let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
-let c_plans_built = Obs.Metrics.counter "sql.plans_built"
+let c_plans_built = Obs.Scope.counter "sql.plans_built"
 
 (* --- name resolution ---------------------------------------------------
 
@@ -76,7 +74,7 @@ let resolve sources e =
 
 (* Try to resolve [e] against only [sources]; None if it references
    other columns. *)
-let try_resolve sources e = try Some (resolve sources e) with Error _ -> None
+let try_resolve sources e = try Some (resolve sources e) with Sql_error.Error _ -> None
 
 (* A column's position in its table, by name (DML targets, index
    columns). *)
@@ -499,7 +497,7 @@ let rec plan_select ~cat ~fnctx (sel : select) : Plan.t =
 
 (* Public entry point: plan a SELECT against a catalog. *)
 let plan ~cat ~fnctx (sel : select) : Plan.t =
-  Obs.Metrics.Counter.incr c_plans_built;
+  Obs.Scope.incr c_plans_built;
   Plan.number_ops (plan_select ~cat ~fnctx sel)
 
 (* Single-table access planning for DML row matching. *)

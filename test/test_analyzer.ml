@@ -121,7 +121,7 @@ let soundness =
         (* lo - 1, lo, hi and hi + 1 arguments, where the bound is
            finite; MIN(1) and MAX(1) parse as aggregates, which the
            analyzer accepts as Func accepts one argument.  A count out
-           of range must raise a typed Expr.Error. *)
+           of range must raise the typed statement error. *)
         let db = fresh () in
         List.iter
           (fun (name, _) ->
@@ -138,7 +138,7 @@ let soundness =
                 let runs =
                   match f (Array.make n (R.Int 1)) with
                   | _ -> true
-                  | exception Sqldb.Expr.Error _ -> false
+                  | exception E.Error _ -> false
                 in
                 Alcotest.(check bool) sql runs (not (List.mem "E005" (codes db sql))))
               counts)

@@ -104,7 +104,7 @@ let tests =
           (try
              Sqldb.Backup.save db ~path:(tmp "nope.img");
              false
-           with Sqldb.Backup.Error _ -> true)) ]
+           with E.Error _ -> true)) ]
 
 (* An archive block corrupted before a save is still corrupt after the
    load: the image carries each block's stored CRC, so the scrub and the
@@ -168,7 +168,7 @@ let backup_kind =
         Sqldb.Backup.save (small_db ()) ~path;
         path);
     load = (fun path -> ignore (Sqldb.Backup.load ~path));
-    typed = (function Sqldb.Backup.Error _ -> true | _ -> false) }
+    typed = (function E.Error _ -> true | _ -> false) }
 
 let context_kind =
   { save =
@@ -254,7 +254,7 @@ let rejection_tests k ~foreign =
         Alcotest.(check bool) "raises" true (rejects k path);
         match k.load path with
         | () -> ()
-        | exception (Sqldb.Backup.Error m | Rql.Error m) ->
+        | exception E.Error m ->
           Alcotest.(check bool) m true (has_sub m "unsupported image format version 2")
         | exception Storage.Wal.Error _ -> ());
     Alcotest.test_case "wrong magic rejected" `Quick (fun () ->

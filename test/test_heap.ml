@@ -50,6 +50,18 @@ let basic =
                 for _ = 1 to 40 do ignore (H.insert txn h data) done);
             let pages_after = H.page_count (P.read pager) h in
             Alcotest.(check bool) "no significant growth" true (pages_after <= pages_before + 1)));
+    Alcotest.test_case "a record of max_record bytes fits; a longer one leaves the chain" `Quick
+      (fun () ->
+        with_heap (fun pager h ->
+            T.with_txn pager (fun txn ->
+                ignore (H.insert txn h "x");
+                Alcotest.(check bool) "longer raises" true
+                  (match H.insert txn h (String.make (H.max_record + 1) 'y') with
+                  | _ -> false
+                  | exception Invalid_argument _ -> true);
+                Alcotest.(check int) "no page linked" 1 (H.page_count (T.read_ctx txn) h);
+                ignore (H.insert txn h (String.make H.max_record 'z')));
+            Alcotest.(check int) "own page" 2 (H.page_count (P.read pager) h)));
     Alcotest.test_case "update in place keeps rid" `Quick (fun () ->
         with_heap (fun pager h ->
             let rid = T.with_txn pager (fun txn -> H.insert txn h "abcdef") in

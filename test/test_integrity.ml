@@ -78,7 +78,7 @@ let tests =
           (try
              I.check_exn db;
              false
-           with Sqldb.Db.Error _ -> true)) ]
+           with E.Error _ -> true)) ]
 
 (* The tree walk checks separator bounds and the leaf chain: one
    separator of a bulk-built index moved past entries of its right

@@ -43,17 +43,27 @@ let tests =
           (try
              ignore (toks "'oops");
              false
-           with Error _ -> true));
+           with Sqldb.Engine.Error _ -> true));
     Alcotest.test_case "parameter placeholder" `Quick (fun () ->
         Alcotest.(check (list token_t)) "question"
           [ Ident "a"; Eq; Question; Eof ]
           (toks "a = ?"));
+    Alcotest.test_case "exponent without digits raises" `Quick (fun () ->
+        List.iter
+          (fun (s, want) ->
+            Alcotest.(check string) s want
+              (match toks s with
+              | _ -> "no error"
+              | exception Sqldb.Engine.Error msg -> msg))
+          [ ("1e", "SQL lexer: malformed number 1e at 1:1");
+            ("x + 1e+", "SQL lexer: malformed number 1e+ at 1:5");
+            ("1.5e-", "SQL lexer: malformed number 1.5e- at 1:1") ]);
     Alcotest.test_case "unexpected character raises" `Quick (fun () ->
         Alcotest.(check bool) "raises" true
           (try
              ignore (toks "a @ b");
              false
-           with Error _ -> true)) ]
+           with Sqldb.Engine.Error _ -> true)) ]
 
 let pos_t =
   Alcotest.testable (fun ppf p -> Fmt.string ppf (pos_to_string p)) ( = )
@@ -80,7 +90,7 @@ let span_tests =
           (try
              ignore (toks "a\n @ b");
              false
-           with Error msg ->
+           with Sqldb.Engine.Error msg ->
              (* the '@' sits at line 2, column 2 *)
              let has needle =
                let nl = String.length needle and hl = String.length msg in

@@ -43,7 +43,7 @@ let basic =
         Alcotest.(check bool) "average" true (M.of_string "Average" = M.Avg);
         (* SQL's TOTAL is not one of AggFunc's functions *)
         Alcotest.(check bool) "total" true
-          (match M.of_string "total" with _ -> false | exception M.Not_supported _ -> true));
+          (match M.of_string "total" with _ -> false | exception Rql.Error _ -> true));
     Alcotest.test_case "distinct aggregations rejected with guidance" `Quick (fun () ->
         List.iter
           (fun s ->
@@ -51,7 +51,7 @@ let basic =
               (try
                  ignore (M.of_string s);
                  false
-               with M.Not_supported msg ->
+               with Rql.Error msg ->
                  (* the message points at the CollateData workaround *)
                  String.length msg > 0))
           [ "count distinct"; "sum distinct"; "count_distinct"; "sum_distinct"; "median" ]);

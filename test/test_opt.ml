@@ -424,7 +424,10 @@ let fingerprints =
         diff_fp "SELECT a - 1 FROM t" "SELECT a FROM t";
         (* the parser binds || tighter than *: 2 * 3 || a is 2 * (3 || a) *)
         diff_fp "SELECT 2 * 3 || a FROM t" "SELECT 6 || a FROM t";
-        same_fp "SELECT a * 2 || 3 FROM t" "SELECT a * 23 FROM t") ]
+        same_fp "SELECT a * 2 || 3 FROM t" "SELECT a * 23 FROM t";
+        (* BETWEEN's AND is not the boolean operator *)
+        diff_fp "SELECT a FROM t WHERE a BETWEEN 1 AND 5 AND b" "SELECT a FROM t WHERE a BETWEEN 1 AND b";
+        same_fp "SELECT a FROM t WHERE a BETWEEN 1+1 AND 5" "SELECT a FROM t WHERE a BETWEEN 2 AND 5") ]
 
 (* --- the escape hatch --------------------------------------------------- *)
 

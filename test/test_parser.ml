@@ -147,7 +147,7 @@ let tests =
           (try
              ignore (parse "SELECT 1 garbage extra");
              false
-           with Parser.Error _ -> true));
+           with Sqldb.Engine.Error _ -> true));
     Alcotest.test_case "udf call with string args" `Quick (fun () ->
         let s = sel "SELECT CollateData(snap_id, 'SELECT 1', 'T') FROM SnapIds" in
         match s.items with
@@ -160,15 +160,15 @@ let golden name sql expected =
   Alcotest.test_case name `Quick (fun () ->
       match parse sql with
       | _ -> Alcotest.fail "expected a parse error"
-      | exception Parser.Error msg -> Alcotest.(check string) sql expected msg)
+      | exception Sqldb.Engine.Error msg -> Alcotest.(check string) sql expected msg)
 
 let error_tests =
-  [ golden "missing FROM" "DELETE t" "parse error at 1:8: expected FROM but found t";
+  [ golden "missing FROM" "DELETE t" "SQL parser: parse error at 1:8: expected FROM but found t";
     golden "missing identifier" "SELECT a FROM"
-      "parse error at 1:14: expected identifier but found <eof>";
+      "SQL parser: parse error at 1:14: expected identifier but found <eof>";
     golden "trailing input" "DELETE FROM t 5"
-      "parse error at 1:15: trailing input after statement: 5";
+      "SQL parser: parse error at 1:15: trailing input after statement: 5";
     golden "error position tracks newlines" "SELECT a\nFROM t\nWHERE"
-      "parse error at 3:6: unexpected token <eof> in expression" ]
+      "SQL parser: parse error at 3:6: unexpected token <eof> in expression" ]
 
 let () = Alcotest.run "parser" [ ("parser", tests); ("errors", error_tests) ]

@@ -385,10 +385,53 @@ let prop_build_then_edit =
                      sorted)
                !model))
 
+(* Keys of up to [B.max_key] encoded bytes (a one-TEXT key has 5 bytes
+   of header and tag), short and long mixed, inserted in any order, or
+   into a built tree: every split finds two halves that fit. *)
+let gen_wide_keys =
+  let open QCheck.Gen in
+  let most = B.max_key - 5 in
+  let len = frequency [ (2, int_range 1 60); (2, int_range (most / 4) (most / 2)); (3, int_range (most / 2) most) ] in
+  let key = map2 (fun c n -> [| R.Text (String.init n (fun i -> if i = 0 then c else 'x')) |]) (char_range 'a' 'z') len in
+  map (List.mapi (fun rid k -> (k, rid))) (list_size (int_range 1 120) key)
+
+let prop_wide_keys =
+  QCheck.Test.make ~name:"keys up to max_key always fit (insert and build)" ~count:60
+    (QCheck.make ~print:(fun l -> Printf.sprintf "<%d keys>" (List.length l)) gen_wide_keys)
+    (fun entries ->
+      let half = List.filteri (fun i _ -> i mod 2 = 0) entries in
+      let rest = List.filteri (fun i _ -> i mod 2 = 1) entries in
+      let fits (pager, t) more =
+        T.with_txn pager (fun txn -> List.iter (fun (key, rid) -> B.insert txn t key rid) more);
+        encoded (collect_all pager t) = encoded (sorted_model entries)
+      in
+      with_tree (fun pager t -> fits (pager, t) entries)
+      && with_built half (fun pager t -> fits (pager, t) rest))
+
+let wide_tests =
+  [ Alcotest.test_case "a key of max_key bytes that crosses a full leaf's midpoint goes right"
+      `Quick (fun () ->
+        (* leaf entries cost 1 050, 1 050 and 500 bytes; the new one 2 031
+           crosses the midpoint of the 4 631, and the left side with it
+           would be 4 131 of the 4 080 bytes a node has *)
+        let text c n = [| R.Text (String.init n (fun i -> if i = 0 then c else 'x')) |] in
+        let keys =
+          [ (text 'a' 1032, 1); (text 'b' 1032, 2); (text 'd' 482, 3); (text 'c' (B.max_key - 5), 4) ]
+        in
+        Alcotest.(check int) "the key is max_key bytes" B.max_key (R.row_size (fst (List.nth keys 3)));
+        with_tree (fun pager t ->
+            T.with_txn pager (fun txn -> List.iter (fun (key, rid) -> B.insert txn t key rid) keys);
+            Alcotest.(check int) "two levels" 2 (depth pager t);
+            Alcotest.(check (list int)) "key order" [ 1; 2; 4; 3 ] (List.map snd (collect_all pager t));
+            List.iter
+              (fun (key, rid) -> Alcotest.(check (list int)) "lookup" [ rid ] (lookup_rids pager t key))
+              keys)) ]
+
 let () =
   Alcotest.run "btree"
     [ ("basic", basic);
       ("build", build_tests);
+      ("wide", wide_tests);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_model; prop_mixed_keys; prop_build; prop_build_then_edit ] ) ]
+          [ prop_model; prop_mixed_keys; prop_build; prop_build_then_edit; prop_wide_keys ] ) ]

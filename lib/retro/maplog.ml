@@ -55,26 +55,32 @@ let create () =
 
 let set_skippy t on = t.skippy <- on
 
-let append t e =
+(* Push onto the entry / boundary arrays, doubling them when full. *)
+let push_entry t e =
   if t.n_entries >= Array.length t.entries then begin
     let a = Array.make (2 * Array.length t.entries) e in
     Array.blit t.entries 0 a 0 t.n_entries;
     t.entries <- a
   end;
   t.entries.(t.n_entries) <- e;
-  t.n_entries <- t.n_entries + 1;
-  Obs.Scope.incr Storage.Stats.c_maplog_appends
+  t.n_entries <- t.n_entries + 1
 
-(* Record a snapshot declaration; returns the new snapshot id (1-based). *)
-let declare t ~db_pages ~ts =
-  let b = { pos = t.n_entries; db_pages; ts } in
+let push_boundary t b =
   if t.n_boundaries >= Array.length t.boundaries then begin
     let a = Array.make (2 * Array.length t.boundaries) b in
     Array.blit t.boundaries 0 a 0 t.n_boundaries;
     t.boundaries <- a
   end;
   t.boundaries.(t.n_boundaries) <- b;
-  t.n_boundaries <- t.n_boundaries + 1;
+  t.n_boundaries <- t.n_boundaries + 1
+
+let append t e =
+  push_entry t e;
+  Obs.Scope.incr Storage.Stats.c_maplog_appends
+
+(* Record a snapshot declaration; returns the new snapshot id (1-based). *)
+let declare t ~db_pages ~ts =
+  push_boundary t { pos = t.n_entries; db_pages; ts };
   t.n_boundaries
 
 let snapshot_count t = t.n_boundaries
@@ -240,24 +246,8 @@ let dump t =
 
 let restore img =
   let t = create () in
-  Array.iter (fun e ->
-      (* re-append without recounting stats *)
-      if t.n_entries >= Array.length t.entries then begin
-        let a = Array.make (2 * Array.length t.entries) e in
-        Array.blit t.entries 0 a 0 t.n_entries;
-        t.entries <- a
-      end;
-      t.entries.(t.n_entries) <- e;
-      t.n_entries <- t.n_entries + 1)
-    img.img_entries;
-  Array.iter (fun b ->
-      if t.n_boundaries >= Array.length t.boundaries then begin
-        let a = Array.make (2 * Array.length t.boundaries) b in
-        Array.blit t.boundaries 0 a 0 t.n_boundaries;
-        t.boundaries <- a
-      end;
-      t.boundaries.(t.n_boundaries) <- b;
-      t.n_boundaries <- t.n_boundaries + 1)
-    img.img_boundaries;
+  (* pushed without counting maplog appends *)
+  Array.iter (push_entry t) img.img_entries;
+  Array.iter (push_boundary t) img.img_boundaries;
   t.first_live <- img.img_first_live;
   t

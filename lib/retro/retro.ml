@@ -10,9 +10,16 @@
    (through the snapshot page cache) and unmapped pages from the current
    database, which is how recent snapshots become cheap to read. *)
 
+(* The Pagelog, the log-structured archive of copied-out pre-states
+   (paper §4), is a checksummed page store on the simulated SSD. *)
+module Pagelog = Storage.Disk
+
+(* The Pagelog's device name, which fault injectors and corruption
+   reports carry. *)
+let archive_device = "pagelog"
+
 (* Re-export the submodules: [retro.ml] is the library root, so they are
    only reachable through it. *)
-module Pagelog = Pagelog
 module Maplog = Maplog
 module Spt = Spt
 
@@ -97,7 +104,7 @@ let make pager ~pagelog ~maplog ~saved_epoch =
 
 (* Attach a Retro instance with an empty archive to a pager. *)
 let attach pager =
-  make pager ~pagelog:(Pagelog.create ()) ~maplog:(Maplog.create ())
+  make pager ~pagelog:(Pagelog.create ~name:archive_device ()) ~maplog:(Maplog.create ())
     ~saved_epoch:(Array.make 256 0)
 
 (* Declare a snapshot reflecting the current committed state (called by
@@ -522,7 +529,7 @@ let vacuum ?(tick = fun () -> ()) t ~keep_from =
   if keep_from = fl then { vr_snapshots = 0; vr_blocks = 0; vr_bytes = 0 }
   else begin
     let keep_pos = (Maplog.boundary t.maplog keep_from).Maplog.pos in
-    let fresh = Pagelog.restore_raw [||] in
+    let fresh = Pagelog.create ~name:archive_device () in
     Pagelog.set_fault fresh (Pagelog.fault t.pagelog);
     let remap : (int, int) Hashtbl.t = Hashtbl.create 1024 in
     let n = Maplog.length t.maplog in
@@ -559,7 +566,6 @@ let vacuum ?(tick = fun () -> ()) t ~keep_from =
 let corrupt_archive_block t off ~bit = Pagelog.corrupt_block t.pagelog off ~bit
 let set_archive_fault t f = Pagelog.set_fault t.pagelog f
 let verify_archive t = Pagelog.verify_all t.pagelog
-let archive_device = "pagelog"
 
 (* --- images ---------------------------------------------------------------- *)
 
@@ -582,6 +588,6 @@ let export t =
 (* Attach a restored snapshot system to a (restored) pager. *)
 let import pager img =
   make pager
-    ~pagelog:(Pagelog.restore_raw img.img_pagelog)
+    ~pagelog:(Pagelog.restore_raw ~name:archive_device img.img_pagelog)
     ~maplog:(Maplog.restore img.img_maplog)
     ~saved_epoch:(Array.copy img.img_saved_epoch)

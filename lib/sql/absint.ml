@@ -96,6 +96,7 @@ let cast_ty ty =
   | Expr.To_real ->
     { can_int = false; can_real = true; can_text = false; can_null = true; boolish = false }
   | Expr.To_text -> ty_text_null
+  | Expr.To_numeric -> ty_num
   | Expr.Unchanged -> ty_top
 
 (* Over-approximate the runtime types of [e].  Pure and cheap: used by

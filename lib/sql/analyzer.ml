@@ -351,13 +351,13 @@ let rec check_expr ctx (sc : scope) ~agg_ok (e : expr) : ty =
     | None -> t)
   | Cast (e1, tyname) -> (
     ignore (check_expr ctx sc ~agg_ok e1);
-    (* a cast that leaves the value unchanged is unknown, as it is to
-       the optimizer (Absint.cast_ty) *)
+    (* a NUMERIC cast (INTEGER or REAL) or one that leaves the value
+       unchanged is unknown *)
     match Expr.cast_class tyname with
     | Expr.To_int -> Tint
     | Expr.To_real -> Treal
     | Expr.To_text -> Ttext
-    | Expr.Unchanged -> Tany)
+    | Expr.To_numeric | Expr.Unchanged -> Tany)
   | Subquery sub -> (
     match check_select ctx ~outer_strict:sc.strict sub with
     | Some [ (_, t) ] -> t

@@ -127,21 +127,26 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-type cast_class = To_int | To_real | To_text | Unchanged
+type cast_class = To_int | To_real | To_text | To_numeric | Unchanged
 
-(* What CAST(e AS [ty]) converts to, by SQLite's affinity substrings
-   (simplified): any other type name (NUMERIC, DECIMAL, BLOB, ...)
-   leaves the value as it is.  The optimizer's and the analyzer's
-   typing of CAST read this. *)
+(* What CAST(e AS [ty]) converts to, by SQLite's affinity rules in
+   their order: INT, then CHAR/CLOB/TEXT, then BLOB (or no name), which
+   leaves the value as it is, then REAL/FLOA/DOUB; any other name
+   (NUMERIC, DECIMAL, ...) has NUMERIC affinity.  The optimizer's and
+   the analyzer's typing of CAST read this. *)
 let cast_class ty =
-  let has = contains_sub (String.uppercase_ascii (String.trim ty)) in
+  let ty = String.uppercase_ascii (String.trim ty) in
+  let has = contains_sub ty in
   if has "INT" then To_int
-  else if has "REAL" || has "FLOA" || has "DOUB" then To_real
   else if has "CHAR" || has "TEXT" || has "CLOB" then To_text
-  else Unchanged
+  else if ty = "" || has "BLOB" then Unchanged
+  else if has "REAL" || has "FLOA" || has "DOUB" then To_real
+  else To_numeric
 
 (* CAST: INTEGER truncates, REAL parses the numeric prefix, TEXT
-   renders. *)
+   renders, NUMERIC parses the numeric prefix and gives an INTEGER when
+   the number is integral and in range ('2' and 2.0 give 2, '2.5' gives
+   2.5, 'abc' gives 0). *)
 let cast_to ty v =
   let num v =
     match v with
@@ -154,6 +159,12 @@ let cast_to ty v =
     | To_int -> R.Int (int_of_float (num v))
     | To_real -> R.Real (num v)
     | To_text -> R.Text (R.value_to_string v)
+    | To_numeric -> (
+      match v with
+      | R.Int _ -> v
+      | v ->
+        let f = num v in
+        if Float.is_integer f && Float.abs f < 0x1p62 then R.Int (int_of_float f) else R.Real f)
     | Unchanged -> v
 
 (* Evaluate [e] over [row]; [aggs] supplies values for resolved

@@ -142,13 +142,14 @@ let fingerprint_of (norm : string) : string =
     norm;
   Printf.sprintf "%016Lx" !h
 
-(* lint: allow — guarded by [mu] below, accessed via [locked] *)
-let capacity = ref 512
+(* Fingerprints kept; past it the least-called one is evicted. *)
+let capacity = 512
 
 (* The registry is process-wide and fed by every session on every
    domain: all access to the two tables below goes through [mu].
-   Per-stat field bumps also happen under it — [record] is one lock
-   round-trip per statement, far off the page-read hot path. *)
+   Per-stat field bumps also happen under it.  Normalizing (lexing a
+   statement text) happens outside it, so one session's long statement
+   never stalls another's accounting. *)
 let mu = Mutex.create ()
 
 let locked f = Mutex.lock mu; Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
@@ -167,16 +168,15 @@ let reset () =
       Hashtbl.reset registry;
       Hashtbl.reset memo)
 
-let normalized_of_unlocked sql =
-  match Hashtbl.find_opt memo sql with
+let normalized_of sql =
+  match locked (fun () -> Hashtbl.find_opt memo sql) with
   | Some n -> n
   | None ->
     let n = normalize sql in
-    if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-    Hashtbl.add memo sql n;
+    locked (fun () ->
+        if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
+        Hashtbl.replace memo sql n);
     n
-
-let normalized_of sql = locked (fun () -> normalized_of_unlocked sql)
 
 let evict_coldest () =
   let victim = ref None in
@@ -190,13 +190,13 @@ let evict_coldest () =
 
 (* Record one completed execution of [sql]. *)
 let record ~sql ~rows ~elapsed_s ~plan_hit =
+  let norm = normalized_of sql in
   locked (fun () ->
-      let norm = normalized_of_unlocked sql in
       let st =
         match Hashtbl.find_opt registry norm with
         | Some st -> st
         | None ->
-          if Hashtbl.length registry >= !capacity then evict_coldest ();
+          if Hashtbl.length registry >= capacity then evict_coldest ();
           let st =
             { fp = fingerprint_of norm; norm; calls = 0; rows = 0; total_s = 0.;
               max_s = 0.; plan_hits = 0 }
@@ -216,4 +216,5 @@ let stats () : stat list =
   List.sort (fun a b -> compare b.total_s a.total_s) all
 
 let find ~sql =
-  locked (fun () -> Hashtbl.find_opt registry (normalized_of_unlocked sql))
+  let norm = normalized_of sql in
+  locked (fun () -> Hashtbl.find_opt registry norm)

@@ -1,14 +1,19 @@
-(* Simulated block device used for the snapshot archive (Pagelog).
+(* The checksummed page store: a growable array of page-sized blocks,
+   each with a stored CRC32.  Two devices use it: the pager's committed
+   pages ("db", memory resident as in the paper's evaluation) and the
+   snapshot archive (Retro's Pagelog, the simulated SSD).
 
    The container has no dedicated SSD, so instead of timing host
-   filesystem I/O (noise), reads and writes are counted and converted to
-   time by Stats.Cost_model.  Blocks are page-sized.
+   filesystem I/O (noise), archive reads and writes are counted and
+   converted to time by Stats.Cost_model.  [append]/[append_raw]/[read]
+   count Pagelog I/O; [store] and [get] count nothing (the pager counts
+   its own db reads and writes).
 
-   Every block carries a CRC32 taken at append time; [read] verifies it
-   and raises a typed {!Corruption} on mismatch, so a flipped bit in the
-   archive surfaces as a scoped failure (the snapshots referencing the
-   block) instead of silently-wrong rows.  A {!Fault.t} can be attached
-   to arm per-block read errors (latent media faults). *)
+   [read] verifies the stored CRC and raises a typed {!Corruption} on
+   mismatch, so a flipped bit in the archive surfaces as a scoped
+   failure (the snapshots referencing the block) instead of
+   silently-wrong rows.  A {!Fault.t} can be attached to arm per-block
+   read errors (latent media faults). *)
 
 exception Corruption of { device : string; block : int; detail : string }
 exception Read_error of { device : string; block : int }
@@ -34,35 +39,50 @@ let create ?(name = "disk") () =
 
 let length t = t.n_blocks
 
-let name t = t.name
-
 let set_fault t f = t.fault <- f
 let fault t = t.fault
 
-let grow t =
+let check t what i =
+  if i < 0 || i >= t.n_blocks then
+    invalid_arg (Printf.sprintf "Disk.%s %s: block %d/%d" what t.name i t.n_blocks)
+
+(* Put [b] (not copied) at index [i] with stored CRC [crc], growing the
+   array and extending the length to cover [i]; indices skipped over
+   hold an empty block with CRC 0. *)
+let store t i (b : Bytes.t) ~crc =
   let cap = Array.length t.blocks in
-  if t.n_blocks >= cap then begin
-    let blocks = Array.make (cap * 2) Bytes.empty in
+  if i >= cap then begin
+    let cap' = max (cap * 2) (i + 1) in
+    let blocks = Array.make cap' Bytes.empty in
     Array.blit t.blocks 0 blocks 0 cap;
     t.blocks <- blocks;
-    let crcs = Array.make (cap * 2) 0 in
+    let crcs = Array.make cap' 0 in
     Array.blit t.crcs 0 crcs 0 cap;
     t.crcs <- crcs
-  end
+  end;
+  t.blocks.(i) <- b;
+  t.crcs.(i) <- crc;
+  if i >= t.n_blocks then t.n_blocks <- i + 1
 
-(* Append a block; returns its index.  The block is copied so later
-   mutation by the caller cannot corrupt the archive. *)
-let append t (b : Bytes.t) =
-  grow t;
-  t.blocks.(t.n_blocks) <- Bytes.copy b;
-  t.crcs.(t.n_blocks) <- Crc32.bytes b;
-  t.n_blocks <- t.n_blocks + 1;
+(* Stored bytes of block [i], not copied: no verification, no counters,
+   no fault injection. *)
+let get t i =
+  check t "get" i;
+  t.blocks.(i)
+
+(* Append a block with a caller-supplied stored CRC (counted as a
+   write); returns its index.  The block is copied so later mutation by
+   the caller cannot corrupt the archive. *)
+let append_raw t (b : Bytes.t) ~crc =
+  let i = t.n_blocks in
+  store t i (Bytes.copy b) ~crc;
   Obs.Scope.incr Stats.c_pagelog_writes;
-  t.n_blocks - 1
+  i
+
+let append t (b : Bytes.t) = append_raw t b ~crc:(Crc32.bytes b)
 
 let read t i =
-  if i < 0 || i >= t.n_blocks then
-    invalid_arg (Printf.sprintf "Disk.read %s: block %d/%d" t.name i t.n_blocks);
+  check t "read" i;
   (* Transient media errors get a bounded retry with (modeled)
      exponential backoff: an armed-once fault is consumed by the first
      probe and the retry succeeds; a persistent fault exhausts the
@@ -93,7 +113,7 @@ let read t i =
 
 (* All block indices failing their checksum.  A scrub pass: no fault
    injection, no read counters — this models an offline verify, not
-   query-path I/O. *)
+   query-path I/O.  An empty block with CRC 0 passes. *)
 let verify_all t =
   let bad = ref [] in
   for i = t.n_blocks - 1 downto 0 do
@@ -104,8 +124,7 @@ let verify_all t =
 (* Flip one bit of a stored block in place, without updating its CRC —
    the test hook that models media corruption. *)
 let corrupt_block t i ~bit =
-  if i < 0 || i >= t.n_blocks then
-    invalid_arg (Printf.sprintf "Disk.corrupt_block %s: block %d/%d" t.name i t.n_blocks);
+  check t "corrupt_block" i;
   let b = t.blocks.(i) in
   if Bytes.length b = 0 then invalid_arg "Disk.corrupt_block: empty block";
   let off = bit / 8 mod Bytes.length b in
@@ -122,34 +141,12 @@ let size_bytes t = t.n_blocks * Page.size
    copy *as a mismatch* — [append] would recompute the CRC and silently
    bless the corruption. *)
 let raw_block t i =
-  if i < 0 || i >= t.n_blocks then
-    invalid_arg (Printf.sprintf "Disk.raw_block %s: block %d/%d" t.name i t.n_blocks);
+  check t "raw_block" i;
   (Bytes.copy t.blocks.(i), t.crcs.(i))
-
-(* Append a block with a caller-supplied stored CRC (counted as a write:
-   compaction really does write the simulated device). *)
-let append_raw t (b : Bytes.t) ~crc =
-  grow t;
-  t.blocks.(t.n_blocks) <- Bytes.copy b;
-  t.crcs.(t.n_blocks) <- crc;
-  t.n_blocks <- t.n_blocks + 1;
-  Obs.Scope.incr Stats.c_pagelog_writes;
-  t.n_blocks - 1
 
 let dump_raw t = Array.init t.n_blocks (fun i -> (Bytes.copy t.blocks.(i), t.crcs.(i)))
 
-let restore_raw ?(name = "disk") pairs =
-  let n = Array.length pairs in
-  let t =
-    { blocks = Array.make (max 64 n) Bytes.empty;
-      crcs = Array.make (max 64 n) 0;
-      n_blocks = n;
-      name;
-      fault = None }
-  in
-  Array.iteri
-    (fun i (b, crc) ->
-      t.blocks.(i) <- Bytes.copy b;
-      t.crcs.(i) <- crc)
-    pairs;
+let restore_raw ?name pairs =
+  let t = create ?name () in
+  Array.iteri (fun i (b, crc) -> store t i (Bytes.copy b) ~crc) pairs;
   t

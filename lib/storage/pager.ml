@@ -1,4 +1,5 @@
-(* The current-state database: an array of committed page images.
+(* The current-state database: the committed page images, kept on a
+   checksummed page store (Disk, device "db").
 
    As in the paper's evaluation ("we assume the current state database is
    memory resident"), current-state pages live in memory; reads are
@@ -9,7 +10,9 @@
    Committed images carry a CRC32 taken at install time, verified by the
    integrity checker ([verify_checksums]) rather than on every read —
    the current state is memory resident, so per-read verification would
-   only model cost the paper's setup does not have.
+   only model cost the paper's setup does not have.  The pager therefore
+   reads with [Disk.get], never [Disk.read].  An id that was reserved but
+   never installed holds an empty block with CRC 0.
 
    The optional [wal] sink is how Txn.commit and Retro.declare reach the
    write-ahead log without a dependency cycle (Wal lives above Pager and
@@ -31,9 +34,7 @@ type wal_sink = {
 }
 
 type t = {
-  mutable pages : Bytes.t option array;
-  mutable crcs : int array;
-  mutable n_pages : int;
+  store : Disk.t;
   mutable free_list : int list;
   mutable pre_commit_hook : commit_event list -> unit;
   mutable wal : wal_sink option;
@@ -53,9 +54,7 @@ type t = {
 type read = int -> Bytes.t
 
 let create () =
-  { pages = Array.make 64 None;
-    crcs = Array.make 64 0;
-    n_pages = 0;
+  { store = Disk.create ~name:"db" ();
     free_list = [];
     pre_commit_hook = (fun _ -> ());
     wal = None;
@@ -68,38 +67,25 @@ let create () =
 let with_read_lock t f = Rwlock.with_read t.lock f
 let with_write_lock t f = Rwlock.with_write t.lock f
 
-let n_pages t = t.n_pages
-
-let grow t wanted =
-  let cap = Array.length t.pages in
-  if wanted >= cap then begin
-    let cap' = max (cap * 2) (wanted + 1) in
-    let pages = Array.make cap' None in
-    Array.blit t.pages 0 pages 0 cap;
-    t.pages <- pages;
-    let crcs = Array.make cap' 0 in
-    Array.blit t.crcs 0 crcs 0 cap;
-    t.crcs <- crcs
-  end
+let n_pages t = Disk.length t.store
 
 (* Committed image of a page.  Callers must treat the result as
    read-only; Txn copies before mutating. *)
 let read_committed t pid =
-  if pid < 0 || pid >= t.n_pages then
-    invalid_arg (Printf.sprintf "Pager.read_committed: page %d/%d" pid t.n_pages);
+  let b = Disk.get t.store pid in
   Stats.record_db_page_read ();
-  match t.pages.(pid) with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Pager.read_committed: free page %d" pid)
-
-let committed_exists t pid =
-  pid >= 0 && pid < t.n_pages && t.pages.(pid) <> None
+  if Bytes.length b = 0 then
+    invalid_arg (Printf.sprintf "Pager.read_committed: free page %d" pid);
+  b
 
 (* Committed image without counters or raising: the WAL replay path uses
    this to reconstruct before-images (a recycled id's before-image at
    replay time is exactly its committed content). *)
 let peek_committed t pid =
-  if pid < 0 || pid >= t.n_pages then None else t.pages.(pid)
+  if pid < 0 || pid >= n_pages t then None
+  else
+    let b = Disk.get t.store pid in
+    if Bytes.length b = 0 then None else Some b
 
 (* Reserve a page id for a transaction.  Returns the id and the previous
    committed image if the id is recycled (needed for COW: older snapshots
@@ -108,51 +94,36 @@ let reserve t =
   match t.free_list with
   | pid :: rest ->
     t.free_list <- rest;
-    (pid, t.pages.(pid))
+    (pid, peek_committed t pid)
   | [] ->
-    let pid = t.n_pages in
-    grow t pid;
-    t.n_pages <- t.n_pages + 1;
+    let pid = n_pages t in
+    Disk.store t.store pid Bytes.empty ~crc:0;
     Obs.Scope.incr Stats.c_pages_allocated;
     (pid, None)
 
-(* Return a reserved id that was never committed (transaction abort). *)
-let unreserve t pid = t.free_list <- pid :: t.free_list
-
 let install t pid (bytes : Bytes.t) =
-  grow t pid;
-  if pid >= t.n_pages then t.n_pages <- pid + 1;
-  t.pages.(pid) <- Some bytes;
-  t.crcs.(pid) <- Crc32.bytes bytes;
+  Disk.store t.store pid bytes ~crc:(Crc32.bytes bytes);
   t.installs <- t.installs + 1;
   Obs.Scope.incr Stats.c_db_page_writes
 
+(* Put an id on the free list: a page freed at commit, or a reserved id
+   that was never committed (transaction abort). *)
 let release t pid = t.free_list <- pid :: t.free_list
 
-let read : t -> read = fun t pid -> read_committed t pid
+let read t : read = read_committed t
 
 (* Page ids whose committed image no longer matches its install-time
-   checksum (the integrity checker reports these).  Free slots are
-   skipped; a freed-but-unrecycled page still holds its last committed
-   image, which still matches. *)
-let verify_checksums t =
-  let bad = ref [] in
-  for pid = t.n_pages - 1 downto 0 do
-    match t.pages.(pid) with
-    | Some b -> if Crc32.bytes b <> t.crcs.(pid) then bad := pid :: !bad
-    | None -> ()
-  done;
-  !bad
+   checksum (the integrity checker reports these).  A never-installed id
+   (empty, CRC 0) and a freed-but-unrecycled page (its last committed
+   image) both match. *)
+let verify_checksums t = Disk.verify_all t.store
 
 (* Test hook: flip one bit of a committed page without updating its
    CRC. *)
 let corrupt_page t pid ~bit =
-  match peek_committed t pid with
-  | None -> invalid_arg (Printf.sprintf "Pager.corrupt_page: free page %d" pid)
-  | Some b ->
-    if Bytes.length b = 0 then invalid_arg "Pager.corrupt_page: empty page";
-    let off = bit / 8 mod Bytes.length b in
-    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl (bit mod 8))))
+  if peek_committed t pid = None then
+    invalid_arg (Printf.sprintf "Pager.corrupt_page: free page %d" pid);
+  Disk.corrupt_block t.store pid ~bit
 
 (* Portable image of the committed state: each page with its stored
    CRC, so a page that failed its checksum before the copy still fails
@@ -164,22 +135,17 @@ type image = {
 
 let dump t =
   { img_pages =
-      Array.init t.n_pages (fun i ->
-          Option.map (fun b -> (Bytes.copy b, t.crcs.(i))) t.pages.(i));
+      Array.map
+        (fun (b, crc) -> if Bytes.length b = 0 then None else Some (b, crc))
+        (Disk.dump_raw t.store);
     img_free = t.free_list }
 
 let restore img =
   let t = create () in
-  let n = Array.length img.img_pages in
-  grow t (max 0 (n - 1));
   Array.iteri
     (fun i p ->
-      Option.iter
-        (fun (b, crc) ->
-          t.pages.(i) <- Some (Bytes.copy b);
-          t.crcs.(i) <- crc)
-        p)
+      let b, crc = Option.value p ~default:(Bytes.empty, 0) in
+      Disk.store t.store i (Bytes.copy b) ~crc)
     img.img_pages;
-  t.n_pages <- n;
   t.free_list <- img.img_free;
   t

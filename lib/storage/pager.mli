@@ -1,11 +1,14 @@
-(** The current-state database: an array of committed page images.
+(** The current-state database: the committed page images, kept on a
+    {!Disk} page store named ["db"].
 
     As in the paper's evaluation, current-state pages are memory
     resident; reads count as cheap memory fetches.  All mutation goes
     through {!Txn}, which calls {!install} at commit; the
     [pre_commit_hook] is where Retro captures copy-on-write
     pre-states.  Committed images carry install-time CRC32 checksums
-    verified by {!verify_checksums} (the integrity checker). *)
+    verified by {!verify_checksums} (the integrity checker), not on
+    each read.  A reserved id that was never installed holds an empty
+    block with CRC 0. *)
 
 type commit_event = {
   pid : int;
@@ -23,9 +26,7 @@ type wal_sink = {
 }
 
 type t = {
-  mutable pages : Bytes.t option array;
-  mutable crcs : int array;
-  mutable n_pages : int;
+  store : Disk.t;  (** committed images with their install-time CRCs *)
   mutable free_list : int list;
   mutable pre_commit_hook : commit_event list -> unit;
   mutable wal : wal_sink option;
@@ -57,28 +58,25 @@ val n_pages : t -> int
 
 (** Committed image; treat as read-only ({!Txn} copies before
     mutating).
-    @raise Invalid_argument on an unallocated page. *)
+    @raise Invalid_argument on an out-of-range or never-installed
+    page. *)
 val read_committed : t -> int -> Bytes.t
 
-val committed_exists : t -> int -> bool
-
-(** Committed image without counters or raising ([None] when free or
-    out of range).  The WAL replay path uses this to reconstruct
-    before-images. *)
+(** Committed image without counters or raising ([None] when never
+    installed or out of range).  The WAL replay path uses this to
+    reconstruct before-images. *)
 val peek_committed : t -> int -> Bytes.t option
 
 (** Reserve a page id for a transaction; returns the previous committed
     image when the id is recycled. *)
 val reserve : t -> int * Bytes.t option
 
-(** Return a reserved-but-never-committed id (transaction abort). *)
-val unreserve : t -> int -> unit
-
 (** Install a committed after-image (called by {!Txn.commit}). *)
 val install : t -> int -> Bytes.t -> unit
 
-(** Put a page id on the free list (its content stays readable for
-    snapshot sharing until the id is recycled). *)
+(** Put a page id on the free list: a freed page (its content stays
+    readable for snapshot sharing until the id is recycled) or a
+    reserved id that was never committed (transaction abort). *)
 val release : t -> int -> unit
 
 (** Committed-state read context. *)

@@ -93,7 +93,7 @@ let commit t =
 
 let abort t =
   check_active t;
-  List.iter (fun pid -> Pager.unreserve t.pager pid) t.reserved;
+  List.iter (fun pid -> Pager.release t.pager pid) t.reserved;
   t.state <- Aborted;
   Obs.Scope.incr Stats.c_txn_aborts
 

@@ -90,9 +90,9 @@ let catalogue =
     case "clean aggregate" "SELECT b, COUNT(*) FROM t GROUP BY b HAVING COUNT(*) > 0" [] ]
 
 (* The analyzer never rejects a statement the executor runs: CAST to a
-   type name the evaluator leaves the value unchanged under keeps the
-   operand's type, and a builtin's E005 range is the argument counts
-   Func accepts. *)
+   NUMERIC-affinity name (INTEGER or REAL by the value) or to one the
+   evaluator leaves the value unchanged under is of unknown type, and a
+   builtin's E005 range is the argument counts Func accepts. *)
 let soundness =
   [ Alcotest.test_case "LIMIT, OFFSET and AS OF over a value-preserving CAST run" `Quick
       (fun () ->
@@ -114,6 +114,51 @@ let soundness =
                 ("SELECT a FROM t LIMIT 5 OFFSET CAST(1 AS %s)", 2);
                 ("SELECT AS OF CAST(1 AS %s) COUNT(*) FROM t", 1) ])
           [ "NUMERIC"; "DECIMAL"; "BLOB"; "WIDGET" ]);
+    Alcotest.test_case "CAST AS NUMERIC converts numeric text as SQLite does" `Quick
+      (fun () ->
+        let db = E.create () in
+        ignore (E.exec db "CREATE TABLE t (a INTEGER)");
+        ignore (E.exec db "INSERT INTO t VALUES (1), (2), (3)");
+        ignore (E.exec db "COMMIT WITH SNAPSHOT");
+        let errors sql =
+          List.filter_map
+            (fun d -> if D.is_error d then Some d.D.code else None)
+            (E.analyze db sql)
+        in
+        let cases =
+          [ ("CAST('2' AS NUMERIC)", "integer 2");
+            ("CAST('2.5' AS NUMERIC)", "real 2.5");
+            ("CAST(2.0 AS NUMERIC)", "integer 2");
+            ("CAST(2.5 AS NUMERIC)", "real 2.5");
+            ("CAST(7 AS NUMERIC)", "integer 7");
+            ("CAST('abc' AS NUMERIC)", "integer 0");
+            ("CAST(' 12abc' AS DECIMAL)", "integer 12");
+            ("CAST('2' AS WIDGET)", "integer 2");
+            ("CAST('2' AS BLOB)", "text 2");
+            ("CAST(NULL AS NUMERIC)", "null NULL") ]
+        in
+        List.iter
+          (fun optimize ->
+            ignore (E.exec db ("PRAGMA optimize=" ^ optimize));
+            List.iter
+              (fun (cast, want) ->
+                let sql = Printf.sprintf "SELECT typeof(%s), %s" cast cast in
+                Alcotest.(check (list string)) sql [] (errors sql);
+                let got =
+                  match (E.exec db sql).E.rows with
+                  | [ [| t; v |] ] -> R.value_to_string t ^ " " ^ R.value_to_string v
+                  | _ -> "?"
+                in
+                Alcotest.(check string) (sql ^ " optimize=" ^ optimize) want got)
+              cases;
+            List.iter
+              (fun (sql, rows) ->
+                Alcotest.(check (list string)) sql [] (errors sql);
+                Alcotest.(check int) sql rows (List.length (E.exec db sql).E.rows))
+              [ ("SELECT a FROM t LIMIT CAST('2' AS NUMERIC)", 2);
+                ("SELECT a FROM t LIMIT 5 OFFSET CAST('1.0' AS NUMERIC)", 2);
+                ("SELECT AS OF CAST('1' AS NUMERIC) COUNT(*) FROM t", 1) ])
+          [ "on"; "off" ]);
     Alcotest.test_case "no W103 on a CAST that leaves its operand unchanged" `Quick (fun () ->
         Alcotest.(check (list string)) "text stays text" []
           (codes (fresh ()) "SELECT a FROM t WHERE CAST(b AS NUMERIC) = 'x'"));

@@ -16,7 +16,7 @@ let mk_table ?(cols = [| ("a", "INTEGER"); ("b", "TEXT") |]) name heap =
 let tests =
   [ Alcotest.test_case "bootstrap occupies page zero" `Quick (fun () ->
         with_db (fun pager ->
-            Alcotest.(check bool) "page 0 allocated" true (P.committed_exists pager 0)));
+            Alcotest.(check bool) "page 0 allocated" true (P.peek_committed pager 0 <> None)));
     Alcotest.test_case "table round-trip" `Quick (fun () ->
         with_db (fun pager ->
             T.with_txn pager (fun txn -> C.add_table txn (mk_table "users" 7));

@@ -159,7 +159,27 @@ let fingerprints =
             ~qq:"SELECT query, calls FROM sys_statements" ~table:"StmtStats"
         in
         Alcotest.(check bool) "Qq saw recorded statements" true
-          (run.Rql.Iter_stats.result_rows > 0)) ]
+          (run.Rql.Iter_stats.result_rows > 0));
+    Alcotest.test_case "a long normalization does not stall another domain's record" `Quick
+      (fun () ->
+        F.reset ();
+        let depth = 1_000 in
+        let deep = "SELECT " ^ String.make depth '(' ^ "1" ^ String.make depth ')' in
+        let finished = Atomic.make 0 and started = Atomic.make false in
+        let record sql =
+          F.record ~sql ~rows:1 ~elapsed_s:0. ~plan_hit:false;
+          Atomic.fetch_and_add finished 1
+        in
+        let d =
+          Domain.spawn (fun () ->
+              Atomic.set started true;
+              record deep)
+        in
+        while not (Atomic.get started) do Domain.cpu_relax () done;
+        Unix.sleepf 0.05;
+        let short_rank = record "SELECT 1" in
+        let deep_rank = Domain.join d in
+        Alcotest.(check (pair int int)) "SELECT 1 finishes first" (0, 1) (short_rank, deep_rank)) ]
 
 let slowlog =
   [ Alcotest.test_case "statements over the threshold log a structured event" `Quick

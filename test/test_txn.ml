@@ -74,6 +74,50 @@ let tests =
         T.abort txn;
         let pid2 = T.with_txn pager (fun txn -> T.alloc txn Pg.Heap_page) in
         Alcotest.(check int) "recycled" pid pid2);
+    Alcotest.test_case "a never-installed id survives images and recycles as fresh" `Quick
+      (fun () ->
+        (* an aborted allocation leaves an id past every installed page
+           that holds no committed image *)
+        let db = Sqldb.Engine.create () in
+        ignore (Sqldb.Engine.exec db "CREATE TABLE t (a INTEGER)");
+        ignore (Sqldb.Engine.exec db "INSERT INTO t VALUES (1)");
+        ignore (Sqldb.Engine.exec db "COMMIT WITH SNAPSHOT");
+        let pager = db.Sqldb.Db.pager in
+        let txn = T.begin_txn pager in
+        let pid = T.alloc txn Pg.Heap_page in
+        T.abort txn;
+        let n = P.n_pages pager in
+        Alcotest.(check int) "the last id" (n - 1) pid;
+        let check_never_installed what p =
+          Alcotest.(check int) (what ^ ": n_pages") n (P.n_pages p);
+          Alcotest.(check bool) (what ^ ": peek") true (P.peek_committed p pid = None);
+          Alcotest.(check bool) (what ^ ": read raises") true
+            (match P.read_committed p pid with
+             | _ -> false
+             | exception Invalid_argument _ -> true);
+          Alcotest.(check (list int)) (what ^ ": checksums") [] (P.verify_checksums p)
+        in
+        check_never_installed "live" pager;
+        check_never_installed "dump/restore" (P.restore (P.dump pager));
+        let path = Filename.temp_file "rql_txn" ".img" in
+        Sqldb.Backup.save db ~path;
+        let loaded = Sqldb.Backup.load ~path in
+        Sys.remove path;
+        check_never_installed "backup" loaded.Sqldb.Db.pager;
+        let archived = Obs.Scope.get Storage.Stats.c_cow_archived in
+        let captured = ref [] in
+        let retro_hook = pager.P.pre_commit_hook in
+        pager.P.pre_commit_hook <-
+          (fun events ->
+            captured := events;
+            retro_hook events);
+        let pid2 = T.with_txn pager (fun txn -> T.alloc txn Pg.Heap_page) in
+        Alcotest.(check int) "recycled" pid pid2;
+        (match !captured with
+        | [ ev ] -> Alcotest.(check bool) "no before" true (ev.P.before = None)
+        | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
+        Alcotest.(check int) "nothing archived" archived
+          (Obs.Scope.get Storage.Stats.c_cow_archived));
     Alcotest.test_case "freed page recycled with old image as before" `Quick (fun () ->
         let pager = P.create () in
         let pid = T.with_txn pager (fun txn -> T.alloc txn Pg.Heap_page) in

@@ -11,7 +11,8 @@
 
 type iteration = {
   snap_id : int;
-  cold : bool;                 (* first iteration of the run, or all-cold *)
+  cold : bool;                 (* evaluated from nothing: all-cold, or a first
+                                  iteration that is no delta *)
   pagelog_reads : int;         (* archive reads of the Qq evaluation *)
   db_reads : int;              (* current-state page reads of the Qq evaluation *)
   cache_hits : int;            (* snapshot page cache, during the evaluation *)
@@ -27,6 +28,8 @@ type iteration = {
   udf_updates : int;           (* result-table updates *)
   eval : string;               (* how Qq ran: "plain" (ordinary executor),
                                   "full" or "delta" (incremental evaluator) *)
+  base : int option;           (* a delta's base: the snapshot it evaluated from,
+                                  an earlier run's on a warm first iteration *)
   pages_evaluated : int;       (* heap pages the incremental evaluator read *)
   pages_reused : int;          (* heap pages whose kept rows carried over *)
 }
@@ -94,6 +97,7 @@ let json_of_iteration (it : iteration) : Obs.Json.t =
       ("udf_inserts", Obs.Json.Int it.udf_inserts);
       ("udf_updates", Obs.Json.Int it.udf_updates);
       ("eval", Obs.Json.Str it.eval);
+      ("base", match it.base with Some b -> Obs.Json.Int b | None -> Obs.Json.Null);
       ("pages_evaluated", Obs.Json.Int it.pages_evaluated);
       ("pages_reused", Obs.Json.Int it.pages_reused);
       ("total_s", Obs.Json.Float (iteration_total it)) ]
@@ -123,6 +127,9 @@ let json_of_run ?experiment ?label (run : run) : Obs.Json.t =
 
 (* --- modeled trace emission ----------------------------------------------- *)
 
+(* A delta iteration's trace attribute naming its base snapshot. *)
+let base_attr it = match it.base with Some b -> [ ("base", Obs.Trace.Int b) ] | None -> []
+
 (* Lay the run's cost attribution out on the modeled trace track
    (tid 2): run -> iteration -> {io, spt_build, index_build, query_eval,
    udf}, durations from the attributed breakdown rather than the host
@@ -150,11 +157,12 @@ let emit_trace ~start_s (run : run) =
         let it_id =
           Obs.Trace.emit ~tid ~parent:run_id ~name:"rql.iteration"
             ~attrs:
-              [ ("snap_id", Obs.Trace.Int it.snap_id);
-                ("cold", Obs.Trace.Bool it.cold);
-                ("pagelog_reads", Obs.Trace.Int it.pagelog_reads);
-                ("eval", Obs.Trace.Str it.eval);
-                ("pages_evaluated", Obs.Trace.Int it.pages_evaluated) ]
+              ([ ("snap_id", Obs.Trace.Int it.snap_id);
+                 ("cold", Obs.Trace.Bool it.cold);
+                 ("pagelog_reads", Obs.Trace.Int it.pagelog_reads);
+                 ("eval", Obs.Trace.Str it.eval);
+                 ("pages_evaluated", Obs.Trace.Int it.pages_evaluated) ]
+              @ base_attr it)
             ~ts_us:!cursor ~dur_us:it_us ()
         in
         let sub = ref !cursor in

@@ -78,7 +78,7 @@ type run_state = {
   data : Sq.Db.t;
   meta : Sq.Db.t;
   eval : Sq.Db.t; (* the ctx's evaluation session over [data] *)
-  inline : stripe; (* the one-stripe case: the Qq on [eval] *)
+  mutable inline : stripe; (* the one-stripe case: the Qq on [eval] *)
   rs_analyze : bool; (* per-operator instrumentation for this run *)
   rs_all_cold : bool; (* every iteration starts from an empty page cache *)
   t_start : float; (* wall-clock run start; anchors the modeled trace track *)
@@ -110,7 +110,14 @@ type run_state = {
   mutable cur_updates : int;
   (* Live progress handle (sys_progress / .progress / .cancel). *)
   mutable rs_progress : Obs.Progress.t option;
+  mutable rs_failed : bool; (* an iteration raised: keep no evaluator *)
 }
+
+(* Finished runs' delta evaluators, each under its Qq's plan-cache key,
+   the most recently kept first; together they keep at most
+   {!Sq.Incr.default_max_rows} rows.  Domains that share a ctx take and
+   keep them under [mu]. *)
+type warm = { mu : Mutex.t; mutable entries : (string * Sq.Incr.t) list }
 
 type ctx = {
   data : Sq.Db.t;
@@ -120,6 +127,7 @@ type ctx = {
      prepared Qq plans across runs. *)
   eval : Sq.Db.t;
   runs : (string, run_state) Hashtbl.t; (* active SQL-form UDF runs *)
+  warm : warm;
 }
 
 (* --- helpers --------------------------------------------------------- *)
@@ -564,11 +572,11 @@ let emit_op_counters (rs : run_state) =
    PRAGMA incremental is off on [data]; the k stripes share
    {!Sq.Incr.default_max_rows}, so a run keeps no more rows than one
    stripe alone would. *)
-let make_stripe ?(changes = false) (data : Sq.Db.t) ~all_cold ~k prep =
+let make_stripe (data : Sq.Db.t) ~all_cold ~k prep =
   { prep;
     incr =
       (if all_cold || not data.Sq.Db.incremental then None
-       else Some (Sq.Incr.create ~max_rows:(Sq.Incr.default_max_rows / k) ~changes ())) }
+       else Some (Sq.Incr.create ~max_rows:(Sq.Incr.default_max_rows / k) ())) }
 
 let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table () =
   (match kind with
@@ -590,10 +598,7 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     data = ctx.data;
     meta = ctx.meta;
     eval = ctx.eval;
-    (* The intervals loop body applies a delta's output changes; only
-       on one stripe is that delta from the loop's previous snapshot. *)
-    inline =
-      make_stripe ~changes:(kind = Intervals) ctx.data ~all_cold ~k:1 (prepare_qq ctx.eval qq);
+    inline = make_stripe ctx.data ~all_cold ~k:1 (prepare_qq ctx.eval qq);
     rs_analyze = analyze;
     rs_all_cold = all_cold;
     t_start = now ();
@@ -614,7 +619,60 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     cur_rows = 0;
     cur_inserts = 0;
     cur_updates = 0;
-    rs_progress = None }
+    rs_progress = None;
+    rs_failed = false }
+
+(* --- warm starts ---------------------------------------------------------- *)
+
+let with_warm (ctx : ctx) f =
+  Mutex.lock ctx.warm.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock ctx.warm.mu) (fun () -> f ctx.warm)
+
+(* Can [inc], kept under plan-cache key [key], serve a delta: is its
+   plan the one the evaluation session has cached for the key, and its
+   snapshot live? *)
+let resumable (ctx : ctx) (key, inc) =
+  match Sq.Engine.cached_plan ctx.eval ~key, ctx.data.Sq.Db.retro with
+  | Some cached, Some retro -> Sq.Incr.resumes inc ~cached retro
+  | _ -> false
+
+(* Start [rs]'s one-stripe loop from the evaluator that the last run of
+   its Qq kept, so that its first iteration is a delta from that run's
+   last snapshot.  The run owns the evaluator until {!keep}; a stale one
+   is dropped.  A run without an evaluator (all-cold, or PRAGMA
+   incremental off) takes none. *)
+let resume (ctx : ctx) (rs : run_state) =
+  if Option.is_some rs.inline.incr then begin
+    let key = qq_key rs.qq in
+    let found =
+      with_warm ctx (fun w ->
+          let found = List.assoc_opt key w.entries in
+          w.entries <- List.remove_assoc key w.entries;
+          found)
+    in
+    match found with
+    | Some inc when resumable ctx (key, inc) -> rs.inline <- { rs.inline with incr = Some inc }
+    | _ -> ()
+  end
+
+(* Keep [rs]'s evaluator for the next run of its Qq, unless it keeps no
+   snapshot or the run failed.  Stale entries go, and then the least
+   recently kept ones until all fit the shared budget. *)
+let keep (ctx : ctx) (rs : run_state) =
+  match rs.inline.incr with
+  | Some inc when (not rs.rs_failed) && Sq.Incr.kept inc <> None ->
+    let key = qq_key rs.qq in
+    with_warm ctx (fun w ->
+        let rec fit room = function
+          | ((_, i) as e) :: rest -> (
+            match Sq.Incr.kept i with
+            | Some n when n <= room -> e :: fit (room - n) rest
+            | _ -> [])
+          | [] -> []
+        in
+        let live = List.filter (resumable ctx) ((key, inc) :: List.remove_assoc key w.entries) in
+        w.entries <- fit Sq.Incr.default_max_rows live)
+  | _ -> ()
 
 (* A snapshot's Qq rows, and its iteration's record as far as the
    evaluation fills it in: the evaluating session scope's counter and
@@ -653,10 +711,12 @@ let evaluate (st : stripe) ~sid =
   let changes = Option.bind report (fun r -> r.Sq.Incr.changes) in
   let rows = if Option.is_none changes then Lazy.from_val (collect ()) else lazy (collect ()) in
   let eval_s = now () -. t0 in
-  let mode, evaluated, reused =
+  let mode, base, evaluated, reused =
     match report with
-    | Some r -> (Sq.Incr.mode_to_string r.Sq.Incr.mode, r.Sq.Incr.evaluated, r.Sq.Incr.reused)
-    | None -> ("plain", 0, 0)
+    | Some r ->
+      let base = match r.Sq.Incr.mode with Sq.Incr.Delta b -> Some b | Sq.Incr.Full -> None in
+      (Sq.Incr.mode_to_string r.Sq.Incr.mode, base, r.Sq.Incr.evaluated, r.Sq.Incr.reused)
+    | None -> ("plain", None, 0, 0)
   in
   let pagelog_reads = c S.c_pagelog_reads - plr0 in
   { ev_header = header;
@@ -680,6 +740,7 @@ let evaluate (st : stripe) ~sid =
         udf_inserts = 0;
         udf_updates = 0;
         eval = mode;
+        base;
         pages_evaluated = evaluated;
         pages_reused = reused } }
 
@@ -724,14 +785,13 @@ let apply (rs : run_state) ev ~sid =
       (not (Sq.Db.in_txn rs.meta)) && rs.slots_at = Some rs.meta.Sq.Db.pager.Storage.Pager.installs
     in
     rs.slots_at <- None;
-    (* An intervals run's delta from the previous snapshot, over a
-       trusted map, applies its changes (see [delta_plan]); anything
-       else applies the rule to the full row list. *)
+    (* An intervals run's delta from the previous snapshot (the only
+       changes it asks for, {!evaluate_inline}), over a trusted map,
+       applies its changes (see [delta_plan]); anything else applies the
+       rule to the full row list. *)
     let delta =
       match rs.kind, ev.ev_changes with
-      | Intervals, Some ch when valid && (not rs.prev_repeated) && ch.Sq.Incr.base = prev_sid rs
-        ->
-        delta_plan rs ch
+      | Intervals, Some ch when valid && not rs.prev_repeated -> delta_plan rs ch
       | _ -> None
     in
     let rows = if Option.is_none delta then rows_of ev else [] in
@@ -766,7 +826,7 @@ let step_body (rs : run_state) ~sid eval =
   (match Sq.Db.(rs.data.retro) with
   | Some retro when rs.rs_all_cold -> Retro.clear_cache retro
   | _ -> ());
-  let cold = rs.rs_all_cold || rs.last_sid = None in
+  let first = rs.last_sid = None in
   let ev = eval () in
   let t0 = now () and eval_s = ev.ev_eval_s in
   apply rs ev ~sid;
@@ -774,7 +834,7 @@ let step_body (rs : run_state) ~sid eval =
   let e = ev.ev_it in
   let it =
     { e with
-      Iter_stats.cold;
+      Iter_stats.cold = rs.rs_all_cold || (first && e.Iter_stats.eval <> "delta");
       query_eval_s = Float.max 0. (ev.ev_eval_s -. e.spt_build_s -. e.index_build_s);
       udf_s = now () -. t0 -. late_s;
       udf_rows = rs.cur_rows;
@@ -782,12 +842,13 @@ let step_body (rs : run_state) ~sid eval =
       udf_updates = rs.cur_updates }
   in
   Obs.Trace.set_attrs
-    [ ("cold", Obs.Trace.Bool it.Iter_stats.cold);
+    ([ ("cold", Obs.Trace.Bool it.Iter_stats.cold);
       ("pagelog_reads", Obs.Trace.Int it.Iter_stats.pagelog_reads);
       ("udf_rows", Obs.Trace.Int it.Iter_stats.udf_rows);
       ("modeled_io_s", Obs.Trace.Float it.Iter_stats.io_s);
       ("eval", Obs.Trace.Str it.Iter_stats.eval);
-      ("pages_evaluated", Obs.Trace.Int it.Iter_stats.pages_evaluated) ];
+      ("pages_evaluated", Obs.Trace.Int it.Iter_stats.pages_evaluated) ]
+    @ Iter_stats.base_attr it);
   rs.iterations <- it :: rs.iterations;
   if rs.rs_analyze then emit_op_counters rs
 
@@ -857,9 +918,19 @@ let iterate (rs : run_state) ~sid eval =
          + it.Iter_stats.pagelog_reads)
     | [] -> ())
 
+(* The one-stripe evaluation of snapshot [sid].  The intervals loop body
+   applies a delta's output changes when the delta is from the loop's
+   previous snapshot, so it asks for those; a warm first iteration's
+   delta is from an earlier run's snapshot and computes none. *)
+let evaluate_inline (rs : run_state) ~sid =
+  (match rs.kind, rs.inline.incr, rs.last_sid with
+  | Intervals, Some inc, Some prev -> Sq.Incr.request_changes inc ~base:prev
+  | _ -> ());
+  evaluate rs.inline ~sid
+
 (* One iteration of the one-stripe loop: the Qq evaluated inline, on
    the ctx's evaluation session. *)
-let step (rs : run_state) ~sid = iterate rs ~sid (fun () -> evaluate rs.inline ~sid)
+let step (rs : run_state) ~sid = iterate rs ~sid (fun () -> evaluate_inline rs ~sid)
 
 (* Result-table footprint (rows and approximate bytes), of T as the
    meta catalog finds it now; a run that applied no snapshot has none. *)
@@ -952,7 +1023,7 @@ let snapshot_set (ctx : ctx) qs =
    caller; the stripes are joined and their sessions closed before this
    returns or raises. *)
 let with_stripes (rs : run_state) ~k sids f =
-  if k = 1 then f (fun i -> evaluate rs.inline ~sid:sids.(i))
+  if k = 1 then f (fun i -> evaluate_inline rs ~sid:sids.(i))
   else begin
     let n = Array.length sids and ahead = 2 * k in
     let slots : eval_result option array = Array.make ahead None in
@@ -1054,10 +1125,14 @@ let run_mechanism ?(all_cold = false) ?(analyze = false) ?(domains = 1) ctx kind
     (fun () ->
       (* One stripe, run inline, for an all-cold run (a cache clear
          between iterations) and an analyzed one (per-operator actuals
-         accumulate on one shared plan). *)
+         accumulate on one shared plan).  Only the one-stripe loop starts
+         warm; k stripes keep their own evaluators on their own
+         sessions. *)
       let k = if all_cold || analyze then 1 else max 1 domains in
+      if k = 1 then resume ctx rs;
       let loop () =
         snapshot_loop rs ~k sids;
+        if k = 1 then keep ctx rs;
         finish rs
       in
       let run () =
@@ -1119,9 +1194,16 @@ let parse_pairs s =
 let run_key kind qq table =
   mech_name kind ^ "\x00" ^ qq ^ "\x00" ^ String.lowercase_ascii table
 
+(* A SQL-form run is complete: its progress is done, and its evaluator
+   is kept for the next run of its Qq. *)
+let retire ctx (rs : run_state) =
+  Option.iter (fun p -> Obs.Progress.finish p Obs.Progress.Done) rs.rs_progress;
+  keep ctx rs
+
 (* A loop-body invocation arriving from the SQL form.  A fresh run starts
    when no run exists for (mechanism, Qq, T) or when the snapshot id does
-   not advance (the statement was re-executed). *)
+   not advance (the statement was re-executed); it resumes the evaluator
+   the superseded run, or an earlier run of the Qq, kept. *)
 let udf_step ctx kind ~qq ~table ~sid =
   let key = run_key kind qq table in
   let rs =
@@ -1129,10 +1211,9 @@ let udf_step ctx kind ~qq ~table ~sid =
     | Some rs when (match rs.last_sid with Some last -> sid > last | None -> true) -> rs
     | prev ->
       (* The statement was re-executed: the superseded run is complete. *)
-      (match prev with
-      | Some old -> Option.iter (fun p -> Obs.Progress.finish p Obs.Progress.Done) old.rs_progress
-      | None -> ());
+      Option.iter (retire ctx) prev;
       let rs = make_run ctx ~kind ~qq ~table () in
+      resume ctx rs;
       (match Sq.Db.(ctx.data.retro) with
       | Some retro -> Retro.clear_cache retro
       | None -> ());
@@ -1143,11 +1224,15 @@ let udf_step ctx kind ~qq ~table ~sid =
       Hashtbl.replace ctx.runs key rs;
       rs
   in
-  try step rs ~sid
-  with Cancelled _ as e ->
+  match step rs ~sid with
+  | () -> ()
+  | exception (Cancelled _ as e) ->
     (* Drop the run so a later invocation starts fresh rather than
        resuming a cancelled loop. *)
     Hashtbl.remove ctx.runs key;
+    raise e
+  | exception e ->
+    rs.rs_failed <- true;
     raise e
 
 (* Emit the modeled-attribution trace for every active SQL-form run
@@ -1169,7 +1254,7 @@ let take_run ctx ~table =
   match !found with
   | Some (key, rs) ->
     Hashtbl.remove ctx.runs key;
-    Option.iter (fun p -> Obs.Progress.finish p Obs.Progress.Done) rs.rs_progress;
+    retire ctx rs;
     Some (finish rs)
   | None -> None
 
@@ -1200,7 +1285,13 @@ let register_udfs ctx =
 (* --- context creation ---------------------------------------------------- *)
 
 let make_ctx ~data ~meta =
-  let ctx = { data; meta; eval = Sq.Db.session data; runs = Hashtbl.create 8 } in
+  let ctx =
+    { data;
+      meta;
+      eval = Sq.Db.session data;
+      runs = Hashtbl.create 8;
+      warm = { mu = Mutex.create (); entries = [] } }
+  in
   register_udfs ctx;
   (* current_snapshot() is only meaningful inside a Qq, where the loop
      body binds it.  A direct call is a usage error. *)

@@ -341,12 +341,16 @@ let dml_target db table =
   | Some tbl -> (env, tbl)
   | None -> error "no such table: %s" table
 
-(* Append [rows] to [tbl] in one write transaction. *)
+(* Append [rows] to [tbl] in one write transaction.  Every row is
+   measured before the first is stored, so a row that cannot be stored
+   fails the statement with none of its rows written, also inside an
+   explicit transaction. *)
 let insert_rows db env tbl rows =
   let n =
     Db.with_write_txn db (fun txn ->
         let w = Exec.writer env tbl in
-        List.iter (fun row -> ignore (Exec.insert_row txn w row)) rows;
+        let encoded = List.map (Exec.measure w) rows in
+        List.iter (fun e -> ignore (Exec.insert_encoded txn w e)) encoded;
         List.length rows)
   in
   { empty_result with rows_affected = n }

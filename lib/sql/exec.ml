@@ -960,17 +960,25 @@ let encode_for w (row : R.row) =
     error "record larger than a page: a row of %s is %d bytes (at most %d)" w.w_tbl.tname n most;
   (s, List.map (fun (bt, pos) -> (bt, fitting_key w.w_tbl pos row)) w.w_indexes)
 
-(* Store [row] in the writer's table, its index entries right after it;
-   returns its rid. *)
-let insert_row txn w (row : R.row) =
+(* [row] as a new row of the writer's table: its arity checked, then
+   [encode_for]. *)
+let measure w (row : R.row) =
   let tbl = w.w_tbl in
   if Array.length row <> Array.length tbl.tcols then
     error "table %s expects %d values, got %d" tbl.tname (Array.length tbl.tcols)
       (Array.length row);
-  let s, keys = encode_for w row in
+  encode_for w row
+
+(* Store a [measure]d row in the writer's table, its index entries right
+   after it; returns its rid.  A statement that writes several rows
+   measures them all first, so that a row that cannot be stored fails
+   it before any is. *)
+let insert_encoded txn w (s, keys) =
   let rid = Storage.Heap.insert txn w.w_heap s in
   List.iter (fun (bt, k) -> Storage.Btree.insert txn bt k rid) keys;
   rid
+
+let insert_row txn w (row : R.row) = insert_encoded txn w (measure w row)
 
 (* Rows (with rids) matching [where] on a single table, using an index
    when one applies.  Materialized to allow subsequent mutation.
@@ -1008,11 +1016,11 @@ let delete_rows txn w rows =
     rows;
   List.length rows
 
-(* Rewrite row [rid], which holds [row], as [row']: the counterpart of
-   {!insert_row}.  Every index entry whose key or rid changed follows
-   the row, which may have moved to another page.  Returns its rid. *)
-let update_row txn w ~rid (row : R.row) (row' : R.row) =
-  let s, keys' = encode_for w row' in
+(* Rewrite row [rid], which holds [row], as a row encoded by
+   [encode_for]: the counterpart of {!insert_encoded}.  Every index entry
+   whose key or rid changed follows the row, which may have moved to
+   another page.  Returns its rid. *)
+let update_encoded txn w ~rid (row : R.row) (s, keys') =
   let rid' =
     match Storage.Heap.update txn w.w_heap rid s with
     | `Same -> rid
@@ -1028,6 +1036,12 @@ let update_row txn w ~rid (row : R.row) (row' : R.row) =
     w.w_indexes keys';
   rid'
 
+let update_row txn w ~rid (row : R.row) (row' : R.row) =
+  update_encoded txn w ~rid row (encode_for w row')
+
+(* Every new row is evaluated and measured before the first is written
+   back, so that a row that fails fails the statement before any
+   write. *)
 let update_rows env txn (tbl : Catalog.table) sets rows =
   let fnctx = Db.fn_ctx env.db in
   let sets =
@@ -1036,10 +1050,13 @@ let update_rows env txn (tbl : Catalog.table) sets rows =
       sets
   in
   let w = writer env tbl in
-  List.iter
-    (fun (rid, row) ->
-      let row' = Array.copy row in
-      List.iter (fun (i, e) -> row'.(i) <- Expr.eval fnctx ~row ~aggs:[||] e) sets;
-      ignore (update_row txn w ~rid row row'))
-    rows;
+  let encoded =
+    List.map
+      (fun (rid, row) ->
+        let row' = Array.copy row in
+        List.iter (fun (i, e) -> row'.(i) <- Expr.eval fnctx ~row ~aggs:[||] e) sets;
+        (rid, row, encode_for w row'))
+      rows
+  in
+  List.iter (fun (rid, row, e) -> ignore (update_encoded txn w ~rid row e)) encoded;
   List.length rows

@@ -53,7 +53,7 @@ let collapse_ws s =
    literal, so "WHERE a > 1 + 1" and "WHERE a > 2" compile to the same
    plan — they should land on the same fingerprint too.  After literal
    replacement, constant expressions *over* [?] are collapsed to a
-   single [?] as a fixpoint: parenthesized [?], binary combinations of
+   single [?]: parenthesized [?], binary combinations of
    [?] (respecting operator precedence so "? + ? * a" keeps its shape),
    unary minus / NOT on [?], and builtin calls with all-constant
    arguments. *)
@@ -83,51 +83,47 @@ let prec = function
   | "or" -> 1
   | _ -> 0
 
+(* One left-to-right shift-reduce pass.  [st] holds the tokens emitted
+   so far, the last first; after every shift, the rewrites that end at
+   the top of [st] are applied, with [la] (the next input token, "" at
+   the end) as right context, until none applies.  A rewrite replaces
+   the tokens it matches with one [?], so the pass is linear in the
+   number of tokens, and it ends in the form that repeating the
+   rewrites over the whole list until nothing changes would reach. *)
 let collapse_folds (toks : string list) : string list =
-  let changed = ref true in
-  let cur = ref toks in
-  (* [name ( ?, ?, ... )] with every argument constant -> rest *)
-  let const_call rest =
-    let rec args = function
-      | "?" :: ")" :: tl -> Some tl
-      | "?" :: "," :: tl -> args tl
-      | _ -> None
-    in
-    match rest with
-    | "(" :: tl -> args tl
+  let top = function t :: _ -> t | [] -> "" in
+  (* Below [?, ?, ... ?] (the last first, after the closing paren):
+     the call's name and what is under it. *)
+  let rec call_args = function
+    | "?" :: "," :: rest -> call_args rest
+    | "?" :: "(" :: name :: below when Func.find name <> None -> Some below
     | _ -> None
   in
-  while !changed do
-    changed := false;
-    let rec rw prev toks =
-      match toks with
-      | [] -> []
-      | (name :: rest) when Func.find name <> None && const_call rest <> None ->
-        changed := true;
-        rw prev ("?" :: Option.get (const_call rest))
-      | "(" :: "?" :: ")" :: rest when not (ends_value prev) ->
-        changed := true;
-        rw prev ("?" :: rest)
-      | "?" :: op :: "?" :: rest when prec op > 0 ->
-        (* Collapse only when this application really is one constant
-           subtree: a tighter operator on either side would have been
-           parsed inside it, and the AND right after BETWEEN belongs to
-           BETWEEN. *)
-        let nextp = match rest with nx :: _ -> prec nx | [] -> 0 in
-        if prec prev >= prec op || nextp > prec op || (prev = "between" && op = "and")
-        then "?" :: rw "?" (op :: "?" :: rest)
-        else begin
-          changed := true;
-          rw prev ("?" :: rest)
-        end
-      | ("-" | "not") :: "?" :: rest when not (ends_value prev) && prec (List.nth_opt rest 0 |> Option.value ~default:"") = 0 ->
-        changed := true;
-        rw prev ("?" :: rest)
-      | t :: rest -> t :: rw t rest
-    in
-    cur := rw "" !cur
-  done;
-  !cur
+  let rec reduce la st =
+    match st with
+    | ")" :: rest -> (
+      match call_args rest, rest with
+      (* [name ( ?, ?, ... )] with every argument constant *)
+      | Some below, _ -> reduce la ("?" :: below)
+      | None, "?" :: "(" :: below when not (ends_value (top below)) -> reduce la ("?" :: below)
+      | None, _ -> st)
+    | "?" :: op :: "?" :: below when prec op > 0 ->
+      (* Collapse only when this application really is one constant
+         subtree: a tighter operator on either side would have been
+         parsed inside it, and the AND right after BETWEEN belongs to
+         BETWEEN. *)
+      let prev = top below in
+      if prec prev >= prec op || prec la > prec op || (prev = "between" && op = "and") then st
+      else reduce la ("?" :: below)
+    | "?" :: ("-" | "not") :: below when (not (ends_value (top below))) && prec la = 0 ->
+      reduce la ("?" :: below)
+    | _ -> st
+  in
+  let rec shift st = function
+    | t :: rest -> shift (reduce (top rest) (t :: st)) rest
+    | [] -> List.rev st
+  in
+  shift [] toks
 
 let normalize (sql : string) : string =
   match Lexer.tokenize sql with

@@ -29,21 +29,24 @@
    the heap only grows at its tail; when a kept page moves, the index
    is rebuilt from the kept rows.
 
-   An evaluator created with [~changes:true] also says how a delta of a
-   core that does not aggregate changed its output: the output rows of
-   the driving pages it re-read or that left the chain, as the previous
-   snapshot had them, and of the pages it re-read or that joined, as
-   this one has them.  Every other output row comes from a page both
-   snapshots share (and, in a join, from inner sources that did not
-   change), so the two outputs differ by exactly that.
+   Asked before an evaluation ({!request_changes}), a delta of a core
+   that does not aggregate also says how it changed its output: the
+   output rows of the driving pages it re-read or that left the chain,
+   as the previous snapshot had them, and of the pages it re-read or
+   that joined, as this one has them.  Every other output row comes
+   from a page both snapshots share (and, in a join, from inner sources
+   that did not change), so the two outputs differ by exactly that.
 
    The kept rows are bounded: an evaluation that would keep more than
    the evaluator's [max_rows], over all sources, runs the ordinary
-   executor instead, and so does every later evaluation of the run.
+   executor instead, and so does every later evaluation with it.
 
-   A run starts over ("full") when there is no previous snapshot, when
-   the plan was re-planned, or when the previous snapshot has since
-   been vacuumed; otherwise an iteration is a "delta". *)
+   An evaluation starts over ("full") when there is no previous
+   snapshot, when the plan was re-planned, or when the previous snapshot
+   has since been vacuumed; otherwise it is a "delta", forwards or
+   backwards, over any distance.  The previous snapshot may be one of
+   an earlier run: an evaluator outlives its run when the RQL context
+   keeps it for the next run of its Qq. *)
 
 module R = Storage.Record
 module Jtbl = Exec.Jtbl
@@ -65,16 +68,16 @@ type rows = Nil | Row of int * R.row * rows
    join key to its rows. *)
 type inner = { in_pages : pages; in_index : rows ref Jtbl.t }
 
-type mode = Full | Delta
+(* A delta names its base: the snapshot it evaluated from. *)
+type mode = Full | Delta of int
 
-let mode_to_string = function Full -> "full" | Delta -> "delta"
+let mode_to_string = function Full -> "full" | Delta _ -> "delta"
 
-(* How a delta from snapshot [base] changed a core's output rows:
-   [before] are the output rows of the driving pages it re-read or that
-   left the chain, as [base] had them; [after] those of the pages it
-   re-read or that joined, as this snapshot has them, in chain and slot
-   order. *)
-type changes = { base : int; before : R.row list; after : R.row list }
+(* How a delta changed a core's output rows: [before] are the output
+   rows of the driving pages it re-read or that left the chain, as its
+   base snapshot had them; [after] those of the pages it re-read or that
+   joined, as this snapshot has them, in chain and slot order. *)
+type changes = { before : R.row list; after : R.row list }
 
 (* What the last evaluation did. *)
 type report = {
@@ -82,18 +85,19 @@ type report = {
   evaluated : int; (* heap pages read and re-evaluated, over all sources *)
   reused : int; (* heap pages whose rows carried over, over all sources *)
   changes : changes option;
-      (* a delta of a core that does not aggregate, when the evaluator
-         reports changes and no inner source changed *)
+      (* a delta of a core that does not aggregate, from the requested
+         base, when no inner source changed *)
 }
 
 type t = {
   max_rows : int; (* most rows kept across all sources' pages *)
-  changes : bool; (* report a delta's output changes *)
   mutable over_budget : bool; (* a snapshot needed more: run plain *)
   mutable plan : Plan.t option; (* the cached plan the pages belong to *)
   mutable sid : int; (* the snapshot they describe *)
+  mutable kept : int; (* the rows they hold, over all sources *)
   mutable drive : pages; (* the driving source *)
   mutable inners : inner list; (* the hash joins' inner sources, in FROM order *)
+  mutable changes_from : int option; (* the next evaluation's changes request *)
   mutable last : report option;
 }
 
@@ -103,18 +107,35 @@ type t = {
    holds 60 000 rows. *)
 let default_max_rows = 250_000
 
-(* One evaluator per run: its state belongs to the run's loop. *)
-let create ?(max_rows = default_max_rows) ?(changes = false) () =
+(* An evaluator belongs to one loop at a time. *)
+let create ?(max_rows = default_max_rows) () =
   { max_rows;
-    changes;
     over_budget = false;
     plan = None;
     sid = 0;
+    kept = 0;
     drive = Hashtbl.create 1;
     inners = [];
+    changes_from = None;
     last = None }
 
 let last t = t.last
+
+(* Ask the next evaluation for its output changes, should it be a delta
+   from snapshot [base]. *)
+let request_changes t ~base = t.changes_from <- Some base
+
+(* Can the next evaluation of [cached] be a delta from the kept
+   snapshot? *)
+let resumes t ~cached retro =
+  match t.plan with
+  | Some p -> p == cached && not (Retro.is_vacuumed retro t.sid)
+  | None -> false
+
+(* The rows the evaluator keeps for a later delta; None when it keeps
+   no snapshot (it has not evaluated one, its last evaluation ran the
+   ordinary executor or it went over its budget). *)
+let kept t = if t.over_budget || t.plan = None then None else Some t.kept
 
 let c_evaluated = Obs.Scope.counter "sql.delta_pages_evaluated"
 let c_reused = Obs.Scope.counter "sql.delta_pages_reused"
@@ -132,8 +153,10 @@ let eligible t (p : Plan.t) =
    describe the snapshot before the next one. *)
 let note_plain t =
   t.plan <- None;
+  t.kept <- 0;
   t.drive <- Hashtbl.create 1;
   t.inners <- [];
+  t.changes_from <- None;
   t.last <- None
 
 exception Over_budget
@@ -281,12 +304,10 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
     | Plan.From_none -> invalid_arg "Incr.eval: plan is not delta-safe"
   in
   let retro = Db.retro_exn env.Exec.db in
-  let changed =
-    match t.plan with
-    | Some p when p == cached && not (Retro.is_vacuumed retro t.sid) ->
-      Some (Retro.changed_pages retro t.sid sid)
-    | _ -> None
-  in
+  let base = if resumes t ~cached retro then Some t.sid else None in
+  let changed = Option.map (fun base -> Retro.changed_pages retro base sid) base in
+  let requested = t.changes_from in
+  t.changes_from <- None;
   (* The kept state is mid-update until this evaluation completes: an
      exception on the way leaves the next one starting over. *)
   t.plan <- None;
@@ -325,7 +346,7 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
   in
   (* With changes to report: the driving pages re-read, each with its
      old record, in reverse chain order. *)
-  let diff = t.changes && Option.is_some changed && not c.Plan.c_has_agg in
+  let diff = Option.is_some base && base = requested && not c.Plan.c_has_agg in
   let redone = ref [] in
   let fresh = if diff then fun prior pg -> redone := (prior, pg) :: !redone else fun _ _ -> () in
   let old_drive = t.drive and old_inners = t.inners in
@@ -421,17 +442,18 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
           List.iter (fun o -> rows o f) departed
         in
         let after f = List.iter (fun (_, pg) -> rows pg f) (List.rev !redone) in
-        Some { base = t.sid; before = output before; after = output after }
+        Some { before = output before; after = output after }
       end
       else None
     in
     t.plan <- Some cached;
     t.sid <- sid;
+    t.kept <- !kept;
     t.drive <- drive.w_pages;
     t.inners <- List.map fst inners;
     t.last <-
       Some
-        { mode = (match changed with Some _ -> Delta | None -> Full); evaluated; reused; changes };
+        { mode = (match base with Some b -> Delta b | None -> Full); evaluated; reused; changes };
     let chain = List.rev drive.w_chain in
     match inners with
     | [] when c.Plan.c_has_agg ->

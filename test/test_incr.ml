@@ -7,7 +7,8 @@
    table (rows in heap order) across the UW7.5-UW60 histories, on one
    stripe and on two and three (each stripe a delta from its own
    previous snapshot), after a vacuum, and for snapshot sets that skip
-   or run backwards.  Below
+   or run backwards, also when a run starts warm from the evaluator an
+   earlier run of its Qq kept.  Below
    that: the archive's changed-page set is exactly the pages whose SPT
    entries differ. *)
 
@@ -145,32 +146,41 @@ let repeated_groups =
     qq = "SELECT o_custkey, o_totalprice, o_orderstatus FROM orders WHERE o_totalprice > 1000";
     run = agg_table [ ("o_totalprice", "MAX") ] }
 
+(* The loop body's work, iteration by iteration. *)
+let work run =
+  List.map
+    (fun (it : IS.iteration) -> (it.IS.udf_rows, it.IS.udf_inserts, it.IS.udf_updates))
+    run.IS.iterations
+
 (* Run [m] naively (one stripe) and incrementally on [domains] stripes
-   into two result tables; both must hold the same bytes.  Returns the
+   into two result tables; both must hold the same bytes, and the loop
+   body must do the same work.  [naive] keeps the naive runs' tables and
+   work by mechanism and Qs, for callers that repeat them.  Returns the
    incremental run. *)
-let differential ?(domains = 1) ctx ~name ~qs m =
+let differential ?(domains = 1) ?(naive = Hashtbl.create 1) ctx ~name ~qs m =
   let table = "R_" ^ String.map (fun ch -> if ch = ' ' || ch = ',' then '_' else ch) m.label in
-  set_incremental ctx false;
-  let naive = m.run ~domains:1 ctx ~qs ~qq:m.qq ~table in
-  let want = table_bytes ctx table in
+  let want, want_work =
+    match Hashtbl.find_opt naive (m.label, qs) with
+    | Some w -> w
+    | None ->
+      set_incremental ctx false;
+      let run = m.run ~domains:1 ctx ~qs ~qq:m.qq ~table in
+      List.iter
+        (fun (it : IS.iteration) ->
+          Alcotest.(check string) "naive iterations are plain" "plain" it.IS.eval)
+        run.IS.iterations;
+      let w = (table_bytes ctx table, work run) in
+      Hashtbl.replace naive (m.label, qs) w;
+      w
+  in
   set_incremental ctx true;
   let run = m.run ~domains ctx ~qs ~qq:m.qq ~table in
   Alcotest.(check (list string))
     (Printf.sprintf "%s, %d stripe(s): %s" name domains m.label)
     want (table_bytes ctx table);
-  List.iter
-    (fun (it : IS.iteration) ->
-      Alcotest.(check string) "naive iterations are plain" "plain" it.IS.eval)
-    naive.IS.iterations;
-  (* the loop body did the same work, iteration by iteration *)
-  let work run =
-    List.map
-      (fun (it : IS.iteration) -> (it.IS.udf_rows, it.IS.udf_inserts, it.IS.udf_updates))
-      run.IS.iterations
-  in
   Alcotest.(check (list (triple int int int)))
     (Printf.sprintf "%s, %d stripe(s): %s rows, inserts, updates" name domains m.label)
-    (work naive) (work run);
+    want_work (work run);
   run
 
 let evals run = List.map (fun (it : IS.iteration) -> it.IS.eval) run.IS.iterations
@@ -388,6 +398,176 @@ let fallback =
         set_incremental ctx false;
         Alcotest.(check bool) "off" true (get () = [ [| R.Text "off" |] ])) ]
 
+(* --- warm starts ---------------------------------------------------------------- *)
+
+(* How a run's first iteration evaluated, and from which snapshot. *)
+let first_eval (run : IS.run) =
+  match run.IS.iterations with
+  | it :: _ -> (it.IS.eval, it.IS.base)
+  | [] -> Alcotest.fail "no iterations"
+
+let eval_base = Alcotest.(pair string (option int))
+
+let data ctx sql = ignore (E.exec ctx.Rql.data sql)
+
+let mech label = List.find (fun m -> m.label = label) mechs
+
+(* Qq_io, Qq_cpu (a hash join), Qq_agg and Qq_int, through
+   AggregateDataInVariable, AggregateDataInTable and
+   CollateDataIntoIntervals. *)
+let warm_mechs = List.map mech [ "Qq_io AVG"; "Qq_cpu AVG"; "Qq_agg"; "Qq_int as intervals" ]
+
+let warm =
+  [ Alcotest.test_case "a run resumes where the last run of its Qq stopped" `Quick (fun () ->
+        let ctx, _, _ =
+          Tpch.Workload.build_history ~sf:0.001 ~uw:Tpch.Workload.uw30 ~snapshots:6 ()
+        in
+        let range lo hi =
+          Printf.sprintf "SELECT snap_id FROM SnapIds WHERE snap_id BETWEEN %d AND %d" lo hi
+        in
+        (* each run against the naive loop; its first iteration *)
+        let naive = Hashtbl.create 32 in
+        let run m name qs want =
+          let r = differential ~naive ctx ~name ~qs m in
+          let label = Printf.sprintf "%s: %s, first iteration" name m.label in
+          Alcotest.check eval_base label want (first_eval r);
+          (match r.IS.iterations with
+          | { IS.eval = "delta"; pages_evaluated; pages_reused; _ } :: _ ->
+            (* a warm delta re-reads the changed pages and reuses the rest *)
+            Alcotest.(check bool) (label ^ ": re-reads and reuses") true
+              (pages_evaluated > 0 && pages_reused > 0)
+          | _ -> ());
+          r
+        in
+        List.iteri
+          (fun i m ->
+            ignore (run m "first run" (range 1 2) ("full", None));
+            ignore (run m "after the kept snapshot" (range 4 6) ("delta", Some 2));
+            ignore (run m "before it" (range 1 3) ("delta", Some 6));
+            ignore (run m "overlapping it" (range 2 5) ("delta", Some 3));
+            data ctx (Printf.sprintf "CREATE TABLE warm_ddl%d (a INTEGER)" i);
+            ignore (run m "after data-db DDL" (range 3 6) ("full", None));
+            data ctx "PRAGMA optimize=off";
+            let off = run m "optimize off" (range 1 2) ("plain", None) in
+            Alcotest.(check (list string)) "optimize off: plain" [ "plain"; "plain" ] (evals off);
+            data ctx "PRAGMA optimize=on";
+            ignore (run m "optimize on again" (range 4 6) ("full", None));
+            (* a run that fails keeps no evaluator *)
+            let failing =
+              "SELECT CASE WHEN snap_id = 6 THEN 99 ELSE snap_id END FROM SnapIds WHERE \
+               snap_id >= 5"
+            in
+            set_incremental ctx true;
+            (match m.run ~domains:1 ctx ~qs:failing ~qq:m.qq ~table:"R_failed" with
+            | _ -> Alcotest.fail "snapshot 99 does not exist"
+            | exception E.Error _ -> ());
+            ignore (run m "after a failed run" (range 5 6) ("full", None));
+            ignore (run m "before the vacuum" (range 1 3) ("delta", Some 6)))
+          warm_mechs;
+        (* every kept snapshot (3) is vacuumed *)
+        data ctx "VACUUM SNAPSHOTS KEEPING LAST 2";
+        List.iter (fun m -> ignore (run m "after a vacuum" (range 5 6) ("full", None))) warm_mechs);
+    Alcotest.test_case "a re-executed SQL-form statement resumes the superseded run" `Quick
+      (fun () ->
+        let ctx, _ = history ~snapshots:5 Tpch.Workload.uw30 in
+        let m = mech "Qq_agg" in
+        let stmt where =
+          ignore
+            (E.exec ctx.Rql.meta
+               (Printf.sprintf
+                  "SELECT AggregateDataInTable(snap_id, '%s', 'A', '(cn,max):(av,min)') FROM \
+                   SnapIds WHERE %s"
+                  m.qq where))
+        in
+        let runs on =
+          set_incremental ctx on;
+          stmt "snap_id >= 3";
+          stmt "snap_id <= 4";
+          match Rql.take_run ctx ~table:"A" with
+          | Some run -> (table_bytes ctx "A", run)
+          | None -> Alcotest.fail "no SQL-form run"
+        in
+        let want, naive = runs false in
+        let got, run = runs true in
+        Alcotest.(check (list string)) "T" want got;
+        Alcotest.(check (list (triple int int int)))
+          "rows, inserts, updates" (work naive) (work run);
+        Alcotest.check eval_base "backwards from the superseded run's last snapshot"
+          ("delta", Some 5) (first_eval run);
+        Alcotest.(check bool) "a warm first iteration is not cold" false
+          (List.hd run.IS.iterations).IS.cold;
+        (* a statement that fails after its warm first iteration keeps
+           nothing for the statement that supersedes it *)
+        Alcotest.(check bool) "snapshot 99 fails" true
+          (match
+             E.exec ctx.Rql.meta
+               (Printf.sprintf
+                  "SELECT AggregateDataInTable(CASE WHEN snap_id = 5 THEN 99 ELSE snap_id END, \
+                   '%s', 'A', '(cn,max):(av,min)') FROM SnapIds WHERE snap_id >= 4"
+                  m.qq)
+           with
+          | _ -> false
+          | exception E.Error _ -> true);
+        stmt "snap_id >= 2";
+        match Rql.take_run ctx ~table:"A" with
+        | Some run ->
+          Alcotest.check eval_base "after a failed statement" ("full", None) (first_eval run)
+        | None -> Alcotest.fail "no SQL-form run");
+    Alcotest.test_case "the kept evaluators share one row budget" `Quick (fun () ->
+        let ctx = Rql.create () in
+        data ctx "CREATE TABLE big (a INTEGER)";
+        data ctx "INSERT INTO big VALUES (1), (2)";
+        let double () = data ctx "INSERT INTO big SELECT a + 1 FROM big" in
+        for _ = 1 to 15 do
+          double ()
+        done;
+        ignore (Rql.declare_snapshot ctx);
+        (* 2^17 rows at snapshot 2: an aggregate over big keeps more than
+           half the budget *)
+        data ctx "BEGIN";
+        double ();
+        ignore (Rql.declare_snapshot ctx);
+        let rows = E.int_scalar ctx.Rql.data "SELECT AS OF 2 COUNT(*) FROM big" in
+        Alcotest.(check bool) "two evaluators exceed the budget" true
+          (rows <= Sqldb.Incr.default_max_rows && 2 * rows > Sqldb.Incr.default_max_rows);
+        (* the matrix above checks warm results; this checks which
+           evaluators stay *)
+        let sum qq qs table =
+          first_eval (Rql.aggregate_data_in_variable ctx ~qs ~qq ~table ~fn:"SUM")
+        in
+        let at1 = "SELECT snap_id FROM SnapIds WHERE snap_id = 1" in
+        let at2 = "SELECT snap_id FROM SnapIds WHERE snap_id = 2" in
+        let count = "SELECT COUNT(*) AS c FROM big" and total = "SELECT SUM(a) AS s FROM big" in
+        Alcotest.check eval_base "count" ("full", None) (sum count at2 "C");
+        Alcotest.check eval_base "total" ("full", None) (sum total at2 "S");
+        Alcotest.check eval_base "count again: evicted" ("full", None) (sum count at1 "C");
+        Alcotest.check eval_base "total again: kept" ("delta", Some 2) (sum total at1 "S");
+        (* a self-join keeps big twice: past the budget at snapshot 2 it
+           runs plain, and its evaluator is not kept; both runs against
+           the naive loop *)
+        let join =
+          { label = "J"; qq = "SELECT COUNT(*) AS c FROM big x, big y WHERE x.a = y.a + 1000";
+            run = agg_var "SUM" }
+        in
+        let joined qs = first_eval (differential ctx ~name:"budget" ~qs join) in
+        Alcotest.check eval_base "over budget" ("plain", None) (joined at2);
+        Alcotest.check eval_base "after an over-budget run" ("full", None) (joined at1));
+    Alcotest.test_case "a warm iteration reports its base" `Quick (fun () ->
+        let ctx, _ = history ~snapshots:3 Tpch.Workload.uw30 in
+        let m = List.hd mechs in
+        let go () = m.run ~domains:1 ctx ~qs:all_snapshots ~qq:m.qq ~table:"B" in
+        ignore (go ());
+        let run = go () in
+        let it = List.hd run.IS.iterations in
+        Alcotest.(check bool) "not cold" false it.IS.cold;
+        match IS.json_of_iteration it with
+        | Obs.Json.Obj fields ->
+          Alcotest.(check bool) "eval field" true
+            (List.assoc_opt "eval" fields = Some (Obs.Json.Str "delta"));
+          Alcotest.(check bool) "base field" true
+            (List.assoc_opt "base" fields = Some (Obs.Json.Int 3))
+        | _ -> Alcotest.fail "iteration JSON is not an object") ]
+
 (* --- observability ------------------------------------------------------------ *)
 
 let observability =
@@ -451,4 +631,5 @@ let () =
     [ ("changed", changed_pages_tests);
       ("naive", uw_matrix);
       ("fallback", fallback);
+      ("warm", warm);
       ("report", observability) ]

@@ -57,7 +57,32 @@ let txn_misuse =
         Alcotest.(check bool) "bad statement" true
           (raises_error (fun () -> E.exec db "SELECT zzz FROM t"));
         ignore (E.exec db "INSERT INTO t VALUES (1)");
-        Alcotest.(check int) "db still usable" 1 (E.int_scalar db "SELECT COUNT(*) FROM t")) ]
+        Alcotest.(check int) "db still usable" 1 (E.int_scalar db "SELECT COUNT(*) FROM t"));
+    (* Inside BEGIN a failed statement is not rolled back with its
+       transaction, so it must fail before its first write. *)
+    Alcotest.test_case "a failed multi-row INSERT inside BEGIN writes no row" `Quick (fun () ->
+        let db = E.create ~snapshots:false () in
+        ignore (E.exec db "CREATE TABLE t (a TEXT)");
+        ignore (E.exec db "BEGIN");
+        Alcotest.(check bool) "second row too long" true
+          (raises_error (fun () ->
+               E.exec db
+                 (Printf.sprintf "INSERT INTO t VALUES ('one'), ('%s')" (String.make 4100 'x'))));
+        ignore (E.exec db "COMMIT");
+        Alcotest.(check int) "no row" 0 (E.int_scalar db "SELECT COUNT(*) FROM t"));
+    Alcotest.test_case "a failed UPDATE inside BEGIN rewrites no row" `Quick (fun () ->
+        let db = E.create ~snapshots:false () in
+        ignore (E.exec db "CREATE TABLE t (a TEXT)");
+        ignore (E.exec db "INSERT INTO t VALUES ('one'), ('two')");
+        ignore (E.exec db "BEGIN");
+        Alcotest.(check bool) "second row fails to evaluate" true
+          (raises_error (fun () ->
+               E.exec db "UPDATE t SET a = CASE WHEN a = 'one' THEN 'x' ELSE substr(a, a) END"));
+        ignore (E.exec db "COMMIT");
+        Alcotest.(check (list string)) "rows unchanged" [ "one"; "two" ]
+          (List.map
+             (fun r -> R.value_to_string r.(0))
+             (E.query db "SELECT a FROM t"))) ]
 
 let udf_errors =
   [ Alcotest.test_case "UDF exceptions surface as errors" `Quick (fun () ->

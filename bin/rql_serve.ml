@@ -64,12 +64,13 @@ let serve_client (ctx : Rql.ctx) fd =
               else begin
                 (if line = "" then reply_error oc "empty statement"
                  else
-                   let db, sql =
+                   let run () =
                      if String.length line > 5 && String.sub line 0 5 = "@meta" then
-                       (meta, String.trim (String.sub line 5 (String.length line - 5)))
-                     else (data, line)
+                       Rql.exec_meta ~session:meta ctx
+                         (String.trim (String.sub line 5 (String.length line - 5)))
+                     else E.exec data line
                    in
-                   match E.exec db sql with
+                   match run () with
                    | res -> reply oc res
                    | exception E.Error msg -> reply_error oc msg);
                 loop ()

@@ -359,8 +359,7 @@ let run_line ctx_ref line =
     | None -> Printf.printf "unknown command %s (.help for the list)\n" word
   end
   else if String.length line >= 5 && String.sub line 0 5 = "@meta" then
-    print_result
-      (E.exec_script !ctx_ref.Rql.meta (String.sub line 5 (String.length line - 5)))
+    print_result (Rql.exec_meta_script !ctx_ref (String.sub line 5 (String.length line - 5)))
   else print_result (E.exec_script !ctx_ref.Rql.data line)
 
 let repl ctx =

@@ -111,6 +111,9 @@ type run_state = {
   (* Live progress handle (sys_progress / .progress / .cancel). *)
   mutable rs_progress : Obs.Progress.t option;
   mutable rs_failed : bool; (* an iteration raised: keep no evaluator *)
+  (* SQL form: the domain whose current meta statement drives the run;
+     None once that statement handed the run's evaluator on ({!hand_on}) *)
+  mutable rs_driver : Domain.id option;
 }
 
 (* Finished runs' delta evaluators, each under its Qq's plan-cache key,
@@ -620,7 +623,8 @@ let make_run ?(analyze = false) ?(all_cold = false) (ctx : ctx) ~kind ~qq ~table
     cur_inserts = 0;
     cur_updates = 0;
     rs_progress = None;
-    rs_failed = false }
+    rs_failed = false;
+    rs_driver = None }
 
 (* --- warm starts ---------------------------------------------------------- *)
 
@@ -656,8 +660,9 @@ let resume (ctx : ctx) (rs : run_state) =
   end
 
 (* Keep [rs]'s evaluator for the next run of its Qq, unless it keeps no
-   snapshot or the run failed.  Stale entries go, and then the least
-   recently kept ones until all fit the shared budget. *)
+   snapshot or the run failed; say whether it was kept.  Stale entries
+   go, and then the least recently kept ones until all fit the shared
+   budget. *)
 let keep (ctx : ctx) (rs : run_state) =
   match rs.inline.incr with
   | Some inc when (not rs.rs_failed) && Sq.Incr.kept inc <> None ->
@@ -671,8 +676,9 @@ let keep (ctx : ctx) (rs : run_state) =
           | [] -> []
         in
         let live = List.filter (resumable ctx) ((key, inc) :: List.remove_assoc key w.entries) in
-        w.entries <- fit Sq.Incr.default_max_rows live)
-  | _ -> ()
+        w.entries <- fit Sq.Incr.default_max_rows live);
+    true
+  | _ -> false
 
 (* A snapshot's Qq rows, and its iteration's record as far as the
    evaluation fills it in: the evaluating session scope's counter and
@@ -1132,7 +1138,7 @@ let run_mechanism ?(all_cold = false) ?(analyze = false) ?(domains = 1) ctx kind
       if k = 1 then resume ctx rs;
       let loop () =
         snapshot_loop rs ~k sids;
-        if k = 1 then keep ctx rs;
+        if k = 1 then ignore (keep ctx rs);
         finish rs
       in
       let run () =
@@ -1198,12 +1204,28 @@ let run_key kind qq table =
    is kept for the next run of its Qq. *)
 let retire ctx (rs : run_state) =
   Option.iter (fun p -> Obs.Progress.finish p Obs.Progress.Done) rs.rs_progress;
-  keep ctx rs
+  ignore (keep ctx rs)
+
+(* The meta statement that drove SQL-form runs on this domain ended:
+   each such run hands its evaluator to the warm cache and holds a fresh
+   one, so that the next run of its Qq, by any mechanism, starts warm.
+   A later statement that continues the run takes an evaluator back
+   through {!resume}, or starts cold. *)
+let hand_on (ctx : ctx) =
+  let self = Domain.self () in
+  Hashtbl.iter
+    (fun _ rs ->
+      if rs.rs_driver = Some self then begin
+        rs.rs_driver <- None;
+        if keep ctx rs then rs.inline <- { rs.inline with incr = Some (Sq.Incr.create ()) }
+      end)
+    ctx.runs
 
 (* A loop-body invocation arriving from the SQL form.  A fresh run starts
    when no run exists for (mechanism, Qq, T) or when the snapshot id does
-   not advance (the statement was re-executed); it resumes the evaluator
-   the superseded run, or an earlier run of the Qq, kept. *)
+   not advance (the statement was re-executed).  The first invocation of
+   a statement resumes the evaluator that the superseded run, or an
+   earlier run of the Qq, kept. *)
 let udf_step ctx kind ~qq ~table ~sid =
   let key = run_key kind qq table in
   let rs =
@@ -1213,7 +1235,6 @@ let udf_step ctx kind ~qq ~table ~sid =
       (* The statement was re-executed: the superseded run is complete. *)
       Option.iter (retire ctx) prev;
       let rs = make_run ctx ~kind ~qq ~table () in
-      resume ctx rs;
       (match Sq.Db.(ctx.data.retro) with
       | Some retro -> Retro.clear_cache retro
       | None -> ());
@@ -1224,6 +1245,10 @@ let udf_step ctx kind ~qq ~table ~sid =
       Hashtbl.replace ctx.runs key rs;
       rs
   in
+  if rs.rs_driver <> Some (Domain.self ()) then begin
+    resume ctx rs;
+    rs.rs_driver <- Some (Domain.self ())
+  end;
   match step rs ~sid with
   | () -> ()
   | exception (Cancelled _ as e) ->
@@ -1305,9 +1330,17 @@ let create ?data () =
   ignore (Sq.Engine.exec meta snapids_ddl);
   make_ctx ~data ~meta
 
-(* Convenience wrappers for the two databases. *)
+(* Convenience wrappers for the two databases.  A meta statement, run
+   on [ctx.meta] or on one of its [session]s, hands on the evaluators of
+   the SQL-form runs it drove when it ends, also when it fails. *)
 let exec_data ctx sql = Sq.Engine.exec ctx.data sql
-let exec_meta ctx sql = Sq.Engine.exec ctx.meta sql
+
+let meta_statement ctx f = Fun.protect ~finally:(fun () -> hand_on ctx) f
+
+let exec_meta ?session ctx sql =
+  meta_statement ctx (fun () -> Sq.Engine.exec (Option.value session ~default:ctx.meta) sql)
+
+let exec_meta_script ctx sql = meta_statement ctx (fun () -> Sq.Engine.exec_script ctx.meta sql)
 
 (* --- persistence ---------------------------------------------------------- *)
 

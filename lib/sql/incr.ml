@@ -21,13 +21,13 @@
    are aggregated directly.  Any other core streams its kept driving
    rows, in chain and slot order, through {!Exec.stream_core}.  The
    inner source of a hash join keys its rows by join key and keeps a
-   covering index from each key to its rows, each tagged with its
-   page's chain position: last page first, a page's rows last slot
-   first.  A probe so lists a key's rows in reverse scan order, the
-   order in which the plain executor's build conses them; re-reading a
-   page swaps only that page's rows.  Chain positions are stable while
-   the heap only grows at its tail; when a kept page moves, the index
-   is rebuilt from the kept rows.
+   covering index from each key to its rows by heap page id, a page's
+   rows last slot first: re-reading a page swaps only that page's rows.
+   A probe lists a key's pages by their chain position in this
+   snapshot, last page first, so its rows in reverse scan order, the
+   order in which the plain executor's build conses them; it keeps that
+   list until one of the key's pages is swapped or a page moves.  A kept
+   page that moves needs no re-indexing.
 
    Asked before an evaluation ({!request_changes}), a delta of a core
    that does not aggregate also says how it changed its output: the
@@ -51,22 +51,26 @@
 module R = Storage.Record
 module Jtbl = Exec.Jtbl
 
-(* A heap page's rows passing its source's filters, in slot order, and
-   the page's position in its chain.  A lone source also keeps each
-   row's group key ([pg_keys]; empty otherwise). *)
-type page = { pg_pos : int; pg_next : int; pg_keys : string array; pg_rows : R.row array }
+(* A heap page's rows passing its source's filters, in slot order, the
+   page's id and its position in its chain.  A lone source also keeps
+   each row's group key ([pg_keys]; empty otherwise). *)
+type page = {
+  pg_id : int; pg_pos : int; pg_next : int; pg_keys : string array; pg_rows : R.row array }
 
 (* One source's kept pages: heap page id -> its rows. *)
 type pages = (int, page) Hashtbl.t
 
-(* A join key's rows in the covering index, each with its page's chain
-   position: positions descending, a page's rows in reverse slot order.
-   That is reverse scan order, in which a probe lists them. *)
-type rows = Nil | Row of int * R.row * rows
+(* A join key's rows in the covering index: by heap page id, a page's
+   rows for the key in reverse slot order; and, once probed, its pages'
+   rows by chain position, last first, until one of its pages is
+   swapped or a page moves. *)
+type entry = { by_page : (int, R.row list) Hashtbl.t; mutable merged : R.row list list option }
 
-(* The inner source of a hash join: its pages, and the index from each
-   join key to its rows. *)
-type inner = { in_pages : pages; in_index : rows ref Jtbl.t }
+(* The covering index of a hash join's inner source. *)
+type index = entry Jtbl.t
+
+(* The inner source of a hash join: its pages, and their index. *)
+type inner = { in_pages : pages; in_index : index }
 
 (* A delta names its base: the snapshot it evaluated from. *)
 type mode = Full | Delta of int
@@ -163,48 +167,60 @@ exception Over_budget
 
 (* --- the covering index ------------------------------------------------ *)
 
-(* Add [row] of the page at [pos] to a key's rows, ahead of the page's
-   earlier rows.  Pages are indexed in chain order when the index is
-   built, so the row then goes first. *)
-let rec place pos row = function
-  | Row (p, r, rest) when p > pos -> Row (p, r, place pos row rest)
-  | l -> Row (pos, row, l)
-
-(* Take out the rows of the page at [pos]. *)
-let rec unplace pos = function
-  | Row (p, r, rest) when p > pos -> Row (p, r, unplace pos rest)
-  | Row (p, _, rest) when p = pos -> unplace pos rest
-  | l -> l
-
 (* Index (or take out) a page's rows by [key], the join key; a row
    whose key holds a NULL joins nothing and stays out. *)
-let index_page ix key pg =
+let index_page (ix : index) key pg =
   Array.iter
     (fun row ->
       let k = key row in
       if Exec.Jkey.matchable k then
         match Jtbl.find_opt ix k with
-        | Some b -> b := place pg.pg_pos row !b
-        | None -> Jtbl.add ix k (ref (Row (pg.pg_pos, row, Nil))))
+        | Some e ->
+          let on = Option.value (Hashtbl.find_opt e.by_page pg.pg_id) ~default:[] in
+          Hashtbl.replace e.by_page pg.pg_id (row :: on);
+          e.merged <- None
+        | None ->
+          let by_page = Hashtbl.of_seq (Seq.return (pg.pg_id, [ row ])) in
+          Jtbl.add ix k { by_page; merged = None })
     pg.pg_rows
 
-let unindex_page ix key pg =
+let unindex_page (ix : index) key pg =
   Array.iter
     (fun row ->
       let k = key row in
       match Jtbl.find_opt ix k with
-      | Some b -> ( match unplace pg.pg_pos !b with Nil -> Jtbl.remove ix k | l -> b := l)
+      | Some e ->
+        Hashtbl.remove e.by_page pg.pg_id;
+        e.merged <- None;
+        if Hashtbl.length e.by_page = 0 then Jtbl.remove ix k
       | None -> ())
     pg.pg_rows
 
-let lookup ix k f =
-  let rec go = function
-    | Row (_, row, rest) ->
-      f row;
-      go rest
-    | Nil -> ()
-  in
-  match Jtbl.find_opt ix k with Some b -> go !b | None -> ()
+(* Pass [f] a key's rows in reverse scan order: its pages by their
+   position in [pages]' chain, last first. *)
+let lookup (pages : pages) (ix : index) k f =
+  match Jtbl.find_opt ix k with
+  | Some { merged = Some on; _ } -> List.iter (List.iter f) on
+  | Some e ->
+    let pos pid = (Hashtbl.find pages pid).pg_pos in
+    let on = Hashtbl.fold (fun pid rows on -> (pos pid, rows) :: on) e.by_page [] in
+    let on = List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare b a) on) in
+    e.merged <- Some on;
+    List.iter (List.iter f) on
+  | None -> ()
+
+(* Once the re-read pages of [old] are swapped for those of [pages]:
+   take out the pages that left the chain.  A kept page that moved keeps
+   its entries, but it may have passed another: every key sorts again. *)
+let settle (ix : index) key ~(old : pages) (pages : pages) =
+  let moved = ref false in
+  Hashtbl.iter
+    (fun pid o ->
+      match Hashtbl.find_opt pages pid with
+      | Some pg -> moved := !moved || pg.pg_pos <> o.pg_pos
+      | None -> unindex_page ix key o)
+    old;
+  if !moved then Jtbl.iter (fun _ e -> e.merged <- None) ix
 
 (* --- evaluation ----------------------------------------------------------- *)
 
@@ -213,7 +229,6 @@ type walk = {
   w_pages : pages;
   w_chain : page list; (* reverse chain order *)
   w_fresh : page list; (* the pages read and evaluated *)
-  w_moved : bool; (* a kept page changed its chain position *)
 }
 
 (* Walk [tbl]'s chain as of [env]'s snapshot: with [changed], a page
@@ -223,21 +238,16 @@ type walk = {
 let walk t env ~changed ~kept (old : pages) (tbl : Catalog.table) ?(fresh = fun _ _ -> ())
     evaluate =
   let pages = Hashtbl.create (max 16 (Hashtbl.length old)) in
-  let chain = ref [] and evaluated = ref [] and moved = ref false in
+  let chain = ref [] and evaluated = ref [] in
   let rec go pos pid =
     if pid >= 0 then begin
       let prior = Hashtbl.find_opt old pid in
       let pg =
         match changed, prior with
         | Some ch, Some pg when not (Hashtbl.mem ch pid) ->
-          if pg.pg_pos = pos then pg
-          else begin
-            moved := true;
-            { pg with pg_pos = pos }
-          end
+          if pg.pg_pos = pos then pg else { pg with pg_pos = pos }
         | _ ->
-          (match prior with Some o when o.pg_pos <> pos -> moved := true | _ -> ());
-          let pg = evaluate pos (env.Exec.read pid) in
+          let pg = evaluate pid pos (env.Exec.read pid) in
           evaluated := pg :: !evaluated;
           fresh prior pg;
           pg
@@ -250,13 +260,11 @@ let walk t env ~changed ~kept (old : pages) (tbl : Catalog.table) ?(fresh = fun 
     end
   in
   Exec.attributed env tbl (fun () -> go 0 tbl.Catalog.theap);
-  { w_pages = pages; w_chain = !chain; w_fresh = !evaluated; w_moved = !moved }
+  { w_pages = pages; w_chain = !chain; w_fresh = !evaluated }
 
 (* Bring a hash join's inner source, as the previous evaluation left it
-   ([prev]), to the snapshot.  The walk swaps each re-read page's rows in
-   the index as it goes (into a new index when this is no delta); pages
-   that left the chain are taken out after it.  If a kept page moved,
-   the index is rebuilt from the kept rows. *)
+   ([prev]), to the snapshot: the walk swaps each re-read page's rows in
+   the index as it goes (into a new index when this is no delta). *)
 let update_inner t env ~changed ~kept (prev : inner option) tbl ~key evaluate =
   let old, ix =
     match prev, changed with
@@ -268,17 +276,7 @@ let update_inner t env ~changed ~kept (prev : inner option) tbl ~key evaluate =
     index_page ix key pg
   in
   let w = walk t env ~changed ~kept old tbl ~fresh evaluate in
-  let ix =
-    if w.w_moved then begin
-      let ix = Jtbl.create (Jtbl.length ix) in
-      List.iter (index_page ix key) (List.rev w.w_chain);
-      ix
-    end
-    else begin
-      Hashtbl.iter (fun pid o -> if not (Hashtbl.mem w.w_pages pid) then unindex_page ix key o) old;
-      ix
-    end
-  in
+  settle ix key ~old w.w_pages;
   ({ in_pages = w.w_pages; in_index = ix }, w)
 
 (* Evaluate [bound] — [cached] with its parameters bound — against the
@@ -325,14 +323,15 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
       !rows.(!n) <- row;
       incr n
     in
-    fun pos p ->
+    fun pid pos p ->
       n := 0;
       Storage.Page.iter_spans p ~f:(fun _slot off len ->
           incr scanned;
           let row = decode p ~off ~len in
           if Exec.passes fnctx filters row then push row);
       let pg_rows = Array.sub !rows 0 !n in
-      { pg_pos = pos;
+      { pg_id = pid;
+        pg_pos = pos;
         pg_next = Storage.Page.next p;
         pg_keys = (match group with Some key -> Array.map key pg_rows | None -> [||]);
         pg_rows }
@@ -412,7 +411,7 @@ let eval t (env : Exec.env) ~(cached : Plan.t) (bound : Plan.t) =
       sl.Plan.o_elapsed_s <- sl.Plan.o_elapsed_s +. (t1 -. t0);
       sl.Plan.o_pages <- sl.Plan.o_pages + (p1 - p0)
     end;
-    let lookups = List.map (fun (i, _) -> lookup i.in_index) inners in
+    let lookups = List.map (fun (i, _) -> lookup i.in_pages i.in_index) inners in
     (* The output of [drive]'s rows, uninstrumented. *)
     let output drive =
       let _, run =

@@ -566,7 +566,244 @@ let warm =
             (List.assoc_opt "eval" fields = Some (Obs.Json.Str "delta"));
           Alcotest.(check bool) "base field" true
             (List.assoc_opt "base" fields = Some (Obs.Json.Int 3))
-        | _ -> Alcotest.fail "iteration JSON is not an object") ]
+        | _ -> Alcotest.fail "iteration JSON is not an object");
+    Alcotest.test_case "a meta statement hands its runs' evaluators on" `Quick (fun () ->
+        (* Rql.exec_meta is the shell's and rql_serve's path: when the
+           statement ends, its runs hand their evaluators to the cache *)
+        let go on =
+          let ctx = Rql.create () in
+          set_incremental ctx on;
+          data ctx "CREATE TABLE s (k INTEGER, v INTEGER)";
+          data ctx "INSERT INTO s VALUES (1, 10), (2, 20), (3, 30)";
+          ignore (Rql.declare_snapshot ctx);
+          List.iter
+            (fun sql ->
+              data ctx "BEGIN";
+              data ctx sql;
+              ignore (Rql.declare_snapshot ctx))
+            [ "UPDATE s SET v = v + 5 WHERE k = 1"; "DELETE FROM s WHERE k = 2";
+              "INSERT INTO s VALUES (4, 40), (2, 25)" ];
+          let stmt mech more where =
+            ignore
+              (Rql.exec_meta ctx
+                 (Printf.sprintf "SELECT %s(snap_id, 'SELECT k, v FROM s', %s) FROM SnapIds WHERE %s"
+                    mech more where))
+          in
+          stmt "CollateData" "'C'" "snap_id <= 3";
+          stmt "AggregateDataInTable" "'A', '(v,max)'" "snap_id >= 1";
+          (* C goes on from snapshot 4; A's run, its evaluator handed on
+             again, is not touched *)
+          stmt "CollateData" "'C'" "snap_id = 4";
+          let take table =
+            match Rql.take_run ctx ~table with
+            | Some run -> run
+            | None -> Alcotest.fail ("no SQL-form run into " ^ table)
+          in
+          let a = take "A" and c = take "C" in
+          ((table_bytes ctx "A", table_bytes ctx "C"), (work a, work c), (a, c))
+        in
+        let want, want_work, _ = go false in
+        let got, got_work, (a, c) = go true in
+        Alcotest.(check (pair (list string) (list string))) "A and C" want got;
+        Alcotest.(check (pair (list (triple int int int)) (list (triple int int int))))
+          "rows, inserts, updates" want_work got_work;
+        Alcotest.check eval_base "A starts from C's last snapshot" ("delta", Some 3) (first_eval a);
+        Alcotest.(check (list (pair string (option int))))
+          "C's second statement takes back A's evaluator"
+          [ ("full", None); ("delta", Some 1); ("delta", Some 2); ("delta", Some 4) ]
+          (List.map (fun (it : IS.iteration) -> (it.IS.eval, it.IS.base)) c.IS.iterations)) ]
+
+(* --- probe order ------------------------------------------------------------- *)
+
+(* A join whose inner key 1 has a row on each of 24 pages (a row of
+   [u] fills a third of a page, and each round inserts keys 1-3).  Each
+   snapshot rewrites pages at the head, in the middle and at the tail of
+   [u]'s chain.  REAL values 1e16 apart make every sum depend on the
+   order in which the join emits its rows. *)
+let spread_history () =
+  let ctx = Rql.create () in
+  let pad = String.make 1000 'x' in
+  let row k r v = Printf.sprintf "(%d, %.2f, %d, '%s')" k v r pad in
+  let value k r =
+    match (k + r) mod 3 with 0 -> 1e16 | 1 -> -1e16 | _ -> (1.25 *. float_of_int (k + r)) +. 0.5
+  in
+  let round r = String.concat ", " (List.map (fun k -> row k r (value k r)) [ 1; 2; 3 ]) in
+  data ctx "CREATE TABLE d (k INTEGER, g TEXT)";
+  data ctx "CREATE TABLE u (k INTEGER, v REAL, r INTEGER, pad TEXT)";
+  data ctx "INSERT INTO d VALUES (1, 'a'), (2, 'a'), (1, 'b'), (3, 'b'), (4, 'b')";
+  for r = 0 to 23 do
+    data ctx ("INSERT INTO u VALUES " ^ round r)
+  done;
+  ignore (Rql.declare_snapshot ctx);
+  List.iter
+    (fun stmts ->
+      data ctx "BEGIN";
+      List.iter (data ctx) stmts;
+      ignore (Rql.declare_snapshot ctx))
+    [ [ "UPDATE u SET v = v * 3 WHERE r = 0"; "UPDATE u SET v = v + 0.5 WHERE r = 12 AND k = 1";
+        "UPDATE u SET v = -v WHERE r = 23" ];
+      [ "DELETE FROM u WHERE r = 1 AND k = 1"; "DELETE FROM u WHERE r = 11 AND k <> 2";
+        "DELETE FROM u WHERE r = 22 AND k = 3" ];
+      (* the freed slots take the new rows first; the rest go to new
+         pages at the tail *)
+      [ "INSERT INTO u VALUES " ^ row 1 30 2.5 ^ ", " ^ row 1 31 1e16 ^ ", " ^ row 3 32 0.75;
+        "INSERT INTO u VALUES " ^ round 24 ^ ", " ^ round 25 ];
+      [ "UPDATE u SET v = v - 1e16 WHERE r = 5 OR r = 25"; "DELETE FROM u WHERE r = 14";
+        "INSERT INTO u VALUES " ^ row 1 33 3.25 ];
+      [ "UPDATE u SET v = v + 0.75 WHERE k = 1" ] ];
+  ctx
+
+(* The pages of [u] that hold a row of key 1 at snapshot [sid]. *)
+let key_pages ctx sid =
+  let env = Sqldb.Exec.snapshot_env ctx.Rql.data sid in
+  let tbl = Option.get (Sqldb.Catalog.find_table env.Sqldb.Exec.cat "u") in
+  let pages = Hashtbl.create 32 in
+  Storage.Heap.iter env.Sqldb.Exec.read (Storage.Heap.open_existing tbl.Sqldb.Catalog.theap)
+    ~f:(fun rid bytes ->
+      if (R.decode_row bytes).(0) = R.Int 1 then
+        Hashtbl.replace pages (Storage.Heap.pid_of_rid rid) ());
+  Hashtbl.length pages
+
+let spread_mechs =
+  [ { label = "spread sums";
+      qq = "SELECT d.g, COUNT(*) AS n, SUM(u.v) AS s FROM d, u WHERE d.k = u.k GROUP BY d.g";
+      run = collate };
+    { label = "spread rows"; qq = "SELECT d.g, u.r, u.v FROM d, u WHERE d.k = u.k"; run = collate };
+    { label = "spread total"; qq = "SELECT SUM(u.v) AS s FROM d, u WHERE d.k = u.k"; run = agg_var "SUM" } ]
+
+(* A key's inner rows spread over many pages, from a random chain
+   rewritten at random places (the index alone, against a fresh build). *)
+type istep = Reread of int * int option list | Depart of int | Join of int * int option list | Move of int * int
+
+let index_property =
+  let open QCheck in
+  let key = Gen.(frequency [ (1, return None); (4, map Option.some (int_bound 3)) ]) in
+  let rows = Gen.(list_size (int_bound 4) key) in
+  let step =
+    Gen.(
+      frequency
+        [ (3, map2 (fun i r -> Reread (i, r)) nat rows); (2, map (fun i -> Depart i) nat);
+          (3, map2 (fun i r -> Join (i, r)) nat rows); (2, map2 (fun i j -> Move (i, j)) nat nat) ])
+  in
+  let gen = Gen.(pair (list_size (int_range 1 12) rows) (list_size (int_range 1 25) step)) in
+  Test.make ~name:"the covering index lists a key's rows as a fresh build does" ~count:300
+    (make gen) (fun (chain0, steps) ->
+      let module I = Sqldb.Incr in
+      let made = ref 0 and tag = ref 0 in
+      (* a page read anew: page ids follow no order of the chain *)
+      let page keys =
+        incr made;
+        let value = function Some k -> R.Int k | None -> R.Null in
+        ( !made * 37 mod 1009,
+          Array.of_list
+            (List.map
+               (fun k ->
+                 incr tag;
+                 [| value k; R.Int !tag |])
+               keys) )
+      in
+      let key row = [| row.(0) |] in
+      let ix = Sqldb.Exec.Jtbl.create 16 and pages = ref (Hashtbl.create 1) in
+      (* bring the index to [chain], the pages [fresh] read anew, as
+         Incr's walk does *)
+      let apply chain fresh =
+        let old = !pages and now = Hashtbl.create 16 in
+        List.iteri
+          (fun pos (id, rows) ->
+            let pg = { I.pg_id = id; pg_pos = pos; pg_next = -1; pg_keys = [||]; pg_rows = rows } in
+            Hashtbl.replace now id pg;
+            if List.mem id fresh then begin
+              Option.iter (I.unindex_page ix key) (Hashtbl.find_opt old id);
+              I.index_page ix key pg
+            end)
+          chain;
+        I.settle ix key ~old now;
+        pages := now
+      in
+      (* every key's probe against the plain build: each row consed in
+         chain and slot order; a NULL key joins nothing *)
+      let check chain =
+        let want = Hashtbl.create 8 in
+        List.iter
+          (fun (_, rows) ->
+            Array.iter
+              (fun row ->
+                let on = Option.value (Hashtbl.find_opt want row.(0)) ~default:[] in
+                Hashtbl.replace want row.(0) (row :: on))
+              rows)
+          chain;
+        List.for_all
+          (fun k ->
+            let got = ref [] in
+            I.lookup !pages ix [| k |] (fun row -> got := row :: !got);
+            let want = if k = R.Null then [] else Option.value (Hashtbl.find_opt want k) ~default:[] in
+            List.rev !got = want)
+          (R.Null :: List.init 4 (fun k -> R.Int k))
+      in
+      let rec insert_at i x = function
+        | l when i = 0 -> x :: l
+        | y :: rest -> y :: insert_at (i - 1) x rest
+        | [] -> [ x ]
+      in
+      let chain = ref (List.map page chain0) in
+      apply !chain (List.map fst !chain);
+      check !chain
+      && List.for_all
+           (fun st ->
+             let n = List.length !chain in
+             let without i = List.filteri (fun j _ -> j <> i mod n) !chain in
+             let c, fresh =
+               match st with
+               | Reread (i, keys) when n > 0 ->
+                 let id = fst (List.nth !chain (i mod n)) in
+                 let p = (id, snd (page keys)) in
+                 (insert_at (i mod n) p (without i), [ id ])
+               | Depart i when n > 0 -> (without i, [])
+               | Join (i, keys) ->
+                 let p = page keys in
+                 (insert_at (i mod (n + 1)) p !chain, [ fst p ])
+               | Move (i, j) when n > 0 -> (insert_at (j mod n) (List.nth !chain (i mod n)) (without i), [])
+               | _ -> (!chain, [])
+             in
+             chain := c;
+             apply c fresh;
+             check c)
+           steps)
+
+let order =
+  [ Alcotest.test_case "a key on 20+ pages, rewritten at head, middle and tail" `Quick (fun () ->
+        let ctx = spread_history () in
+        let sids = List.init 6 (fun i -> i + 1) in
+        List.iter
+          (fun sid ->
+            Alcotest.(check bool)
+              (Printf.sprintf "snapshot %d: key 1 on %d pages" sid (key_pages ctx sid))
+              true
+              (key_pages ctx sid >= 20))
+          sids;
+        (* the sums depend on the order of addition *)
+        let vs =
+          List.map
+            (function [| R.Real v |] -> v | _ -> Alcotest.fail "v is REAL")
+            (E.query ctx.Rql.data "SELECT AS OF 1 v FROM u WHERE k = 1")
+        in
+        Alcotest.(check bool) "order-dependent sums" true
+          (List.fold_left ( +. ) 0. vs <> List.fold_right ( +. ) vs 0.);
+        let naive = Hashtbl.create 8 in
+        let range lo hi =
+          Printf.sprintf "SELECT snap_id FROM SnapIds WHERE snap_id BETWEEN %d AND %d" lo hi
+        in
+        List.iter
+          (fun m ->
+            let run name qs = differential ~naive ctx ~name ~qs m in
+            let fwd = run "forwards" all_snapshots in
+            Alcotest.(check (list string)) (m.label ^ ": forwards") (striped ~k:1 6) (evals fwd);
+            let back = run "backwards" "SELECT snap_id FROM SnapIds ORDER BY snap_id DESC" in
+            Alcotest.check eval_base (m.label ^ ": backwards, warm") ("delta", Some 6) (first_eval back);
+            let again = run "warm" (range 2 5) in
+            Alcotest.check eval_base (m.label ^ ": warm again") ("delta", Some 1) (first_eval again))
+          spread_mechs);
+    QCheck_alcotest.to_alcotest index_property ]
 
 (* --- observability ------------------------------------------------------------ *)
 
@@ -632,4 +869,5 @@ let () =
       ("naive", uw_matrix);
       ("fallback", fallback);
       ("warm", warm);
+      ("order", order);
       ("report", observability) ]
